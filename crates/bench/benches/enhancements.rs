@@ -42,9 +42,8 @@ fn mwa(h: &mut Harness) {
 }
 
 /// Figures 15–16: collective vs individual batch processing. The
-/// `collective_hilbert` series is the full scheme (Hilbert ordering +
-/// shared aggregate memoisation); `collective_naive` disables both
-/// (input order, no cache) to isolate their contribution.
+/// `collective_hilbert` series is the full scheme; `collective_naive` tiles
+/// the batch in input order to isolate the Hilbert ordering's contribution.
 fn collective(h: &mut Harness) {
     let config = bench_config();
     let data = load(&lbsn::gs(), &config);
@@ -64,7 +63,6 @@ fn collective(h: &mut Harness) {
         });
         let naive = BatchOptions {
             order: BatchOrder::Input,
-            agg_cache: false,
             ..BatchOptions::default()
         };
         group.bench(format!("collective_naive/{count}"), |b| {

@@ -1,7 +1,7 @@
 //! Collective (batched) query processing (Section 7.2).
 //!
 //! A batch of kNNTA queries runs one best-first search per query, but the
-//! physical node fetches and the TIA aggregate computation are shared:
+//! physical node fetches are shared:
 //!
 //! * **Hilbert ordering.** The batch is sorted along a 3-D Hilbert curve
 //!   over `(x, y, Iq midpoint)` (see [`crate::hilbert`]) and processed in
@@ -9,37 +9,31 @@
 //!   frontiers, so the greedy "most frequent front entry first" rule of the
 //!   paper fetches each hot node once for the whole tile — and the paged
 //!   backend's buffer pool stays resident on the tile's subtree.
-//! * **Shared TIA aggregate memoisation.** `g(p, Iq)` depends on `Iq` only
-//!   through its contained-epoch range, so queries are grouped by epoch
-//!   range (a strict generalisation of the paper's "same query time
-//!   interval" grouping) and an [`AggCache`] memoises per-entry aggregates
-//!   per `(node, epoch-range)`, materialised from per-entry prefix partial
-//!   sums ([`tempora::PrefixSums`]) that are built once per node no matter
-//!   how many distinct ranges probe it. The `f(p_k)` normaliser `gmax` is
-//!   likewise computed once per range, not once per query.
+//! * **One normaliser per interval class.** `g(p, Iq)` depends on `Iq` only
+//!   through its contained-epoch range, so the `f(p_k)` normaliser `gmax`
+//!   is computed once per distinct range, not once per query.
 //!
 //! Every per-query traversal is the *same* bound-pruned best-first search as
-//! [`TarIndex::query`] — hits go into a [`TopK`] under the `(score, PoiId)`
-//! total order, and a query stops at the first frontier node whose lower
-//! bound exceeds its `f(p_k)` — so the batch answers are bit-identical to
-//! the individual ones, per query, on every storage backend
-//! (`tests/batch_oracle.rs` is the differential oracle). Node accesses are
-//! counted once per physical fetch, and since each fetch serves at least one
-//! query's pop (whose pop set equals its individual search's), collective
-//! accesses never exceed individual accesses.
+//! [`TarIndex::query`] — each fetched node goes through the one expansion
+//! kernel ([`crate::search`]) for every query waiting on it, and a query
+//! stops at the first frontier node whose lower bound exceeds its `f(p_k)` —
+//! so the batch answers are bit-identical to the individual ones, per
+//! query, on every storage backend (`tests/batch_oracle.rs` is the
+//! differential oracle). Node accesses are counted once per physical fetch,
+//! and since each fetch serves at least one query's pop (whose pop set
+//! equals its individual search's), collective accesses never exceed
+//! individual accesses.
 
-use crate::agg_cache::AggCache;
-use crate::frontier::{NodeCand, TopK};
 use crate::hilbert;
 use crate::index::{QueryCtx, TarIndex};
-use crate::observe::{self, PhaseAcc};
+use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::{KnntaQuery, QueryHit};
-use crate::storage::{EntryTarget, NodeSource, StorageBackend};
+use crate::search::{entry_tia, expand_node, NodeCand, TopK};
+use crate::storage::{NodeSource, StorageBackend};
 use knnta_obs::{AttrValue, Obs, SpanId};
 use pagestore::AccessStats;
 use rtree::NodeId;
 use std::collections::{BinaryHeap, HashMap};
-use std::ops::Range;
 
 /// How a collective batch is ordered before tiling (the `--batch-order`
 /// CLI flag).
@@ -79,9 +73,6 @@ impl std::fmt::Display for BatchOrder {
 pub struct BatchOptions {
     /// Batch ordering (default: [`BatchOrder::Hilbert`]).
     pub order: BatchOrder,
-    /// Whether the shared [`AggCache`] memoises aggregate computation
-    /// across the batch (default: `true`).
-    pub agg_cache: bool,
     /// Queries per locality tile; node fetches are shared within a tile
     /// (default: 64; `0` is treated as 1).
     pub tile: usize,
@@ -91,7 +82,6 @@ impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
             order: BatchOrder::default(),
-            agg_cache: true,
             tile: 64,
         }
     }
@@ -105,9 +95,9 @@ pub(crate) const HILBERT_BITS: u32 = 16;
 
 impl TarIndex {
     /// Processes a batch of queries collectively with the default options
-    /// (Hilbert ordering, shared aggregate memoisation), sharing node
-    /// accesses and aggregate computation across the batch. Node accesses
-    /// are counted once per physical fetch in [`TarIndex::stats`].
+    /// (Hilbert ordering, 64-query tiles), sharing node accesses across the
+    /// batch. Node accesses are counted once per physical fetch in
+    /// [`TarIndex::stats`].
     ///
     /// Returns one result list per query, in input order; each list is
     /// bit-identical to what [`TarIndex::query`] returns for that query.
@@ -143,7 +133,7 @@ impl TarIndex {
 
     /// Processes the batch one query at a time (the "individual" baseline of
     /// the paper's batch experiments): every query pays its own node
-    /// accesses and recomputes every aggregate.
+    /// accesses.
     pub fn query_batch_individual(&self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
         queries.iter().map(|q| self.query(q)).collect()
     }
@@ -219,16 +209,14 @@ pub(crate) fn batch_attrs(queries: &[KnntaQuery], opts: &BatchOptions) -> Vec<(S
         ("queries".to_string(), AttrValue::from(queries.len() as u64)),
         ("order".to_string(), AttrValue::from(opts.order.to_string())),
         ("tile".to_string(), AttrValue::from(opts.tile as u64)),
-        ("agg_cache".to_string(), AttrValue::from(opts.agg_cache)),
     ]
 }
 
 /// One query's in-flight state: the same bound-pruned best-first search as
-/// `bfs_query_nodes`, suspended whenever it needs a node fetched.
+/// [`crate::search::bfs_query_nodes`], suspended whenever it needs a node
+/// fetched.
 struct BatchQuery<'a> {
     ctx: QueryCtx<'a>,
-    /// The query's contained-epoch range (the aggregate memo key).
-    range: Range<usize>,
     /// Node frontier (min-heap on `(key, NodeId)`).
     heap: BinaryHeap<NodeCand>,
     topk: TopK,
@@ -286,6 +274,25 @@ pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
     obs: &Obs,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
+    if obs.is_enabled() {
+        run_tiles::<D, N, Counts>(nodes, stats, index, root_max, queries, opts, obs, parent)
+    } else {
+        run_tiles::<D, N, NoProbe>(nodes, stats, index, root_max, queries, opts, obs, parent)
+    }
+}
+
+/// [`collective_on_nodes`] for one probe type; each tile gets a fresh probe,
+/// published as its `batch.tile` span's phases.
+fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
+    nodes: &N,
+    stats: &AccessStats,
+    index: &TarIndex,
+    root_max: &tempora::AggregateSeries,
+    queries: &[KnntaQuery],
+    opts: &BatchOptions,
+    obs: &Obs,
+    parent: SpanId,
+) -> Vec<Vec<QueryHit>> {
     let mut results: Vec<Vec<QueryHit>> = vec![Vec::new(); queries.len()];
     // Empty batches, all-k=0 batches and empty trees terminate here, before
     // any tree access (including the root-TIA normaliser scan).
@@ -303,41 +310,32 @@ pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
             .collect()
     };
 
-    // Group queries by contained-epoch range (the paper groups by identical
-    // interval; ranges subsume that) and compute the shared `gmax`
-    // normaliser once per distinct range — identical to the per-query value
-    // of `aggregate_normalizer`, which also only depends on the range.
+    // Queries are grouped by contained-epoch range (the paper groups by
+    // identical interval; ranges subsume that) and the shared `gmax`
+    // normaliser is computed once per distinct range — identical to the
+    // per-query value of `aggregate_normalizer`, which also only depends on
+    // the range.
     let grid = index.grid();
     let mut gmax_of: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut ranges: Vec<Range<usize>> = vec![0..0; queries.len()];
-    for &qi in &active {
-        let r = grid.epochs_within(queries[qi].interval);
-        gmax_of
-            .entry((r.start, r.end))
-            .or_insert_with(|| (root_max.sum_range(r.clone()) as f64).max(1.0));
-        ranges[qi] = r;
-    }
-
-    let mut cache = opts.agg_cache.then(AggCache::new);
     let root = nodes.root();
-    let enabled = obs.is_enabled();
 
     for (ti, tile) in order.chunks(opts.tile.max(1)).enumerate() {
         let tile_start = obs.now_ns();
-        let mut phases = PhaseAcc::default();
+        let mut probe = P::default();
         let mut states: HashMap<usize, BatchQuery<'_>> = tile
             .iter()
             .map(|&qi| {
                 let q = &queries[qi];
-                let range = ranges[qi].clone();
-                let gmax = gmax_of[&(range.start, range.end)];
+                let r = grid.epochs_within(q.interval);
+                let gmax = *gmax_of
+                    .entry((r.start, r.end))
+                    .or_insert_with(|| (root_max.sum_range(r) as f64).max(1.0));
                 let mut heap = BinaryHeap::new();
                 heap.push(NodeCand { key: 0.0, id: root });
                 (
                     qi,
                     BatchQuery {
                         ctx: index.ctx_with_normalizer(q, gmax),
-                        range,
                         heap,
                         topk: TopK::new(q.k),
                     },
@@ -362,117 +360,26 @@ pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
                 _ => continue,
             }
             let waiting = buckets.remove(&node_id).expect("bucket just checked");
-            if !enabled {
-                nodes.with_node(node_id, |node| {
+            probe.busy(|probe| {
+                nodes.with_node(node_id, probe, |node, probe| {
                     stats.record_node_access();
                     if node.is_leaf() {
                         stats.record_leaf_access();
                     }
-                    let mem = node.mem_entries();
                     for qi in waiting {
                         let st = states.get_mut(&qi).expect("waiting query has state");
                         debug_assert_eq!(st.heap.peek().map(|c| c.id), Some(node_id));
                         st.heap.pop();
-                        let mut scratch: Vec<u64> = Vec::new();
-                        // Arena nodes share the AggCache's memoised prefix
-                        // sums; packed nodes carry their own prefix blocks,
-                        // which answer each probe directly.
-                        let aggs: &[u64] = match (mem, &mut cache) {
-                            (Some(entries), Some(c)) => c.node_aggregates(
-                                node_id,
-                                st.range.clone(),
-                                entries.iter().map(|e| &e.aug),
-                            ),
-                            (Some(entries), None) => {
-                                scratch.extend(
-                                    entries.iter().map(|e| e.aug.sum_range(st.range.clone())),
-                                );
-                                &scratch
-                            }
-                            (None, _) => {
-                                scratch.extend(
-                                    node.entries().map(|e| e.agg.sum_range(st.range.clone())),
-                                );
-                                &scratch
-                            }
-                        };
-                        for (e, &agg) in node.entries().zip(aggs.iter()) {
-                            let s0 = e.rect2.min_dist2(&st.ctx.q).sqrt();
-                            match e.target {
-                                EntryTarget::Data(poi) => {
-                                    let hit = st.ctx.hit(poi, s0, agg);
-                                    st.topk.push(hit);
-                                }
-                                EntryTarget::Child(c) => {
-                                    let (key, _) = st.ctx.score(s0, agg);
-                                    st.heap.push(NodeCand { key, id: c });
-                                }
-                            }
-                        }
+                        let BatchQuery { ctx, heap, topk } = &mut *st;
+                        let push = |cand| heap.push(cand);
+                        expand_node(&node, node_id, ctx, &entry_tia(ctx), topk, push, probe);
                         park(qi, st, &mut buckets, &mut sizes);
                     }
-                });
-                continue;
-            }
-            // Instrumented twin: identical probes and arithmetic, plus the
-            // per-tile phase timing (fetch I/O and aggregate computation).
-            let mut io_ns = 0u64;
-            let mut tia_ns = 0u64;
-            let t_fetch = std::time::Instant::now();
-            nodes.with_node_timed(node_id, &mut io_ns, |node| {
-                stats.record_node_access();
-                if node.is_leaf() {
-                    stats.record_leaf_access();
-                }
-                let mem = node.mem_entries();
-                for qi in waiting {
-                    let st = states.get_mut(&qi).expect("waiting query has state");
-                    debug_assert_eq!(st.heap.peek().map(|c| c.id), Some(node_id));
-                    st.heap.pop();
-                    let mut scratch: Vec<u64> = Vec::new();
-                    let t_agg = std::time::Instant::now();
-                    let aggs: &[u64] = match (mem, &mut cache) {
-                        (Some(entries), Some(c)) => c.node_aggregates(
-                            node_id,
-                            st.range.clone(),
-                            entries.iter().map(|e| &e.aug),
-                        ),
-                        (Some(entries), None) => {
-                            scratch.extend(
-                                entries.iter().map(|e| e.aug.sum_range(st.range.clone())),
-                            );
-                            &scratch
-                        }
-                        (None, _) => {
-                            scratch.extend(
-                                node.entries().map(|e| e.agg.sum_range(st.range.clone())),
-                            );
-                            &scratch
-                        }
-                    };
-                    tia_ns += t_agg.elapsed().as_nanos() as u64;
-                    for (e, &agg) in node.entries().zip(aggs.iter()) {
-                        let s0 = e.rect2.min_dist2(&st.ctx.q).sqrt();
-                        match e.target {
-                            EntryTarget::Data(poi) => {
-                                let hit = st.ctx.hit(poi, s0, agg);
-                                st.topk.push(hit);
-                            }
-                            EntryTarget::Child(c) => {
-                                let (key, _) = st.ctx.score(s0, agg);
-                                st.heap.push(NodeCand { key, id: c });
-                            }
-                        }
-                    }
-                    park(qi, st, &mut buckets, &mut sizes);
-                }
+                })
             });
-            phases.busy_ns += t_fetch.elapsed().as_nanos() as u64;
-            phases.io_ns += io_ns;
-            phases.tia_ns += tia_ns;
         }
 
-        if enabled {
+        if P::ON {
             if let Some(tracer) = obs.tracer() {
                 let tile_end = tracer.now_ns().max(tile_start);
                 let span = tracer.add_span(
@@ -485,7 +392,7 @@ pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
                         ("queries".to_string(), AttrValue::from(tile.len() as u64)),
                     ],
                 );
-                observe::emit_phase_spans(obs, span, tile_start, tile_end, &phases);
+                observe::emit_phase_spans(obs, span, tile_start, tile_end, &probe.counts());
             }
             obs.counter(observe::M_BATCH_TILES).inc();
             obs.counter(observe::M_BATCH_QUERIES).add(tile.len() as u64);
@@ -493,15 +400,6 @@ pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
 
         for (qi, st) in states {
             results[qi] = st.topk.into_sorted_vec();
-        }
-    }
-
-    if enabled {
-        if let Some(c) = &cache {
-            obs.counter(observe::M_AGG_CACHE_HITS).add(c.hits());
-            obs.counter(observe::M_AGG_CACHE_MISSES).add(c.misses());
-            obs.counter(observe::M_AGG_CACHE_PREFIX_BUILDS)
-                .add(c.prefix_builds());
         }
     }
     results
@@ -558,19 +456,12 @@ mod tests {
             let index = example(grouping);
             let individual = index.query_batch_individual(&batch);
             for order in [BatchOrder::Hilbert, BatchOrder::Input] {
-                for agg_cache in [true, false] {
-                    let opts = BatchOptions {
-                        order,
-                        agg_cache,
-                        ..BatchOptions::default()
-                    };
-                    let collective = index.query_batch_collective_with(&batch, &opts);
-                    assert_bit_identical(
-                        &collective,
-                        &individual,
-                        &format!("{grouping} {order} cache={agg_cache}"),
-                    );
-                }
+                let opts = BatchOptions {
+                    order,
+                    ..BatchOptions::default()
+                };
+                let collective = index.query_batch_collective_with(&batch, &opts);
+                assert_bit_identical(&collective, &individual, &format!("{grouping} {order}"));
             }
         }
     }

@@ -13,10 +13,11 @@
 //! must be rebuilt afterwards — mirroring the paper's static-index
 //! measurement methodology.
 
-use crate::index::{bfs_query_src, with_tree, TarIndex};
+use crate::index::{with_tree, TarIndex};
 use crate::observe::{self, QueryScope, ScopeBackend};
-use crate::storage::AggRef;
 use crate::poi::{KnntaQuery, QueryHit};
+use crate::search::bfs_query_nodes;
+use crate::storage::{AggRef, MemNodes};
 use knnta_obs::SpanId;
 use mvbt::MvbtTia;
 use pagestore::{AccessStats, BufferPoolConfig, Disk, StatsSnapshot};
@@ -124,12 +125,13 @@ impl TarIndex {
         let probes_before = scope
             .is_some()
             .then(|| tias.tias.values().map(MvbtTia::probes).sum::<u64>());
-        let hits = with_tree!(self, t => bfs_query_src(t, &ctx, query.k, |node, idx, _series: &AggRef<'_>| {
-            tias.tias
-                .get(&(node, idx))
-                .expect("every entry has a mirrored TIA")
-                .aggregate_over(ctx.iq)
-        }, self.obs(), parent));
+        let disk_tia = |node, idx, _series: &AggRef<'_>| {
+            let tia = tias.tias.get(&(node, idx));
+            (tia.expect("every entry has a mirrored TIA").aggregate_over(ctx.iq), 0)
+        };
+        let hits = with_tree!(self, t => {
+            bfs_query_nodes(&MemNodes(t), t.stats(), &ctx, query.k, disk_tia, self.obs(), parent)
+        });
         if let Some(scope) = scope {
             let probes: u64 = tias.tias.values().map(MvbtTia::probes).sum();
             self.obs()

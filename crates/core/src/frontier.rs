@@ -16,122 +16,14 @@
 //! admissibility argument; the short version lives on each type below.
 
 use crate::index::{QueryCtx, TarIndex};
-use crate::observe::{self, PhaseAcc};
+use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::{KnntaQuery, QueryHit};
-use crate::storage::{EntryTarget, NodeSource};
-use knnta_obs::{AttrValue, Counter, Obs, SpanId};
+use crate::search::{entry_tia, expand_node, HitSink, NodeCand, TopK};
+use crate::storage::NodeSource;
+use knnta_obs::{AttrValue, Obs, SpanId};
 use knnta_util::sync::Mutex;
-use rtree::NodeId;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
-
-/// A frontier element: a tree node and the admissible lower bound (Property
-/// 1) on the score of anything inside it.
-///
-/// The `Ord` impl is *reversed* on `(key, id)` so a `BinaryHeap` pops the
-/// smallest key first, with `NodeId` as a deterministic tie-break.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeCand {
-    /// Lower bound on `f(p)` for every POI under this node.
-    pub key: f64,
-    /// The node.
-    pub id: NodeId,
-}
-
-impl PartialEq for NodeCand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for NodeCand {}
-impl PartialOrd for NodeCand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for NodeCand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// Max-heap wrapper ordering hits by [`QueryHit::ranked_cmp`], so the heap
-/// top is the *worst* retained hit.
-struct RankedHit(QueryHit);
-
-impl PartialEq for RankedHit {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.ranked_cmp(&other.0) == Ordering::Equal
-    }
-}
-impl Eq for RankedHit {}
-impl PartialOrd for RankedHit {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RankedHit {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.ranked_cmp(&other.0)
-    }
-}
-
-/// A bounded best-`k` accumulator under the `(score, PoiId)` total order.
-///
-/// Hits go straight in here rather than through the node frontier; the
-/// worst retained score (once full) is the search's `f(p_k)` upper bound.
-pub(crate) struct TopK {
-    k: usize,
-    heap: BinaryHeap<RankedHit>,
-}
-
-impl TopK {
-    /// An empty accumulator retaining at most `k` hits.
-    pub fn new(k: usize) -> Self {
-        TopK {
-            k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(4096)),
-        }
-    }
-
-    /// Offers a hit, evicting the worst retained one if over capacity.
-    pub fn push(&mut self, hit: QueryHit) {
-        if self.heap.len() < self.k {
-            self.heap.push(RankedHit(hit));
-        } else if let Some(worst) = self.heap.peek() {
-            if hit.ranked_cmp(&worst.0) == Ordering::Less {
-                self.heap.pop();
-                self.heap.push(RankedHit(hit));
-            }
-        }
-    }
-
-    /// The current upper bound on `f(p_k)`: the worst retained score once
-    /// `k` hits are held, `+∞` before that.
-    pub fn bound(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |w| w.0.score)
-        }
-    }
-
-    /// The retained hits, unordered.
-    pub fn into_hits(self) -> Vec<QueryHit> {
-        self.heap.into_iter().map(|r| r.0).collect()
-    }
-
-    /// The retained hits in ranked order (best first).
-    pub fn into_sorted_vec(self) -> Vec<QueryHit> {
-        let mut v = self.into_hits();
-        v.sort_by(QueryHit::ranked_cmp);
-        v
-    }
-}
 
 /// Lock-free shared upper bound on `f(p_k)`: an `AtomicU64` holding the bit
 /// pattern of an `f64`, monotonically tightened by CAS.
@@ -175,6 +67,29 @@ impl SharedBound {
     }
 }
 
+/// One worker's [`HitSink`]: its local top-k, pruned against and published
+/// to the bound all workers share.
+struct WorkerHits<'a> {
+    local: &'a mut TopK,
+    shared: &'a SharedBound,
+}
+
+impl HitSink for WorkerHits<'_> {
+    fn bound(&self) -> f64 {
+        self.shared.get()
+    }
+
+    fn offer(&mut self, hit: QueryHit) -> bool {
+        // The bound never drops below f(p_k), so hits above it can never
+        // rank in the global top k.
+        if hit.score > self.shared.get() {
+            return false;
+        }
+        self.local.push(hit);
+        self.shared.tighten(self.local.bound())
+    }
+}
+
 /// One frontier pop as observed by a worker. Surfaced externally as `pop`
 /// events on the per-worker trace spans of the observability layer.
 #[derive(Debug, Clone, Copy)]
@@ -191,20 +106,19 @@ pub(crate) struct PopEvent {
     pub t_ns: u64,
 }
 
-/// One worker's private state: its best-k accumulator, pop log and (when
-/// observability is enabled) phase-time accumulator.
-struct WorkerOutput {
+/// One worker's private state: its best-k accumulator, pop log and probe.
+struct WorkerOutput<P> {
     topk: TopK,
     pops: Vec<PopEvent>,
-    phases: PhaseAcc,
+    probe: P,
 }
 
-impl WorkerOutput {
+impl<P: Probe> WorkerOutput<P> {
     fn new(k: usize) -> Self {
         WorkerOutput {
             topk: TopK::new(k),
             pops: Vec::new(),
-            phases: PhaseAcc::default(),
+            probe: P::default(),
         }
     }
 }
@@ -221,98 +135,14 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// Timing + counter hooks threaded into [`expand_node`] when observability
-/// is enabled. `io_ns`/`tia_ns` accumulate the page-I/O and aggregation
-/// shares of the expansion; `bound_updates` counts successful tightenings.
-struct ExpandTimers<'a> {
-    io_ns: &'a mut u64,
-    tia_ns: &'a mut u64,
-    bound_updates: &'a Counter,
-}
-
-/// Expands one node: scores every entry exactly as the sequential search
-/// does (same expressions, same f64 operation order — this is what makes
-/// the results bit-identical), feeds data entries to the local top-k, and
-/// hands child candidates to `push_child`. Returns whether the node is a
-/// leaf. `timers` is `None` on the disabled-observability path, which then
-/// performs no timing calls at all.
-fn expand_node<const D: usize, N>(
-    nodes: &N,
-    ctx: &QueryCtx<'_>,
-    id: NodeId,
-    bound: &SharedBound,
-    topk: &mut TopK,
-    mut push_child: impl FnMut(NodeCand),
-    timers: Option<ExpandTimers<'_>>,
-) -> bool
-where
-    N: NodeSource<D>,
-{
-    let Some(t) = timers else {
-        return nodes.with_node(id, |node| {
-            for e in node.entries() {
-                let s0 = e.rect2.min_dist2(&ctx.q).sqrt();
-                let agg = e.agg.aggregate_over(ctx.grid, ctx.iq);
-                match e.target {
-                    EntryTarget::Data(poi) => {
-                        let hit = ctx.hit(poi, s0, agg);
-                        // The bound never drops below f(p_k), so hits above
-                        // it can never rank in the global top k.
-                        if hit.score <= bound.get() {
-                            topk.push(hit);
-                            bound.tighten(topk.bound());
-                        }
-                    }
-                    EntryTarget::Child(c) => {
-                        let (key, _) = ctx.score(s0, agg);
-                        if key <= bound.get() {
-                            push_child(NodeCand { key, id: c });
-                        }
-                    }
-                }
-            }
-            node.is_leaf()
-        });
-    };
-    // Instrumented twin: identical arithmetic and pruning, plus timing.
-    let tia_ns = t.tia_ns;
-    nodes.with_node_timed(id, t.io_ns, |node| {
-        for e in node.entries() {
-            let s0 = e.rect2.min_dist2(&ctx.q).sqrt();
-            let t_agg = std::time::Instant::now();
-            let agg = e.agg.aggregate_over(ctx.grid, ctx.iq);
-            *tia_ns += t_agg.elapsed().as_nanos() as u64;
-            match e.target {
-                EntryTarget::Data(poi) => {
-                    let hit = ctx.hit(poi, s0, agg);
-                    if hit.score <= bound.get() {
-                        topk.push(hit);
-                        if bound.tighten(topk.bound()) {
-                            t.bound_updates.inc();
-                        }
-                    }
-                }
-                EntryTarget::Child(c) => {
-                    let (key, _) = ctx.score(s0, agg);
-                    if key <= bound.get() {
-                        push_child(NodeCand { key, id: c });
-                    }
-                }
-            }
-        }
-        node.is_leaf()
-    })
-}
-
 /// The parallel best-first search over any [`NodeSource`] — the in-memory
-/// arena or a paged snapshot.
+/// arena, a paged snapshot or a packed image.
 ///
-/// Returns the ranked hits, the per-worker trace, and the deterministic
-/// `(node, leaf)` access counts to record. When `obs` is enabled, the
-/// traversal additionally emits one `worker` span per worker (bracketing
-/// the whole parallel section) carrying its pop log as `pop` events and its
-/// `phase.*` decomposition, plus the frontier counters; `parent` is the
-/// enclosing query span.
+/// Returns the ranked hits and the deterministic `(node, leaf)` access
+/// counts to record. When `obs` is enabled, the traversal additionally emits
+/// one `worker` span per worker (bracketing the whole parallel section)
+/// carrying its pop log as `pop` events and its `phase.*` decomposition,
+/// plus the frontier counters; `parent` is the enclosing query span.
 pub(crate) fn parallel_bfs<const D: usize, N>(
     nodes: &N,
     ctx: &QueryCtx<'_>,
@@ -327,11 +157,31 @@ where
     if k == 0 || nodes.is_empty() {
         return (Vec::new(), 0, 0);
     }
+    if obs.is_enabled() {
+        traverse::<D, N, Counts>(nodes, ctx, k, threads, obs, parent)
+    } else {
+        traverse::<D, N, NoProbe>(nodes, ctx, k, threads, obs, parent)
+    }
+}
 
-    let enabled = obs.is_enabled();
-    let bound_updates = obs.counter(observe::M_BOUND_UPDATES);
+/// [`parallel_bfs`] for one probe type. Every worker expands nodes through
+/// the shared kernel, so each entry is scored exactly as the sequential
+/// search scores it.
+fn traverse<const D: usize, N, P>(
+    nodes: &N,
+    ctx: &QueryCtx<'_>,
+    k: usize,
+    threads: usize,
+    obs: &Obs,
+    parent: SpanId,
+) -> (Vec<QueryHit>, u64, u64)
+where
+    N: NodeSource<D> + Sync,
+    P: Probe + Send,
+{
     let start_ns = obs.now_ns();
     let bound = SharedBound::new();
+    let tia = entry_tia(ctx);
     // Number of frontier candidates not yet fully processed (incremented
     // before a push, decremented after the pop finishes expanding); zero
     // means the whole traversal is drained.
@@ -341,36 +191,25 @@ where
     // Worker 0 expands the root inline and deals its children round-robin
     // across the worker frontiers — the initial subtree sharding.
     let mut heaps: Vec<BinaryHeap<NodeCand>> = (0..threads).map(|_| BinaryHeap::new()).collect();
-    let mut seed = WorkerOutput::new(k);
+    let mut seed = WorkerOutput::<P>::new(k);
     {
         let root = nodes.root();
         let mut dealt = 0usize;
-        let mut io_ns = 0u64;
-        let mut tia_ns = 0u64;
-        let t_seed = enabled.then(std::time::Instant::now);
-        let timers = enabled.then(|| ExpandTimers {
-            io_ns: &mut io_ns,
-            tia_ns: &mut tia_ns,
-            bound_updates: &bound_updates,
+        let mut hits = WorkerHits {
+            local: &mut seed.topk,
+            shared: &bound,
+        };
+        let is_leaf = seed.probe.busy(|probe| {
+            nodes.with_node(root, probe, |node, probe| {
+                let deal = |cand| {
+                    pending.fetch_add(1, MemOrder::Release);
+                    heaps[dealt % threads].push(cand);
+                    dealt += 1;
+                };
+                expand_node(&node, root, ctx, &tia, &mut hits, deal, probe);
+                node.is_leaf()
+            })
         });
-        let is_leaf = expand_node(
-            nodes,
-            ctx,
-            root,
-            &bound,
-            &mut seed.topk,
-            |cand| {
-                pending.fetch_add(1, MemOrder::Release);
-                heaps[dealt % threads].push(cand);
-                dealt += 1;
-            },
-            timers,
-        );
-        if let Some(t0) = t_seed {
-            seed.phases.busy_ns += t0.elapsed().as_nanos() as u64;
-            seed.phases.io_ns += io_ns;
-            seed.phases.tia_ns += tia_ns;
-        }
         seed.pops.push(PopEvent {
             key: 0.0,
             stolen: false,
@@ -381,7 +220,7 @@ where
     }
     let frontiers: Vec<Mutex<BinaryHeap<NodeCand>>> = heaps.into_iter().map(Mutex::new).collect();
 
-    let run_worker = |me: usize, mut out: WorkerOutput| -> WorkerOutput {
+    let run_worker = |me: usize, mut out: WorkerOutput<P>| -> WorkerOutput<P> {
         let _guard = PanicGuard(&poisoned);
         loop {
             // Own frontier first; otherwise steal the best front entry from
@@ -412,30 +251,17 @@ where
             let mut is_leaf = false;
             if expanded {
                 let mut children = Vec::new();
-                let mut io_ns = 0u64;
-                let mut tia_ns = 0u64;
-                let t_work = enabled.then(std::time::Instant::now);
-                let timers = enabled.then(|| ExpandTimers {
-                    io_ns: &mut io_ns,
-                    tia_ns: &mut tia_ns,
-                    bound_updates: &bound_updates,
+                let mut hits = WorkerHits {
+                    local: &mut out.topk,
+                    shared: &bound,
+                };
+                is_leaf = out.probe.busy(|probe| {
+                    nodes.with_node(task.id, probe, |node, probe| {
+                        let collect = |cand| children.push(cand);
+                        expand_node(&node, task.id, ctx, &tia, &mut hits, collect, probe);
+                        node.is_leaf()
+                    })
                 });
-                is_leaf = expand_node(
-                    nodes,
-                    ctx,
-                    task.id,
-                    &bound,
-                    &mut out.topk,
-                    |cand| {
-                        children.push(cand);
-                    },
-                    timers,
-                );
-                if let Some(t0) = t_work {
-                    out.phases.busy_ns += t0.elapsed().as_nanos() as u64;
-                    out.phases.io_ns += io_ns;
-                    out.phases.tia_ns += tia_ns;
-                }
                 if !children.is_empty() {
                     pending.fetch_add(children.len(), MemOrder::Release);
                     let mut own = frontiers[me].lock();
@@ -456,7 +282,7 @@ where
         out
     };
 
-    let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(threads);
+    let mut outputs: Vec<WorkerOutput<P>> = Vec::with_capacity(threads);
     if threads == 1 {
         outputs.push(run_worker(0, seed));
     } else {
@@ -477,11 +303,11 @@ where
 
     let mut hits: Vec<QueryHit> = Vec::new();
     let mut pops: Vec<Vec<PopEvent>> = Vec::with_capacity(threads);
-    let mut phases: Vec<PhaseAcc> = Vec::with_capacity(threads);
+    let mut phases: Vec<Counts> = Vec::with_capacity(threads);
     for out in outputs {
         hits.extend(out.topk.into_hits());
         pops.push(out.pops);
-        phases.push(out.phases);
+        phases.push(out.probe.counts());
     }
     hits.sort_by(QueryHit::ranked_cmp);
     hits.truncate(k);
@@ -508,7 +334,9 @@ where
         }
     }
 
-    if enabled {
+    if P::ON {
+        obs.counter(observe::M_BOUND_UPDATES)
+            .add(phases.iter().map(|c| c.bound_updates).sum());
         emit_frontier_trace(obs, parent, start_ns, &pops, &phases, fpk);
     }
     (hits, nodes_count, leaves)
@@ -524,7 +352,7 @@ fn emit_frontier_trace(
     parent: SpanId,
     start_ns: u64,
     pops: &[Vec<PopEvent>],
-    phases: &[PhaseAcc],
+    phases: &[Counts],
     fpk: f64,
 ) {
     let Some(tracer) = obs.tracer() else { return };
@@ -606,7 +434,7 @@ mod tests {
     use super::*;
     use crate::index::tests::paper_example;
     use crate::index::{Grouping, IndexConfig};
-    use tempora::{PoiId, TimeInterval};
+    use tempora::TimeInterval;
 
     fn build(grouping: Grouping) -> TarIndex {
         let (grid, bounds, pois) = paper_example();
@@ -623,40 +451,6 @@ mod tests {
         assert_eq!(b.get(), 0.5);
         b.tighten(0.25);
         assert_eq!(b.get(), 0.25);
-    }
-
-    #[test]
-    fn topk_keeps_best_under_ranked_order() {
-        let mk = |id: u32, score: f64| QueryHit {
-            poi: PoiId(id),
-            score,
-            s0: 0.0,
-            s1: 0.0,
-            distance: 0.0,
-            aggregate: 0,
-        };
-        let mut t = TopK::new(2);
-        assert_eq!(t.bound(), f64::INFINITY);
-        t.push(mk(5, 0.3));
-        t.push(mk(1, 0.3)); // ties broken by id: 1 beats 5
-        t.push(mk(9, 0.1));
-        assert_eq!(t.bound(), 0.3);
-        let hits = t.into_sorted_vec();
-        assert_eq!(
-            hits.iter().map(|h| h.poi).collect::<Vec<_>>(),
-            vec![PoiId(9), PoiId(1)]
-        );
-    }
-
-    #[test]
-    fn node_cand_orders_min_first() {
-        let mut heap = BinaryHeap::new();
-        heap.push(NodeCand { key: 0.4, id: NodeId(2) });
-        heap.push(NodeCand { key: 0.1, id: NodeId(7) });
-        heap.push(NodeCand { key: 0.1, id: NodeId(3) });
-        assert_eq!(heap.pop().unwrap().id, NodeId(3));
-        assert_eq!(heap.pop().unwrap().id, NodeId(7));
-        assert_eq!(heap.pop().unwrap().id, NodeId(2));
     }
 
     #[test]

@@ -3,14 +3,11 @@
 
 use crate::agg_grouping::AggGrouping;
 use crate::augmentation::TiaAug;
-use crate::frontier::{NodeCand, TopK};
-use crate::observe::{self, PhaseAcc};
 use crate::poi::{KnntaQuery, Poi, QueryHit};
-use crate::storage::{AggRef, EntryTarget, MemNodes, NodeSource};
-use knnta_obs::{Obs, SpanId};
+use knnta_obs::Obs;
 use pagestore::AccessStats;
 use rtree::{RStarGrouping, RStarTree, RTreeParams, Rect};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use tempora::{AggregateSeries, EpochGrid, PoiId, TimeInterval};
 
 /// The entry grouping strategy an index is built with (Section 5).
@@ -513,6 +510,7 @@ impl TarIndex {
         QueryCtx {
             q: self.norm(query.point),
             iq: query.interval,
+            range: self.grid.epochs_within(query.interval),
             alpha0: query.alpha0,
             alpha1: query.alpha1(),
             gmax,
@@ -559,6 +557,8 @@ fn norm_static(bounds: &Rect<2>, inv_scale: f64, p: [f64; 2]) -> [f64; 2] {
 pub(crate) struct QueryCtx<'a> {
     pub q: [f64; 2],
     pub iq: TimeInterval,
+    /// The epochs fully contained in `iq` — what every TIA lookup sums over.
+    pub range: std::ops::Range<usize>,
     pub alpha0: f64,
     pub alpha1: f64,
     pub gmax: f64,
@@ -588,166 +588,6 @@ impl QueryCtx<'_> {
             aggregate,
         }
     }
-}
-
-/// Best-first kNNTA search with a pluggable aggregate source (the in-memory
-/// series by default; the MVBT-backed disk TIAs via [`crate::DiskTias`]).
-///
-/// The frontier holds only *nodes* (min-heap on `(key, NodeId)`); hits from
-/// expanded leaves go straight into a bounded top-k accumulator under the
-/// `(score, PoiId)` total order. The search stops at the first popped node
-/// whose lower bound exceeds the accumulator's `f(p_k)`, so exactly the
-/// nodes with `key ≤ f(p_k)` are expanded — the schedule-independent set the
-/// parallel traversal in [`crate::frontier`] reproduces bit for bit.
-pub(crate) fn bfs_query_src<const D: usize, S, F>(
-    tree: &RStarTree<D, Poi, TiaAug, S>,
-    ctx: &QueryCtx<'_>,
-    k: usize,
-    agg_of: F,
-    obs: &Obs,
-    parent: SpanId,
-) -> Vec<QueryHit>
-where
-    S: rtree::GroupingStrategy<D, AggregateSeries>,
-    F: Fn(rtree::NodeId, usize, &AggRef<'_>) -> u64,
-{
-    bfs_query_nodes(&MemNodes(tree), tree.stats(), ctx, k, agg_of, obs, parent)
-}
-
-/// [`bfs_query_src`] over any [`NodeSource`] — the in-memory arena or a
-/// paged snapshot ([`crate::PagedNodes`]). Logical node/leaf accesses are
-/// recorded in `stats` exactly as `RStarTree::access_node` records them, so
-/// the access profile is backend-independent.
-pub(crate) fn bfs_query_nodes<const D: usize, N, F>(
-    nodes: &N,
-    stats: &AccessStats,
-    ctx: &QueryCtx<'_>,
-    k: usize,
-    agg_of: F,
-    obs: &Obs,
-    parent: SpanId,
-) -> Vec<QueryHit>
-where
-    N: NodeSource<D>,
-    F: Fn(rtree::NodeId, usize, &AggRef<'_>) -> u64,
-{
-    if k == 0 || nodes.is_empty() {
-        return Vec::new();
-    }
-    if obs.is_enabled() {
-        return bfs_query_nodes_observed(nodes, stats, ctx, k, agg_of, obs, parent);
-    }
-    let mut topk = TopK::new(k);
-    let mut heap = BinaryHeap::new();
-    heap.push(NodeCand {
-        key: 0.0,
-        id: nodes.root(),
-    });
-    while let Some(NodeCand { key, id }) = heap.pop() {
-        if key > topk.bound() {
-            break;
-        }
-        nodes.with_node(id, |node| {
-            stats.record_node_access();
-            if node.is_leaf() {
-                stats.record_leaf_access();
-            }
-            for (idx, e) in node.entries().enumerate() {
-                let s0 = e.rect2.min_dist2(&ctx.q).sqrt();
-                let agg = agg_of(id, idx, &e.agg);
-                match e.target {
-                    EntryTarget::Data(poi) => topk.push(ctx.hit(poi, s0, agg)),
-                    EntryTarget::Child(c) => {
-                        let (key, _) = ctx.score(s0, agg);
-                        heap.push(NodeCand { key, id: c });
-                    }
-                }
-            }
-        });
-    }
-    topk.into_sorted_vec()
-}
-
-/// The instrumented twin of the sequential loop above: identical score
-/// arithmetic and traversal order (same expressions, same f64 operation
-/// order), plus timing and counters. Kept separate so the disabled path
-/// stays textually byte-identical to the pre-observability code.
-fn bfs_query_nodes_observed<const D: usize, N, F>(
-    nodes: &N,
-    stats: &AccessStats,
-    ctx: &QueryCtx<'_>,
-    k: usize,
-    agg_of: F,
-    obs: &Obs,
-    parent: SpanId,
-) -> Vec<QueryHit>
-where
-    N: NodeSource<D>,
-    F: Fn(rtree::NodeId, usize, &AggRef<'_>) -> u64,
-{
-    let span = obs.span("search.seq", parent);
-    let start_ns = obs.now_ns();
-    let pushes = obs.counter(observe::M_HEAP_PUSHES);
-    let pops = obs.counter(observe::M_HEAP_POPS);
-    let bound_updates = obs.counter(observe::M_BOUND_UPDATES);
-    let paged = nodes.kind() == "paged";
-    let fetch_hist = obs.histogram(observe::M_PAGED_FETCH_NS, observe::PAGED_FETCH_BOUNDS);
-
-    let mut io_ns = 0u64;
-    let mut tia_ns = 0u64;
-    let mut topk = TopK::new(k);
-    let mut heap = BinaryHeap::new();
-    heap.push(NodeCand {
-        key: 0.0,
-        id: nodes.root(),
-    });
-    pushes.inc();
-    while let Some(NodeCand { key, id }) = heap.pop() {
-        pops.inc();
-        if key > topk.bound() {
-            break;
-        }
-        let io_before = io_ns;
-        nodes.with_node_timed(id, &mut io_ns, |node| {
-            stats.record_node_access();
-            if node.is_leaf() {
-                stats.record_leaf_access();
-            }
-            for (idx, e) in node.entries().enumerate() {
-                let s0 = e.rect2.min_dist2(&ctx.q).sqrt();
-                let t_agg = std::time::Instant::now();
-                let agg = agg_of(id, idx, &e.agg);
-                tia_ns += t_agg.elapsed().as_nanos() as u64;
-                match e.target {
-                    EntryTarget::Data(poi) => {
-                        let before = topk.bound();
-                        topk.push(ctx.hit(poi, s0, agg));
-                        if topk.bound() < before {
-                            bound_updates.inc();
-                        }
-                    }
-                    EntryTarget::Child(c) => {
-                        let (key, _) = ctx.score(s0, agg);
-                        heap.push(NodeCand { key, id: c });
-                        pushes.inc();
-                    }
-                }
-            }
-        });
-        if paged {
-            fetch_hist.record(io_ns - io_before);
-        }
-    }
-    let hits = topk.into_sorted_vec();
-    let end_ns = obs.now_ns();
-    let acc = PhaseAcc {
-        busy_ns: end_ns.saturating_sub(start_ns),
-        tia_ns,
-        io_ns,
-    };
-    observe::emit_phase_spans(obs, span.id(), start_ns, end_ns, &acc);
-    span.finish();
-    hits
 }
 
 #[cfg(test)]

@@ -21,10 +21,8 @@
 //!   enhancement (Section 7.1), including the skyline-based pruning
 //!   algorithm (BBS over the TAR-tree).
 //! * [`TarIndex::query_batch_collective`] — the collective processing
-//!   scheme (Section 7.2) sharing node accesses and aggregate computation
-//!   across a query batch, with Hilbert-curve batch ordering
-//!   ([`BatchOrder`], [`hilbert`]) and shared TIA aggregate memoisation
-//!   ([`AggCache`]).
+//!   scheme (Section 7.2) sharing node accesses across a query batch, with
+//!   Hilbert-curve batch ordering ([`BatchOrder`], [`hilbert`]).
 //! * [`TarIndex::query_parallel`] — intra-query parallel best-first search
 //!   over a work-stealing sharded frontier, bit-identical to
 //!   [`TarIndex::query`] for every thread count.
@@ -67,7 +65,6 @@
 
 #![warn(missing_docs)]
 
-mod agg_cache;
 mod agg_grouping;
 mod augmentation;
 mod baseline;
@@ -85,11 +82,11 @@ mod parallel;
 mod persist;
 mod plan;
 mod poi;
+mod search;
 mod shard;
 mod skyline;
 mod storage;
 
-pub use agg_cache::AggCache;
 pub use agg_grouping::AggGrouping;
 pub use augmentation::TiaAug;
 pub use baseline::ScanBaseline;

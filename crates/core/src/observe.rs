@@ -3,10 +3,10 @@
 //! emit its span and publish counter deltas.
 //!
 //! Everything here is inert when the index's [`Obs`] handle is disabled:
-//! [`QueryScope::begin`] returns `None`, the phase accumulator is never
-//! touched, and no timestamps are taken — the disabled query path stays
-//! byte-identical to the pre-observability code (pinned by
-//! `tests/obs_overhead.rs`).
+//! [`QueryScope::begin`] returns `None` and the engines run with the
+//! zero-size [`NoProbe`], whose hooks compile to nothing — no counter is
+//! touched and no timestamp taken (`tests/obs_overhead.rs` pins answers and
+//! access counts against the pre-observability fixture either way).
 //!
 //! Metric names follow `knnta.<crate>.<subsystem>.<name>`. The node-access
 //! and buffer counters are published from [`AccessStats`] snapshot deltas,
@@ -41,12 +41,6 @@ pub(crate) const M_FRONTIER_SPECULATIVE: &str = "knnta.core.frontier.speculative
 pub(crate) const M_BATCH_TILES: &str = "knnta.core.batch.tiles";
 /// `knnta.core.batch.queries` — active queries across processed batches.
 pub(crate) const M_BATCH_QUERIES: &str = "knnta.core.batch.queries";
-/// `knnta.core.agg_cache.hits` — memoised aggregate probes.
-pub(crate) const M_AGG_CACHE_HITS: &str = "knnta.core.agg_cache.hits";
-/// `knnta.core.agg_cache.misses` — computed aggregate probes.
-pub(crate) const M_AGG_CACHE_MISSES: &str = "knnta.core.agg_cache.misses";
-/// `knnta.core.agg_cache.prefix_builds` — nodes whose prefix sums were built.
-pub(crate) const M_AGG_CACHE_PREFIX_BUILDS: &str = "knnta.core.agg_cache.prefix_builds";
 /// `knnta.tempora.series.epochs_scanned` — stored epoch records scanned by
 /// in-memory aggregate computation.
 pub(crate) const M_EPOCHS_SCANNED: &str = "knnta.tempora.series.epochs_scanned";
@@ -78,13 +72,64 @@ pub(crate) const M_LIVE_SNAPSHOTS: &str = "knnta.core.live.snapshots";
 /// table, so the cumulative and sliding-window registries agree.
 pub(crate) const PAGED_FETCH_BOUNDS: &[u64] = knnta_obs::bounds::FETCH_NS;
 
-/// Accumulated per-search phase costs in nanoseconds, decomposed
-/// Fig. 12-style: total measured work, the TIA-aggregation share and the
-/// page-I/O share. Filter (scoring) time is the remainder.
+/// The hooks the node-expansion kernel and the node sources call while a
+/// search runs. Every engine is generic over its probe: [`NoProbe`] when the
+/// index's [`Obs`] handle is disabled, [`Counts`] when it is enabled — one
+/// search body, two instantiations. Every hook defaults to doing nothing.
+pub(crate) trait Probe: Default {
+    /// Whether the probe records anything (gates work that exists only to
+    /// be observed, such as the packed image's fetch counter).
+    const ON: bool = false;
+    /// What has been recorded so far.
+    fn counts(&self) -> Counts {
+        Counts::default()
+    }
+    /// A candidate entered a node frontier.
+    fn push(&mut self) {}
+    /// A candidate left a node frontier.
+    fn pop(&mut self) {}
+    /// The search's `f(p_k)` bound tightened.
+    fn bound_update(&mut self) {}
+    /// An aggregate lookup scanned `n` stored epoch records.
+    fn epochs_scanned(&mut self, _n: u64) {}
+    /// Runs `f`, charging its wall time to the search's busy time.
+    fn busy<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        f(self)
+    }
+    /// Runs `f`, charging its wall time to the TIA-aggregation phase.
+    fn tia<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+    /// Runs `f`, charging its wall time to the page-I/O phase.
+    fn io<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// The disabled-observability probe: zero-size, every hook a no-op.
+#[derive(Default)]
+pub(crate) struct NoProbe;
+
+impl Probe for NoProbe {}
+
+/// The enabled-observability probe: plain integers local to one query,
+/// worker or tile, which the owning engine publishes to the shared counters
+/// and `phase.*` spans once when it finishes. The three `*_ns` fields are
+/// the Fig. 12-style cost decomposition: total measured work, its
+/// TIA-aggregation share and its page-I/O share; filter (scoring) time is
+/// the remainder.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PhaseAcc {
-    /// Total measured work time (the whole search loop, or one worker's
-    /// expansion time).
+pub(crate) struct Counts {
+    /// Node-frontier pushes.
+    pub pushes: u64,
+    /// Node-frontier pops.
+    pub pops: u64,
+    /// Times `f(p_k)` tightened.
+    pub bound_updates: u64,
+    /// Stored epoch records scanned by aggregate lookups.
+    pub epochs_scanned: u64,
+    /// Total measured work time (the whole search loop, or one worker's or
+    /// tile's expansion time).
     pub busy_ns: u64,
     /// Time spent computing temporal aggregates.
     pub tia_ns: u64,
@@ -92,13 +137,52 @@ pub(crate) struct PhaseAcc {
     pub io_ns: u64,
 }
 
-impl PhaseAcc {
+impl Counts {
     /// The filter (distance scoring + heap maintenance) share: whatever is
     /// left of `busy_ns` after TIA aggregation and page I/O.
     pub fn filter_ns(&self) -> u64 {
         self.busy_ns
             .saturating_sub(self.tia_ns)
             .saturating_sub(self.io_ns)
+    }
+}
+
+/// Runs `f` and adds its wall time to `slot`.
+fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    *slot += t0.elapsed().as_nanos() as u64;
+    out
+}
+
+impl Probe for Counts {
+    const ON: bool = true;
+    fn counts(&self) -> Counts {
+        *self
+    }
+    fn push(&mut self) {
+        self.pushes += 1;
+    }
+    fn pop(&mut self) {
+        self.pops += 1;
+    }
+    fn bound_update(&mut self) {
+        self.bound_updates += 1;
+    }
+    fn epochs_scanned(&mut self, n: u64) {
+        self.epochs_scanned += n;
+    }
+    fn busy<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let t0 = std::time::Instant::now();
+        let out = f(self);
+        self.busy_ns += t0.elapsed().as_nanos() as u64;
+        out
+    }
+    fn tia<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        timed(&mut self.tia_ns, f)
+    }
+    fn io<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        timed(&mut self.io_ns, f)
     }
 }
 
@@ -110,7 +194,7 @@ pub(crate) fn emit_phase_spans(
     parent: SpanId,
     start_ns: u64,
     end_ns: u64,
-    acc: &PhaseAcc,
+    acc: &Counts,
 ) {
     let Some(tracer) = obs.tracer() else { return };
     let mut t = start_ns;

@@ -28,6 +28,7 @@ use crate::augmentation::TiaAug;
 use crate::collective::HILBERT_BITS;
 use crate::hilbert;
 use crate::index::{with_tree, Grouping, TarIndex};
+use crate::observe::Probe;
 use crate::poi::Poi;
 use crate::storage::{NodeSource, NodeView};
 use pagestore::{Bytes, Disk, PageId};
@@ -367,28 +368,28 @@ impl<const D: usize> NodeSource<D> for PackedSource<'_> {
         self.0.tree.is_empty()
     }
 
-    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> R {
-        f(NodeView::Packed {
-            tree: &self.0.tree,
-            node: self.0.tree.node(id.0 as usize),
-        })
+    fn with_node<P: Probe, R>(
+        &self,
+        id: NodeId,
+        probe: &mut P,
+        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+    ) -> R {
+        // A packed fetch is two index computations into a shared buffer:
+        // counted when observed, never timed.
+        if P::ON {
+            self.0.fetches.fetch_add(1, Ordering::Relaxed);
+        }
+        f(
+            NodeView::Packed {
+                tree: &self.0.tree,
+                node: self.0.tree.node(id.0 as usize),
+            },
+            probe,
+        )
     }
 
     fn kind(&self) -> &'static str {
         "packed"
-    }
-
-    fn with_node_timed<R>(
-        &self,
-        id: NodeId,
-        io_ns: &mut u64,
-        f: impl FnOnce(NodeView<'_, D>) -> R,
-    ) -> R {
-        // A packed fetch is two index computations into a shared buffer;
-        // count it, charge no I/O time.
-        self.0.fetches.fetch_add(1, Ordering::Relaxed);
-        let _ = io_ns;
-        NodeSource::<D>::with_node(self, id, f)
     }
 }
 

@@ -9,9 +9,11 @@
 //! backend dispatch (in-memory / paged / packed via [`SourceOp`]), the
 //! optional live-snapshot overlay, and the sequential-vs-parallel engine
 //! choice. The engines themselves ([`bfs_query_nodes`],
-//! [`crate::frontier::parallel_bfs`], [`collective_on_nodes`]) are
-//! untouched, so answers stay bit-identical to the pre-refactor paths —
-//! `tests/planner_oracle.rs` is the differential proof.
+//! [`crate::frontier::parallel_bfs`], [`collective_on_nodes`]) are drivers
+//! around the one node-expansion kernel in [`crate::search`], so every
+//! configuration scores entries with the same code and answers are
+//! bit-identical across plans — `tests/planner_oracle.rs` is the
+//! differential proof.
 //!
 //! On top sits the public [`Executor`]: the cost-model-driven front door
 //! that asks [`costmodel::Planner`] (paper §6, calibrated online against
@@ -19,12 +21,13 @@
 //! it, and feeds the measurement back. See `DESIGN.md` §14.
 
 use crate::collective::{batch_attrs, collective_on_nodes, BatchOptions};
-use crate::index::{bfs_query_nodes, with_tree, QueryCtx, TarIndex};
-use crate::observe::{QueryScope, ScopeBackend, M_EPOCHS_SCANNED};
+use crate::index::{with_tree, QueryCtx, TarIndex};
+use crate::observe::{QueryScope, ScopeBackend};
 use crate::packed::{PackedSource, PackedTarTree};
 use crate::poi::{KnntaQuery, QueryHit};
+use crate::search::{bfs_query_nodes, entry_tia};
 use crate::storage::{
-    AggRef, MemNodes, NodeSource, OverlayNodes, PagedNodes, PagedStoreImpl, StorageBackend,
+    MemNodes, NodeSource, OverlayNodes, PagedNodes, PagedStoreImpl, StorageBackend,
 };
 use costmodel::{IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec};
 use knnta_obs::{LiveWindows, SpanId, WindowHistogram};
@@ -208,9 +211,8 @@ impl SourceOp for QueryOp<'_, '_> {
 }
 
 /// The engine dispatch shared by every single-query path: the sequential
-/// best-first search with the obs-conditional aggregate closure, or the
-/// parallel frontier with caller-side access accounting. Textually the same
-/// code the pre-refactor entry points each carried a copy of.
+/// best-first search, or the parallel frontier with caller-side access
+/// accounting.
 fn exec_search<const D: usize, N: NodeSource<D> + Sync>(
     index: &TarIndex,
     nodes: &N,
@@ -220,33 +222,15 @@ fn exec_search<const D: usize, N: NodeSource<D> + Sync>(
     parent: SpanId,
 ) -> Vec<QueryHit> {
     match mode {
-        ExecMode::Seq => {
-            if index.obs().is_enabled() {
-                let epochs = index.obs().counter(M_EPOCHS_SCANNED);
-                return bfs_query_nodes(
-                    nodes,
-                    index.stats(),
-                    ctx,
-                    k,
-                    |_, _, series: &AggRef<'_>| {
-                        let (v, n) = series.aggregate_over_counted(ctx.grid, ctx.iq);
-                        epochs.add(n);
-                        v
-                    },
-                    index.obs(),
-                    parent,
-                );
-            }
-            bfs_query_nodes(
-                nodes,
-                index.stats(),
-                ctx,
-                k,
-                |_, _, series: &AggRef<'_>| series.aggregate_over(ctx.grid, ctx.iq),
-                index.obs(),
-                parent,
-            )
-        }
+        ExecMode::Seq => bfs_query_nodes(
+            nodes,
+            index.stats(),
+            ctx,
+            k,
+            entry_tia(ctx),
+            index.obs(),
+            parent,
+        ),
         ExecMode::Par(threads) => {
             let (hits, nodes_n, leaves) =
                 crate::frontier::parallel_bfs(nodes, ctx, k, threads, index.obs(), parent);
@@ -620,12 +604,11 @@ impl<'a> Executor<'a> {
         hits
     }
 
-    /// Plans and answers a collective batch (adaptive tile size and
-    /// agg-cache setting), feeding measured node accesses back.
+    /// Plans and answers a collective batch (adaptive tile size), feeding
+    /// measured node accesses back.
     pub fn query_batch(&mut self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
         let plan = self.plan_batch(queries);
         let opts = BatchOptions {
-            agg_cache: plan.agg_cache,
             tile: plan.tile.max(1),
             ..BatchOptions::default()
         };
@@ -724,9 +707,7 @@ mod tests {
         let mut exec = Executor::new(&index);
         let got = exec.query_batch(&queries);
         let plan = *exec.last_plan().unwrap();
-        assert!(plan.agg_cache, "real batches enable the agg cache");
         let opts = BatchOptions {
-            agg_cache: plan.agg_cache,
             tile: plan.tile,
             ..BatchOptions::default()
         };

@@ -20,6 +20,7 @@
 
 use crate::augmentation::TiaAug;
 use crate::index::{Grouping, TarIndex, TreeImpl};
+use crate::observe::Probe;
 use crate::packed::PackedTarTree;
 use crate::poi::{KnntaQuery, Poi, QueryHit};
 use pagestore::{BufferPoolConfig, Bytes, BytesMut, StatsSnapshot};
@@ -28,7 +29,7 @@ use rtree::{
     Rect, TiaBlock,
 };
 use std::ops::Range;
-use tempora::{AggregateSeries, EpochGrid, PoiId, TimeInterval};
+use tempora::{AggregateSeries, PoiId};
 
 /// A borrowed temporal-aggregate source inside a [`NodeView`] entry: the
 /// arena's in-memory series, or an inline prefix block of a packed tree.
@@ -62,47 +63,23 @@ impl<'a> AggRef<'a> {
         }
     }
 
-    /// The temporal aggregate `g(p, Iq)` — equal on all representations.
-    pub fn aggregate_over(&self, grid: &EpochGrid, iq: TimeInterval) -> u64 {
+    /// The temporal aggregate `g(p, Iq)` over the query's contained-epoch
+    /// range — equal on all representations — and the number of stored epoch
+    /// records the lookup scanned (a prefix block answers with two binary
+    /// searches and scans none).
+    pub fn sum_range(&self, range: Range<usize>) -> (u64, u64) {
         match self {
-            AggRef::Series(s) => s.aggregate_over(grid, iq),
-            AggRef::Packed(b) => b.sum_range(grid.epochs_within(iq)),
+            AggRef::Series(s) => s.sum_range_counted(range),
+            AggRef::Packed(b) => (b.sum_range(range), 0),
             AggRef::SeriesPlus(s, d) => {
-                s.aggregate_over(grid, iq) + d.aggregate_over(grid, iq)
-            }
-            AggRef::PackedPlus(b, d) => {
-                b.sum_range(grid.epochs_within(iq)) + d.aggregate_over(grid, iq)
-            }
-        }
-    }
-
-    /// [`AggRef::aggregate_over`] also reporting the number of stored epoch
-    /// records scanned (a prefix block answers with two binary searches and
-    /// scans none).
-    pub fn aggregate_over_counted(&self, grid: &EpochGrid, iq: TimeInterval) -> (u64, u64) {
-        match self {
-            AggRef::Series(s) => s.aggregate_over_counted(grid, iq),
-            AggRef::Packed(b) => (b.sum_range(grid.epochs_within(iq)), 0),
-            AggRef::SeriesPlus(s, d) => {
-                let (v0, n0) = s.aggregate_over_counted(grid, iq);
-                let (v1, n1) = d.aggregate_over_counted(grid, iq);
+                let (v0, n0) = s.sum_range_counted(range.clone());
+                let (v1, n1) = d.sum_range_counted(range);
                 (v0 + v1, n0 + n1)
             }
             AggRef::PackedPlus(b, d) => {
-                let (v1, n1) = d.aggregate_over_counted(grid, iq);
-                (b.sum_range(grid.epochs_within(iq)) + v1, n1)
+                let (v1, n1) = d.sum_range_counted(range.clone());
+                (b.sum_range(range) + v1, n1)
             }
-        }
-    }
-
-    /// Aggregate over a pre-computed contained-epoch range (the collective
-    /// batch path, which resolves `Iq` to a range once per query).
-    pub fn sum_range(&self, range: Range<usize>) -> u64 {
-        match self {
-            AggRef::Series(s) => s.sum_range(range),
-            AggRef::Packed(b) => b.sum_range(range),
-            AggRef::SeriesPlus(s, d) => s.sum_range(range.clone()) + d.sum_range(range),
-            AggRef::PackedPlus(b, d) => b.sum_range(range.clone()) + d.sum_range(range),
         }
     }
 }
@@ -183,19 +160,6 @@ impl<'a, const D: usize> NodeView<'a, D> {
                 per_poi,
                 total,
             },
-        }
-    }
-
-    /// The borrowed entry slice when this is an arena node — the collective
-    /// batch path uses it to feed the [`crate::AggCache`], which memoises
-    /// `&AggregateSeries` prefix sums. Packed nodes return `None`: their TIA
-    /// blocks *are* prefix sums already, so that path reads them directly.
-    /// Overlaid views also return `None` so every consumer goes through
-    /// [`EntryRef::agg`], the single point where deltas are applied.
-    pub fn mem_entries(&self) -> Option<&'a [Entry<D, Poi, AggregateSeries>]> {
-        match self {
-            NodeView::Mem(n) => Some(&n.entries),
-            NodeView::Packed { .. } | NodeView::Overlaid { .. } => None,
         }
     }
 }
@@ -288,23 +252,18 @@ pub(crate) trait NodeSource<const D: usize> {
     /// Whether the tree holds no data items.
     fn is_empty(&self) -> bool;
     /// Applies `f` to node `id` (no logical-access counting here — callers
-    /// account, so speculative parallel expansions stay uncharged).
-    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> R;
-    /// Backend label for trace attributes: `"mem"`, `"paged"` or `"packed"`.
-    fn kind(&self) -> &'static str;
-    /// [`NodeSource::with_node`] accumulating the nanoseconds the node fetch
-    /// itself took into `io_ns`. The in-memory arena hands out a borrow at
-    /// zero cost, so the default adds nothing; the paged store times its
-    /// buffered read + decode.
-    fn with_node_timed<R>(
+    /// account, so speculative parallel expansions stay uncharged). The
+    /// probe is handed on to `f`; a source whose fetch does real work
+    /// charges it to the probe first (the paged store's buffered read +
+    /// decode is its I/O time).
+    fn with_node<P: Probe, R>(
         &self,
         id: NodeId,
-        io_ns: &mut u64,
-        f: impl FnOnce(NodeView<'_, D>) -> R,
-    ) -> R {
-        let _ = io_ns;
-        self.with_node(id, f)
-    }
+        probe: &mut P,
+        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+    ) -> R;
+    /// Backend label for trace attributes: `"mem"`, `"paged"` or `"packed"`.
+    fn kind(&self) -> &'static str;
 }
 
 /// The in-memory arena as a [`NodeSource`].
@@ -324,8 +283,13 @@ where
         self.0.is_empty()
     }
 
-    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> R {
-        f(NodeView::Mem(self.0.node(id)))
+    fn with_node<P: Probe, R>(
+        &self,
+        id: NodeId,
+        probe: &mut P,
+        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+    ) -> R {
+        f(NodeView::Mem(self.0.node(id)), probe)
     }
 
     fn kind(&self) -> &'static str {
@@ -357,33 +321,26 @@ impl<const D: usize, N: NodeSource<D>> NodeSource<D> for OverlayNodes<'_, D, N> 
         self.inner.is_empty()
     }
 
-    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> R {
-        self.inner.with_node(id, |view| {
-            f(NodeView::Overlaid {
-                inner: &view,
-                per_poi: self.per_poi,
-                total: self.total,
-            })
+    fn with_node<P: Probe, R>(
+        &self,
+        id: NodeId,
+        probe: &mut P,
+        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+    ) -> R {
+        self.inner.with_node(id, probe, |view, probe| {
+            f(
+                NodeView::Overlaid {
+                    inner: &view,
+                    per_poi: self.per_poi,
+                    total: self.total,
+                },
+                probe,
+            )
         })
     }
 
     fn kind(&self) -> &'static str {
         self.inner.kind()
-    }
-
-    fn with_node_timed<R>(
-        &self,
-        id: NodeId,
-        io_ns: &mut u64,
-        f: impl FnOnce(NodeView<'_, D>) -> R,
-    ) -> R {
-        self.inner.with_node_timed(id, io_ns, |view| {
-            f(NodeView::Overlaid {
-                inner: &view,
-                per_poi: self.per_poi,
-                total: self.total,
-            })
-        })
     }
 }
 
@@ -471,23 +428,18 @@ impl<const D: usize> NodeSource<D> for PagedNodeStore<D, Poi, AggregateSeries, T
         PagedNodeStore::is_empty(self)
     }
 
-    fn with_node<R>(&self, id: NodeId, f: impl FnOnce(NodeView<'_, D>) -> R) -> R {
-        let node = self.read_node(id);
-        f(NodeView::Mem(&node))
+    fn with_node<P: Probe, R>(
+        &self,
+        id: NodeId,
+        probe: &mut P,
+        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+    ) -> R {
+        let node = probe.io(|| self.read_node(id));
+        f(NodeView::Mem(&node), probe)
     }
 
     fn kind(&self) -> &'static str {
         "paged"
-    }
-
-    fn with_node_timed<R>(
-        &self,
-        id: NodeId,
-        io_ns: &mut u64,
-        f: impl FnOnce(NodeView<'_, D>) -> R,
-    ) -> R {
-        let node = self.read_node_timed(id, io_ns);
-        f(NodeView::Mem(&node))
     }
 }
 

@@ -839,8 +839,6 @@ pub struct QueryPlan {
     pub backend: PlanBackend,
     /// Collective-batch tile size (1 for single queries).
     pub tile: usize,
-    /// Whether the per-node aggregate cache is enabled for batches.
-    pub agg_cache: bool,
     /// Estimated k-th result score `f(pk)` (0 when the model was
     /// degenerate and the heuristic fallback was used).
     pub estimated_fpk: f64,
@@ -1096,7 +1094,6 @@ impl Planner {
             mode,
             backend,
             tile,
-            agg_cache: query.batch >= 2,
             estimated_fpk: fpk,
             model_node_accesses: raw_total,
             estimated_node_accesses: calibrated,
@@ -1280,14 +1277,6 @@ mod planner_tests {
             prev = tile;
         }
         assert_eq!(tile_of(10_000, &s), Planner::MAX_TILE);
-    }
-
-    #[test]
-    fn agg_cache_on_for_real_batches() {
-        let mut planner = Planner::new();
-        let s = stats();
-        assert!(!planner.plan(&QuerySpec::single(10, 0.3), &s).agg_cache);
-        assert!(planner.plan(&QuerySpec { k: 10, alpha0: 0.3, batch: 2 }, &s).agg_cache);
     }
 
     #[test]

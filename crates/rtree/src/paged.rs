@@ -131,16 +131,6 @@ where
         self.codec.decode(&mut buf)
     }
 
-    /// [`PagedNodeStore::read_node`] accumulating the wall-clock nanoseconds
-    /// the buffered read + decode took into `io_ns` (the observability
-    /// layer's page-I/O phase accounting).
-    pub fn read_node_timed(&self, id: NodeId, io_ns: &mut u64) -> Node<D, T, V> {
-        let t0 = std::time::Instant::now();
-        let node = self.read_node(id);
-        *io_ns += t0.elapsed().as_nanos() as u64;
-        node
-    }
-
     /// The snapshotted tree's root node id.
     pub fn root(&self) -> NodeId {
         self.root

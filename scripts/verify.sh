@@ -20,6 +20,12 @@
 # (docs/FORMAT.md, tests/fixtures/packed_v1.golden) must match the writer
 # byte-for-byte.
 #
+# Benchmark lane (always on): the traversal-work ledger
+# (tests/fixtures/work_ledger.golden.txt) must be unchanged, and the
+# stand-alone benchmark program (perfbench/, what BENCHMARK.json runs) must
+# still build against the workspace crates and pass its own tests — the only
+# guard that a deletion under crates/ did not break it.
+#
 # Opt-in bench-diff lane: KNNTA_BENCH_DIFF=<baseline_dir> runs the bench
 # suites in smoke mode and fails tier-1 if any p95 regresses by more than
 # 25% against the baseline's BENCH_*.json files (via the bench_diff binary),
@@ -61,6 +67,10 @@ cargo test -q --workspace --offline
 echo "== docs: rustdoc warning-clean + packed-format golden fixture =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --offline --test format_golden
+
+echo "== benchmark: work ledger unchanged + perfbench builds and passes =="
+cargo test -q --offline --test work_ledger
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if [ "${KNNTA_SOAK:-0}" != "0" ] && [ -n "${KNNTA_SOAK:-}" ]; then
     export KNNTA_PROP_CASES="${KNNTA_PROP_CASES:-10000}"

@@ -46,7 +46,7 @@ fn main() -> ExitCode {
     };
     // `report --metrics` takes a file path; `explain --metrics` is a switch.
     let extra_flags: &[&str] = if cmd == "explain" { &["metrics"] } else { &[] };
-    let opts = match Opts::parse(&flagged, extra_flags) {
+    let opts = match Opts::parse(&flagged, extra_flags, &known_options(cmd)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -136,17 +136,16 @@ commands:
                              --paged/--packed image supplied; prints the
                              chosen plan. Conflicts with --threads.)
   batch     --index FILE --queries FILE [--batch-order hilbert|input]
-            [--individual] [--no-agg-cache]
+            [--individual]
             [--paged] [--policy lru|clock|2q] [--buffer-slots N] [--packed]
             [--trace-out FILE] [--metrics-out FILE]
                             (processes a query batch collectively — Hilbert
-                             ordering + shared aggregate memoisation — or one
+                             ordering, node fetches shared per tile — or one
                              query at a time with --individual; answers are
                              identical either way. The queries CSV is
                              `x,y,from_day,to_day[,k[,alpha0]]`.)
-            [--plan auto]   (planner-chosen tile size, aggregate cache, and
-                             backend; conflicts with --individual,
-                             --no-agg-cache, and --batch-order)
+            [--plan auto]   (planner-chosen tile size and backend; conflicts
+                             with --individual and --batch-order)
   explain   --index FILE --x X --y Y --from-day A --to-day B [--k K] [--alpha0 W]
             [--paged] [--policy lru|clock|2q] [--buffer-slots N] [--packed]
             [--metrics]     (prints the plan the cost-model planner would
@@ -177,16 +176,53 @@ commands:
 struct Opts(BTreeMap<String, String>);
 
 /// Options that take no value.
-const FLAGS: &[&str] = &["paged", "packed", "individual", "no-agg-cache", "check"];
+const FLAGS: &[&str] = &["paged", "packed", "individual", "check"];
+
+/// Every option `cmd` reads; anything else on its command line is a usage
+/// error, so a typo cannot silently fall back to a default. Empty for a
+/// command `main` does not dispatch.
+fn known_options(cmd: &str) -> Vec<&'static str> {
+    const DATASET: &[&str] = &["dataset", "scale", "epoch-days", "seed"];
+    const POINT: &[&str] = &["index", "x", "y", "from-day", "to-day", "k", "alpha0"];
+    const IMAGE: &[&str] = &["paged", "policy", "buffer-slots", "packed"];
+    const OBS_OUT: &[&str] = &["trace-out", "metrics-out"];
+    let groups: &[&[&str]] = match cmd {
+        "generate" => &[DATASET, &["out"]],
+        "build" => &[&["input", "out", "grouping", "node-size", "epoch-days", "epochs"]],
+        "ingest" => &[DATASET, &["events", "writers", "shards"]],
+        "serve" => &[
+            DATASET,
+            OBS_OUT,
+            &["shards", "workers", "max-batch", "max-delay-us", "queries", "rate", "k", "alpha0"],
+            &["stats-out", "stats-interval-ms", "tail-out"],
+        ],
+        "stats" => &[&["index"]],
+        "query" => &[POINT, IMAGE, OBS_OUT, &["threads", "plan"]],
+        "batch" => &[IMAGE, OBS_OUT, &["index", "queries", "batch-order", "individual", "plan"]],
+        "explain" => &[POINT, IMAGE, &["metrics"]],
+        "report" => &[&["metrics", "check"]],
+        "top" => &[&["watch", "iters"]],
+        "slo" => &[&["snapshot", "hist", "p50-us", "p95-us", "p99-us"]],
+        "mwa" | "skyline" => &[POINT],
+        _ => &[],
+    };
+    groups.concat()
+}
 
 impl Opts {
-    fn parse(args: &[String], extra_flags: &[&str]) -> Result<Opts, String> {
+    /// Parses `args`, rejecting option names outside `known` (an empty
+    /// `known` accepts anything: the command itself is unknown and `main`
+    /// reports that instead).
+    fn parse(args: &[String], extra_flags: &[&str], known: &[&str]) -> Result<Opts, String> {
         let mut map = BTreeMap::new();
         let mut i = 0;
         while i < args.len() {
             let key = args[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected an option, got `{}`", args[i]))?;
+            if !known.is_empty() && !known.contains(&key) {
+                return Err(format!("unknown option --{key}"));
+            }
             if FLAGS.contains(&key) || extra_flags.contains(&key) {
                 map.insert(key.to_string(), "true".to_string());
                 i += 1;
@@ -815,12 +851,8 @@ fn plan_auto(opts: &Opts) -> Result<bool, String> {
 /// One-line rendering of a planner-chosen configuration.
 fn plan_line(plan: &QueryPlan) -> String {
     format!(
-        "(plan: {} on {}, tile {}, agg-cache {}; est {:.1} node accesses)",
-        plan.mode,
-        plan.backend,
-        plan.tile,
-        if plan.agg_cache { "on" } else { "off" },
-        plan.estimated_node_accesses,
+        "(plan: {} on {}, tile {}; est {:.1} node accesses)",
+        plan.mode, plan.backend, plan.tile, plan.estimated_node_accesses,
     )
 }
 
@@ -968,13 +1000,9 @@ fn batch(opts: &Opts) -> Result<(), String> {
     index.stats().reset();
     let mut planned = None;
     let results = if plan_auto(opts)? {
-        if opts.flag("individual")
-            || opts.flag("no-agg-cache")
-            || opts.0.contains_key("batch-order")
-        {
+        if opts.flag("individual") || opts.0.contains_key("batch-order") {
             return Err(
-                "--plan auto conflicts with --individual / --no-agg-cache / --batch-order \
-                 (the planner chooses)"
+                "--plan auto conflicts with --individual / --batch-order (the planner chooses)"
                     .into(),
             );
         }
@@ -999,7 +1027,6 @@ fn batch(opts: &Opts) -> Result<(), String> {
         } else {
             let bopts = BatchOptions {
                 order,
-                agg_cache: !opts.flag("no-agg-cache"),
                 ..BatchOptions::default()
             };
             index.query_batch_collective_on(&queries, &bopts, backend)
@@ -1055,11 +1082,7 @@ fn explain(opts: &Opts) -> Result<(), String> {
     let plan = exec.plan(&q);
     let s = exec.index_stats().clone();
     println!("plan:        {} on {}", plan.mode, plan.backend);
-    println!(
-        "batching:    tile {}, agg-cache {}",
-        plan.tile,
-        if plan.agg_cache { "on" } else { "off" }
-    );
+    println!("batching:    tile {}", plan.tile);
     println!(
         "estimates:   fpk {:.4}; model {:.1} node accesses; calibrated {:.1}",
         plan.estimated_fpk, plan.model_node_accesses, plan.estimated_node_accesses

@@ -1,6 +1,6 @@
 //! Differential oracle for collective batch processing (Section 7.2 plus
-//! the Hilbert-ordering / aggregate-memoisation enhancements): for every
-//! grouping strategy, storage backend, batch ordering and cache setting,
+//! the Hilbert-ordering enhancement): for every grouping strategy, storage
+//! backend and batch ordering,
 //! `query_batch_collective_on` must be **bit-identical** — same POIs, same
 //! order, bit-equal scores, equal aggregates — to running the queries one
 //! by one, and must never touch more tree nodes than the individual runs.
@@ -42,7 +42,7 @@ fn mixed_batch(dataset: &knnta::lbsn::LbsnDataset, count: usize, seed: u64) -> V
         })
         .collect();
     // Duplicate a third of the batch verbatim: duplicates are where the
-    // shared-front-node scheme and the aggregate cache earn their keep.
+    // shared-front-node scheme earns its keep.
     for i in 0..count / 3 {
         let dup = batch[i * 2 % count].clone();
         batch.push(dup);
@@ -64,17 +64,14 @@ fn assert_bit_identical(got: &[Vec<QueryHit>], want: &[Vec<QueryHit>], ctx: &str
     }
 }
 
-fn batch_options() -> [(BatchOptions, &'static str); 4] {
-    let with = |order, agg_cache| BatchOptions {
+fn batch_options() -> [(BatchOptions, &'static str); 2] {
+    let with = |order| BatchOptions {
         order,
-        agg_cache,
         ..BatchOptions::default()
     };
     [
-        (with(BatchOrder::Hilbert, true), "hilbert+cache"),
-        (with(BatchOrder::Hilbert, false), "hilbert"),
-        (with(BatchOrder::Input, true), "input+cache"),
-        (with(BatchOrder::Input, false), "input"),
+        (with(BatchOrder::Hilbert), "hilbert"),
+        (with(BatchOrder::Input), "input"),
     ]
 }
 

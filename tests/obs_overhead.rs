@@ -13,10 +13,10 @@
 mod common;
 
 use common::{index_of, small_dataset};
-use knnta::core::{Grouping, StorageBackend, TarIndex};
+use knnta::core::{Grouping, LiveIndex, Obs, QueryHit, StorageBackend, TarIndex};
 use knnta::lbsn::{IntervalAnchor, Workload};
-use knnta::pagestore::BufferPoolConfig;
-use knnta::KnntaQuery;
+use knnta::pagestore::{AccessStats, BufferPoolConfig};
+use knnta::{CheckIn, KnntaQuery};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -104,9 +104,85 @@ fn disabled_obs_matches_pre_obs_oracle() {
     }
 }
 
+/// One execution's evidence: every hit's `(poi, score bits, aggregate)` plus
+/// the logical node and leaf access counts it was charged.
+type Evidence = (Vec<Vec<(u32, u64, u64)>>, u64, u64);
+
+fn evidence(stats: &AccessStats, run: impl FnOnce() -> Vec<Vec<QueryHit>>) -> Evidence {
+    stats.reset();
+    let hits = run()
+        .iter()
+        .map(|hs| hs.iter().map(|h| (h.poi.0, h.score.to_bits(), h.aggregate)).collect())
+        .collect();
+    (hits, stats.node_accesses(), stats.leaf_node_accesses())
+}
+
+/// The executions the fixture predates, run under `obs`: the packed backend,
+/// a 64-query collective tile, and a live snapshot read through a sealed
+/// (unmerged) overlay.
+fn probe_cases(obs: Obs) -> Vec<(&'static str, Evidence)> {
+    let dataset = small_dataset();
+    let mut index = index_of(&dataset, Grouping::TarIntegral);
+    index.set_obs(obs.clone());
+    let queries: Vec<KnntaQuery> = Workload::generate(&dataset, 64, IntervalAnchor::Random, 11)
+        .queries
+        .iter()
+        .enumerate()
+        .map(|(i, &(point, interval))| {
+            KnntaQuery::new(point, interval)
+                .with_k([1, 5, 10, 25][i % 4])
+                .with_alpha0([0.2, 0.3, 0.5, 0.8][i % 4])
+        })
+        .collect();
+    let packed = index.pack();
+    let mut cases = vec![(
+        "packed",
+        evidence(index.stats(), || {
+            let backend = StorageBackend::Packed(&packed);
+            queries.iter().map(|q| index.query_on(q, backend)).collect()
+        }),
+    )];
+    if obs.is_enabled() {
+        // Only sequential searches have run: a probe that stops counting
+        // (or a driver that stops publishing) breaks this chain.
+        let m = obs.metrics_snapshot();
+        let counter = |name: &str| m.counter(name).unwrap_or(0);
+        let pushes = counter("knnta.core.search.heap_pushes");
+        let pops = counter("knnta.core.search.heap_pops");
+        let accesses = counter("knnta.core.search.node_accesses");
+        assert!(
+            pushes >= pops && pops >= accesses && accesses > 0,
+            "pushes {pushes} >= pops {pops} >= node accesses {accesses} > 0"
+        );
+    }
+    cases.push((
+        "collective tile",
+        evidence(index.stats(), || index.query_batch_collective(&queries)),
+    ));
+
+    // Late check-ins into already-digested epochs, sealed but not merged:
+    // the snapshot reads them through the delta overlay.
+    let epochs = dataset.grid.len();
+    let live = LiveIndex::new(index, epochs);
+    let pois = dataset.snapshot(epochs);
+    for i in 0..200usize {
+        let epoch = dataset.grid.epoch((i * 7) % epochs);
+        live.record(CheckIn::at(pois[(i * 13) % pois.len()].0, epoch.start));
+    }
+    live.seal_epoch();
+    let snap = live.snapshot();
+    assert!(!snap.cumulative_deltas().is_empty(), "overlay must be non-empty");
+    cases.push((
+        "live overlay",
+        evidence(snap.index().stats(), || queries.iter().map(|q| snap.query(q)).collect()),
+    ));
+    cases
+}
+
 /// The instrumented paths must *also* reproduce the pre-obs oracle exactly:
 /// enabling observability may add spans and counters but can never change a
-/// hit, a score bit, or the node-access accounting.
+/// hit, a score bit, or the node-access accounting. The backends and engines
+/// the fixture predates are compared enabled-vs-disabled directly.
 #[test]
 fn enabled_obs_matches_pre_obs_oracle() {
     if std::env::var("KNNTA_REGEN_FIXTURES").is_ok() {
@@ -124,5 +200,10 @@ fn enabled_obs_matches_pre_obs_oracle() {
     assert_eq!(got_lines.len(), want_lines.len());
     for (g, w) in got_lines.iter().zip(&want_lines) {
         assert_eq!(g, w, "obs-enabled execution diverged from the pre-obs oracle");
+    }
+
+    let (off, on) = (probe_cases(Obs::disabled()), probe_cases(Obs::enabled()));
+    for ((name, off), (_, on)) in off.iter().zip(&on) {
+        assert_eq!(on, off, "{name}: obs-enabled execution diverged from the disabled one");
     }
 }

@@ -25,13 +25,12 @@
 //! individual accesses.
 
 use crate::hilbert;
-use crate::index::{QueryCtx, TarIndex};
+use crate::index::{IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::{KnntaQuery, QueryHit};
 use crate::search::{entry_tia, expand_node, NodeCand, TopK};
 use crate::storage::{NodeSource, StorageBackend};
-use knnta_obs::{AttrValue, Obs, SpanId};
-use pagestore::AccessStats;
+use knnta_obs::{AttrValue, SpanId};
 use rtree::NodeId;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -162,11 +161,18 @@ impl TarIndex {
     /// query values themselves (`crates/core/tests/hilbert_props.rs` pins
     /// this down).
     pub fn batch_order(&self, queries: &[KnntaQuery], order: BatchOrder) -> Vec<usize> {
+        self.meta.batch_order(queries, order)
+    }
+}
+
+impl IndexMeta {
+    /// [`TarIndex::batch_order`] — a function of the query space alone.
+    pub(crate) fn batch_order(&self, queries: &[KnntaQuery], order: BatchOrder) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..queries.len()).collect();
         if order == BatchOrder::Input {
             return idx;
         }
-        let grid = self.grid();
+        let grid = &self.grid;
         let t0 = grid.t0().seconds() as f64;
         let span = (grid.tc().seconds() - grid.t0().seconds()) as f64;
         let keys: Vec<u64> = queries
@@ -266,18 +272,16 @@ fn park(
 /// batch answers bit-identical to a merged index).
 pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
     nodes: &N,
-    stats: &AccessStats,
-    index: &TarIndex,
+    meta: &IndexMeta,
     root_max: &tempora::AggregateSeries,
     queries: &[KnntaQuery],
     opts: &BatchOptions,
-    obs: &Obs,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
-    if obs.is_enabled() {
-        run_tiles::<D, N, Counts>(nodes, stats, index, root_max, queries, opts, obs, parent)
+    if meta.obs.is_enabled() {
+        run_tiles::<D, N, Counts>(nodes, meta, root_max, queries, opts, parent)
     } else {
-        run_tiles::<D, N, NoProbe>(nodes, stats, index, root_max, queries, opts, obs, parent)
+        run_tiles::<D, N, NoProbe>(nodes, meta, root_max, queries, opts, parent)
     }
 }
 
@@ -285,14 +289,13 @@ pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
 /// published as its `batch.tile` span's phases.
 fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
     nodes: &N,
-    stats: &AccessStats,
-    index: &TarIndex,
+    meta: &IndexMeta,
     root_max: &tempora::AggregateSeries,
     queries: &[KnntaQuery],
     opts: &BatchOptions,
-    obs: &Obs,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
+    let (stats, obs) = (&meta.stats, &meta.obs);
     let mut results: Vec<Vec<QueryHit>> = vec![Vec::new(); queries.len()];
     // Empty batches, all-k=0 batches and empty trees terminate here, before
     // any tree access (including the root-TIA normaliser scan).
@@ -303,8 +306,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
 
     let order: Vec<usize> = {
         let picked: Vec<KnntaQuery> = active.iter().map(|&i| queries[i]).collect();
-        index
-            .batch_order(&picked, opts.order)
+        meta.batch_order(&picked, opts.order)
             .into_iter()
             .map(|i| active[i])
             .collect()
@@ -315,7 +317,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
     // normaliser is computed once per distinct range — identical to the
     // per-query value of `aggregate_normalizer`, which also only depends on
     // the range.
-    let grid = index.grid();
+    let grid = &meta.grid;
     let mut gmax_of: HashMap<(usize, usize), f64> = HashMap::new();
     let root = nodes.root();
 
@@ -335,7 +337,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
                 (
                     qi,
                     BatchQuery {
-                        ctx: index.ctx_with_normalizer(q, gmax),
+                        ctx: meta.ctx_with_normalizer(q, gmax),
                         heap,
                         topk: TopK::new(q.k),
                     },

@@ -107,19 +107,78 @@ pub struct TarIndex {
     grouping: Grouping,
     node_size: usize,
     forced_reinsert: bool,
-    grid: EpochGrid,
-    bounds: Rect<2>,
-    /// Uniform scale: 1 / diagonal length of `bounds`.
-    inv_scale: f64,
+    pub(crate) meta: IndexMeta,
     max_rate: f64,
     positions: Vec<Option<[f64; 2]>>,
-    stats: AccessStats,
-    /// Observability sinks shared by every query entry point; disabled by
-    /// default (one branch per instrumentation site, no allocation).
-    pub(crate) obs: Obs,
     /// Bumped on every structural or aggregate change (used by the disk-TIA
     /// mirror to detect staleness).
     pub(crate) content_epoch: u64,
+}
+
+/// What a query execution reads of an index besides its tree nodes: the
+/// query space (grid, bounds, distance scale) and the accounting sinks.
+/// [`TarIndex`] and the arena-free [`crate::FrozenIndex`] both carry one, so
+/// the executor runs on either.
+#[derive(Clone)]
+pub(crate) struct IndexMeta {
+    pub grid: EpochGrid,
+    pub bounds: Rect<2>,
+    /// Uniform scale: 1 / diagonal length of `bounds`.
+    pub inv_scale: f64,
+    pub stats: AccessStats,
+    /// Observability sinks shared by every query entry point; disabled by
+    /// default (one branch per instrumentation site, no allocation).
+    pub obs: Obs,
+}
+
+impl IndexMeta {
+    pub fn new(grid: EpochGrid, bounds: Rect<2>, stats: AccessStats) -> Self {
+        let diag = {
+            let w = bounds.max[0] - bounds.min[0];
+            let h = bounds.max[1] - bounds.min[1];
+            (w * w + h * h).sqrt()
+        };
+        IndexMeta {
+            grid,
+            bounds,
+            inv_scale: if diag > 0.0 { 1.0 / diag } else { 1.0 },
+            stats,
+            obs: Obs::disabled(),
+        }
+    }
+
+    /// Normalises a raw position into the unit query space.
+    pub fn norm(&self, p: [f64; 2]) -> [f64; 2] {
+        [
+            (p[0] - self.bounds.min[0]) * self.inv_scale,
+            (p[1] - self.bounds.min[1]) * self.inv_scale,
+        ]
+    }
+
+    /// The diagonal length used to normalise distances.
+    pub fn scale(&self) -> f64 {
+        1.0 / self.inv_scale
+    }
+
+    /// The evaluation context of `query` under the normaliser `gmax` (the
+    /// root-max aggregate over the query interval, floored at 1).
+    pub fn ctx_with_normalizer(&self, query: &KnntaQuery, gmax: f64) -> QueryCtx<'_> {
+        assert!(
+            query.point[0].is_finite() && query.point[1].is_finite(),
+            "query point must be finite, got {:?}",
+            query.point
+        );
+        QueryCtx {
+            q: self.norm(query.point),
+            iq: query.interval,
+            range: self.grid.epochs_within(query.interval),
+            alpha0: query.alpha0,
+            alpha1: query.alpha1(),
+            gmax,
+            grid: &self.grid,
+            scale: self.scale(),
+        }
+    }
 }
 
 impl TarIndex {
@@ -129,7 +188,12 @@ impl TarIndex {
     /// distances); `max_rate` is fixed from the data at build time by
     /// [`TarIndex::build`], or grows lazily under incremental inserts.
     pub fn new(config: IndexConfig, grid: EpochGrid, bounds: Rect<2>) -> Self {
-        let stats = AccessStats::new();
+        Self::with_meta(config, IndexMeta::new(grid, bounds, AccessStats::new()))
+    }
+
+    /// An empty index over an existing query space, sharing its sinks.
+    pub(crate) fn with_meta(config: IndexConfig, meta: IndexMeta) -> Self {
+        let stats = meta.stats.clone();
         let params = RTreeParams::for_node_size(config.node_size, config.grouping.dims());
         let params = if config.forced_reinsert {
             params
@@ -147,23 +211,14 @@ impl TarIndex {
                 TreeImpl::Agg(RStarTree::new(params, TiaAug, AggGrouping, stats.clone()))
             }
         };
-        let diag = {
-            let w = bounds.max[0] - bounds.min[0];
-            let h = bounds.max[1] - bounds.min[1];
-            (w * w + h * h).sqrt()
-        };
         TarIndex {
             tree,
             grouping: config.grouping,
             node_size: config.node_size,
             forced_reinsert: config.forced_reinsert,
-            grid,
-            bounds,
-            inv_scale: if diag > 0.0 { 1.0 / diag } else { 1.0 },
+            meta,
             max_rate: 0.0,
             positions: Vec::new(),
-            stats,
-            obs: Obs::disabled(),
             content_epoch: 0,
         }
     }
@@ -176,17 +231,22 @@ impl TarIndex {
         bounds: Rect<2>,
         pois: impl IntoIterator<Item = (Poi, AggregateSeries)>,
     ) -> Self {
-        let pois: Vec<(Poi, AggregateSeries)> = pois.into_iter().collect();
         let mut index = Self::new(config, grid, bounds);
-        let m = index.grid.len();
-        index.max_rate = pois
+        index.fill(pois.into_iter().collect());
+        index
+    }
+
+    /// Inserts a whole dataset into an empty index, fixing `max λ̂` from it
+    /// first.
+    pub(crate) fn fill(&mut self, pois: Vec<(Poi, AggregateSeries)>) {
+        let m = self.meta.grid.len();
+        self.max_rate = pois
             .iter()
             .map(|(_, s)| s.mean_rate(m))
             .fold(0.0, f64::max);
         for (poi, series) in pois {
-            index.insert_poi(poi, series);
+            self.insert_poi(poi, series);
         }
-        index
     }
 
     /// Builds an index with STR bulk loading (`rtree::RStarTree::bulk_load`)
@@ -202,7 +262,7 @@ impl TarIndex {
     ) -> Self {
         let pois: Vec<(Poi, AggregateSeries)> = pois.into_iter().collect();
         let mut index = Self::new(config, grid, bounds);
-        let m = index.grid.len();
+        let m = index.meta.grid.len();
         index.max_rate = pois
             .iter()
             .map(|(_, s)| s.mean_rate(m))
@@ -225,13 +285,8 @@ impl TarIndex {
                 let items = pois
                     .into_iter()
                     .map(|(poi, series)| {
-                        let p = norm_static(&index.bounds, index.inv_scale, poi.pos);
-                        let rate = series.mean_rate(m);
-                        let z = if index.max_rate <= 0.0 {
-                            1.0
-                        } else {
-                            (1.0 - rate / index.max_rate).clamp(0.0, 1.0)
-                        };
+                        let p = index.meta.norm(poi.pos);
+                        let z = z_of(series.mean_rate(m), index.max_rate);
                         (Rect::point([p[0], p[1], z]), poi, series)
                     })
                     .collect();
@@ -241,7 +296,7 @@ impl TarIndex {
                 let items = pois
                     .into_iter()
                     .map(|(poi, series)| {
-                        let p = norm_static(&index.bounds, index.inv_scale, poi.pos);
+                        let p = index.meta.norm(poi.pos);
                         (Rect::point(p), poi, series)
                     })
                     .collect();
@@ -251,7 +306,7 @@ impl TarIndex {
                 let items = pois
                     .into_iter()
                     .map(|(poi, series)| {
-                        let p = norm_static(&index.bounds, index.inv_scale, poi.pos);
+                        let p = index.meta.norm(poi.pos);
                         (Rect::point(p), poi, series)
                     })
                     .collect();
@@ -276,9 +331,27 @@ impl TarIndex {
         self.forced_reinsert
     }
 
+    /// The configuration the index was built with.
+    pub(crate) fn config(&self) -> IndexConfig {
+        IndexConfig {
+            grouping: self.grouping,
+            node_size: self.node_size,
+            forced_reinsert: self.forced_reinsert,
+        }
+    }
+
     /// Every indexed POI with its aggregate series (tree order; used by
     /// persistence and diagnostics).
     pub fn export_pois(&self) -> Vec<(Poi, AggregateSeries)> {
+        self.leaf_entries()
+            .into_iter()
+            .map(|(poi, series)| (poi, series.clone()))
+            .collect()
+    }
+
+    /// Every indexed POI with its (borrowed) aggregate series, in tree
+    /// order.
+    pub(crate) fn leaf_entries(&self) -> Vec<(Poi, &AggregateSeries)> {
         with_tree!(self, t => {
             let mut out = Vec::with_capacity(t.len());
             for id in t.node_ids() {
@@ -286,7 +359,7 @@ impl TarIndex {
                 if node.is_leaf() {
                     for e in &node.entries {
                         if let Some(poi) = e.data() {
-                            out.push((*poi, e.aug.clone()));
+                            out.push((*poi, &e.aug));
                         }
                     }
                 }
@@ -297,12 +370,12 @@ impl TarIndex {
 
     /// The epoch grid.
     pub fn grid(&self) -> &EpochGrid {
-        &self.grid
+        &self.meta.grid
     }
 
     /// The data-space bounds.
     pub fn bounds(&self) -> &Rect<2> {
-        &self.bounds
+        &self.meta.bounds
     }
 
     /// Number of indexed POIs.
@@ -327,40 +400,29 @@ impl TarIndex {
 
     /// The shared access statistics (node accesses, TIA I/O).
     pub fn stats(&self) -> &AccessStats {
-        &self.stats
+        &self.meta.stats
     }
 
     /// Attaches an observability handle: every subsequent query entry point
     /// emits spans and counters into it. Pass [`Obs::disabled`] to turn
     /// instrumentation back off (the default).
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.meta.obs = obs;
     }
 
     /// The index's observability handle.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.meta.obs
     }
 
     /// Normalises a raw position into the unit query space.
     pub(crate) fn norm(&self, p: [f64; 2]) -> [f64; 2] {
-        [
-            (p[0] - self.bounds.min[0]) * self.inv_scale,
-            (p[1] - self.bounds.min[1]) * self.inv_scale,
-        ]
+        self.meta.norm(p)
     }
 
     /// The diagonal length used to normalise distances.
     pub fn scale(&self) -> f64 {
-        1.0 / self.inv_scale
-    }
-
-    fn z_of(&self, rate: f64) -> f64 {
-        if self.max_rate <= 0.0 {
-            1.0
-        } else {
-            (1.0 - rate / self.max_rate).clamp(0.0, 1.0)
-        }
+        self.meta.scale()
     }
 
     /// Inserts a POI with its per-epoch aggregate series.
@@ -369,7 +431,7 @@ impl TarIndex {
     /// Section 4.2; splits and reinsertions follow the configured grouping
     /// strategy.
     pub fn insert_poi(&mut self, poi: Poi, series: AggregateSeries) {
-        let rate = series.mean_rate(self.grid.len());
+        let rate = series.mean_rate(self.meta.grid.len());
         if rate > self.max_rate {
             // Incremental inserts can exceed the build-time max; the stored
             // z of older entries drifts (the paper handles drift by periodic
@@ -388,7 +450,7 @@ impl TarIndex {
         );
         self.positions[idx] = Some(poi.pos);
         self.content_epoch += 1;
-        let z = self.z_of(rate);
+        let z = z_of(rate, self.max_rate);
         match &mut self.tree {
             TreeImpl::Tar(t) => {
                 t.insert_with_aug(Rect::point([p[0], p[1], z]), poi, series);
@@ -427,7 +489,7 @@ impl TarIndex {
     ///
     /// Returns the number of updated leaf entries.
     pub fn ingest_epoch(&mut self, epoch_index: usize, updates: &[(PoiId, u64)]) -> usize {
-        assert!(epoch_index < self.grid.len(), "epoch outside the grid");
+        assert!(epoch_index < self.meta.grid.len(), "epoch outside the grid");
         let map: HashMap<PoiId, u64> = updates
             .iter()
             .filter(|&&(_, v)| v != 0)
@@ -489,34 +551,12 @@ impl TarIndex {
     /// maximum POI aggregate), floored at 1 so `g` is well defined on empty
     /// intervals.
     pub fn aggregate_normalizer(&self, iq: TimeInterval) -> f64 {
-        (self.root_max_series().aggregate_over(&self.grid, iq) as f64).max(1.0)
+        (self.root_max_series().aggregate_over(&self.meta.grid, iq) as f64).max(1.0)
     }
 
     pub(crate) fn ctx(&self, query: &KnntaQuery) -> QueryCtx<'_> {
-        self.ctx_with_normalizer(query, self.aggregate_normalizer(query.interval))
-    }
-
-    /// [`TarIndex::ctx`] with a caller-supplied `gmax` — the batch paths
-    /// compute the normaliser once per distinct epoch range instead of once
-    /// per query. Passing the value [`TarIndex::aggregate_normalizer`]
-    /// returns for the query's interval yields a context identical to
-    /// [`TarIndex::ctx`]'s.
-    pub(crate) fn ctx_with_normalizer(&self, query: &KnntaQuery, gmax: f64) -> QueryCtx<'_> {
-        assert!(
-            query.point[0].is_finite() && query.point[1].is_finite(),
-            "query point must be finite, got {:?}",
-            query.point
-        );
-        QueryCtx {
-            q: self.norm(query.point),
-            iq: query.interval,
-            range: self.grid.epochs_within(query.interval),
-            alpha0: query.alpha0,
-            alpha1: query.alpha1(),
-            gmax,
-            grid: &self.grid,
-            scale: self.scale(),
-        }
+        self.meta
+            .ctx_with_normalizer(query, self.aggregate_normalizer(query.interval))
     }
 
     /// Answers a kNNTA query with best-first search over the index
@@ -544,12 +584,14 @@ impl TarIndex {
     }
 }
 
-/// Position normalisation usable while `TarIndex::tree` is mutably borrowed.
-fn norm_static(bounds: &Rect<2>, inv_scale: f64, p: [f64; 2]) -> [f64; 2] {
-    [
-        (p[0] - bounds.min[0]) * inv_scale,
-        (p[1] - bounds.min[1]) * inv_scale,
-    ]
+/// The third grouping coordinate `z = 1 − λ̂p / max λ̂` (Section 5.2), clamped
+/// to the unit interval; 1 while no POI has a positive rate.
+pub(crate) fn z_of(rate: f64, max_rate: f64) -> f64 {
+    if max_rate <= 0.0 {
+        1.0
+    } else {
+        (1.0 - rate / max_rate).clamp(0.0, 1.0)
+    }
 }
 
 /// Query-evaluation context: the query in normalised space plus the

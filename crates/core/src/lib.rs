@@ -39,6 +39,9 @@
 //!   searched zero-copy through [`StorageBackend::Packed`] and serialisable
 //!   page-by-page ([`PackedPages`]); `docs/FORMAT.md` is the normative
 //!   byte-layout spec.
+//! * [`FrozenIndex`] — the same image packed straight from the POIs, no
+//!   R\*-tree built, plus the metadata [`Executor::frozen`] runs on; what
+//!   the query service's shards and [`LiveIndex`]'s merged bases are.
 //!
 //! ## Quick start
 //!
@@ -97,7 +100,7 @@ pub use knnta_obs::Obs;
 pub use index::{Grouping, IndexConfig, TarIndex};
 pub use live::{LiveIndex, LiveOptions, SnapshotBackend, SnapshotView};
 pub use mwa::{gamma, WeightAdjustment};
-pub use packed::{PackedPages, PackedTarTree, PACKED_FANOUT};
+pub use packed::{FrozenIndex, PackedPages, PackedTarTree, PACKED_FANOUT};
 pub use plan::Executor;
 pub use costmodel::{
     Calibration, IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec,

@@ -10,7 +10,8 @@
 //!   reader-writer acquisition (the epoch roll), one shard mutex and one
 //!   hash-map upsert.
 //! * **Epoch-snapshot read path** — [`LiveIndex::snapshot`] hands out an
-//!   immutable [`SnapshotView`]: the current base TAR-tree plus a frozen
+//!   immutable [`SnapshotView`]: the current base (a packed image + POI
+//!   table) plus a frozen
 //!   *delta overlay* of sealed-but-unmerged epochs, tagged with an
 //!   [`EpochWatermark`]. Snapshot queries never block writers (the snapshot
 //!   is two `Arc` clones under a briefly-held read lock) and writers never
@@ -19,8 +20,12 @@
 //!   via [`TarIndex::ingest_epoch`] — `tests/snapshot_oracle.rs` is the
 //!   differential proof.
 //! * **Background merge** — [`LiveIndex::merge_sealed`] folds sealed deltas
-//!   into a rebuilt base tree off the hot path (re-materialising the paged /
-//!   packed serving images when [`LiveOptions`] asks for them). In-flight
+//!   into a copy of the base's POI table and packs the new base image
+//!   straight from it ([`FrozenIndex`]) off the hot path — a fold plus a
+//!   pack, no R\*-tree. The arena [`TarIndex`] (and the paged image over it)
+//!   is materialised lazily, once per base, only for
+//!   [`SnapshotView::index`], [`SnapshotBackend::InMemory`] /
+//!   [`SnapshotBackend::Paged`] and [`LiveIndex::validate`]. In-flight
 //!   snapshots keep their old `Arc`s; answers before and after a merge are
 //!   bit-identical because the ranking's `(score, PoiId)` total order makes
 //!   results independent of tree shape.
@@ -43,13 +48,15 @@
 use crate::collective::BatchOptions;
 use crate::index::{IndexConfig, TarIndex};
 use crate::observe;
-use crate::poi::{KnntaQuery, QueryHit};
+use crate::packed::FrozenIndex;
+use crate::poi::{KnntaQuery, Poi, QueryHit};
+use crate::storage::PagedNodes;
 use knnta_obs::Obs;
 use knnta_util::sync::{Mutex, RwLock};
 use pagestore::BufferPoolConfig;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tempora::{AggregateSeries, CheckIn, EpochGrid, EpochWatermark, PoiId, TimeInterval};
 
 /// Configuration of a [`LiveIndex`]'s ingestion and serving tiers.
@@ -58,12 +65,13 @@ pub struct LiveOptions {
     /// Number of lock-striped write shards (floored at 1). More shards mean
     /// less writer contention; 8 sustains >1M check-ins/sec on one node.
     pub shards: usize,
-    /// When set, every base state additionally materialises a paged node
-    /// snapshot (`(page_size, pool_config)`) so snapshots can serve
-    /// [`SnapshotBackend::Paged`] queries.
+    /// When set, snapshots can serve [`SnapshotBackend::Paged`] queries from
+    /// a paged node snapshot (`(page_size, pool_config)`), materialised on
+    /// first use per base state.
     pub serve_paged: Option<(usize, BufferPoolConfig)>,
-    /// When `true`, every base state additionally packs an immutable serving
-    /// image so snapshots can serve [`SnapshotBackend::Packed`] queries.
+    /// Without effect: every base state *is* a packed image, so
+    /// [`SnapshotBackend::Packed`] is always served. The field remains only
+    /// for callers that build this struct by literal.
     pub serve_packed: bool,
 }
 
@@ -133,12 +141,12 @@ impl DeltaOverlay {
 /// A pure function of (base series, overlay) — recomputed from scratch at
 /// every seal and merge so its value never depends on seal history.
 fn combined_max_of(
-    base: &HashMap<PoiId, AggregateSeries>,
+    base: &BaseState,
     per_poi: &HashMap<PoiId, AggregateSeries>,
 ) -> AggregateSeries {
     let mut max = AggregateSeries::new();
     for (poi, delta) in per_poi {
-        let base = base.get(poi);
+        let base = base.series_of(*poi);
         for (epoch, v) in delta.iter() {
             let b = base.map_or(0, |s| s.get(epoch));
             max.raise_to(epoch, b + v);
@@ -147,47 +155,56 @@ fn combined_max_of(
     max
 }
 
-/// An immutable base the snapshots read: the TAR-tree plus everything the
-/// overlay algebra and the differential oracle need to know about it.
+/// An immutable base the snapshots read: the packed image + metadata every
+/// query runs on by default, and the one POI/series table it was packed
+/// from — which is also what the overlay algebra, the next merge and the
+/// lazily-materialised arena tree read.
 struct BaseState {
-    index: TarIndex,
-    /// Per-POI base series (the tree's leaf TIAs), for `combined_max`.
-    series: HashMap<PoiId, AggregateSeries>,
-    /// The base tree's root maximum series, computed once.
-    root_max: AggregateSeries,
+    frozen: FrozenIndex,
+    /// Every POI with its base series, ascending [`PoiId`]; the only copy
+    /// of the series this base holds besides the image's prefix blocks.
+    table: Vec<(Poi, AggregateSeries)>,
     /// Cumulative deltas folded into this base by merges since the
     /// [`LiveIndex`] was constructed (for [`SnapshotView::cumulative_deltas`]).
     merged: HashMap<PoiId, AggregateSeries>,
-    /// Paged node snapshot, when [`LiveOptions::serve_paged`] asks for one.
-    paged: Option<crate::storage::PagedNodes>,
-    /// Packed serving image, when [`LiveOptions::serve_packed`] asks for one.
-    packed: Option<crate::packed::PackedTarTree>,
+    /// What the arena tree is (re)built with.
+    config: IndexConfig,
+    serve_paged: Option<(usize, BufferPoolConfig)>,
+    /// The arena tree over `table`: the construction-time index for the
+    /// first base, built on first use after a merge.
+    arena: OnceLock<TarIndex>,
+    /// Paged node snapshot of `arena`, built on first use.
+    paged: OnceLock<PagedNodes>,
 }
 
 impl BaseState {
-    fn materialise(
-        index: TarIndex,
-        merged: HashMap<PoiId, AggregateSeries>,
-        opts: &LiveOptions,
-    ) -> Self {
-        let series: HashMap<PoiId, AggregateSeries> = index
-            .export_pois()
-            .into_iter()
-            .map(|(p, s)| (p.id, s))
-            .collect();
-        let root_max = index.root_max_series();
-        let paged = opts
+    fn series_of(&self, poi: PoiId) -> Option<&AggregateSeries> {
+        self.table
+            .binary_search_by_key(&poi, |(p, _)| p.id)
+            .ok()
+            .map(|i| &self.table[i].1)
+    }
+
+    fn arena(&self) -> &TarIndex {
+        self.arena.get_or_init(|| {
+            // Sharing the image's metadata keeps one set of access counters
+            // and one observability handle per base, whichever backend a
+            // query runs on.
+            let mut index = TarIndex::with_meta(self.config, self.frozen.meta.clone());
+            index.fill(self.table.clone());
+            index
+        })
+    }
+
+    /// # Panics
+    ///
+    /// Panics if [`LiveOptions::serve_paged`] was not set.
+    fn paged(&self) -> &PagedNodes {
+        let (page_size, config) = self
             .serve_paged
-            .map(|(page_size, config)| index.materialize_paged_nodes(page_size, config));
-        let packed = opts.serve_packed.then(|| index.pack());
-        BaseState {
-            index,
-            series,
-            root_max,
-            merged,
-            paged,
-            packed,
-        }
+            .expect("snapshot serves no paged image; set LiveOptions::serve_paged");
+        self.paged
+            .get_or_init(|| self.arena().materialize_paged_nodes(page_size, config))
     }
 }
 
@@ -220,7 +237,6 @@ pub struct LiveIndex {
     recorded: AtomicU64,
     dropped: AtomicU64,
     sealed_events: AtomicU64,
-    opts: LiveOptions,
     obs: Obs,
 }
 
@@ -248,8 +264,18 @@ impl LiveIndex {
         );
         let grid = index.grid().clone();
         let obs = index.obs().clone();
-        let base = BaseState::materialise(index, HashMap::new(), &opts);
-        let members = base.series.keys().copied().collect();
+        let mut table = index.export_pois();
+        table.sort_by_key(|(poi, _)| poi.id);
+        let base = BaseState {
+            frozen: FrozenIndex::of(&index),
+            table,
+            merged: HashMap::new(),
+            config: index.config(),
+            serve_paged: opts.serve_paged,
+            arena: OnceLock::from(index),
+            paged: OnceLock::new(),
+        };
+        let members = base.table.iter().map(|(poi, _)| poi.id).collect();
         let shard_count = opts.shards.max(1);
         LiveIndex {
             grid,
@@ -269,7 +295,6 @@ impl LiveIndex {
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             sealed_events: AtomicU64::new(0),
-            opts,
             obs,
         }
     }
@@ -418,7 +443,7 @@ impl LiveIndex {
             }
             st.batches.push(Arc::new(SealBatch { deltas }));
         }
-        let combined_max = combined_max_of(&st.base.series, &per_poi);
+        let combined_max = combined_max_of(&st.base, &per_poi);
         st.overlay = Arc::new(DeltaOverlay {
             per_poi,
             total,
@@ -439,7 +464,7 @@ impl LiveIndex {
     /// writers are never blocked by however long the snapshot is queried.
     pub fn snapshot(&self) -> SnapshotView {
         let st = self.state.read();
-        let mut adjusted = st.base.root_max.clone();
+        let mut adjusted = st.base.frozen.root_max.clone();
         adjusted.merge_max(&st.overlay.combined_max);
         let view = SnapshotView {
             base: Arc::clone(&st.base),
@@ -451,12 +476,12 @@ impl LiveIndex {
         view
     }
 
-    /// Folds every currently-sealed batch into a rebuilt base tree (and
-    /// re-materialises the paged / packed serving images per
-    /// [`LiveOptions`]), off the hot path: no lock is held during the
-    /// rebuild, writers keep streaming, and in-flight snapshots keep their
-    /// old state. Answers are unaffected — the `(score, PoiId)` total order
-    /// makes them independent of tree shape.
+    /// Folds every currently-sealed batch into a copy of the base's POI
+    /// table and packs the new base image straight from it, off the hot
+    /// path: no lock is held during the fold and pack, writers keep
+    /// streaming, and in-flight snapshots keep their old state. Answers are
+    /// unaffected — the `(score, PoiId)` total order makes them independent
+    /// of tree shape.
     ///
     /// Returns the number of sealed batches folded (0 when there was
     /// nothing to merge). Concurrent callers are serialised.
@@ -480,21 +505,17 @@ impl LiveIndex {
             }
         }
 
-        let mut pois = base.index.export_pois();
-        for (poi, series) in &mut pois {
+        let mut table = base.table.clone();
+        for (poi, series) in &mut table {
             if let Some(d) = folded.get(&poi.id) {
                 for (e, v) in d.iter() {
                     series.add(e, v);
                 }
             }
         }
-        let config = IndexConfig {
-            grouping: base.index.grouping(),
-            node_size: base.index.config_node_size(),
-            forced_reinsert: base.index.config_forced_reinsert(),
-        };
-        let mut index = TarIndex::build(config, self.grid.clone(), *base.index.bounds(), pois);
-        index.set_obs(self.obs.clone());
+        let mut frozen =
+            FrozenIndex::build(base.config, self.grid.clone(), base.frozen.meta.bounds, &table);
+        frozen.set_obs(self.obs.clone());
         let mut merged = base.merged.clone();
         for (poi, d) in &folded {
             let m = merged.entry(*poi).or_insert_with(AggregateSeries::new);
@@ -502,7 +523,15 @@ impl LiveIndex {
                 m.add(e, v);
             }
         }
-        let fresh = BaseState::materialise(index, merged, &self.opts);
+        let fresh = BaseState {
+            frozen,
+            table,
+            merged,
+            config: base.config,
+            serve_paged: base.serve_paged,
+            arena: OnceLock::new(),
+            paged: OnceLock::new(),
+        };
 
         let mut st = self.state.write();
         // Seals that happened during the rebuild appended to `batches`;
@@ -520,7 +549,7 @@ impl LiveIndex {
                 total.add(e as u32, v);
             }
         }
-        let combined_max = combined_max_of(&fresh.series, &per_poi);
+        let combined_max = combined_max_of(&fresh, &per_poi);
         st.overlay = Arc::new(DeltaOverlay {
             per_poi,
             total,
@@ -543,30 +572,31 @@ impl LiveIndex {
     }
 
     /// Checks every structural and TIA-summary invariant of the current
-    /// base tree (test helper).
+    /// base's arena tree, materialising it if need be (test helper).
     pub fn validate(&self) {
-        let st = self.state.read();
-        st.base.index.validate();
+        let base = Arc::clone(&self.state.read().base);
+        base.arena().validate();
     }
 }
 
 /// Which serving materialisation a [`SnapshotView`] query runs against.
 ///
-/// Unlike [`crate::StorageBackend`] this is a plain selector: the paged and
-/// packed images are owned by the snapshot's base state (built per
-/// [`LiveOptions`]), not passed in by the caller.
+/// Unlike [`crate::StorageBackend`] this is a plain selector: the images are
+/// owned by the snapshot's base state, not passed in by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotBackend {
-    /// The base tree's in-memory node arena.
+    /// The base's arena tree (materialised on first use per base).
     InMemory,
-    /// The paged node snapshot ([`LiveOptions::serve_paged`]).
+    /// The paged node snapshot ([`LiveOptions::serve_paged`]; materialised
+    /// on first use per base, over the arena tree).
     Paged,
-    /// The packed serving image ([`LiveOptions::serve_packed`]).
+    /// The base's packed serving image — what every snapshot query reads by
+    /// default.
     Packed,
 }
 
-/// An immutable epoch snapshot of a [`LiveIndex`]: a base TAR-tree plus the
-/// frozen delta overlay of sealed-but-unmerged epochs.
+/// An immutable epoch snapshot of a [`LiveIndex`]: a base (packed image +
+/// POI table) plus the frozen delta overlay of sealed-but-unmerged epochs.
 ///
 /// Every query entry point answers **bit-identically** to the same query on
 /// an index holding the merged state (base + [`SnapshotView::cumulative_deltas`]
@@ -590,27 +620,39 @@ impl SnapshotView {
 
     /// The epoch grid.
     pub fn grid(&self) -> &EpochGrid {
-        self.base.index.grid()
+        &self.base.frozen.meta.grid
     }
 
-    /// The snapshot's base [`TarIndex`] — sealed-and-**merged** state only;
-    /// the frozen overlay's deltas are *not* reflected in its TIAs. Call
-    /// [`LiveIndex::merge_sealed`] before snapshotting when base-level
+    /// The snapshot's base as a [`TarIndex`] — sealed-and-**merged** state
+    /// only; the frozen overlay's deltas are *not* reflected in its TIAs.
+    /// Call [`LiveIndex::merge_sealed`] before snapshotting when base-level
     /// extensions (skyline, persistence, MWA) need the full stream.
+    ///
+    /// The first base's tree is the index the [`LiveIndex`] was constructed
+    /// with; after a merge the tree is built from the base's POI table on
+    /// the first call (once per base — an R\*-tree build, off the merge
+    /// path), and `index().pack()` equals the base image byte for byte.
     pub fn index(&self) -> &TarIndex {
-        &self.base.index
+        self.base.arena()
     }
 
-    /// Whether a paged materialisation is available
-    /// ([`SnapshotBackend::Paged`]).
+    /// The base's packed serving image — what snapshot queries read by
+    /// default, under the overlay. Like [`SnapshotView::index`] it holds
+    /// sealed-and-merged state only.
+    pub fn packed(&self) -> &crate::packed::PackedTarTree {
+        &self.base.frozen.packed
+    }
+
+    /// Whether [`SnapshotBackend::Paged`] is served
+    /// ([`LiveOptions::serve_paged`]).
     pub fn serves_paged(&self) -> bool {
-        self.base.paged.is_some()
+        self.base.serve_paged.is_some()
     }
 
-    /// Whether a packed materialisation is available
-    /// ([`SnapshotBackend::Packed`]).
+    /// Whether [`SnapshotBackend::Packed`] is served — always: the base is
+    /// a packed image.
     pub fn serves_packed(&self) -> bool {
-        self.base.packed.is_some()
+        true
     }
 
     /// Every delta this snapshot carries on top of the index the
@@ -645,21 +687,23 @@ impl SnapshotView {
     /// overlay-adjusted root maximum (bit-equal to
     /// [`TarIndex::aggregate_normalizer`] on the merged index).
     pub fn normalizer(&self, iq: TimeInterval) -> f64 {
-        (self.adjusted_root_max.aggregate_over(self.base.index.grid(), iq) as f64).max(1.0)
+        (self.adjusted_root_max.aggregate_over(self.grid(), iq) as f64).max(1.0)
     }
 
-    /// The unified executor's environment for this snapshot: the frozen
-    /// overlay stacked on every node source, the overlay-adjusted `gmax`
-    /// source, and no staleness checks (the snapshot owns its images).
-    fn exec_env(&self) -> crate::plan::ExecEnv<'_> {
+    /// The unified executor's environment for this snapshot on `backend`:
+    /// the frozen overlay stacked on every node source, the
+    /// overlay-adjusted `gmax` source, and no staleness checks (the snapshot
+    /// owns its images). Only the in-memory backend forces the arena tree.
+    fn exec_env(&self, backend: SnapshotBackend) -> crate::plan::ExecEnv<'_> {
         crate::plan::ExecEnv {
-            index: &self.base.index,
+            meta: &self.base.frozen.meta,
+            arena: (backend == SnapshotBackend::InMemory).then(|| self.base.arena()),
             overlay: Some(crate::plan::OverlayRef {
                 per_poi: &self.overlay.per_poi,
                 total: &self.overlay.total,
             }),
             root_max: Some(&self.adjusted_root_max),
-            check_fresh: false,
+            fresh_at: None,
         }
     }
 
@@ -667,34 +711,20 @@ impl SnapshotView {
     ///
     /// # Panics
     ///
-    /// Panics if the requested materialisation was not enabled in
-    /// [`LiveOptions`].
+    /// Panics if [`SnapshotBackend::Paged`] is requested without
+    /// [`LiveOptions::serve_paged`].
     fn storage_backend(&self, backend: SnapshotBackend) -> crate::StorageBackend<'_> {
         match backend {
             SnapshotBackend::InMemory => crate::StorageBackend::InMemory,
-            SnapshotBackend::Paged => crate::StorageBackend::Paged(self.paged()),
-            SnapshotBackend::Packed => crate::StorageBackend::Packed(self.packed()),
+            SnapshotBackend::Paged => crate::StorageBackend::Paged(self.base.paged()),
+            SnapshotBackend::Packed => crate::StorageBackend::Packed(&self.base.frozen.packed),
         }
     }
 
-    fn paged(&self) -> &crate::storage::PagedNodes {
-        self.base
-            .paged
-            .as_ref()
-            .expect("snapshot serves no paged image; set LiveOptions::serve_paged")
-    }
-
-    fn packed(&self) -> &crate::packed::PackedTarTree {
-        self.base
-            .packed
-            .as_ref()
-            .expect("snapshot serves no packed image; set LiveOptions::serve_packed")
-    }
-
     /// Answers a kNNTA query against the snapshot (sequential best-first
-    /// search over the in-memory base with the overlay applied).
+    /// search over the base's packed image with the overlay applied).
     pub fn query(&self, query: &KnntaQuery) -> Vec<QueryHit> {
-        self.query_on(query, SnapshotBackend::InMemory)
+        self.query_on(query, SnapshotBackend::Packed)
     }
 
     /// [`SnapshotView::query`] against an explicit serving backend.
@@ -705,7 +735,7 @@ impl SnapshotView {
     /// [`LiveOptions`].
     pub fn query_on(&self, query: &KnntaQuery, backend: SnapshotBackend) -> Vec<QueryHit> {
         crate::plan::run_query(
-            &self.exec_env(),
+            &self.exec_env(backend),
             self.storage_backend(backend),
             crate::plan::ExecMode::Seq,
             query,
@@ -719,7 +749,7 @@ impl SnapshotView {
     ///
     /// Panics if `threads == 0`.
     pub fn query_parallel(&self, query: &KnntaQuery, threads: usize) -> Vec<QueryHit> {
-        self.query_parallel_on(query, threads, SnapshotBackend::InMemory)
+        self.query_parallel_on(query, threads, SnapshotBackend::Packed)
     }
 
     /// [`SnapshotView::query_parallel`] against an explicit serving backend.
@@ -736,7 +766,7 @@ impl SnapshotView {
     ) -> Vec<QueryHit> {
         assert!(threads > 0, "at least one worker thread");
         crate::plan::run_query(
-            &self.exec_env(),
+            &self.exec_env(backend),
             self.storage_backend(backend),
             crate::plan::ExecMode::Par(threads),
             query,
@@ -747,7 +777,7 @@ impl SnapshotView {
     /// default [`BatchOptions`]; each result list is bit-identical to
     /// [`SnapshotView::query`]'s answer for that query.
     pub fn query_batch_collective(&self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
-        self.query_batch_collective_on(queries, &BatchOptions::default(), SnapshotBackend::InMemory)
+        self.query_batch_collective_on(queries, &BatchOptions::default(), SnapshotBackend::Packed)
     }
 
     /// [`SnapshotView::query_batch_collective`] with explicit options and
@@ -763,7 +793,12 @@ impl SnapshotView {
         opts: &BatchOptions,
         backend: SnapshotBackend,
     ) -> Vec<Vec<QueryHit>> {
-        crate::plan::run_batch(&self.exec_env(), self.storage_backend(backend), queries, opts)
+        crate::plan::run_batch(
+            &self.exec_env(backend),
+            self.storage_backend(backend),
+            queries,
+            opts,
+        )
     }
 }
 

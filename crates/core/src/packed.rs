@@ -1,13 +1,18 @@
 //! The packed immutable TAR-tree serving tier.
 //!
-//! [`TarIndex::pack`] bulk-loads the index's current contents into a
-//! [`PackedTarTree`]: one contiguous little-endian word buffer
+//! A [`PackedTarTree`] is one contiguous little-endian word buffer
 //! ([`rtree::PackedTree`], byte layout specified normatively in
 //! `docs/FORMAT.md`) holding level-contiguous node boxes, entry targets and
-//! inline TIA prefix partial sums. Leaf entries are ordered along the same
-//! Hilbert curve the collective batch scheduler uses
-//! (`crate::collective::HILBERT_BITS` over the grouping space), so a
-//! query's frontier touches runs of adjacent entries.
+//! inline TIA prefix partial sums. It is bulk-packed **straight from the
+//! POIs**: an entry's grouping coordinates `(x̂, ŷ, 1 − λ̂p / max λ̂p)` are a
+//! closed-form function of its POI, and leaf entries are ordered by
+//! `(Hilbert key, POI id)` over exactly those coordinates (the curve the
+//! collective batch scheduler uses, `crate::collective::HILBERT_BITS`), so
+//! the image is a pure function of the POI set — no R\*-tree is built and
+//! input order does not influence a byte. [`FrozenIndex::build`] is that
+//! builder plus the small immutable metadata a query execution reads;
+//! [`TarIndex::pack`] runs the same packer over the arena tree's leaf
+//! entries.
 //!
 //! Queries run against the image **zero-copy** through
 //! [`crate::StorageBackend::Packed`]: no per-node allocation, no codec
@@ -21,31 +26,32 @@
 //!
 //! The image serialises page-by-page onto a [`pagestore::Disk`]
 //! ([`PackedTarTree::save_to_disk`] / [`PackedTarTree::load_from_disk`]),
-//! and like [`crate::PagedNodes`] it is a snapshot: querying it after any
-//! index mutation panics ("stale") until repacked.
+//! and like [`crate::PagedNodes`] it is a snapshot: querying it through a
+//! [`TarIndex`] that has mutated since panics ("stale") until repacked.
 
-use crate::augmentation::TiaAug;
-use crate::collective::HILBERT_BITS;
+use crate::collective::{BatchOrder, HILBERT_BITS};
 use crate::hilbert;
-use crate::index::{with_tree, Grouping, TarIndex};
+use crate::index::{z_of, Grouping, IndexConfig, IndexMeta, TarIndex};
 use crate::observe::Probe;
-use crate::poi::Poi;
+use crate::poi::{KnntaQuery, Poi};
 use crate::storage::{NodeSource, NodeView};
-use pagestore::{Bytes, Disk, PageId};
-use rtree::{EntryPayload, GroupingStrategy, NodeId, PackItem, PackedTree, RStarTree};
+use costmodel::IndexStats;
+use knnta_obs::Obs;
+use pagestore::{AccessStats, Bytes, Disk, PageId};
+use rtree::{NodeId, PackItem, PackedTree, Rect};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tempora::AggregateSeries;
+use tempora::{AggregateSeries, EpochGrid};
 
-/// A packed immutable serving image of a [`TarIndex`] (format v1, see
+/// A packed immutable serving image of a POI set (format v1, see
 /// `docs/FORMAT.md`).
 ///
-/// Build one with [`TarIndex::pack`]; query it through
-/// [`crate::StorageBackend::Packed`] via [`TarIndex::query_on`],
-/// [`TarIndex::query_parallel_on`] or
-/// [`TarIndex::query_batch_collective_on`]. The image is tied to the
-/// index's content epoch: after any mutation the next packed query panics
-/// until the index is repacked.
+/// Build one with [`FrozenIndex::build`] (straight from the POIs) or
+/// [`TarIndex::pack`] (from an existing arena tree; same bytes); query it
+/// through [`crate::Executor`], or through [`crate::StorageBackend::Packed`]
+/// via [`TarIndex::query_on`] and friends. An image attached to a
+/// [`TarIndex`] is tied to that index's content epoch: after any mutation
+/// the next packed query panics until the index is repacked.
 pub struct PackedTarTree {
     pub(crate) tree: PackedTree,
     grouping: Grouping,
@@ -74,68 +80,94 @@ fn tag_grouping(tag: u64) -> Option<Grouping> {
     }
 }
 
-/// Flattens every leaf entry of the arena tree into a [`PackItem`]: Hilbert
-/// rank over the grouping-space center as the sort key, the exact
-/// `project2()` box bits, the POI id as the target word, and the entry's
-/// aggregate series re-encoded as inclusive prefix records.
-fn pack_items<const D: usize, S>(t: &RStarTree<D, Poi, TiaAug, S>) -> Vec<PackItem>
-where
-    S: GroupingStrategy<D, AggregateSeries>,
-{
-    // First pass: collect centers raw, tracking the per-axis bounds —
-    // `hilbert_key` quantises the *unit cube*, so grouping-space
-    // coordinates must be normalised before ranking or the curve order
-    // degenerates to clamped-corner ties.
-    let mut centers: Vec<[f64; D]> = Vec::with_capacity(t.len());
-    let mut raw = Vec::with_capacity(t.len());
+/// Hilbert ranks of grouping-space centres, after normalising each axis to
+/// the unit interval over the centres' own bounding box — `hilbert_key`
+/// quantises the *unit cube*, so unnormalised coordinates would all clamp
+/// to one corner and the curve order would degenerate to ties.
+fn hilbert_keys<const D: usize>(centers: &[[f64; D]]) -> Vec<u64> {
     let mut lo = [f64::INFINITY; D];
     let mut hi = [f64::NEG_INFINITY; D];
-    for id in t.node_ids() {
-        let node = t.node(id);
-        if !node.is_leaf() {
-            continue;
-        }
-        for e in &node.entries {
-            let EntryPayload::Data(poi) = &e.payload else {
-                continue;
-            };
-            let mut center = [0.0f64; D];
-            for d in 0..D {
-                center[d] = 0.5 * (e.rect.min[d] + e.rect.max[d]);
-                lo[d] = lo[d].min(center[d]);
-                hi[d] = hi[d].max(center[d]);
-            }
-            centers.push(center);
-            let r2 = e.rect.project2();
-            let mut cum = 0u64;
-            let tia = e
-                .aug
-                .iter()
-                .map(|(epoch, v)| {
-                    cum += v;
-                    (epoch as u64, cum)
-                })
-                .collect();
-            raw.push(([r2.min[0], r2.min[1], r2.max[0], r2.max[1]], poi.id.0 as u64, tia));
+    for center in centers {
+        for d in 0..D {
+            lo[d] = lo[d].min(center[d]);
+            hi[d] = hi[d].max(center[d]);
         }
     }
     centers
         .iter()
-        .zip(raw)
-        .map(|(center, (rect, target, tia))| {
+        .map(|center| {
             let mut unit = [0.0f64; D];
             for d in 0..D {
                 let span = hi[d] - lo[d];
                 unit[d] = if span > 0.0 { (center[d] - lo[d]) / span } else { 0.0 };
             }
-            PackItem {
-                key: hilbert::hilbert_key(unit, HILBERT_BITS),
-                rect,
-                target,
-                tia,
-            }
+            hilbert::hilbert_key(unit, HILBERT_BITS)
         })
         .collect()
+}
+
+/// The one packer: bulk-packs `(POI, series)` pairs into a serving image.
+///
+/// Per POI, in closed form: the normalised position `p̂`, the point box
+/// `[p̂, p̂]`, the Hilbert rank of its grouping-space centre — `(p̂, z)` with
+/// `z = 1 − λ̂p / max λ̂p` over *these* POIs for the TAR grouping, `p̂` alone
+/// for IND-spa / IND-agg — the POI id as the target word, and the series'
+/// inclusive prefix sums as the TIA block. [`PackedTree::pack`] then orders
+/// by `(key, id)`, so `pois` may arrive in any order.
+fn pack_pois(
+    grouping: Grouping,
+    meta: &IndexMeta,
+    content_epoch: u64,
+    pois: &[(Poi, &AggregateSeries)],
+) -> PackedTarTree {
+    let positions: Vec<[f64; 2]> = pois.iter().map(|(poi, _)| meta.norm(poi.pos)).collect();
+    let keys = match grouping {
+        Grouping::TarIntegral => {
+            let m = meta.grid.len();
+            let rates: Vec<f64> = pois.iter().map(|(_, series)| series.mean_rate(m)).collect();
+            let max_rate = rates.iter().copied().fold(0.0, f64::max);
+            let centers: Vec<[f64; 3]> = positions
+                .iter()
+                .zip(&rates)
+                .map(|(p, &rate)| [p[0], p[1], z_of(rate, max_rate)])
+                .collect();
+            hilbert_keys(&centers)
+        }
+        Grouping::IndSpa | Grouping::IndAgg => hilbert_keys(&positions),
+    };
+    let items = keys
+        .into_iter()
+        .zip(&positions)
+        .zip(pois)
+        .map(|((key, p), (poi, series))| {
+            let mut cum = 0u64;
+            PackItem {
+                key,
+                rect: [p[0], p[1], p[0], p[1]],
+                target: poi.id.0 as u64,
+                tia: series
+                    .iter()
+                    .map(|(epoch, v)| {
+                        cum += v;
+                        (epoch as u64, cum)
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    let tree = PackedTree::pack(
+        PACKED_FANOUT,
+        PACKED_FANOUT,
+        items,
+        [grouping_tag(grouping), content_epoch],
+        max_merge,
+    );
+    PackedTarTree {
+        tree,
+        grouping,
+        built_at: content_epoch,
+        fetches: AtomicU64::new(0),
+    }
 }
 
 /// The internal-entry TIA merge: per-epoch **max** over the children's
@@ -187,6 +219,10 @@ impl TarIndex {
     /// per-epoch-max TIA blocks. The resulting [`PackedTarTree`] answers
     /// queries bit-identically to [`TarIndex::query`].
     ///
+    /// Only the leaf entries' POIs and series are read — the image is the
+    /// one [`FrozenIndex::build`] gives for the same POIs (with this index's
+    /// content epoch in `meta1`), whatever the tree's shape.
+    ///
     /// # Examples
     ///
     /// ```
@@ -211,20 +247,131 @@ impl TarIndex {
     /// }
     /// ```
     pub fn pack(&self) -> PackedTarTree {
-        let items = with_tree!(self, t => pack_items(t));
-        let tree = PackedTree::pack(
-            PACKED_FANOUT,
-            PACKED_FANOUT,
-            items,
-            [grouping_tag(self.grouping()), self.content_epoch],
-            max_merge,
-        );
-        PackedTarTree {
-            tree,
-            grouping: self.grouping(),
-            built_at: self.content_epoch,
-            fetches: AtomicU64::new(0),
+        pack_pois(
+            self.grouping(),
+            &self.meta,
+            self.content_epoch,
+            &self.leaf_entries(),
+        )
+    }
+}
+
+/// An arena-free index: the packed serving image of a POI set plus the small
+/// immutable metadata a query execution reads — query space (grid, bounds,
+/// distance scale), root-max series, access counters, observability handle,
+/// content epoch and the planner's [`IndexStats`] — bulk-built straight from
+/// the POIs. No R\*-tree ever exists; [`crate::Executor::frozen`] runs on it.
+///
+/// The image is byte-identical to `TarIndex::build(config, grid, bounds,
+/// pois).pack()` for the same POIs in any order (`tests/direct_pack.rs`).
+///
+/// ```
+/// use knnta_core::{Executor, FrozenIndex, IndexConfig, KnntaQuery, Poi, TarIndex};
+/// use tempora::{AggregateSeries, EpochGrid, TimeInterval};
+///
+/// let grid = EpochGrid::fixed_days(1, 3);
+/// let bounds = rtree::Rect::new([0.0, 0.0], [10.0, 10.0]);
+/// let pois = vec![
+///     (Poi::new(0, 1.0, 1.0), AggregateSeries::from_pairs([(0, 5)])),
+///     (Poi::new(1, 9.0, 9.0), AggregateSeries::from_pairs([(1, 50)])),
+/// ];
+/// let frozen = FrozenIndex::build(IndexConfig::default(), grid.clone(), bounds, &pois);
+///
+/// let index = TarIndex::build(IndexConfig::default(), grid, bounds, pois);
+/// assert_eq!(frozen.packed().to_bytes(), index.pack().to_bytes());
+/// let q = KnntaQuery::new([1.0, 1.0], TimeInterval::days(0, 3)).with_k(2);
+/// assert_eq!(Executor::frozen(&frozen).query(&q), index.query(&q));
+/// ```
+pub struct FrozenIndex {
+    pub(crate) meta: IndexMeta,
+    pub(crate) packed: PackedTarTree,
+    pub(crate) root_max: AggregateSeries,
+    /// Planner inputs, backend availability left `false` (the executor
+    /// fills it in).
+    pub(crate) plan_stats: IndexStats,
+}
+
+impl FrozenIndex {
+    /// Bulk-builds the image and metadata from `pois` (series borrowed, in
+    /// any order). `config` supplies the grouping and the node size the
+    /// planner's fanout is derived from; the image's own fanout is
+    /// [`PACKED_FANOUT`]. The content epoch (header `meta1`) is the POI
+    /// count, as after [`TarIndex::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate POI id (`duplicate insert of {id}`, as
+    /// [`TarIndex::build`] does) and on a non-finite position.
+    pub fn build(
+        config: IndexConfig,
+        grid: EpochGrid,
+        bounds: Rect<2>,
+        pois: &[(Poi, AggregateSeries)],
+    ) -> FrozenIndex {
+        // Ascending id: the duplicate check, and a canonical order for the
+        // planner's aggregate sample (its fit sums floats in sample order).
+        let mut by_id: Vec<(Poi, &AggregateSeries)> =
+            pois.iter().map(|(poi, series)| (*poi, series)).collect();
+        by_id.sort_by_key(|(poi, _)| poi.id);
+        for pair in by_id.windows(2) {
+            assert!(pair[0].0.id != pair[1].0.id, "duplicate insert of {}", pair[1].0.id);
         }
+        for (poi, _) in &by_id {
+            assert!(
+                poi.pos[0].is_finite() && poi.pos[1].is_finite(),
+                "POI {} has a non-finite position {:?}",
+                poi.id,
+                poi.pos
+            );
+        }
+        let meta = IndexMeta::new(grid, bounds, AccessStats::new());
+        let packed = pack_pois(config.grouping, &meta, by_id.len() as u64, &by_id);
+        let plan_stats = crate::plan::index_stats_of(
+            config,
+            &meta.bounds,
+            packed.node_count(),
+            packed.level_count(),
+            &by_id,
+        );
+        FrozenIndex {
+            root_max: AggregateSeries::max_of(by_id.iter().map(|(_, series)| *series)),
+            meta,
+            packed,
+            plan_stats,
+        }
+    }
+
+    /// Freezes an arena index as it stands: its packed image, a copy of its
+    /// metadata (sharing its counters and observability handle), its
+    /// root-max and planner inputs.
+    pub(crate) fn of(index: &TarIndex) -> FrozenIndex {
+        FrozenIndex {
+            meta: index.meta.clone(),
+            packed: index.pack(),
+            root_max: index.root_max_series(),
+            plan_stats: index.index_stats(),
+        }
+    }
+
+    /// The packed serving image.
+    pub fn packed(&self) -> &PackedTarTree {
+        &self.packed
+    }
+
+    /// The access counters queries over this index record into.
+    pub fn stats(&self) -> &AccessStats {
+        &self.meta.stats
+    }
+
+    /// Attaches an observability handle (see [`TarIndex::set_obs`]).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.meta.obs = obs;
+    }
+
+    /// [`TarIndex::batch_order`] — a function of the query space alone, so
+    /// it needs no tree.
+    pub fn batch_order(&self, queries: &[KnntaQuery], order: BatchOrder) -> Vec<usize> {
+        self.meta.batch_order(queries, order)
     }
 }
 
@@ -312,6 +459,11 @@ impl PackedTarTree {
         }
         buf.truncate(pages.bytes);
         PackedTarTree::from_bytes(&buf)
+    }
+
+    /// The content epoch the image was packed at (header `meta1`).
+    pub(crate) fn built_at(&self) -> u64 {
+        self.built_at
     }
 
     pub(crate) fn check_fresh(&self, content_epoch: u64) {

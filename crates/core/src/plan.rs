@@ -21,22 +21,22 @@
 //! it, and feeds the measurement back. See `DESIGN.md` §14.
 
 use crate::collective::{batch_attrs, collective_on_nodes, BatchOptions};
-use crate::index::{with_tree, QueryCtx, TarIndex};
+use crate::index::{with_tree, IndexConfig, IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{QueryScope, ScopeBackend};
-use crate::packed::{PackedSource, PackedTarTree};
-use crate::poi::{KnntaQuery, QueryHit};
+use crate::packed::{FrozenIndex, PackedSource, PackedTarTree};
+use crate::poi::{KnntaQuery, Poi, QueryHit};
 use crate::search::{bfs_query_nodes, entry_tia};
 use crate::storage::{
     MemNodes, NodeSource, OverlayNodes, PagedNodes, PagedStoreImpl, StorageBackend,
 };
 use costmodel::{IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec};
 use knnta_obs::{LiveWindows, SpanId, WindowHistogram};
-use rtree::RTreeParams;
+use rtree::{RTreeParams, Rect};
 use std::collections::HashMap;
 use tempora::{AggregateSeries, PoiId};
 
 /// A computation over a generic node source, dispatched by
-/// [`TarIndex::with_nodes`]. This is the rank-2 trick that lets one
+/// [`ExecEnv::with_nodes`]. This is the rank-2 trick that lets one
 /// function body run against the in-memory arena (`D = 2` or `3`), either
 /// paged store instantiation, or the packed image, without monomorphising
 /// the call sites five times by hand.
@@ -48,27 +48,15 @@ pub(crate) trait SourceOp {
 }
 
 impl TarIndex {
-    /// Dispatches `op` over the node source selected by `backend` — the
-    /// single place that knows how to reach all five tree instantiations.
-    pub(crate) fn with_nodes<O: SourceOp>(&self, backend: StorageBackend<'_>, op: O) -> O::Out {
-        match backend {
-            StorageBackend::InMemory => with_tree!(self, t => op.run(&MemNodes(t))),
-            StorageBackend::Paged(paged) => match &paged.store {
-                PagedStoreImpl::D3(s) => op.run(s),
-                PagedStoreImpl::D2(s) => op.run(s),
-            },
-            StorageBackend::Packed(packed) => op.run::<2, _>(&PackedSource(packed)),
-        }
-    }
-
     /// The fixed-plan environment for direct index queries: no overlay, the
     /// index's own normaliser, staleness checks on.
     pub(crate) fn exec_env(&self) -> ExecEnv<'_> {
         ExecEnv {
-            index: self,
+            meta: &self.meta,
+            arena: Some(self),
             overlay: None,
             root_max: None,
-            check_fresh: true,
+            fresh_at: Some(self.content_epoch),
         }
     }
 }
@@ -83,43 +71,63 @@ pub(crate) struct OverlayRef<'e> {
     pub total: &'e AggregateSeries,
 }
 
-/// Everything an execution needs besides the plan itself: the index, an
-/// optional overlay, an optional caller-owned `gmax` source, and whether
-/// paged/packed backends must be checked for staleness (snapshots own their
-/// images, so they skip the check).
+/// Everything an execution needs besides the plan itself: the query space
+/// and sinks, the arena tree when there is one, an optional overlay, an
+/// optional caller-owned `gmax` source, and the content epoch paged/packed
+/// backends must match (snapshots own their images, so they skip the check).
 #[derive(Clone, Copy)]
 pub(crate) struct ExecEnv<'e> {
-    /// The index whose stats / obs / grid drive the execution.
-    pub index: &'e TarIndex,
+    /// The stats / obs / grid / bounds that drive the execution.
+    pub meta: &'e IndexMeta,
+    /// The arena tree: what [`StorageBackend::InMemory`] traverses and
+    /// where `gmax` comes from when `root_max` is `None`. A
+    /// [`FrozenIndex`] has none.
+    pub arena: Option<&'e TarIndex>,
     /// Frozen delta overlay (live snapshots only).
     pub overlay: Option<OverlayRef<'e>>,
     /// Root-max series for the `gmax` normaliser; `None` reads it from the
-    /// index per query (or once per batch).
+    /// arena per query (or once per batch).
     pub root_max: Option<&'e AggregateSeries>,
-    /// Whether paged/packed backends are validated against the index's
-    /// content epoch.
-    pub check_fresh: bool,
+    /// The content epoch paged/packed backends are validated against;
+    /// `None` skips the check.
+    pub fresh_at: Option<u64>,
 }
 
 impl<'e> ExecEnv<'e> {
+    fn arena(&self) -> &'e TarIndex {
+        self.arena
+            .expect("an execution without an arena tree carries its root-max and never runs in memory")
+    }
+
     fn ctx(&self, query: &KnntaQuery) -> QueryCtx<'e> {
-        match self.root_max {
-            Some(rm) => self.index.ctx_with_normalizer(
-                query,
-                (rm.aggregate_over(self.index.grid(), query.interval) as f64).max(1.0),
-            ),
-            None => self.index.ctx(query),
-        }
+        let gmax = match self.root_max {
+            Some(rm) => (rm.aggregate_over(&self.meta.grid, query.interval) as f64).max(1.0),
+            None => self.arena().aggregate_normalizer(query.interval),
+        };
+        self.meta.ctx_with_normalizer(query, gmax)
     }
 
     fn check_backend(&self, backend: StorageBackend<'_>) {
-        if !self.check_fresh {
+        let Some(content_epoch) = self.fresh_at else {
             return;
-        }
+        };
         match backend {
             StorageBackend::InMemory => {}
-            StorageBackend::Paged(p) => p.check_fresh(self.index.content_epoch),
-            StorageBackend::Packed(p) => p.check_fresh(self.index.content_epoch),
+            StorageBackend::Paged(p) => p.check_fresh(content_epoch),
+            StorageBackend::Packed(p) => p.check_fresh(content_epoch),
+        }
+    }
+
+    /// Dispatches `op` over the node source selected by `backend` — the
+    /// single place that knows how to reach all five tree instantiations.
+    fn with_nodes<O: SourceOp>(&self, backend: StorageBackend<'_>, op: O) -> O::Out {
+        match backend {
+            StorageBackend::InMemory => with_tree!(self.arena(), t => op.run(&MemNodes(t))),
+            StorageBackend::Paged(paged) => match &paged.store {
+                PagedStoreImpl::D3(s) => op.run(s),
+                PagedStoreImpl::D2(s) => op.run(s),
+            },
+            StorageBackend::Packed(packed) => op.run::<2, _>(&PackedSource(packed)),
         }
     }
 }
@@ -154,21 +162,21 @@ pub(crate) fn run_query(
     }
     env.check_backend(backend);
     let ctx = env.ctx(query);
-    let index = env.index;
+    let meta = env.meta;
     let (label, threads) = match mode {
         ExecMode::Seq => ("seq", 1),
         ExecMode::Par(t) => ("par", t),
     };
     let scope = QueryScope::begin_query(
-        index.obs(),
-        index.stats(),
+        &meta.obs,
+        &meta.stats,
         label,
         scope_backend(backend),
         query,
         threads,
     );
     let parent = scope.as_ref().map_or(SpanId::NONE, QueryScope::span_id);
-    let hits = index.with_nodes(
+    let hits = env.with_nodes(
         backend,
         QueryOp {
             env,
@@ -203,9 +211,9 @@ impl SourceOp for QueryOp<'_, '_> {
                     per_poi: ov.per_poi,
                     total: ov.total,
                 };
-                exec_search(self.env.index, &nodes, self.ctx, self.k, self.mode, self.parent)
+                exec_search(self.env.meta, &nodes, self.ctx, self.k, self.mode, self.parent)
             }
-            None => exec_search(self.env.index, nodes, self.ctx, self.k, self.mode, self.parent),
+            None => exec_search(self.env.meta, nodes, self.ctx, self.k, self.mode, self.parent),
         }
     }
 }
@@ -214,7 +222,7 @@ impl SourceOp for QueryOp<'_, '_> {
 /// best-first search, or the parallel frontier with caller-side access
 /// accounting.
 fn exec_search<const D: usize, N: NodeSource<D> + Sync>(
-    index: &TarIndex,
+    meta: &IndexMeta,
     nodes: &N,
     ctx: &QueryCtx<'_>,
     k: usize,
@@ -224,18 +232,18 @@ fn exec_search<const D: usize, N: NodeSource<D> + Sync>(
     match mode {
         ExecMode::Seq => bfs_query_nodes(
             nodes,
-            index.stats(),
+            &meta.stats,
             ctx,
             k,
             entry_tia(ctx),
-            index.obs(),
+            &meta.obs,
             parent,
         ),
         ExecMode::Par(threads) => {
             let (hits, nodes_n, leaves) =
-                crate::frontier::parallel_bfs(nodes, ctx, k, threads, index.obs(), parent);
-            index.stats().record_node_accesses(nodes_n);
-            index.stats().record_leaf_accesses(leaves);
+                crate::frontier::parallel_bfs(nodes, ctx, k, threads, &meta.obs, parent);
+            meta.stats.record_node_accesses(nodes_n);
+            meta.stats.record_leaf_accesses(leaves);
             hits
         }
     }
@@ -250,10 +258,10 @@ pub(crate) fn run_batch(
     opts: &BatchOptions,
 ) -> Vec<Vec<QueryHit>> {
     env.check_backend(backend);
-    let index = env.index;
+    let meta = env.meta;
     let scope = QueryScope::begin(
-        index.obs(),
-        index.stats(),
+        &meta.obs,
+        &meta.stats,
         "batch",
         "collective",
         scope_backend(backend),
@@ -266,11 +274,11 @@ pub(crate) fn run_batch(
     let root_max = match env.root_max {
         Some(rm) => rm,
         None => {
-            owned = index.root_max_series();
+            owned = env.arena().root_max_series();
             &owned
         }
     };
-    let results = index.with_nodes(
+    let results = env.with_nodes(
         backend,
         BatchOp {
             env,
@@ -298,7 +306,7 @@ impl SourceOp for BatchOp<'_, '_> {
     type Out = Vec<Vec<QueryHit>>;
 
     fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<Vec<QueryHit>> {
-        let index = self.env.index;
+        let meta = self.env.meta;
         match self.env.overlay {
             Some(ov) => {
                 let nodes = OverlayNodes {
@@ -306,27 +314,11 @@ impl SourceOp for BatchOp<'_, '_> {
                     per_poi: ov.per_poi,
                     total: ov.total,
                 };
-                collective_on_nodes(
-                    &nodes,
-                    index.stats(),
-                    index,
-                    self.root_max,
-                    self.queries,
-                    self.opts,
-                    index.obs(),
-                    self.parent,
-                )
+                collective_on_nodes(&nodes, meta, self.root_max, self.queries, self.opts, self.parent)
             }
-            None => collective_on_nodes(
-                nodes,
-                index.stats(),
-                index,
-                self.root_max,
-                self.queries,
-                self.opts,
-                index.obs(),
-                self.parent,
-            ),
+            None => {
+                collective_on_nodes(nodes, meta, self.root_max, self.queries, self.opts, self.parent)
+            }
         }
     }
 }
@@ -343,27 +335,46 @@ impl TarIndex {
     /// is left `false` — [`Executor`] fills it in from the images actually
     /// attached.
     pub fn index_stats(&self) -> IndexStats {
-        let pois = self.export_pois();
-        let aggregates: Vec<u64> = pois
-            .iter()
-            .map(|(_, s)| s.iter().map(|(_, v)| v).sum())
-            .collect();
-        let positions: Vec<[f64; 2]> = pois.iter().map(|(p, _)| p.pos).collect();
-        let b = self.bounds();
-        let support_area = costmodel::estimate_support_area(&positions, (b.min, b.max));
-        let params = RTreeParams::for_node_size(self.config_node_size(), self.grouping().dims());
-        IndexStats {
-            n: self.len(),
-            node_count: self.node_count(),
-            height: self.height() as usize + 1,
-            fanout: costmodel::effective_fanout(params.max_entries),
-            aggregates,
-            support_area,
-            paged_available: false,
-            packed_available: false,
-            buffer_capacity: 0,
-            max_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        }
+        let mut by_id = self.leaf_entries();
+        by_id.sort_by_key(|(poi, _)| poi.id);
+        index_stats_of(
+            self.config(),
+            self.bounds(),
+            self.node_count(),
+            self.height() as usize + 1,
+            &by_id,
+        )
+    }
+}
+
+/// The planner's inputs for a POI table in ascending-id order (a canonical
+/// order: the power-law fit sums floats in sample order, so the arena and
+/// the frozen index must present the same sequence to plan bit-equally).
+/// `node_count` / `height` are whichever tree the caller has — the arena's
+/// or the packed image's; they only cap the calibrated estimate and feed the
+/// degenerate-sample fallback.
+pub(crate) fn index_stats_of(
+    config: IndexConfig,
+    bounds: &Rect<2>,
+    node_count: usize,
+    height: usize,
+    by_id: &[(Poi, &AggregateSeries)],
+) -> IndexStats {
+    let aggregates: Vec<u64> = by_id.iter().map(|(_, s)| s.total()).collect();
+    let positions: Vec<[f64; 2]> = by_id.iter().map(|(p, _)| p.pos).collect();
+    let support_area = costmodel::estimate_support_area(&positions, (bounds.min, bounds.max));
+    let params = RTreeParams::for_node_size(config.node_size, config.grouping.dims());
+    IndexStats {
+        n: by_id.len(),
+        node_count,
+        height,
+        fanout: costmodel::effective_fanout(params.max_entries),
+        aggregates,
+        support_area,
+        paged_available: false,
+        packed_available: false,
+        buffer_capacity: 0,
+        max_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
 }
 
@@ -401,7 +412,7 @@ impl TarIndex {
 /// assert!(plan.estimated_node_accesses > 0.0);
 /// ```
 pub struct Executor<'a> {
-    index: &'a TarIndex,
+    base: Base<'a>,
     paged: Option<&'a PagedNodes>,
     packed: Option<&'a PackedTarTree>,
     root_max: Option<&'a AggregateSeries>,
@@ -415,6 +426,37 @@ pub struct Executor<'a> {
     ratio_window: Option<WindowHistogram>,
 }
 
+/// What an [`Executor`] runs over: an arena index (which may mutate between
+/// queries), or a frozen image + metadata.
+#[derive(Clone, Copy)]
+enum Base<'a> {
+    Arena(&'a TarIndex),
+    Frozen(&'a FrozenIndex),
+}
+
+impl<'a> Base<'a> {
+    fn meta(self) -> &'a IndexMeta {
+        match self {
+            Base::Arena(index) => &index.meta,
+            Base::Frozen(frozen) => &frozen.meta,
+        }
+    }
+
+    fn content_epoch(self) -> u64 {
+        match self {
+            Base::Arena(index) => index.content_epoch,
+            Base::Frozen(frozen) => frozen.packed.built_at(),
+        }
+    }
+
+    fn index_stats(self) -> IndexStats {
+        match self {
+            Base::Arena(index) => index.index_stats(),
+            Base::Frozen(frozen) => frozen.plan_stats.clone(),
+        }
+    }
+}
+
 impl<'a> Executor<'a> {
     /// Name of the windowed measured/estimated cost-ratio histogram
     /// (values ×1000; see [`Executor::with_windows`]).
@@ -425,8 +467,12 @@ impl<'a> Executor<'a> {
     /// An executor over `index` with a fresh (identity-calibrated) planner
     /// and no extra serving tiers attached.
     pub fn new(index: &'a TarIndex) -> Executor<'a> {
+        Self::over(Base::Arena(index))
+    }
+
+    fn over(base: Base<'a>) -> Executor<'a> {
         Executor {
-            index,
+            base,
             paged: None,
             packed: None,
             root_max: None,
@@ -434,6 +480,20 @@ impl<'a> Executor<'a> {
             stats: None,
             last_plan: None,
             ratio_window: None,
+        }
+    }
+
+    /// An executor over a [`FrozenIndex`]: its packed image attached, its
+    /// own root-max as the `gmax` source (override with
+    /// [`Executor::with_root_max`]), no arena tree — the planner never picks
+    /// the in-memory backend. Plans and answers are bit-equal to
+    /// `Executor::new(&index).with_packed(&index.pack())` over a
+    /// [`TarIndex`] built from the same POIs.
+    pub fn frozen(frozen: &'a FrozenIndex) -> Executor<'a> {
+        Executor {
+            packed: Some(&frozen.packed),
+            root_max: Some(&frozen.root_max),
+            ..Self::over(Base::Frozen(frozen))
         }
     }
 
@@ -467,10 +527,14 @@ impl<'a> Executor<'a> {
     /// freshness checks on, the optional caller-owned normaliser.
     fn env(&self) -> ExecEnv<'a> {
         ExecEnv {
-            index: self.index,
+            meta: self.base.meta(),
+            arena: match self.base {
+                Base::Arena(index) => Some(index),
+                Base::Frozen(_) => None,
+            },
             overlay: None,
             root_max: self.root_max,
-            check_fresh: true,
+            fresh_at: Some(self.base.content_epoch()),
         }
     }
 
@@ -532,9 +596,9 @@ impl<'a> Executor<'a> {
     }
 
     fn refresh_stats(&mut self) {
-        let epoch = self.index.content_epoch;
+        let epoch = self.base.content_epoch();
         if !matches!(&self.stats, Some((e, ..)) if *e == epoch) {
-            let stats = self.index.index_stats();
+            let stats = self.base.index_stats();
             let fp = stats.fingerprint();
             self.stats = Some((epoch, stats, fp));
         }
@@ -595,9 +659,9 @@ impl<'a> Executor<'a> {
     /// into the calibration.
     pub fn query(&mut self, query: &KnntaQuery) -> Vec<QueryHit> {
         let plan = self.plan(query);
-        let before = self.index.stats().snapshot().node_accesses;
+        let before = self.base.meta().stats.snapshot().node_accesses;
         let hits = self.execute(query, &plan);
-        let after = self.index.stats().snapshot().node_accesses;
+        let after = self.base.meta().stats.snapshot().node_accesses;
         let measured = after.saturating_sub(before);
         self.planner.feedback(&plan, measured);
         self.window_feedback(&plan, measured);
@@ -613,9 +677,9 @@ impl<'a> Executor<'a> {
             ..BatchOptions::default()
         };
         let backend = self.backend_of(&plan);
-        let before = self.index.stats().snapshot().node_accesses;
+        let before = self.base.meta().stats.snapshot().node_accesses;
         let results = run_batch(&self.env(), backend, queries, &opts);
-        let after = self.index.stats().snapshot().node_accesses;
+        let after = self.base.meta().stats.snapshot().node_accesses;
         let measured = after.saturating_sub(before);
         self.planner.feedback(&plan, measured);
         self.window_feedback(&plan, measured);

@@ -10,10 +10,12 @@
 //! itself, which [`SnapshotView::cumulative_deltas`] must reproduce exactly
 //! no matter how writers, sealers and mergers interleave.
 
-use knnta_core::{Grouping, IndexConfig, LiveIndex, LiveOptions, Poi, TarIndex};
+use knnta_core::{
+    Grouping, IndexConfig, KnntaQuery, LiveIndex, LiveOptions, Poi, SnapshotBackend, TarIndex,
+};
 use knnta_util::prop::{check, Gen};
 use std::collections::BTreeMap;
-use tempora::{AggregateSeries, CheckIn, EpochGrid, PoiId, Timestamp};
+use tempora::{AggregateSeries, CheckIn, EpochGrid, PoiId, TimeInterval, Timestamp};
 
 const EPOCHS: usize = 6;
 const POIS: u32 = 8;
@@ -282,5 +284,52 @@ fn event_counters_conserve_under_any_interleaving() {
             live.recorded(),
             "no event lost or double-counted"
         );
+    });
+}
+
+#[test]
+fn merged_base_image_is_canonical_and_backends_agree_through_an_overlay() {
+    // A merge is a fold plus a pack: the new base image is packed straight
+    // from the folded POI table, and the arena tree is only materialised on
+    // demand. The two must be the same index — the arena packs to the very
+    // bytes the snapshot serves — and a query must answer bit-identically on
+    // the default path, the arena and the image, through a non-empty overlay.
+    check("live_merged_base_is_canonical", 48, |g| {
+        let (grid, index) = tiny_index();
+        let live = LiveIndex::new(index, 0);
+        let record_all = |g: &mut Gen| {
+            let events = g.vec(1, 40, |g| {
+                Ev::In(g.u32_in(0..POIS), g.usize_in(0..EPOCHS), g.u64_in(1..5))
+            });
+            for ev in events {
+                live.record(checkin_of(&grid, g, ev));
+            }
+            live.seal_epoch();
+        };
+        record_all(g);
+        assert!(live.merge_sealed() > 0);
+        record_all(g);
+        let snap = live.snapshot();
+        assert!(
+            snap.index().pack().to_bytes() == snap.packed().to_bytes(),
+            "materialised arena and merged base image disagree"
+        );
+        assert!(!snap.cumulative_deltas().is_empty());
+        for _ in 0..4 {
+            let (a, b) = (g.i64_in(0..EPOCHS as i64), g.i64_in(0..EPOCHS as i64));
+            let q = KnntaQuery::new(
+                [g.f64_in(0.0..100.0), g.f64_in(0.0..100.0)],
+                TimeInterval::days(a.min(b), a.max(b) + 1),
+            )
+            .with_k(g.usize_in(1..POIS as usize + 2))
+            .with_alpha0(g.f64_in(0.05..0.95));
+            let bits = |hits: Vec<knnta_core::QueryHit>| -> Vec<(PoiId, u64, u64)> {
+                hits.iter().map(|h| (h.poi, h.score.to_bits(), h.aggregate)).collect()
+            };
+            let want = bits(snap.query(&q));
+            assert_eq!(bits(snap.query_on(&q, SnapshotBackend::InMemory)), want);
+            assert_eq!(bits(snap.query_on(&q, SnapshotBackend::Packed)), want);
+        }
+        live.validate();
     });
 }

@@ -25,8 +25,10 @@
 //!   streaming generalisation of the static batches of PR 4.
 //! * **Shards**: the POI set is partitioned across `shards` engine shards
 //!   by [`knnta_core::partition_pois`] (contiguous Hilbert runs). Every
-//!   shard builds its own `TarIndex` + packed image **with the global grid
-//!   and global bounds**, and executes through a [`knnta_core::Executor`]
+//!   shard is a [`knnta_core::FrozenIndex`] — a packed image plus metadata,
+//!   bulk-built straight from the shard's POIs **with the global grid and
+//!   global bounds**, no R\*-tree — and executes through a
+//!   [`knnta_core::Executor`]
 //!   (cost-model planner + EWMA calibration, per shard) seeded with the
 //!   **global root-max** series ([`knnta_core::Executor::with_root_max`])
 //!   so per-shard scores are bit-identical to the unsharded tree's.
@@ -35,7 +37,7 @@
 //!   order. `tests/service_oracle.rs` is the differential proof that the
 //!   whole pipeline is bit-identical to one-at-a-time unsharded execution.
 //! * **Faults**: a shard worker panic is caught at the execution boundary;
-//!   the shard is rebuilt from its retained POIs and the flush retried
+//!   the shard is re-packed from its retained POIs and the flush retried
 //!   (bounded by [`ServiceConfig::retry_limit`] and
 //!   [`ServiceConfig::deadline`]). Exhausted retries propagate the original
 //!   panic payload through [`Ticket::wait`] via `resume_unwind`, matching
@@ -67,8 +69,8 @@ pub use telemetry::{
 };
 
 use knnta_core::{
-    merge_ranked, partition_pois, BatchOrder, Executor, IndexConfig, KnntaQuery, Obs,
-    PackedTarTree, Planner, Poi, QueryHit, TarIndex,
+    merge_ranked, partition_pois, BatchOrder, Executor, FrozenIndex, IndexConfig, KnntaQuery, Obs,
+    Planner, Poi, QueryHit,
 };
 use knnta_obs::SpanId;
 use knnta_util::chan::{self, OneshotReceiver, OneshotSender, Receiver, RecvError, Sender};
@@ -276,12 +278,11 @@ enum MergeMsg {
 /// wholesale on rebuild.
 struct ShardData {
     generation: u64,
-    index: TarIndex,
-    packed: PackedTarTree,
+    frozen: FrozenIndex,
 }
 
-/// A shard: its retained build inputs (for rebuilds) plus the current
-/// [`ShardData`] generation.
+/// A shard: its retained build inputs (for rebuilds; the only copy of the
+/// series) plus the current [`ShardData`] generation.
 struct ShardState {
     id: usize,
     pois: Vec<(Poi, AggregateSeries)>,
@@ -291,8 +292,9 @@ struct ShardState {
     slot: Mutex<Arc<ShardData>>,
 }
 
-/// Builds one shard generation: a TAR-tree over the shard's POIs with the
-/// *global* grid and bounds, plus its packed serving image.
+/// Builds one shard generation: the packed serving image over the shard's
+/// POIs with the *global* grid and bounds, packed straight from the POIs (a
+/// pure function of them, so every generation has the same bytes).
 fn build_shard(
     pois: &[(Poi, AggregateSeries)],
     grid: &EpochGrid,
@@ -300,19 +302,9 @@ fn build_shard(
     obs: &Obs,
     generation: u64,
 ) -> Arc<ShardData> {
-    let mut index = TarIndex::build(
-        IndexConfig::default(),
-        grid.clone(),
-        bounds,
-        pois.iter().cloned(),
-    );
-    index.set_obs(obs.clone());
-    let packed = index.pack();
-    Arc::new(ShardData {
-        generation,
-        index,
-        packed,
-    })
+    let mut frozen = FrozenIndex::build(IndexConfig::default(), grid.clone(), bounds, pois);
+    frozen.set_obs(obs.clone());
+    Arc::new(ShardData { generation, frozen })
 }
 
 impl ShardState {
@@ -368,7 +360,7 @@ pub struct Service {
     submit_tx: Sender<Entry>,
     submitted: knnta_obs::Counter,
     obs: Obs,
-    shards: usize,
+    shards: Vec<Arc<ShardState>>,
     telemetry: Arc<ServiceTelemetry>,
     pools: Vec<ThreadPool>,
 }
@@ -408,12 +400,15 @@ impl Service {
         let parts = partition_pois(&positions, &bounds, shards_n);
 
         let counters = Arc::new(Counters::new(&obs));
+        let mut pois: Vec<Option<(Poi, AggregateSeries)>> = pois.into_iter().map(Some).collect();
         let shards: Vec<Arc<ShardState>> = parts
             .iter()
             .enumerate()
             .map(|(id, part)| {
-                let shard_pois: Vec<(Poi, AggregateSeries)> =
-                    part.iter().map(|&i| pois[i].clone()).collect();
+                let shard_pois: Vec<(Poi, AggregateSeries)> = part
+                    .iter()
+                    .map(|&i| pois[i].take().expect("a partition holds each POI once"))
+                    .collect();
                 let data = build_shard(&shard_pois, &grid, bounds, &obs, 1);
                 Arc::new(ShardState {
                     id,
@@ -433,8 +428,9 @@ impl Service {
         let shard_channels: Vec<(Sender<Task>, Receiver<Task>)> =
             (0..shards_n).map(|_| chan::channel::<Task>()).collect();
 
-        // Admission orders each flush with a shard tree (same global grid
-        // and bounds as the unsharded tree, so the same Hilbert ordering).
+        // Admission orders each flush with a shard's metadata (same global
+        // grid and bounds as the unsharded tree, so the same Hilbert
+        // ordering).
         let order_data = shards[0].current();
 
         let admit_pool = ThreadPool::new("knnta-admit", 1);
@@ -493,7 +489,7 @@ impl Service {
             submit_tx,
             submitted: counters.submitted.clone(),
             obs,
-            shards: shards_n,
+            shards,
             telemetry,
             // Join order at shutdown: admission (drains + closes shard
             // queues) → workers (drain + drop their merge senders) →
@@ -528,7 +524,21 @@ impl Service {
     /// Number of engine shards actually running (after clamping to the POI
     /// count).
     pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Every shard's current `(generation, packed image bytes)`, in shard
+    /// order. A generation is 1 at start and goes up by one per rebuild;
+    /// the image is a pure function of the shard's POIs, so its bytes are
+    /// the same at every generation (`tests/service_faults.rs`).
+    pub fn shard_images(&self) -> Vec<(u64, Vec<u8>)> {
         self.shards
+            .iter()
+            .map(|shard| {
+                let data = shard.current();
+                (data.generation, data.frozen.packed().to_bytes())
+            })
+            .collect()
     }
 
     /// The observability handle every phase reports into.
@@ -611,7 +621,7 @@ fn admission_loop(
 
         let tile_span = obs.span("tile", SpanId::NONE);
         let queries: Vec<KnntaQuery> = batch.iter().map(|e| e.query).collect();
-        let order = order_data.index.batch_order(&queries, BatchOrder::Hilbert);
+        let order = order_data.frozen.batch_order(&queries, BatchOrder::Hilbert);
         let mut slots: Vec<Option<Entry>> = batch.into_iter().map(Some).collect();
         let entries: Vec<Entry> = order
             .iter()
@@ -671,8 +681,7 @@ fn worker_loop(
     let mut pending: Option<(Task, usize)> = None;
     'generations: loop {
         let data = state.current();
-        let mut exec = Executor::new(&data.index)
-            .with_packed(&data.packed)
+        let mut exec = Executor::frozen(&data.frozen)
             .with_root_max(root_max)
             .with_planner(planner.clone())
             .with_windows(telemetry.windows());

@@ -21,10 +21,13 @@
 # byte-for-byte.
 #
 # Benchmark lane (always on): the traversal-work ledger
-# (tests/fixtures/work_ledger.golden.txt) must be unchanged, and the
-# stand-alone benchmark program (perfbench/, what BENCHMARK.json runs) must
-# still build against the workspace crates and pass its own tests — the only
-# guard that a deletion under crates/ did not break it.
+# (tests/fixtures/work_ledger.golden.txt) must be unchanged, the direct
+# packer must reproduce build-then-pack byte for byte (tests/direct_pack.rs),
+# crates/service must not name the pointer tree (shards are packed straight
+# from their POIs), and the stand-alone benchmark program (perfbench/, what
+# BENCHMARK.json runs) must still build against the workspace crates and
+# pass its own tests — the only guard that a deletion under crates/ did not
+# break it.
 #
 # Opt-in bench-diff lane: KNNTA_BENCH_DIFF=<baseline_dir> runs the bench
 # suites in smoke mode and fails tier-1 if any p95 regresses by more than
@@ -68,8 +71,13 @@ echo "== docs: rustdoc warning-clean + packed-format golden fixture =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --offline --test format_golden
 
-echo "== benchmark: work ledger unchanged + perfbench builds and passes =="
+echo "== benchmark: work ledger unchanged + direct pack + perfbench builds and passes =="
 cargo test -q --offline --test work_ledger
+cargo test -q --offline --test direct_pack
+if grep -rq TarIndex crates/service/src; then
+    echo "crates/service/src names TarIndex: shards must stay image + metadata" >&2
+    exit 1
+fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if [ "${KNNTA_SOAK:-0}" != "0" ] && [ -n "${KNNTA_SOAK:-}" ]; then

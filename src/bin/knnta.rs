@@ -30,6 +30,30 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
+/// Writes to stdout. A closed pipe (`knnta skyline … | head`) ends the
+/// process quietly with status 0, like any Unix filter, where `println!`
+/// would panic; every stdout write of the CLI goes through here (the
+/// `out!` / `outln!` macros).
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through `emit`.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through `emit`.
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -68,7 +92,7 @@ fn main() -> ExitCode {
         "mwa" => mwa(&opts),
         "skyline" => skyline(&opts),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => Err(format!("unknown command `{other}`")),
@@ -548,35 +572,35 @@ fn ingest(opts: &Opts) -> Result<(), String> {
     };
 
     let micros = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    println!(
+    outln!(
         "dataset:     {name} ×{scale} ({} venues, {} epochs of {epoch_days} days)",
         snapshot.len(),
         grid.len()
     );
-    println!(
+    outln!(
         "ingested:    {events} check-ins via {writers} writers / {shards} shards in {:.3}s \
          ({:.0} check-ins/sec)",
         elapsed.as_secs_f64(),
         events as f64 / elapsed.as_secs_f64()
     );
-    println!(
+    outln!(
         "counters:    recorded={recorded} sealed={sealed} pending={pending} dropped={dropped} \
          (conserved)"
     );
-    println!(
+    outln!(
         "watermark:   {} ({merged} sealed batches folded into the base tree)",
         snap.watermark()
     );
     if !mid_lat.is_empty() {
         let mut lat = mid_lat;
         lat.sort();
-        println!(
+        outln!(
             "query (mid-ingest):  median {:.1} µs over {} snapshots (k=10, full span)",
             micros(lat[lat.len() / 2]),
             lat.len()
         );
     }
-    println!("query (post-merge):  median {:.1} µs (k=10, full span)", micros(post_lat));
+    outln!("query (post-merge):  median {:.1} µs (k=10, full span)", micros(post_lat));
     Ok(())
 }
 
@@ -657,7 +681,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
         ..ClientConfig::default()
     };
     let stream = powerlaw_queries(&dataset, &client);
-    println!(
+    outln!(
         "serving:     {name} ×{scale} ({venues} venues) on {} shards × {workers} workers, \
          flush at {max_batch} queries or {max_delay_us} µs",
         service.shards()
@@ -675,7 +699,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
         std::fs::write(path, snap.to_json()).map_err(|e| format!("{path}: {e}"))?;
         let e2e = snap.histogram(knnta::service::W_E2E_US);
         if let Some(h) = e2e {
-            println!(
+            outln!(
                 "window:      e2e p50 {} µs   p95 {} µs   p99 {} µs over {} queries \
                  (last {} admission epochs)",
                 h.p50, h.p95, h.p99, h.count, snap.windows
@@ -687,7 +711,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
         let doc = telemetry.tail_trace();
         doc.validate()?;
         std::fs::write(path, doc.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        outln!(
             "tail:        {} traces kept (of {} answered) above the rolling ~p95 \
              threshold ({} µs)",
             telemetry.tail_kept_ever(),
@@ -696,24 +720,24 @@ fn serve(opts: &Opts) -> Result<(), String> {
         );
         eprintln!("(tail: {} spans -> {path})", doc.spans.len());
     }
-    println!(
+    outln!(
         "client:      {} open-loop queries offered at {rate:.0}/s (power-law points, \
          k={k}, α0={alpha0})",
         report.completed
     );
-    println!(
+    outln!(
         "throughput:  {:.0} answered/s over {:.3}s",
         report.qps,
         report.elapsed.as_secs_f64()
     );
-    println!(
+    outln!(
         "latency:     p50 {} µs   p95 {} µs   max {} µs (submit-to-answer)",
         report.p50_us, report.p95_us, report.max_us
     );
     if obs_wanted {
         let metrics = obs.metrics_snapshot();
         let c = |name: &str| metrics.counter(name).unwrap_or(0);
-        println!(
+        outln!(
             "service:     {} flushes ({} size-triggered), {} retries, {} rebuilds, {} failures",
             c(knnta::service::M_FLUSHES),
             c(knnta::service::M_FLUSH_FULL),
@@ -733,18 +757,18 @@ fn open_index(opts: &Opts) -> Result<TarIndex, String> {
 
 fn stats(opts: &Opts) -> Result<(), String> {
     let index = open_index(opts)?;
-    println!("grouping:   {}", index.grouping());
-    println!("pois:       {}", index.len());
-    println!("nodes:      {}", index.node_count());
-    println!("height:     {}", index.height());
-    println!("node size:  {} bytes", index.config_node_size());
-    println!("epochs:     {}", index.grid().len());
-    println!(
+    outln!("grouping:   {}", index.grouping());
+    outln!("pois:       {}", index.len());
+    outln!("nodes:      {}", index.node_count());
+    outln!("height:     {}", index.height());
+    outln!("node size:  {} bytes", index.config_node_size());
+    outln!("epochs:     {}", index.grid().len());
+    outln!(
         "time span:  {} days",
         index.grid().tc().days() - index.grid().t0().days()
     );
     let b = index.bounds();
-    println!(
+    outln!(
         "bounds:     [{:.2}, {:.2}] .. [{:.2}, {:.2}]",
         b.min[0], b.min[1], b.max[0], b.max[1]
     );
@@ -893,9 +917,9 @@ fn query(opts: &Opts) -> Result<(), String> {
             index.query_on(&q, backend)
         }
     };
-    println!("rank  poi        score     check-ins  distance");
+    outln!("rank  poi        score     check-ins  distance");
     for (rank, h) in hits.iter().enumerate() {
-        println!(
+        outln!(
             "{:>4}  {:<9}  {:<8.4}  {:>9}  {:.3}",
             rank + 1,
             h.poi.0,
@@ -1033,9 +1057,9 @@ fn batch(opts: &Opts) -> Result<(), String> {
         }
     };
     for (i, hits) in results.iter().enumerate() {
-        println!("query {i}: {} hit(s)", hits.len());
+        outln!("query {i}: {} hit(s)", hits.len());
         for (rank, h) in hits.iter().enumerate() {
-            println!(
+            outln!(
                 "{:>4}  {:<9}  {:<10.6}  {:>9}  {:.3}",
                 rank + 1,
                 h.poi.0,
@@ -1081,13 +1105,13 @@ fn explain(opts: &Opts) -> Result<(), String> {
     }
     let plan = exec.plan(&q);
     let s = exec.index_stats().clone();
-    println!("plan:        {} on {}", plan.mode, plan.backend);
-    println!("batching:    tile {}", plan.tile);
-    println!(
+    outln!("plan:        {} on {}", plan.mode, plan.backend);
+    outln!("batching:    tile {}", plan.tile);
+    outln!(
         "estimates:   fpk {:.4}; model {:.1} node accesses; calibrated {:.1}",
         plan.estimated_fpk, plan.model_node_accesses, plan.estimated_node_accesses
     );
-    println!(
+    outln!(
         "index:       {} POIs, {} nodes, height {}, effective fanout {:.1}",
         s.n, s.node_count, s.height, s.fanout
     );
@@ -1101,12 +1125,12 @@ fn explain(opts: &Opts) -> Result<(), String> {
         } else {
             0.0
         };
-        println!(
+        outln!(
             "measured:    {measured} node accesses for {} hit(s); estimate error {error:+.1}%",
             hits.len()
         );
         let cal = exec.planner().calibration();
-        println!(
+        outln!(
             "calibration: factor {:.3} after {} sample(s)",
             cal.factor(),
             cal.samples()
@@ -1132,7 +1156,7 @@ fn report(positional: &[&String], opts: &Opts) -> Result<(), String> {
         }
         None => None,
     };
-    print!("{}", render_report(&trace, metrics.as_ref()));
+    out!("{}", render_report(&trace, metrics.as_ref()));
     Ok(())
 }
 
@@ -1148,9 +1172,9 @@ fn top(positional: &[&String], opts: &Opts) -> Result<(), String> {
         let raw = std::fs::read_to_string(snap_path).map_err(|e| format!("{snap_path}: {e}"))?;
         let snap = knnta::obs::SnapshotDoc::parse(&raw).map_err(|e| format!("{snap_path}: {e}"))?;
         if i > 0 {
-            println!();
+            outln!();
         }
-        print!("{}", knnta::obs::render_top(&snap));
+        out!("{}", knnta::obs::render_top(&snap));
         if watch_ms > 0 && i + 1 < iters.max(1) {
             std::thread::sleep(std::time::Duration::from_millis(watch_ms));
         }
@@ -1190,7 +1214,7 @@ fn slo(opts: &Opts) -> Result<(), String> {
     if checks.iter().all(|(_, _, bound)| bound.is_none()) {
         return Err("slo needs at least one of --p50-us / --p95-us / --p99-us".into());
     }
-    println!(
+    outln!(
         "slo:         `{hist_name}` over {} samples in the window (tick {})",
         hist.count, snap.tick
     );
@@ -1198,7 +1222,7 @@ fn slo(opts: &Opts) -> Result<(), String> {
     for (label, measured, bound) in checks {
         let Some(bound) = bound else { continue };
         let ok = measured <= bound;
-        println!(
+        outln!(
             "  {label} {measured} µs <= {bound} µs: {}",
             if ok { "ok" } else { "VIOLATION" }
         );
@@ -1207,7 +1231,7 @@ fn slo(opts: &Opts) -> Result<(), String> {
     if violations > 0 {
         return Err(format!("{violations} SLO bound(s) violated"));
     }
-    println!("slo:         all bounds hold");
+    outln!("slo:         all bounds hold");
     Ok(())
 }
 
@@ -1216,15 +1240,15 @@ fn mwa(opts: &Opts) -> Result<(), String> {
     let q = parse_query(opts)?;
     let (hits, adj) = index.mwa_pruning(&q);
     for (rank, h) in hits.iter().enumerate() {
-        println!("top-{}: poi {} (score {:.4})", rank + 1, h.poi.0, h.score);
+        outln!("top-{}: poi {} (score {:.4})", rank + 1, h.poi.0, h.score);
     }
     match (adj.lower, adj.upper) {
         (Some(l), Some(u)) => {
-            println!("results change below alpha0 = {l:.4} or above alpha0 = {u:.4}")
+            outln!("results change below alpha0 = {l:.4} or above alpha0 = {u:.4}")
         }
-        (Some(l), None) => println!("results change below alpha0 = {l:.4} only"),
-        (None, Some(u)) => println!("results change above alpha0 = {u:.4} only"),
-        (None, None) => println!("no weight change alters this top-k"),
+        (Some(l), None) => outln!("results change below alpha0 = {l:.4} only"),
+        (None, Some(u)) => outln!("results change above alpha0 = {u:.4} only"),
+        (None, None) => outln!("no weight change alters this top-k"),
     }
     Ok(())
 }
@@ -1233,9 +1257,9 @@ fn skyline(opts: &Opts) -> Result<(), String> {
     let index = open_index(opts)?;
     let q = parse_query(opts)?;
     let sky = index.skyline(q.point, q.interval);
-    println!("poi        distance   check-ins");
+    outln!("poi        distance   check-ins");
     for h in &sky {
-        println!("{:<9}  {:<9.3}  {}", h.poi.0, h.distance, h.aggregate);
+        outln!("{:<9}  {:<9.3}  {}", h.poi.0, h.distance, h.aggregate);
     }
     eprintln!("({} POIs on the skyline)", sky.len());
     Ok(())

@@ -192,6 +192,20 @@ fn full_pipeline() {
         .expect("run skyline");
     assert!(out.status.success());
 
+    // skyline into a pipe nobody reads any more (`knnta skyline … | head`
+    // once head has exited): a quiet exit 0, not a BrokenPipe panic.
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = knnta()
+        .args(["skyline", "--index", idx.to_str().unwrap()])
+        .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
+        .stdout(writer)
+        .output()
+        .expect("run skyline into a closed pipe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
     let _ = std::fs::remove_file(csv);
     let _ = std::fs::remove_file(idx);
 }

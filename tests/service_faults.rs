@@ -91,6 +91,8 @@ fn panic_mid_query_is_retried_on_rebuilt_shard() {
         }
         .with_fault_hook(hook),
     );
+    let first = service.shard_images();
+    assert!(first.iter().all(|(generation, _)| *generation == 1));
     let tickets: Vec<_> = qs.iter().map(|q| service.submit(*q)).collect();
     for (i, ticket) in tickets.into_iter().enumerate() {
         let got = ticket.wait();
@@ -101,6 +103,14 @@ fn panic_mid_query_is_retried_on_rebuilt_shard() {
         );
     }
     assert!(injected.load(Ordering::SeqCst) >= 1, "hook never fired");
+    // The rebuilt shard is a re-pack of the same POIs: a later generation,
+    // the very same bytes.
+    let rebuilt = service.shard_images();
+    assert!(rebuilt[0].0 > 1, "shard 0 was never rebuilt");
+    assert_eq!(rebuilt[1].0, 1, "shard 1 never panicked");
+    for ((_, was), (_, now)) in first.iter().zip(&rebuilt) {
+        assert!(was == now, "a shard image changed across generations");
+    }
     assert_eq!(
         max_attempt.load(Ordering::SeqCst),
         1,

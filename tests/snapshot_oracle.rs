@@ -306,8 +306,8 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
         let mut snaps = Vec::new();
         // (a) overlay over the still-empty base.
         snaps.extend(stream_concurrently(&live, &events[..half], 4, 0, false));
-        // (b) everything sealed so far folded into a rebuilt base (which
-        // re-materialises the paged + packed serving images).
+        // (b) everything sealed so far folded into a re-packed base (its
+        // arena tree and paged image materialise on first use below).
         live.merge_sealed();
         snaps.push(live.snapshot());
         // (c) merged base plus a fresh overlay from the second half.
@@ -316,6 +316,13 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
         let workload = Workload::generate(&dataset, per_snap, IntervalAnchor::Random, 50 + gi as u64);
         for (si, snap) in snaps.iter().enumerate() {
             assert!(snap.serves_paged() && snap.serves_packed());
+            // The base image is canonical: the arena tree — the
+            // construction-time index at (a), materialised from the merged
+            // POI table at (b) and (c) — packs to the very bytes served.
+            assert!(
+                snap.index().pack().to_bytes() == snap.packed().to_bytes(),
+                "{grouping} snapshot {si}: arena tree and base image disagree"
+            );
             let replay = replay_of(&dataset, grouping, snap);
             let queries: Vec<KnntaQuery> = workload
                 .queries
@@ -327,6 +334,10 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
                 })
                 .collect();
             let wants: Vec<Vec<QueryHit>> = queries.iter().map(|q| replay.query(q)).collect();
+            for (qi, q) in queries.iter().enumerate() {
+                let ctx = format!("{grouping} snapshot {si} default backend q{qi}");
+                assert_bits(&snap.query(q), &wants[qi], &ctx);
+            }
             for backend in [
                 SnapshotBackend::InMemory,
                 SnapshotBackend::Paged,

@@ -20,10 +20,14 @@
 mod common;
 
 use common::{index_of, small_dataset};
-use knnta::core::{BatchOptions, Grouping, Obs, StorageBackend};
+use knnta::core::{
+    BatchOptions, Executor, FrozenIndex, Grouping, IndexConfig, Obs, PlanBackend, PlanMode,
+    StorageBackend,
+};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::BufferPoolConfig;
-use knnta::KnntaQuery;
+use knnta::{KnntaQuery, Poi};
+use rtree::Rect;
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
@@ -39,6 +43,24 @@ const COUNTERS: [&str; 3] = [
 
 fn blessing() -> bool {
     std::env::var("KNNTA_BLESS").is_ok_and(|v| v != "0" && !v.is_empty())
+}
+
+/// One ledger line; `before` / `after` are the [`COUNTERS`] around the run.
+fn row(
+    backend: &str,
+    engine: &str,
+    nodes: u64,
+    leaves: u64,
+    fetches: &str,
+    before: [u64; 3],
+    after: [u64; 3],
+) -> String {
+    format!(
+        "{backend:<7} {engine:<6} {nodes:>9} {leaves:>6} {:>6} {fetches:>7} {:>6} {:>6}",
+        after[0] - before[0],
+        after[1] - before[1],
+        after[2] - before[2],
+    )
 }
 
 #[test]
@@ -100,16 +122,55 @@ fn work_ledger_matches_the_golden_fixture() {
             } else {
                 fetches.to_string()
             };
-            writeln!(
-                ledger,
-                "{name:<7} {engine:<6} {nodes:>9} {:>6} {:>6} {fetches:>7} {:>6} {:>6}",
-                index.stats().leaf_node_accesses(),
-                after[0] - before[0],
-                after[1] - before[1],
-                after[2] - before[2],
-            )
-            .unwrap();
+            let leaves = index.stats().leaf_node_accesses();
+            writeln!(ledger, "{}", row(name, engine, nodes, leaves, &fetches, before, after)).unwrap();
         }
+    }
+
+    // The same image reached without an arena tree — packed straight from
+    // the POIs, run through `Executor::frozen` — does exactly the work of
+    // the `packed` rows above.
+    let pois: Vec<_> = dataset
+        .snapshot(dataset.grid.len())
+        .into_iter()
+        .map(|(id, pos, series)| (Poi { id, pos }, series))
+        .collect();
+    let mut frozen = FrozenIndex::build(
+        IndexConfig::with_grouping(Grouping::TarIntegral),
+        dataset.grid.clone(),
+        Rect::new(dataset.bounds.0, dataset.bounds.1),
+        &pois,
+    );
+    let frozen_obs = Obs::enabled();
+    frozen.set_obs(frozen_obs.clone());
+    let mut exec = Executor::frozen(&frozen);
+    for (engine, mode) in [
+        ("seq", PlanMode::Sequential),
+        ("par2", PlanMode::Parallel { threads: 2 }),
+    ] {
+        frozen.stats().reset();
+        let counters = || {
+            let m = frozen_obs.metrics_snapshot();
+            COUNTERS.map(|name| m.counter(name).unwrap_or(0))
+        };
+        let (before, fetches0) = (counters(), frozen.packed().fetches());
+        for q in &queries {
+            let mut plan = exec.plan(q);
+            (plan.backend, plan.mode) = (PlanBackend::Packed, mode);
+            exec.execute(q, &plan);
+        }
+        let after = counters();
+        let fetches = match engine {
+            "par2" => "-".to_string(),
+            _ => (frozen.packed().fetches() - fetches0).to_string(),
+        };
+        let stats = frozen.stats();
+        let (nodes, leaves) = (stats.node_accesses(), stats.leaf_node_accesses());
+        let row = row("packed", engine, nodes, leaves, &fetches, before, after);
+        assert!(
+            ledger.lines().any(|line| line == row),
+            "frozen-index row differs from the arena's packed row:\n{row}\n{ledger}"
+        );
     }
 
     if blessing() {

@@ -2,7 +2,7 @@
 //! the cost model / power-law machinery (Table 2, Figures 6–7).
 
 use knnta_bench::{aggregates_over, load, BenchConfig};
-use knnta_core::{BatchOptions, BatchOrder, Grouping, KnntaQuery};
+use knnta_core::{BatchOrder, Executor, Grouping, KnntaQuery, PlanBackend, QueryPlan};
 use knnta_util::bench::Harness;
 use std::hint::black_box;
 
@@ -58,18 +58,24 @@ fn collective(h: &mut Harness) {
             .iter()
             .map(|&(p, iv)| KnntaQuery::new(p, iv).with_k(10).with_alpha0(0.3))
             .collect();
-        group.bench(format!("collective_hilbert/{count}"), |b| {
-            b.iter(|| black_box(index.query_batch_collective(&queries)))
-        });
-        let naive = BatchOptions {
-            order: BatchOrder::Input,
-            ..BatchOptions::default()
+        // The arena under the fixed 64-query tile, so the two orders differ
+        // in nothing but the order.
+        let mut exec = Executor::new(&index);
+        let plan = QueryPlan {
+            backend: PlanBackend::InMemory,
+            tile: 64,
+            ..exec.plan_batch(&queries)
         };
-        group.bench(format!("collective_naive/{count}"), |b| {
-            b.iter(|| black_box(index.query_batch_collective_with(&queries, &naive)))
-        });
+        for (name, order) in [
+            ("collective_hilbert", BatchOrder::Hilbert),
+            ("collective_naive", BatchOrder::Input),
+        ] {
+            group.bench(format!("{name}/{count}"), |b| {
+                b.iter(|| black_box(exec.execute_batch(&queries, &plan, order)))
+            });
+        }
         group.bench(format!("individual/{count}"), |b| {
-            b.iter(|| black_box(index.query_batch_individual(&queries)))
+            b.iter(|| black_box(queries.iter().map(|q| index.query(q)).collect::<Vec<_>>()))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! strategy (the CPU-time axis of the paper's plots).
 
 use knnta_bench::{load, BenchConfig};
-use knnta_core::{Grouping, IndexConfig};
+use knnta_core::{Executor, Grouping, IndexConfig, PlanBackend, PlanMode, QueryPlan};
 use knnta_util::bench::Harness;
 use std::hint::black_box;
 
@@ -101,13 +101,19 @@ fn packed(h: &mut Harness) {
     let data = load(&lbsn::gw(), &config);
     let index = data.index(Grouping::TarIntegral);
     let packed = index.pack();
+    let mut exec = Executor::new(&index).with_packed(&packed);
     let mut group = h.group("packed");
     for k in [1usize, 10, 100] {
         let queries = data.queries(config.queries, k, 0.3, config.seed);
+        let plan = QueryPlan {
+            backend: PlanBackend::Packed,
+            mode: PlanMode::Sequential,
+            ..exec.plan(&queries[0])
+        };
         group.bench(format!("TAR-tree/{k}"), |b| {
             b.iter(|| {
                 for q in &queries {
-                    black_box(index.query_on(q, knnta_core::StorageBackend::Packed(&packed)));
+                    black_box(exec.execute(q, &plan));
                 }
             })
         });
@@ -138,28 +144,31 @@ fn planner(h: &mut Harness) {
         .iter()
         .map(|&k| data.queries(config.queries, k, 0.3, config.seed))
         .collect();
-    let mut execs: Vec<_> = KS
-        .iter()
-        .map(|_| {
-            knnta_core::Executor::new(&index)
-                .with_packed(&packed)
-                .with_paged(&paged)
-        })
-        .collect();
+    let attached = || Executor::new(&index).with_packed(&packed).with_paged(&paged);
+    let mut execs: Vec<_> = KS.iter().map(|_| attached()).collect();
+    // The fixed configurations: forced plans through an executor of their
+    // own (`planned` holds its executor mutably for the feedback).
+    let fixed = attached();
     // Interleaved (round-robin) sampling: planned and the fixed configs
     // share every round's machine state, so the gated p95 *ratios* stay
     // stable against bursty container noise.
-    let (index, packed, paged) = (&index, &packed, &paged);
+    let (index, fixed) = (&index, &fixed);
     let mut group = h.interleaved_group("planner");
     for ((&k, queries), exec) in KS.iter().zip(&queries_by_k).zip(execs.iter_mut()) {
         // One plan outside the timed region: the stats extraction and
         // power-law fit are per-content-epoch costs, not per-query ones,
         // and a single cold sample would otherwise dominate the p95 the
         // gate reads.
-        exec.plan(&queries[0]);
+        let plan = exec.plan(&queries[0]);
+        let forced = |backend| QueryPlan {
+            backend,
+            mode: PlanMode::Sequential,
+            ..plan
+        };
+        let (on_paged, on_packed) = (forced(PlanBackend::Paged), forced(PlanBackend::Packed));
         group.bench(format!("paged_seq/{k}"), move || {
             for q in queries {
-                black_box(index.query_on(q, knnta_core::StorageBackend::Paged(paged)));
+                black_box(fixed.execute(q, &on_paged));
             }
         });
         group.bench(format!("mem_seq/{k}"), move || {
@@ -169,7 +178,7 @@ fn planner(h: &mut Harness) {
         });
         group.bench(format!("packed_seq/{k}"), move || {
             for q in queries {
-                black_box(index.query_on(q, knnta_core::StorageBackend::Packed(packed)));
+                black_box(fixed.execute(q, &on_packed));
             }
         });
         group.bench(format!("planned/{k}"), move || {
@@ -182,7 +191,7 @@ fn planner(h: &mut Harness) {
 }
 
 /// Intra-query parallelism (ROADMAP: work-stealing frontier): sequential
-/// `query` against `query_parallel` at 1–8 workers, on the traversal shape
+/// `query` against `PlanMode::Parallel` at 1–8 workers, on the traversal shape
 /// that favours it — large k and a wide interval, so the frontier is deep
 /// enough to shard.
 fn parallel_single(h: &mut Harness) {
@@ -191,6 +200,8 @@ fn parallel_single(h: &mut Harness) {
     let index = data.index(Grouping::TarIntegral);
     // Fewer, heavier queries: k=200 over the full workload interval mix.
     let queries = data.queries(16, 200, 0.3, config.seed);
+    let mut exec = Executor::new(&index);
+    let planned = exec.plan(&queries[0]);
     let mut group = h.group("parallel_single");
     group.bench("sequential", |b| {
         b.iter(|| {
@@ -200,10 +211,15 @@ fn parallel_single(h: &mut Harness) {
         })
     });
     for threads in [1usize, 2, 4, 8] {
+        let plan = QueryPlan {
+            backend: PlanBackend::InMemory,
+            mode: PlanMode::Parallel { threads },
+            ..planned
+        };
         group.bench(format!("threads/{threads}"), |b| {
             b.iter(|| {
                 for q in &queries {
-                    black_box(index.query_parallel(q, threads));
+                    black_box(exec.execute(q, &plan));
                 }
             })
         });

@@ -15,7 +15,9 @@ use costmodel::{effective_fanout, estimate_support_area, CostModel};
 use knnta_bench::{
     aggregates_over, fmt, load, measure_baseline, measure_index, BenchConfig, BenchData, Table,
 };
-use knnta_core::{Grouping, IndexConfig, KnntaQuery};
+use knnta_core::{
+    BatchOrder, Executor, Grouping, IndexConfig, KnntaQuery, PlanBackend, QueryPlan,
+};
 use lbsn::DatasetSpec;
 use knnta_util::rng::StdRng;
 use std::time::Instant;
@@ -504,6 +506,16 @@ fn fig14(spec: &DatasetSpec, config: &BenchConfig) {
     table.print();
 }
 
+/// The collective scheme as Figures 15–16 run it: the arena, 64-query tiles
+/// (the planner would size the tile to the batch).
+fn section_7_2_plan(exec: &mut Executor<'_>, queries: &[KnntaQuery]) -> QueryPlan {
+    QueryPlan {
+        backend: PlanBackend::InMemory,
+        tile: 64,
+        ..exec.plan_batch(queries)
+    }
+}
+
 /// Figure 15: collective processing, varying the number of queries.
 fn fig15(spec: &DatasetSpec, config: &BenchConfig) {
     println!("== Figure 15: collective processing, varying #queries ({}) ==\n", spec.name);
@@ -516,6 +528,7 @@ fn fig15(spec: &DatasetSpec, config: &BenchConfig) {
         "individual NA",
         "collective NA",
     ]);
+    let mut exec = Executor::new(&index);
     // 10 interval types, as users pick from a few presets (Section 7.2).
     let base = data.workload(10_000, config.seed + 1500).with_interval_types(10);
     for count in [100usize, 500, 1000, 5000, 10_000] {
@@ -525,12 +538,15 @@ fn fig15(spec: &DatasetSpec, config: &BenchConfig) {
             .collect();
         index.stats().reset();
         let t0 = Instant::now();
-        let _ = index.query_batch_individual(&queries);
+        for q in &queries {
+            let _ = index.query(q);
+        }
         let ind_ms = t0.elapsed().as_secs_f64() * 1e3 / count as f64;
         let ind_na = index.stats().node_accesses() as f64 / count as f64;
+        let plan = section_7_2_plan(&mut exec, &queries);
         index.stats().reset();
         let t0 = Instant::now();
-        let _ = index.query_batch_collective(&queries);
+        let _ = exec.execute_batch(&queries, &plan, BatchOrder::Hilbert);
         let col_ms = t0.elapsed().as_secs_f64() * 1e3 / count as f64;
         let col_na = index.stats().node_accesses() as f64 / count as f64;
         table.row(vec![
@@ -556,6 +572,7 @@ fn fig16(spec: &DatasetSpec, config: &BenchConfig) {
         "individual NA",
         "collective NA",
     ]);
+    let mut exec = Executor::new(&index);
     let base = data.workload(1000, config.seed + 1600);
     for types in [1usize, 5, 10, 50, 100] {
         let queries: Vec<KnntaQuery> = base
@@ -566,12 +583,15 @@ fn fig16(spec: &DatasetSpec, config: &BenchConfig) {
             .collect();
         index.stats().reset();
         let t0 = Instant::now();
-        let _ = index.query_batch_individual(&queries);
+        for q in &queries {
+            let _ = index.query(q);
+        }
         let ind_ms = t0.elapsed().as_secs_f64() * 1e3 / queries.len() as f64;
         let ind_na = index.stats().node_accesses() as f64 / queries.len() as f64;
+        let plan = section_7_2_plan(&mut exec, &queries);
         index.stats().reset();
         let t0 = Instant::now();
-        let _ = index.query_batch_collective(&queries);
+        let _ = exec.execute_batch(&queries, &plan, BatchOrder::Hilbert);
         let col_ms = t0.elapsed().as_secs_f64() * 1e3 / queries.len() as f64;
         let col_na = index.stats().node_accesses() as f64 / queries.len() as f64;
         table.row(vec![

@@ -29,7 +29,7 @@ use crate::index::{IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::{KnntaQuery, QueryHit};
 use crate::search::{entry_tia, expand_node, NodeCand, TopK};
-use crate::storage::{NodeSource, StorageBackend};
+use crate::storage::NodeSource;
 use knnta_obs::{AttrValue, SpanId};
 use rtree::NodeId;
 use std::collections::{BinaryHeap, HashMap};
@@ -65,25 +65,17 @@ impl std::fmt::Display for BatchOrder {
     }
 }
 
-/// Tuning knobs of [`TarIndex::query_batch_collective_with`]. Every setting
+/// The schedule of one collective batch ([`crate::Executor::execute_batch`]
+/// builds it from its `order` argument and the plan's tile). Every setting
 /// preserves the answers; only the schedule and the amount of sharing
 /// change.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Batch ordering (default: [`BatchOrder::Hilbert`]).
+pub(crate) struct BatchOptions {
+    /// Batch ordering.
     pub order: BatchOrder,
     /// Queries per locality tile; node fetches are shared within a tile
-    /// (default: 64; `0` is treated as 1).
+    /// (`0` is treated as 1).
     pub tile: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            order: BatchOrder::default(),
-            tile: 64,
-        }
-    }
 }
 
 /// Per-axis Hilbert precision of the batch ordering: 16 bits × 3 axes keeps
@@ -93,66 +85,9 @@ impl Default for BatchOptions {
 pub(crate) const HILBERT_BITS: u32 = 16;
 
 impl TarIndex {
-    /// Processes a batch of queries collectively with the default options
-    /// (Hilbert ordering, 64-query tiles), sharing node accesses across the
-    /// batch. Node accesses are counted once per physical fetch in
-    /// [`TarIndex::stats`].
-    ///
-    /// Returns one result list per query, in input order; each list is
-    /// bit-identical to what [`TarIndex::query`] returns for that query.
-    pub fn query_batch_collective(&self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
-        self.query_batch_collective_with(queries, &BatchOptions::default())
-    }
-
-    /// [`TarIndex::query_batch_collective`] with explicit [`BatchOptions`].
-    pub fn query_batch_collective_with(
-        &self,
-        queries: &[KnntaQuery],
-        opts: &BatchOptions,
-    ) -> Vec<Vec<QueryHit>> {
-        crate::plan::run_batch(&self.exec_env(), StorageBackend::InMemory, queries, opts)
-    }
-
-    /// [`TarIndex::query_batch_collective_with`] against an explicit storage
-    /// backend, so the buffer pool behind [`StorageBackend::Paged`] sees the
-    /// Hilbert ordering's locality.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a paged backend is stale (the index changed since it was
-    /// materialised).
-    pub fn query_batch_collective_on(
-        &self,
-        queries: &[KnntaQuery],
-        opts: &BatchOptions,
-        backend: StorageBackend<'_>,
-    ) -> Vec<Vec<QueryHit>> {
-        crate::plan::run_batch(&self.exec_env(), backend, queries, opts)
-    }
-
-    /// Processes the batch one query at a time (the "individual" baseline of
-    /// the paper's batch experiments): every query pays its own node
-    /// accesses.
-    pub fn query_batch_individual(&self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
-        queries.iter().map(|q| self.query(q)).collect()
-    }
-
-    /// [`TarIndex::query_batch_individual`] against an explicit storage
-    /// backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a paged backend is stale.
-    pub fn query_batch_individual_on(
-        &self,
-        queries: &[KnntaQuery],
-        backend: StorageBackend<'_>,
-    ) -> Vec<Vec<QueryHit>> {
-        queries.iter().map(|q| self.query_on(q, backend)).collect()
-    }
-
-    /// The processing order [`TarIndex::query_batch_collective_with`] uses
-    /// for `queries`: a permutation of `0..queries.len()`.
+    /// The processing order a collective batch
+    /// ([`crate::Executor::execute_batch`]) uses for `queries`: a permutation
+    /// of `0..queries.len()`.
     ///
     /// The Hilbert order is a pure function of the query *values* — ties on
     /// the curve key are broken by the full query content — so it is
@@ -412,7 +347,25 @@ mod tests {
     use super::*;
     use crate::index::tests::paper_example;
     use crate::index::{Grouping, IndexConfig};
+    use crate::plan::run_batch;
+    use crate::storage::StorageBackend;
     use tempora::TimeInterval;
+
+    /// The in-memory collective batch under an explicit schedule.
+    fn collective(
+        index: &TarIndex,
+        batch: &[KnntaQuery],
+        order: BatchOrder,
+        tile: usize,
+    ) -> Vec<Vec<QueryHit>> {
+        let opts = BatchOptions { order, tile };
+        run_batch(&index.exec_env(), StorageBackend::InMemory, batch, &opts)
+    }
+
+    /// The "individual" baseline: every query pays its own node accesses.
+    fn individual(index: &TarIndex, batch: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
+        batch.iter().map(|q| index.query(q)).collect()
+    }
 
     fn example(grouping: Grouping) -> TarIndex {
         let (grid, bounds, pois) = paper_example();
@@ -456,14 +409,10 @@ mod tests {
         let batch = mixed_batch();
         for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
             let index = example(grouping);
-            let individual = index.query_batch_individual(&batch);
+            let want = individual(&index, &batch);
             for order in [BatchOrder::Hilbert, BatchOrder::Input] {
-                let opts = BatchOptions {
-                    order,
-                    ..BatchOptions::default()
-                };
-                let collective = index.query_batch_collective_with(&batch, &opts);
-                assert_bit_identical(&collective, &individual, &format!("{grouping} {order}"));
+                let got = collective(&index, &batch, order, 64);
+                assert_bit_identical(&got, &want, &format!("{grouping} {order}"));
             }
         }
     }
@@ -477,11 +426,11 @@ mod tests {
         let batch = vec![q; 20];
 
         index.stats().reset();
-        let _ = index.query_batch_individual(&batch);
+        let _ = individual(&index, &batch);
         let individual = index.stats().node_accesses();
 
         index.stats().reset();
-        let _ = index.query_batch_collective(&batch);
+        let _ = collective(&index, &batch, BatchOrder::Hilbert, 64);
         let shared = index.stats().node_accesses();
 
         assert!(shared >= 1);
@@ -497,15 +446,11 @@ mod tests {
         for order in [BatchOrder::Hilbert, BatchOrder::Input] {
             let index = example(Grouping::TarIntegral);
             index.stats().reset();
-            let _ = index.query_batch_individual(&batch);
+            let _ = individual(&index, &batch);
             let individual = index.stats().node_accesses();
 
             index.stats().reset();
-            let opts = BatchOptions {
-                order,
-                ..BatchOptions::default()
-            };
-            let _ = index.query_batch_collective_with(&batch, &opts);
+            let _ = collective(&index, &batch, order, 64);
             let shared = index.stats().node_accesses();
             assert!(shared <= individual, "{order}: {shared} > {individual}");
         }
@@ -515,7 +460,7 @@ mod tests {
     fn empty_batch_touches_nothing() {
         let index = example(Grouping::TarIntegral);
         index.stats().reset();
-        let results = index.query_batch_collective(&[]);
+        let results = collective(&index, &[], BatchOrder::Hilbert, 64);
         assert!(results.is_empty());
         assert_eq!(index.stats().node_accesses(), 0);
     }
@@ -528,7 +473,7 @@ mod tests {
             KnntaQuery::new([1.0, 2.0], TimeInterval::days(1, 2)).with_k(0),
         ];
         index.stats().reset();
-        let results = index.query_batch_collective(&batch);
+        let results = collective(&index, &batch, BatchOrder::Hilbert, 64);
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(Vec::is_empty));
         assert_eq!(index.stats().node_accesses(), 0);
@@ -539,10 +484,9 @@ mod tests {
         let index = example(Grouping::TarIntegral);
         let mut batch = mixed_batch();
         batch.insert(2, KnntaQuery::new([5.0, 5.0], TimeInterval::days(0, 3)).with_k(0));
-        let collective = index.query_batch_collective(&batch);
-        assert!(collective[2].is_empty());
-        let individual = index.query_batch_individual(&batch);
-        assert_bit_identical(&collective, &individual, "k=0 mixed in");
+        let got = collective(&index, &batch, BatchOrder::Hilbert, 64);
+        assert!(got[2].is_empty());
+        assert_bit_identical(&got, &individual(&index, &batch), "k=0 mixed in");
     }
 
     #[test]
@@ -550,7 +494,7 @@ mod tests {
         let (grid, bounds, _) = paper_example();
         let index = TarIndex::new(IndexConfig::default(), grid, bounds);
         index.stats().reset();
-        let results = index.query_batch_collective(&mixed_batch());
+        let results = collective(&index, &mixed_batch(), BatchOrder::Hilbert, 64);
         assert!(results.iter().all(Vec::is_empty));
         assert_eq!(index.stats().node_accesses(), 0);
     }
@@ -559,14 +503,10 @@ mod tests {
     fn tiny_tiles_stay_exact() {
         let index = example(Grouping::TarIntegral);
         let batch = mixed_batch();
-        let individual = index.query_batch_individual(&batch);
-        for tile in [1, 2, 3] {
-            let opts = BatchOptions {
-                tile,
-                ..BatchOptions::default()
-            };
-            let collective = index.query_batch_collective_with(&batch, &opts);
-            assert_bit_identical(&collective, &individual, &format!("tile={tile}"));
+        let want = individual(&index, &batch);
+        for tile in [0, 1, 2, 3] {
+            let got = collective(&index, &batch, BatchOrder::Hilbert, tile);
+            assert_bit_identical(&got, &want, &format!("tile={tile}"));
         }
     }
 

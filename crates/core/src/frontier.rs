@@ -15,9 +15,9 @@
 //! counts. DESIGN.md ("Sharded-frontier parallel search") gives the
 //! admissibility argument; the short version lives on each type below.
 
-use crate::index::{QueryCtx, TarIndex};
+use crate::index::QueryCtx;
 use crate::observe::{self, Counts, NoProbe, Probe};
-use crate::poi::{KnntaQuery, QueryHit};
+use crate::poi::QueryHit;
 use crate::search::{entry_tia, expand_node, HitSink, NodeCand, TopK};
 use crate::storage::NodeSource;
 use knnta_obs::{AttrValue, Obs, SpanId};
@@ -405,36 +405,20 @@ fn emit_frontier_trace(
     obs.counter(observe::M_FRONTIER_SPECULATIVE).add(speculative);
 }
 
-impl TarIndex {
-    /// Answers a kNNTA query with a work-stealing parallel best-first
-    /// traversal over `threads` workers.
-    ///
-    /// The result is **exactly** [`TarIndex::query`]'s answer — same hits,
-    /// same order, ties broken by `PoiId` — for every thread count, and the
-    /// node accesses recorded in [`TarIndex::stats`] equal the sequential
-    /// counts (speculative expansions are not charged). Worth the fan-out
-    /// for large `k` / wide `Iq` traversals; `threads == 1` runs inline
-    /// without spawning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn query_parallel(&self, query: &KnntaQuery, threads: usize) -> Vec<QueryHit> {
-        crate::plan::run_query(
-            &self.exec_env(),
-            crate::StorageBackend::InMemory,
-            crate::plan::ExecMode::Par(threads),
-            query,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::tests::paper_example;
-    use crate::index::{Grouping, IndexConfig};
+    use crate::index::{Grouping, IndexConfig, TarIndex};
+    use crate::plan::{run_query, ExecMode};
+    use crate::poi::KnntaQuery;
+    use crate::storage::StorageBackend;
     use tempora::TimeInterval;
+
+    /// The work-stealing traversal over the arena at `threads` workers.
+    fn query_parallel(index: &TarIndex, q: &KnntaQuery, threads: usize) -> Vec<QueryHit> {
+        run_query(&index.exec_env(), StorageBackend::InMemory, ExecMode::Par(threads), q)
+    }
 
     fn build(grouping: Grouping) -> TarIndex {
         let (grid, bounds, pois) = paper_example();
@@ -463,7 +447,7 @@ mod tests {
                     .with_alpha0(0.3);
                 let want = index.query(&q);
                 for threads in [1, 2, 4, 8] {
-                    let got = index.query_parallel(&q, threads);
+                    let got = query_parallel(&index, &q, threads);
                     assert_eq!(got.len(), want.len(), "{grouping} k={k} t={threads}");
                     for (a, b) in got.iter().zip(&want) {
                         assert_eq!(a.poi, b.poi, "{grouping} k={k} t={threads}");
@@ -487,7 +471,7 @@ mod tests {
         let seq = (index.stats().node_accesses(), index.stats().leaf_node_accesses());
         for threads in [1, 2, 4, 8] {
             index.stats().reset();
-            let _ = index.query_parallel(&q, threads);
+            let _ = query_parallel(&index, &q, threads);
             let par = (index.stats().node_accesses(), index.stats().leaf_node_accesses());
             assert_eq!(par, seq, "threads={threads}");
         }
@@ -498,10 +482,10 @@ mod tests {
         let (grid, bounds, _) = paper_example();
         let empty = TarIndex::new(IndexConfig::default(), grid, bounds);
         let q = KnntaQuery::new([1.0, 1.0], TimeInterval::days(0, 3));
-        assert!(empty.query_parallel(&q, 4).is_empty());
+        assert!(query_parallel(&empty, &q, 4).is_empty());
         let index = build(Grouping::TarIntegral);
         let q0 = KnntaQuery::new([1.0, 1.0], TimeInterval::days(0, 3)).with_k(0);
-        assert!(index.query_parallel(&q0, 4).is_empty());
+        assert!(query_parallel(&index, &q0, 4).is_empty());
     }
 
     #[test]
@@ -509,7 +493,7 @@ mod tests {
     fn zero_threads_rejected() {
         let index = build(Grouping::TarIntegral);
         let q = KnntaQuery::new([1.0, 1.0], TimeInterval::days(0, 3));
-        let _ = index.query_parallel(&q, 0);
+        let _ = query_parallel(&index, &q, 0);
     }
 
     #[test]
@@ -517,7 +501,7 @@ mod tests {
         let mut index = build(Grouping::TarIntegral);
         index.set_obs(Obs::enabled());
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(5);
-        let _ = index.query_parallel(&q, 4);
+        let _ = query_parallel(&index, &q, 4);
         let trace = index.obs().trace_snapshot();
         let workers: Vec<_> = trace.spans.iter().filter(|s| s.name == "worker").collect();
         assert_eq!(workers.len(), 4);
@@ -543,8 +527,8 @@ mod tests {
         observed.set_obs(Obs::enabled());
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(6);
         for threads in [1, 2, 4] {
-            let want = plain.query_parallel(&q, threads);
-            let got = observed.query_parallel(&q, threads);
+            let want = query_parallel(&plain, &q, threads);
+            let got = query_parallel(&observed, &q, threads);
             assert_eq!(want.len(), got.len(), "threads={threads}");
             for (a, b) in want.iter().zip(&got) {
                 assert_eq!(a.poi, b.poi, "threads={threads}");

@@ -569,7 +569,7 @@ impl TarIndex {
     pub fn query(&self, query: &KnntaQuery) -> Vec<QueryHit> {
         crate::plan::run_query(
             &self.exec_env(),
-            crate::StorageBackend::InMemory,
+            crate::storage::StorageBackend::InMemory,
             crate::plan::ExecMode::Seq,
             query,
         )

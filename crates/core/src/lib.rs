@@ -20,23 +20,25 @@
 //!   [`TarIndex::mwa_enumerating`] — the minimum-weight-adjustment
 //!   enhancement (Section 7.1), including the skyline-based pruning
 //!   algorithm (BBS over the TAR-tree).
-//! * [`TarIndex::query_batch_collective`] — the collective processing
-//!   scheme (Section 7.2) sharing node accesses across a query batch, with
-//!   Hilbert-curve batch ordering ([`BatchOrder`], [`hilbert`]).
-//! * [`TarIndex::query_parallel`] — intra-query parallel best-first search
-//!   over a work-stealing sharded frontier, bit-identical to
-//!   [`TarIndex::query`] for every thread count.
+//! * [`Executor`] — the one place a [`QueryPlan`] is taken: it plans a
+//!   query or batch with the paper-§6 cost model ([`Executor::query`],
+//!   [`Executor::query_batch`]) or runs a plan the caller forced
+//!   ([`Executor::execute`], [`Executor::execute_batch`]). The plan alone
+//!   selects the backend ([`PlanBackend`]), the mode ([`PlanMode`]:
+//!   sequential, or the work-stealing parallel frontier) and the tile of the
+//!   collective scheme (Section 7.2, node accesses shared across a batch
+//!   in Hilbert-curve or input order — [`BatchOrder`], [`hilbert`]); every
+//!   plan answers bit-identically to [`TarIndex::query`].
 //! * [`DiskTias`] — an MVBT-backed disk mirror of every entry's TIA, for
 //!   I/O-realistic aggregate computation (the paper's TIAs are disk-resident
 //!   multi-version B-trees with 10 buffer slots each).
-//! * [`PagedNodes`] / [`StorageBackend`] — a paged snapshot of the tree
-//!   nodes themselves behind a replacement-policy-driven buffer pool
-//!   ([`pagestore::BufferPoolConfig`]); [`TarIndex::query_on`] and
-//!   [`TarIndex::query_parallel_on`] answer queries from either backend
-//!   with bit-identical results.
+//! * [`PagedNodes`] — a paged snapshot of the tree nodes themselves behind
+//!   a replacement-policy-driven buffer pool
+//!   ([`pagestore::BufferPoolConfig`]), attached with
+//!   [`Executor::with_paged`].
 //! * [`PackedTarTree`] — a packed immutable serving image of the index
 //!   ([`TarIndex::pack`]): one contiguous word buffer, Hilbert bulk-packed,
-//!   searched zero-copy through [`StorageBackend::Packed`] and serialisable
+//!   searched zero-copy ([`Executor::with_packed`]) and serialisable
 //!   page-by-page ([`PackedPages`]); `docs/FORMAT.md` is the normative
 //!   byte-layout spec.
 //! * [`FrozenIndex`] — the same image packed straight from the POIs, no
@@ -81,7 +83,6 @@ mod live;
 mod mwa;
 mod observe;
 mod packed;
-mod parallel;
 mod persist;
 mod plan;
 mod poi;
@@ -93,12 +94,12 @@ mod storage;
 pub use agg_grouping::AggGrouping;
 pub use augmentation::TiaAug;
 pub use baseline::ScanBaseline;
-pub use collective::{BatchOptions, BatchOrder};
+pub use collective::BatchOrder;
 pub use disk_tia::DiskTias;
 pub use geo::{haversine_km, GeoPoint, GeoProjector, EARTH_RADIUS_KM};
 pub use knnta_obs::Obs;
 pub use index::{Grouping, IndexConfig, TarIndex};
-pub use live::{LiveIndex, LiveOptions, SnapshotBackend, SnapshotView};
+pub use live::{LiveIndex, LiveOptions, SnapshotView};
 pub use mwa::{gamma, WeightAdjustment};
 pub use packed::{FrozenIndex, PackedPages, PackedTarTree, PACKED_FANOUT};
 pub use plan::Executor;
@@ -108,4 +109,4 @@ pub use costmodel::{
 pub use poi::{KnntaQuery, Poi, QueryHit};
 pub use shard::{merge_ranked, partition_pois};
 pub use skyline::{dominates, reversed_skyline_of, skyline_of};
-pub use storage::{PagedNodes, StorageBackend};
+pub use storage::PagedNodes;

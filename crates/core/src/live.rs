@@ -22,10 +22,9 @@
 //! * **Background merge** — [`LiveIndex::merge_sealed`] folds sealed deltas
 //!   into a copy of the base's POI table and packs the new base image
 //!   straight from it ([`FrozenIndex`]) off the hot path — a fold plus a
-//!   pack, no R\*-tree. The arena [`TarIndex`] (and the paged image over it)
-//!   is materialised lazily, once per base, only for
-//!   [`SnapshotView::index`], [`SnapshotBackend::InMemory`] /
-//!   [`SnapshotBackend::Paged`] and [`LiveIndex::validate`]. In-flight
+//!   pack, no R\*-tree. The arena [`TarIndex`] is materialised lazily, once
+//!   per base, only for [`SnapshotView::index`] and
+//!   [`LiveIndex::validate`]; queries read the image. In-flight
 //!   snapshots keep their old `Arc`s; answers before and after a merge are
 //!   bit-identical because the ranking's `(score, PoiId)` total order makes
 //!   results independent of tree shape.
@@ -45,12 +44,11 @@
 //! maximum, which equals the merged index's root maximum epoch by epoch
 //! because per-POI cumulative deltas are monotone. See `DESIGN.md` §13.
 
-use crate::collective::BatchOptions;
 use crate::index::{IndexConfig, TarIndex};
 use crate::observe;
 use crate::packed::FrozenIndex;
 use crate::poi::{KnntaQuery, Poi, QueryHit};
-use crate::storage::PagedNodes;
+use crate::storage::{OverlayNodes, StorageBackend};
 use knnta_obs::Obs;
 use knnta_util::sync::{Mutex, RwLock};
 use pagestore::BufferPoolConfig;
@@ -59,19 +57,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tempora::{AggregateSeries, CheckIn, EpochGrid, EpochWatermark, PoiId, TimeInterval};
 
-/// Configuration of a [`LiveIndex`]'s ingestion and serving tiers.
+/// Configuration of a [`LiveIndex`]'s ingestion tier.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveOptions {
     /// Number of lock-striped write shards (floored at 1). More shards mean
     /// less writer contention; 8 sustains >1M check-ins/sec on one node.
     pub shards: usize,
-    /// When set, snapshots can serve [`SnapshotBackend::Paged`] queries from
-    /// a paged node snapshot (`(page_size, pool_config)`), materialised on
-    /// first use per base state.
+    /// Without effect: snapshots serve the one image they hold, the base's
+    /// packed image. The field remains only for callers that build this
+    /// struct by literal.
     pub serve_paged: Option<(usize, BufferPoolConfig)>,
-    /// Without effect: every base state *is* a packed image, so
-    /// [`SnapshotBackend::Packed`] is always served. The field remains only
-    /// for callers that build this struct by literal.
+    /// Without effect, like [`LiveOptions::serve_paged`]: every base state
+    /// *is* a packed image.
     pub serve_packed: bool,
 }
 
@@ -169,12 +166,9 @@ struct BaseState {
     merged: HashMap<PoiId, AggregateSeries>,
     /// What the arena tree is (re)built with.
     config: IndexConfig,
-    serve_paged: Option<(usize, BufferPoolConfig)>,
     /// The arena tree over `table`: the construction-time index for the
     /// first base, built on first use after a merge.
     arena: OnceLock<TarIndex>,
-    /// Paged node snapshot of `arena`, built on first use.
-    paged: OnceLock<PagedNodes>,
 }
 
 impl BaseState {
@@ -188,23 +182,11 @@ impl BaseState {
     fn arena(&self) -> &TarIndex {
         self.arena.get_or_init(|| {
             // Sharing the image's metadata keeps one set of access counters
-            // and one observability handle per base, whichever backend a
-            // query runs on.
+            // and one observability handle per base.
             let mut index = TarIndex::with_meta(self.config, self.frozen.meta.clone());
             index.fill(self.table.clone());
             index
         })
-    }
-
-    /// # Panics
-    ///
-    /// Panics if [`LiveOptions::serve_paged`] was not set.
-    fn paged(&self) -> &PagedNodes {
-        let (page_size, config) = self
-            .serve_paged
-            .expect("snapshot serves no paged image; set LiveOptions::serve_paged");
-        self.paged
-            .get_or_init(|| self.arena().materialize_paged_nodes(page_size, config))
     }
 }
 
@@ -271,9 +253,7 @@ impl LiveIndex {
             table,
             merged: HashMap::new(),
             config: index.config(),
-            serve_paged: opts.serve_paged,
             arena: OnceLock::from(index),
-            paged: OnceLock::new(),
         };
         let members = base.table.iter().map(|(poi, _)| poi.id).collect();
         let shard_count = opts.shards.max(1);
@@ -528,9 +508,7 @@ impl LiveIndex {
             table,
             merged,
             config: base.config,
-            serve_paged: base.serve_paged,
             arena: OnceLock::new(),
-            paged: OnceLock::new(),
         };
 
         let mut st = self.state.write();
@@ -579,30 +557,13 @@ impl LiveIndex {
     }
 }
 
-/// Which serving materialisation a [`SnapshotView`] query runs against.
-///
-/// Unlike [`crate::StorageBackend`] this is a plain selector: the images are
-/// owned by the snapshot's base state, not passed in by the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotBackend {
-    /// The base's arena tree (materialised on first use per base).
-    InMemory,
-    /// The paged node snapshot ([`LiveOptions::serve_paged`]; materialised
-    /// on first use per base, over the arena tree).
-    Paged,
-    /// The base's packed serving image — what every snapshot query reads by
-    /// default.
-    Packed,
-}
-
 /// An immutable epoch snapshot of a [`LiveIndex`]: a base (packed image +
 /// POI table) plus the frozen delta overlay of sealed-but-unmerged epochs.
 ///
-/// Every query entry point answers **bit-identically** to the same query on
+/// [`SnapshotView::query`] answers **bit-identically** to the same query on
 /// an index holding the merged state (base + [`SnapshotView::cumulative_deltas`]
-/// digested via [`TarIndex::ingest_epoch`]) — at every thread count, on
-/// every backend. The view is cheap to clone and keeps its state alive
-/// independently of subsequent seals and merges.
+/// digested via [`TarIndex::ingest_epoch`]). The view is cheap to clone and
+/// keeps its state alive independently of subsequent seals and merges.
 #[derive(Clone)]
 pub struct SnapshotView {
     base: Arc<BaseState>,
@@ -636,23 +597,11 @@ impl SnapshotView {
         self.base.arena()
     }
 
-    /// The base's packed serving image — what snapshot queries read by
-    /// default, under the overlay. Like [`SnapshotView::index`] it holds
-    /// sealed-and-merged state only.
+    /// The base's packed serving image — what snapshot queries read, under
+    /// the overlay. Like [`SnapshotView::index`] it holds sealed-and-merged
+    /// state only.
     pub fn packed(&self) -> &crate::packed::PackedTarTree {
         &self.base.frozen.packed
-    }
-
-    /// Whether [`SnapshotBackend::Paged`] is served
-    /// ([`LiveOptions::serve_paged`]).
-    pub fn serves_paged(&self) -> bool {
-        self.base.serve_paged.is_some()
-    }
-
-    /// Whether [`SnapshotBackend::Packed`] is served — always: the base is
-    /// a packed image.
-    pub fn serves_packed(&self) -> bool {
-        true
     }
 
     /// Every delta this snapshot carries on top of the index the
@@ -690,114 +639,27 @@ impl SnapshotView {
         (self.adjusted_root_max.aggregate_over(self.grid(), iq) as f64).max(1.0)
     }
 
-    /// The unified executor's environment for this snapshot on `backend`:
-    /// the frozen overlay stacked on every node source, the
-    /// overlay-adjusted `gmax` source, and no staleness checks (the snapshot
-    /// owns its images). Only the in-memory backend forces the arena tree.
-    fn exec_env(&self, backend: SnapshotBackend) -> crate::plan::ExecEnv<'_> {
-        crate::plan::ExecEnv {
+    /// Answers a kNNTA query against the snapshot: sequential best-first
+    /// search over the base's packed image with the frozen overlay stacked
+    /// on it, the overlay-adjusted `gmax` source, and no staleness check
+    /// (the snapshot owns its image).
+    pub fn query(&self, query: &KnntaQuery) -> Vec<QueryHit> {
+        let env = crate::plan::ExecEnv {
             meta: &self.base.frozen.meta,
-            arena: (backend == SnapshotBackend::InMemory).then(|| self.base.arena()),
-            overlay: Some(crate::plan::OverlayRef {
-                per_poi: &self.overlay.per_poi,
-                total: &self.overlay.total,
-            }),
+            arena: None,
             root_max: Some(&self.adjusted_root_max),
             fresh_at: None,
-        }
-    }
-
-    /// Resolves a serving-backend selector to the owned materialisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SnapshotBackend::Paged`] is requested without
-    /// [`LiveOptions::serve_paged`].
-    fn storage_backend(&self, backend: SnapshotBackend) -> crate::StorageBackend<'_> {
-        match backend {
-            SnapshotBackend::InMemory => crate::StorageBackend::InMemory,
-            SnapshotBackend::Paged => crate::StorageBackend::Paged(self.base.paged()),
-            SnapshotBackend::Packed => crate::StorageBackend::Packed(&self.base.frozen.packed),
-        }
-    }
-
-    /// Answers a kNNTA query against the snapshot (sequential best-first
-    /// search over the base's packed image with the overlay applied).
-    pub fn query(&self, query: &KnntaQuery) -> Vec<QueryHit> {
-        self.query_on(query, SnapshotBackend::Packed)
-    }
-
-    /// [`SnapshotView::query`] against an explicit serving backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested materialisation was not enabled in
-    /// [`LiveOptions`].
-    pub fn query_on(&self, query: &KnntaQuery, backend: SnapshotBackend) -> Vec<QueryHit> {
+        };
+        let overlaid = OverlayNodes {
+            packed: crate::packed::PackedSource(&self.base.frozen.packed),
+            per_poi: &self.overlay.per_poi,
+            total: &self.overlay.total,
+        };
         crate::plan::run_query(
-            &self.exec_env(backend),
-            self.storage_backend(backend),
+            &env,
+            StorageBackend::Overlaid(overlaid),
             crate::plan::ExecMode::Seq,
             query,
-        )
-    }
-
-    /// Answers a query with the work-stealing parallel traversal —
-    /// bit-identical to [`SnapshotView::query`] for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn query_parallel(&self, query: &KnntaQuery, threads: usize) -> Vec<QueryHit> {
-        self.query_parallel_on(query, threads, SnapshotBackend::Packed)
-    }
-
-    /// [`SnapshotView::query_parallel`] against an explicit serving backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or the requested materialisation was not
-    /// enabled in [`LiveOptions`].
-    pub fn query_parallel_on(
-        &self,
-        query: &KnntaQuery,
-        threads: usize,
-        backend: SnapshotBackend,
-    ) -> Vec<QueryHit> {
-        assert!(threads > 0, "at least one worker thread");
-        crate::plan::run_query(
-            &self.exec_env(backend),
-            self.storage_backend(backend),
-            crate::plan::ExecMode::Par(threads),
-            query,
-        )
-    }
-
-    /// Processes a query batch collectively against the snapshot with the
-    /// default [`BatchOptions`]; each result list is bit-identical to
-    /// [`SnapshotView::query`]'s answer for that query.
-    pub fn query_batch_collective(&self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
-        self.query_batch_collective_on(queries, &BatchOptions::default(), SnapshotBackend::Packed)
-    }
-
-    /// [`SnapshotView::query_batch_collective`] with explicit options and
-    /// serving backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested materialisation was not enabled in
-    /// [`LiveOptions`].
-    pub fn query_batch_collective_on(
-        &self,
-        queries: &[KnntaQuery],
-        opts: &BatchOptions,
-        backend: SnapshotBackend,
-    ) -> Vec<Vec<QueryHit>> {
-        crate::plan::run_batch(
-            &self.exec_env(backend),
-            self.storage_backend(backend),
-            queries,
-            opts,
         )
     }
 }
@@ -1013,46 +875,5 @@ mod tests {
         // Cumulative deltas are preserved across the merge boundary.
         assert_eq!(deltas_before, snap2.cumulative_deltas());
         live.validate();
-    }
-
-    /// Parallel and batch entry points agree with the sequential snapshot
-    /// answer at every thread count.
-    #[test]
-    fn snapshot_entry_points_agree() {
-        let (live, pois) = empty_index();
-        for (poi, series) in &pois {
-            for (epoch, count) in series.iter() {
-                live.record(CheckIn::with_value(
-                    poi.id,
-                    Timestamp::from_days(epoch as i64),
-                    count as u32,
-                ));
-            }
-        }
-        live.seal_epoch();
-        let snap = live.snapshot();
-        let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3))
-            .with_k(4)
-            .with_alpha0(0.3);
-        let want = snap.query(&q);
-        for threads in [1, 2, 4] {
-            let got = snap.query_parallel(&q, threads);
-            assert_eq!(want.len(), got.len());
-            for (a, b) in want.iter().zip(&got) {
-                assert_eq!(
-                    (a.poi, a.score.to_bits(), a.aggregate),
-                    (b.poi, b.score.to_bits(), b.aggregate),
-                    "parallel snapshot diverged at {threads} threads"
-                );
-            }
-        }
-        let batch = snap.query_batch_collective(&[q]);
-        for (a, b) in want.iter().zip(&batch[0]) {
-            assert_eq!(
-                (a.poi, a.score.to_bits(), a.aggregate),
-                (b.poi, b.score.to_bits(), b.aggregate),
-                "collective snapshot diverged"
-            );
-        }
     }
 }

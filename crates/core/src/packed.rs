@@ -14,8 +14,8 @@
 //! [`TarIndex::pack`] runs the same packer over the arena tree's leaf
 //! entries.
 //!
-//! Queries run against the image **zero-copy** through
-//! [`crate::StorageBackend::Packed`]: no per-node allocation, no codec
+//! Queries run against the image **zero-copy** (a [`crate::PlanBackend::Packed`]
+//! plan): no per-node allocation, no codec
 //! round-trip — a node fetch is two index computations into the shared
 //! buffer. Answers are bit-identical to the arena and paged backends
 //! because leaf entries store the exact projected box bits, the `(epoch,
@@ -48,10 +48,10 @@ use tempora::{AggregateSeries, EpochGrid};
 ///
 /// Build one with [`FrozenIndex::build`] (straight from the POIs) or
 /// [`TarIndex::pack`] (from an existing arena tree; same bytes); query it
-/// through [`crate::Executor`], or through [`crate::StorageBackend::Packed`]
-/// via [`TarIndex::query_on`] and friends. An image attached to a
-/// [`TarIndex`] is tied to that index's content epoch: after any mutation
-/// the next packed query panics until the index is repacked.
+/// through [`crate::Executor`] ([`crate::Executor::with_packed`]). An image
+/// attached to a [`TarIndex`]'s executor is tied to that index's content
+/// epoch: after any mutation the next packed query panics until the index is
+/// repacked.
 pub struct PackedTarTree {
     pub(crate) tree: PackedTree,
     grouping: Grouping,
@@ -226,7 +226,7 @@ impl TarIndex {
     /// # Examples
     ///
     /// ```
-    /// use knnta_core::{IndexConfig, KnntaQuery, Poi, StorageBackend, TarIndex};
+    /// use knnta_core::{Executor, IndexConfig, KnntaQuery, Poi, PlanBackend, TarIndex};
     /// use tempora::{AggregateSeries, EpochGrid, TimeInterval};
     ///
     /// let grid = EpochGrid::fixed_days(1, 3);
@@ -240,7 +240,10 @@ impl TarIndex {
     /// let packed = index.pack();
     /// let q = KnntaQuery::new([1.0, 1.0], TimeInterval::days(0, 3)).with_k(2);
     /// let mem = index.query(&q);
-    /// let hits = index.query_on(&q, StorageBackend::Packed(&packed));
+    /// let mut exec = Executor::new(&index).with_packed(&packed);
+    /// let mut plan = exec.plan(&q);
+    /// plan.backend = PlanBackend::Packed;
+    /// let hits = exec.execute(&q, &plan);
     /// assert_eq!(mem.len(), hits.len());
     /// for (a, b) in mem.iter().zip(&hits) {
     ///     assert_eq!((a.poi, a.score.to_bits()), (b.poi, b.score.to_bits()));
@@ -509,7 +512,20 @@ impl PackedPages {
 /// [`NodeSource`] adapter over a packed image: node ids are packed node
 /// indices, and `with_node` hands out a [`NodeView::Packed`] borrowing the
 /// shared word buffer — no allocation, no decode.
+#[derive(Clone, Copy)]
 pub(crate) struct PackedSource<'a>(pub &'a PackedTarTree);
+
+impl<'a> PackedSource<'a> {
+    /// Node `id`'s buffer and entry window. A packed fetch is two index
+    /// computations into a shared buffer: counted when observed, never
+    /// timed.
+    pub(crate) fn fetch<P: Probe>(&self, id: NodeId) -> (&'a PackedTree, rtree::PackedNode) {
+        if P::ON {
+            self.0.fetches.fetch_add(1, Ordering::Relaxed);
+        }
+        (&self.0.tree, self.0.tree.node(id.0 as usize))
+    }
+}
 
 impl<const D: usize> NodeSource<D> for PackedSource<'_> {
     fn root(&self) -> NodeId {
@@ -526,18 +542,8 @@ impl<const D: usize> NodeSource<D> for PackedSource<'_> {
         probe: &mut P,
         f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
     ) -> R {
-        // A packed fetch is two index computations into a shared buffer:
-        // counted when observed, never timed.
-        if P::ON {
-            self.0.fetches.fetch_add(1, Ordering::Relaxed);
-        }
-        f(
-            NodeView::Packed {
-                tree: &self.0.tree,
-                node: self.0.tree.node(id.0 as usize),
-            },
-            probe,
-        )
+        let (tree, node) = self.fetch::<P>(id);
+        f(NodeView::Packed { tree, node }, probe)
     }
 
     fn kind(&self) -> &'static str {
@@ -550,7 +556,9 @@ mod tests {
     use super::*;
     use crate::index::tests::paper_example;
     use crate::index::IndexConfig;
-    use crate::poi::KnntaQuery;
+    use crate::collective::BatchOptions;
+    use crate::plan::{run_batch, run_query, ExecMode};
+    use crate::poi::{KnntaQuery, QueryHit};
     use crate::storage::StorageBackend;
     use pagestore::AccessStats;
     use tempora::{PoiId, TimeInterval};
@@ -558,6 +566,10 @@ mod tests {
     fn example_index(grouping: Grouping) -> TarIndex {
         let (grid, bounds, pois) = paper_example();
         TarIndex::build(IndexConfig::with_grouping(grouping), grid, bounds, pois)
+    }
+
+    fn query_packed(index: &TarIndex, q: &KnntaQuery, packed: &PackedTarTree) -> Vec<QueryHit> {
+        run_query(&index.exec_env(), StorageBackend::Packed(packed), ExecMode::Seq, q)
     }
 
     fn scratch_disk(page_size: usize) -> Disk {
@@ -576,7 +588,7 @@ mod tests {
                         .with_k(k)
                         .with_alpha0(alpha0);
                     let mem = index.query(&q);
-                    let got = index.query_on(&q, StorageBackend::Packed(&packed));
+                    let got = query_packed(&index, &q, &packed);
                     assert_eq!(mem.len(), got.len(), "{grouping} k={k}");
                     for (a, b) in mem.iter().zip(&got) {
                         assert_eq!(a.poi, b.poi, "{grouping} k={k}");
@@ -593,9 +605,14 @@ mod tests {
         let index = example_index(Grouping::TarIntegral);
         let packed = index.pack();
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(5);
-        let seq = index.query_on(&q, StorageBackend::Packed(&packed));
+        let seq = query_packed(&index, &q, &packed);
         for threads in [1, 2, 4] {
-            let par = index.query_parallel_on(&q, threads, StorageBackend::Packed(&packed));
+            let par = run_query(
+                &index.exec_env(),
+                StorageBackend::Packed(&packed),
+                ExecMode::Par(threads),
+                &q,
+            );
             assert_eq!(seq.len(), par.len(), "threads={threads}");
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.poi, b.poi, "threads={threads}");
@@ -615,12 +632,16 @@ mod tests {
         ];
         let individual: Vec<_> = batch
             .iter()
-            .map(|q| index.query_on(q, StorageBackend::Packed(&packed)))
+            .map(|q| query_packed(&index, q, &packed))
             .collect();
-        let collective = index.query_batch_collective_on(
-            &batch,
-            &crate::collective::BatchOptions::default(),
+        let collective = run_batch(
+            &index.exec_env(),
             StorageBackend::Packed(&packed),
+            &batch,
+            &BatchOptions {
+                order: BatchOrder::Hilbert,
+                tile: 64,
+            },
         );
         for (i, (xs, ys)) in collective.iter().zip(&individual).enumerate() {
             assert_eq!(xs.len(), ys.len(), "query {i}");
@@ -648,8 +669,8 @@ mod tests {
             assert_eq!(loaded.grouping(), packed.grouping());
 
             let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(4);
-            let a = index.query_on(&q, StorageBackend::Packed(&packed));
-            let b = index.query_on(&q, StorageBackend::Packed(&loaded));
+            let a = query_packed(&index, &q, &packed);
+            let b = query_packed(&index, &q, &loaded);
             assert_eq!(
                 a.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
                 b.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
@@ -674,7 +695,7 @@ mod tests {
         let packed = index.pack();
         index.ingest_epoch(0, &[(PoiId(0), 3)]);
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3));
-        let _ = index.query_on(&q, StorageBackend::Packed(&packed));
+        let _ = query_packed(&index, &q, &packed);
     }
 
     #[test]
@@ -684,7 +705,7 @@ mod tests {
         let packed = index.pack();
         assert!(packed.is_empty());
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(3);
-        assert!(index.query_on(&q, StorageBackend::Packed(&packed)).is_empty());
+        assert!(query_packed(&index, &q, &packed).is_empty());
     }
 
     #[test]

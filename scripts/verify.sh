@@ -24,10 +24,14 @@
 # (tests/fixtures/work_ledger.golden.txt) must be unchanged, the direct
 # packer must reproduce build-then-pack byte for byte (tests/direct_pack.rs),
 # crates/service must not name the pointer tree (shards are packed straight
-# from their POIs), and the stand-alone benchmark program (perfbench/, what
-# BENCHMARK.json runs) must still build against the workspace crates and
-# pass its own tests — the only guard that a deletion under crates/ did not
-# break it.
+# from their POIs), the query surface must not regrow (at most seven
+# `pub fn query*` in crates/core/src — `query` on TarIndex / LiveIndex /
+# SnapshotView / Executor / ScanBaseline, `Executor::query_batch`,
+# `query_with_disk_tias`; a forced configuration is a QueryPlan through
+# `Executor::execute` / `execute_batch`), and the stand-alone benchmark
+# program (perfbench/, what BENCHMARK.json runs) must still build against
+# the workspace crates and pass its own tests — the only guard that a
+# deletion under crates/ did not break it.
 #
 # Opt-in bench-diff lane: KNNTA_BENCH_DIFF=<baseline_dir> runs the bench
 # suites in smoke mode and fails tier-1 if any p95 regresses by more than
@@ -71,11 +75,16 @@ echo "== docs: rustdoc warning-clean + packed-format golden fixture =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --offline --test format_golden
 
-echo "== benchmark: work ledger unchanged + direct pack + perfbench builds and passes =="
+echo "== benchmark: work ledger unchanged + direct pack + one query surface + perfbench builds and passes =="
 cargo test -q --offline --test work_ledger
 cargo test -q --offline --test direct_pack
 if grep -rq TarIndex crates/service/src; then
     echo "crates/service/src names TarIndex: shards must stay image + metadata" >&2
+    exit 1
+fi
+if [ "$(grep -rn 'pub fn query' crates/core/src | wc -l)" -gt 7 ] ||
+    grep -rn 'SnapshotBackend\|query_parallel_on\|query_batch_collective' crates src examples tests; then
+    echo "the query surface regrew: force a configuration with a QueryPlan through Executor" >&2
     exit 1
 fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -15,8 +15,8 @@
 //! with `epoch = -1, count = 0` declares a POI with no check-ins yet).
 
 use knnta::core::{
-    BatchOptions, BatchOrder, Executor, Grouping, IndexConfig, KnntaQuery, LiveIndex, LiveOptions,
-    Poi, QueryPlan, StorageBackend, TarIndex,
+    BatchOrder, Executor, Grouping, IndexConfig, KnntaQuery, LiveIndex, LiveOptions, PackedTarTree,
+    PagedNodes, PlanBackend, PlanMode, Poi, QueryPlan, TarIndex,
 };
 use knnta::obs::{render_report, MetricsDoc, Obs, TraceDoc};
 use knnta::pagestore::{BufferPoolConfig, PolicyKind};
@@ -778,6 +778,12 @@ fn stats(opts: &Opts) -> Result<(), String> {
 fn parse_query(opts: &Opts) -> Result<KnntaQuery, String> {
     let x: f64 = opts.req_num("x")?;
     let y: f64 = opts.req_num("y")?;
+    if !x.is_finite() {
+        return Err("--x must be finite".into());
+    }
+    if !y.is_finite() {
+        return Err("--y must be finite".into());
+    }
     let from: i64 = opts.req_num("from-day")?;
     let to: i64 = opts.req_num("to-day")?;
     if from > to {
@@ -797,7 +803,7 @@ fn parse_query(opts: &Opts) -> Result<KnntaQuery, String> {
 }
 
 /// Packs the index into an immutable serving image when `--packed` is set.
-fn packed_tree_of(opts: &Opts, index: &TarIndex) -> Result<Option<knnta::core::PackedTarTree>, String> {
+fn packed_tree_of(opts: &Opts, index: &TarIndex) -> Result<Option<PackedTarTree>, String> {
     if !opts.flag("packed") {
         return Ok(None);
     }
@@ -809,7 +815,7 @@ fn packed_tree_of(opts: &Opts, index: &TarIndex) -> Result<Option<knnta::core::P
 
 /// Materialises the paged node store when `--paged` is set (and rejects
 /// paged-only options otherwise).
-fn paged_nodes_of(opts: &Opts, index: &TarIndex) -> Result<Option<knnta::core::PagedNodes>, String> {
+fn paged_nodes_of(opts: &Opts, index: &TarIndex) -> Result<Option<PagedNodes>, String> {
     if opts.flag("paged") {
         let policy_name = opts.num::<String>("policy", "lru".into())?;
         let policy = PolicyKind::parse(&policy_name)
@@ -872,6 +878,37 @@ fn plan_auto(opts: &Opts) -> Result<bool, String> {
     }
 }
 
+/// An executor over `index` with whichever image `--paged` / `--packed`
+/// materialised attached.
+fn executor_of<'a>(
+    index: &'a TarIndex,
+    paged: &'a Option<PagedNodes>,
+    packed: &'a Option<PackedTarTree>,
+) -> Executor<'a> {
+    let mut exec = Executor::new(index);
+    if let Some(p) = paged {
+        exec = exec.with_paged(p);
+    }
+    if let Some(p) = packed {
+        exec = exec.with_packed(p);
+    }
+    exec
+}
+
+/// The backend a plan is forced onto without `--plan auto`: the image the
+/// flags materialised, else the arena.
+fn flagged_backend(paged: &Option<PagedNodes>, packed: &Option<PackedTarTree>) -> PlanBackend {
+    match (packed, paged) {
+        (Some(_), _) => PlanBackend::Packed,
+        (None, Some(_)) => PlanBackend::Paged,
+        (None, None) => PlanBackend::InMemory,
+    }
+}
+
+/// Tile size of a collective batch without `--plan auto` (with it, the
+/// planner sizes the tile to the batch).
+const BATCH_TILE: usize = 64;
+
 /// One-line rendering of a planner-chosen configuration.
 fn plan_line(plan: &QueryPlan) -> String {
     format!(
@@ -890,33 +927,24 @@ fn query(opts: &Opts) -> Result<(), String> {
     }
     let packed = packed_tree_of(opts, &index)?;
     let paged = paged_nodes_of(opts, &index)?;
-    let hits = if plan_auto(opts)? {
-        if opts.0.contains_key("threads") {
-            return Err("--threads conflicts with --plan auto (the planner chooses)".into());
-        }
-        let mut exec = Executor::new(&index);
-        if let Some(p) = &paged {
-            exec = exec.with_paged(p);
-        }
-        if let Some(p) = &packed {
-            exec = exec.with_packed(p);
-        }
-        let hits = exec.query(&q);
-        let plan = *exec.last_plan().expect("query records the plan it ran");
-        eprintln!("{}", plan_line(&plan));
-        hits
-    } else {
-        let backend = match (&packed, &paged) {
-            (Some(p), _) => StorageBackend::Packed(p),
-            (None, Some(p)) => StorageBackend::Paged(p),
-            (None, None) => StorageBackend::InMemory,
-        };
-        if threads > 1 {
-            index.query_parallel_on(&q, threads, backend)
+    let auto = plan_auto(opts)?;
+    if auto && opts.0.contains_key("threads") {
+        return Err("--threads conflicts with --plan auto (the planner chooses)".into());
+    }
+    let mut exec = executor_of(&index, &paged, &packed);
+    let mut plan = exec.plan(&q);
+    if !auto {
+        plan.mode = if threads > 1 {
+            PlanMode::Parallel { threads }
         } else {
-            index.query_on(&q, backend)
-        }
-    };
+            PlanMode::Sequential
+        };
+        plan.backend = flagged_backend(&paged, &packed);
+    }
+    let hits = exec.execute(&q, &plan);
+    if auto {
+        eprintln!("{}", plan_line(&plan));
+    }
     outln!("rank  poi        score     check-ins  distance");
     for (rank, h) in hits.iter().enumerate() {
         outln!(
@@ -979,8 +1007,11 @@ fn read_batch_queries(path: &str) -> Result<Vec<KnntaQuery>, String> {
             ));
         }
         let bad = |f: &str| format!("{path}:{}: bad field `{f}`", lineno + 1);
-        let x: f64 = fields[0].trim().parse().map_err(|_| bad(fields[0]))?;
-        let y: f64 = fields[1].trim().parse().map_err(|_| bad(fields[1]))?;
+        let coord = |f: &str| match f.trim().parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(bad(f)),
+        };
+        let (x, y) = (coord(fields[0])?, coord(fields[1])?);
         let from: i64 = fields[2].trim().parse().map_err(|_| bad(fields[2]))?;
         let to: i64 = fields[3].trim().parse().map_err(|_| bad(fields[3]))?;
         if from > to {
@@ -1022,40 +1053,25 @@ fn batch(opts: &Opts) -> Result<(), String> {
     let packed = packed_tree_of(opts, &index)?;
     let paged = paged_nodes_of(opts, &index)?;
     index.stats().reset();
-    let mut planned = None;
-    let results = if plan_auto(opts)? {
-        if opts.flag("individual") || opts.0.contains_key("batch-order") {
-            return Err(
-                "--plan auto conflicts with --individual / --batch-order (the planner chooses)"
-                    .into(),
-            );
-        }
-        let mut exec = Executor::new(&index);
-        if let Some(p) = &paged {
-            exec = exec.with_paged(p);
-        }
-        if let Some(p) = &packed {
-            exec = exec.with_packed(p);
-        }
-        let results = exec.query_batch(&queries);
-        planned = exec.last_plan().copied();
-        results
+    let auto = plan_auto(opts)?;
+    if auto && (opts.flag("individual") || opts.0.contains_key("batch-order")) {
+        return Err(
+            "--plan auto conflicts with --individual / --batch-order (the planner chooses)".into(),
+        );
+    }
+    let mut exec = executor_of(&index, &paged, &packed);
+    let mut plan = exec.plan_batch(&queries);
+    if !auto {
+        plan.mode = PlanMode::Sequential;
+        plan.backend = flagged_backend(&paged, &packed);
+        plan.tile = BATCH_TILE;
+    }
+    let results: Vec<_> = if opts.flag("individual") {
+        queries.iter().map(|q| exec.execute(q, &plan)).collect()
     } else {
-        let backend = match (&packed, &paged) {
-            (Some(p), _) => StorageBackend::Packed(p),
-            (None, Some(p)) => StorageBackend::Paged(p),
-            (None, None) => StorageBackend::InMemory,
-        };
-        if opts.flag("individual") {
-            index.query_batch_individual_on(&queries, backend)
-        } else {
-            let bopts = BatchOptions {
-                order,
-                ..BatchOptions::default()
-            };
-            index.query_batch_collective_on(&queries, &bopts, backend)
-        }
+        exec.execute_batch(&queries, &plan, order)
     };
+    let planned = auto.then_some(plan);
     for (i, hits) in results.iter().enumerate() {
         outln!("query {i}: {} hit(s)", hits.len());
         for (rank, h) in hits.iter().enumerate() {
@@ -1096,13 +1112,7 @@ fn explain(opts: &Opts) -> Result<(), String> {
     let q = parse_query(opts)?;
     let packed = packed_tree_of(opts, &index)?;
     let paged = paged_nodes_of(opts, &index)?;
-    let mut exec = Executor::new(&index);
-    if let Some(p) = &paged {
-        exec = exec.with_paged(p);
-    }
-    if let Some(p) = &packed {
-        exec = exec.with_packed(p);
-    }
+    let mut exec = executor_of(&index, &paged, &packed);
     let plan = exec.plan(&q);
     let s = exec.index_stats().clone();
     outln!("plan:        {} on {}", plan.mode, plan.backend);

@@ -1,14 +1,14 @@
 //! Differential oracle for collective batch processing (Section 7.2 plus
 //! the Hilbert-ordering enhancement): for every grouping strategy, storage
 //! backend and batch ordering,
-//! `query_batch_collective_on` must be **bit-identical** — same POIs, same
+//! `Executor::execute_batch` must be **bit-identical** — same POIs, same
 //! order, bit-equal scores, equal aggregates — to running the queries one
 //! by one, and must never touch more tree nodes than the individual runs.
 
 mod common;
 
-use common::{index_of, small_dataset};
-use knnta::core::{BatchOptions, BatchOrder, Grouping, QueryHit, StorageBackend};
+use common::{index_of, seq, small_dataset};
+use knnta::core::{BatchOrder, Executor, Grouping, PlanBackend, QueryHit, TarIndex};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::{BufferPoolConfig, PolicyKind};
 use knnta::util::rng::{Rng, StdRng};
@@ -64,15 +64,16 @@ fn assert_bit_identical(got: &[Vec<QueryHit>], want: &[Vec<QueryHit>], ctx: &str
     }
 }
 
-fn batch_options() -> [(BatchOptions, &'static str); 2] {
-    let with = |order| BatchOptions {
-        order,
-        ..BatchOptions::default()
-    };
-    [
-        (with(BatchOrder::Hilbert), "hilbert"),
-        (with(BatchOrder::Input), "input"),
-    ]
+const ORDERS: [BatchOrder; 2] = [BatchOrder::Hilbert, BatchOrder::Input];
+
+/// One query at a time on the arena: every query pays its own accesses.
+fn individual(index: &TarIndex, batch: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
+    batch.iter().map(|q| index.query(q)).collect()
+}
+
+/// The in-memory collective batch under the fixed 64-query tile.
+fn collective(index: &TarIndex, batch: &[KnntaQuery], order: BatchOrder) -> Vec<Vec<QueryHit>> {
+    Executor::new(index).execute_batch(batch, &seq(PlanBackend::InMemory), order)
 }
 
 #[test]
@@ -81,10 +82,10 @@ fn collective_is_bit_identical_to_individual_in_memory() {
     let batch = mixed_batch(&dataset, batch_cases(), 0xB47C_0001);
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
-        let want = index.query_batch_individual(&batch);
-        for (opts, name) in batch_options() {
-            let got = index.query_batch_collective_with(&batch, &opts);
-            assert_bit_identical(&got, &want, &format!("{grouping} {name}"));
+        let want = individual(&index, &batch);
+        for order in ORDERS {
+            let got = collective(&index, &batch, order);
+            assert_bit_identical(&got, &want, &format!("{grouping} {order}"));
         }
     }
 }
@@ -95,15 +96,16 @@ fn collective_is_bit_identical_to_individual_paged() {
     let batch = mixed_batch(&dataset, batch_cases().max(12) / 2, 0xB47C_0002);
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
-        let want = index.query_batch_individual(&batch);
+        let want = individual(&index, &batch);
         for policy in PolicyKind::ALL {
             let paged = index.materialize_paged_nodes(1024, BufferPoolConfig::new(8, policy));
-            let backend = StorageBackend::Paged(&paged);
-            let got_ind = index.query_batch_individual_on(&batch, backend);
+            let exec = Executor::new(&index).with_paged(&paged);
+            let plan = seq(PlanBackend::Paged);
+            let got_ind: Vec<_> = batch.iter().map(|q| exec.execute(q, &plan)).collect();
             assert_bit_identical(&got_ind, &want, &format!("{grouping} {policy} individual"));
-            for (opts, name) in batch_options() {
-                let got = index.query_batch_collective_on(&batch, &opts, backend);
-                assert_bit_identical(&got, &want, &format!("{grouping} {policy} {name}"));
+            for order in ORDERS {
+                let got = exec.execute_batch(&batch, &plan, order);
+                assert_bit_identical(&got, &want, &format!("{grouping} {policy} {order}"));
             }
         }
     }
@@ -116,15 +118,15 @@ fn collective_node_accesses_never_exceed_individual() {
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
         index.stats().reset();
-        let _ = index.query_batch_individual(&batch);
+        let _ = individual(&index, &batch);
         let individual = index.stats().node_accesses();
-        for (opts, name) in batch_options() {
+        for order in ORDERS {
             index.stats().reset();
-            let _ = index.query_batch_collective_with(&batch, &opts);
+            let _ = collective(&index, &batch, order);
             let collective = index.stats().node_accesses();
             assert!(
                 collective <= individual,
-                "{grouping} {name}: collective {collective} > individual {individual}"
+                "{grouping} {order}: collective {collective} > individual {individual}"
             );
         }
     }
@@ -142,10 +144,10 @@ fn duplicate_heavy_batches_share_most_node_accesses() {
     let n = 32usize;
     let batch: Vec<KnntaQuery> = std::iter::repeat(q).take(n).collect();
     index.stats().reset();
-    let _ = index.query_batch_individual(&batch);
+    let _ = individual(&index, &batch);
     let individual = index.stats().node_accesses();
     index.stats().reset();
-    let _ = index.query_batch_collective(&batch);
+    let _ = collective(&index, &batch, BatchOrder::Hilbert);
     let collective = index.stats().node_accesses();
     assert!(
         collective * (n as u64) <= individual * 2,
@@ -159,15 +161,15 @@ fn empty_and_all_k_zero_batches_touch_nothing() {
     let index = index_of(&dataset, Grouping::TarIntegral);
     let tc = dataset.grid.tc();
     let q0 = KnntaQuery::new(dataset.positions[0], knnta::TimeInterval::new(tc, tc)).with_k(0);
-    for (opts, name) in batch_options() {
+    for order in ORDERS {
         index.stats().reset();
-        assert!(index.query_batch_collective_with(&[], &opts).is_empty());
-        let got = index.query_batch_collective_with(&[q0.clone(), q0.clone()], &opts);
-        assert_eq!(got, vec![Vec::new(), Vec::new()], "{name}");
+        assert!(collective(&index, &[], order).is_empty());
+        let got = collective(&index, &[q0.clone(), q0.clone()], order);
+        assert_eq!(got, vec![Vec::new(), Vec::new()], "{order}");
         assert_eq!(
             index.stats().node_accesses(),
             0,
-            "{name}: degenerate batches must not touch the tree"
+            "{order}: degenerate batches must not touch the tree"
         );
     }
 }
@@ -179,7 +181,7 @@ fn ordering_is_independent_of_input_permutation() {
     let dataset = small_dataset();
     let index = index_of(&dataset, Grouping::TarIntegral);
     let batch = mixed_batch(&dataset, 16, 0xB47C_0004);
-    let base = index.query_batch_collective(&batch);
+    let base = collective(&index, &batch, BatchOrder::Hilbert);
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let mut perm: Vec<usize> = (0..batch.len()).collect();
     for i in (1..perm.len()).rev() {
@@ -187,7 +189,7 @@ fn ordering_is_independent_of_input_permutation() {
         perm.swap(i, j);
     }
     let shuffled: Vec<KnntaQuery> = perm.iter().map(|&i| batch[i].clone()).collect();
-    let got = index.query_batch_collective(&shuffled);
+    let got = collective(&index, &shuffled, BatchOrder::Hilbert);
     for (pos, &orig) in perm.iter().enumerate() {
         let a: Vec<_> = got[pos].iter().map(|h| (h.poi, h.score.to_bits())).collect();
         let b: Vec<_> = base[orig].iter().map(|h| (h.poi, h.score.to_bits())).collect();

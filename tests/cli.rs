@@ -262,6 +262,21 @@ fn helpful_errors() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("alpha0"));
+    let bad_argument = out.status.code();
+
+    // A non-finite query point is a bad argument like any other, not a
+    // panic inside the index.
+    for (x, y, named) in [("nan", "5", "--x"), ("5", "inf", "--y"), ("-inf", "nan", "--x")] {
+        let out = knnta()
+            .args(["query", "--index", idx.to_str().unwrap()])
+            .args(["--x", x, "--y", y, "--from-day", "0", "--to-day", "7"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), bad_argument, "{stderr}");
+        assert!(stderr.contains(&format!("{named} must be finite")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
     let _ = std::fs::remove_file(csv);
     let _ = std::fs::remove_file(idx);
 }
@@ -458,6 +473,20 @@ fn batch_command_is_mode_invariant() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("alpha0"));
+    let bad_row = out.status.code();
+    // A non-finite coordinate is a bad field on its line, not a panic.
+    for row in ["50,50,0,30\nnan,50,0,30\n", "50,50,0,30\n50,inf,0,30,5\n"] {
+        std::fs::write(&bad, row).unwrap();
+        let out = knnta()
+            .args(["batch", "--index", idx.to_str().unwrap()])
+            .args(["--queries", bad.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), bad_row, "{stderr}");
+        assert!(stderr.contains(":2: bad field"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 
     for f in [&csv, &idx, &queries, &bad] {
         let _ = std::fs::remove_file(f);

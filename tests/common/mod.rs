@@ -2,7 +2,9 @@
 
 //! Shared helpers for the workspace-level integration tests.
 
-use knnta::core::{Grouping, IndexConfig, Obs, QueryHit, ScanBaseline, TarIndex};
+use knnta::core::{
+    Grouping, IndexConfig, Obs, PlanBackend, PlanMode, QueryHit, QueryPlan, ScanBaseline, TarIndex,
+};
 use knnta::lbsn::LbsnDataset;
 use knnta::{AggregateSeries, EpochGrid, Poi};
 use rtree::Rect;
@@ -41,6 +43,32 @@ fn archive_obs() -> Option<Obs> {
             Some(obs)
         })
         .clone()
+}
+
+/// A forced execution configuration for `Executor::execute` /
+/// `execute_batch`, written out as a literal: the plan's three selector
+/// fields are all an execution reads, so no planning call is needed and the
+/// estimates stay zero. `tile` is the collective-batch tile (64 is the
+/// classic fixed tile; single queries ignore it).
+pub fn forced(backend: PlanBackend, mode: PlanMode, tile: usize) -> QueryPlan {
+    QueryPlan {
+        mode,
+        backend,
+        tile,
+        estimated_fpk: 0.0,
+        model_node_accesses: 0.0,
+        estimated_node_accesses: 0.0,
+    }
+}
+
+/// The sequential plan on `backend` (batches: under the 64-query tile).
+pub fn seq(backend: PlanBackend) -> QueryPlan {
+    forced(backend, PlanMode::Sequential, 64)
+}
+
+/// The work-stealing parallel plan on `backend` at `threads` workers.
+pub fn par(backend: PlanBackend, threads: usize) -> QueryPlan {
+    forced(backend, PlanMode::Parallel { threads }, 64)
 }
 
 /// Builds an index of the given grouping over a generated dataset snapshot.

@@ -3,8 +3,8 @@
 
 mod common;
 
-use common::{index_of, small_dataset};
-use knnta::core::Grouping;
+use common::{index_of, seq, small_dataset};
+use knnta::core::{BatchOrder, Executor, Grouping, PlanBackend, QueryHit, TarIndex};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::{KnntaQuery, PoiId};
 use std::collections::HashSet;
@@ -81,6 +81,11 @@ fn mwa_pruning_saves_node_accesses_at_scale() {
     );
 }
 
+/// The paper's collective scheme: the arena, Hilbert order, 64-query tiles.
+fn collective(index: &TarIndex, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
+    Executor::new(index).execute_batch(queries, &seq(PlanBackend::InMemory), BatchOrder::Hilbert)
+}
+
 #[test]
 fn collective_processing_on_lbsn_workload() {
     let dataset = small_dataset();
@@ -95,11 +100,11 @@ fn collective_processing_on_lbsn_workload() {
         .collect();
 
     index.stats().reset();
-    let collective = index.query_batch_collective(&queries);
+    let collective = collective(&index, &queries);
     let shared_accesses = index.stats().node_accesses();
 
     index.stats().reset();
-    let individual = index.query_batch_individual(&queries);
+    let individual: Vec<_> = queries.iter().map(|q| index.query(q)).collect();
     let individual_accesses = index.stats().node_accesses();
 
     // Same answers…
@@ -132,7 +137,7 @@ fn collective_gain_grows_with_batch_size() {
             .map(|&(p, iv)| KnntaQuery::new(p, iv).with_k(10))
             .collect();
         index.stats().reset();
-        let _ = index.query_batch_collective(&queries);
+        let _ = collective(&index, &queries);
         per_query_costs.push(index.stats().node_accesses() as f64 / batch as f64);
     }
     assert!(

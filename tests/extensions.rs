@@ -62,25 +62,6 @@ fn bulk_build_is_faster_and_tighter() {
 }
 
 #[test]
-fn parallel_batch_matches_sequential_on_dataset() {
-    let dataset = small_dataset();
-    let index = index_of(&dataset, Grouping::TarIntegral);
-    let queries: Vec<KnntaQuery> = Workload::generate(&dataset, 64, IntervalAnchor::Random, 32)
-        .queries
-        .iter()
-        .map(|&(p, iv)| KnntaQuery::new(p, iv).with_k(10).with_alpha0(0.3))
-        .collect();
-    let sequential = index.query_batch_individual(&queries);
-    let parallel = index.query_batch_parallel(&queries, 4);
-    for (s, p) in sequential.iter().zip(&parallel) {
-        assert_eq!(
-            s.iter().map(|h| h.poi).collect::<Vec<_>>(),
-            p.iter().map(|h| h.poi).collect::<Vec<_>>()
-        );
-    }
-}
-
-#[test]
 fn live_streaming_matches_batch_build() {
     let dataset = small_dataset();
     let grid = dataset.grid.clone();

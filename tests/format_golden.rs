@@ -15,8 +15,8 @@
 
 mod common;
 
-use common::tiny_dataset;
-use knnta::core::{Grouping, IndexConfig, PackedTarTree, StorageBackend, TarIndex};
+use common::{seq, tiny_dataset};
+use knnta::core::{Executor, Grouping, IndexConfig, PackedTarTree, PlanBackend, TarIndex};
 use knnta::{KnntaQuery, TimeInterval};
 
 const GOLDEN_PATH: &str = concat!(
@@ -100,13 +100,15 @@ fn golden_fixture_still_answers_queries() {
     let packed = PackedTarTree::from_bytes(&golden).expect("golden image must parse");
     let index = golden_index();
     assert_eq!(packed.item_count(), index.len());
+    let exec = Executor::new(&index).with_packed(&packed);
+    let on_packed = seq(PlanBackend::Packed);
     for k in [1, 5, 17] {
         for alpha0 in [0.2, 0.5, 0.8] {
             let q = KnntaQuery::new([37.0, 52.0], TimeInterval::days(7, 42))
                 .with_k(k)
                 .with_alpha0(alpha0);
             let want = index.query(&q);
-            let got = index.query_on(&q, StorageBackend::Packed(&packed));
+            let got = exec.execute(&q, &on_packed);
             assert_eq!(want.len(), got.len(), "k={k} α0={alpha0}");
             for (a, b) in want.iter().zip(&got) {
                 assert_eq!(

@@ -12,8 +12,10 @@
 
 mod common;
 
-use common::{index_of, small_dataset};
-use knnta::core::{Grouping, LiveIndex, Obs, QueryHit, StorageBackend, TarIndex};
+use common::{index_of, par, seq, small_dataset};
+use knnta::core::{
+    BatchOrder, Executor, Grouping, LiveIndex, Obs, PlanBackend, QueryHit, TarIndex,
+};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::{AccessStats, BufferPoolConfig};
 use knnta::{CheckIn, KnntaQuery};
@@ -66,15 +68,15 @@ fn oracle_dump() -> String {
 fn dump_with(index: TarIndex) -> String {
     let queries = fixture_queries(&index);
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
+    let exec = Executor::new(&index).with_paged(&paged);
+    let (par4, on_paged) = (par(PlanBackend::InMemory, 4), seq(PlanBackend::Paged));
     let mut out = String::new();
     for (i, q) in queries.iter().enumerate() {
         out.push_str(&oracle_line(i, "seq", &index, || index.query(q)));
         out.push('\n');
-        out.push_str(&oracle_line(i, "par4", &index, || index.query_parallel(q, 4)));
+        out.push_str(&oracle_line(i, "par4", &index, || exec.execute(q, &par4)));
         out.push('\n');
-        out.push_str(&oracle_line(i, "paged", &index, || {
-            index.query_on(q, StorageBackend::Paged(&paged))
-        }));
+        out.push_str(&oracle_line(i, "paged", &index, || exec.execute(q, &on_paged)));
         out.push('\n');
     }
     out
@@ -135,12 +137,11 @@ fn probe_cases(obs: Obs) -> Vec<(&'static str, Evidence)> {
         })
         .collect();
     let packed = index.pack();
+    let exec = Executor::new(&index).with_packed(&packed);
+    let on_packed = seq(PlanBackend::Packed);
     let mut cases = vec![(
         "packed",
-        evidence(index.stats(), || {
-            let backend = StorageBackend::Packed(&packed);
-            queries.iter().map(|q| index.query_on(q, backend)).collect()
-        }),
+        evidence(index.stats(), || queries.iter().map(|q| exec.execute(q, &on_packed)).collect()),
     )];
     if obs.is_enabled() {
         // Only sequential searches have run: a probe that stops counting
@@ -157,8 +158,11 @@ fn probe_cases(obs: Obs) -> Vec<(&'static str, Evidence)> {
     }
     cases.push((
         "collective tile",
-        evidence(index.stats(), || index.query_batch_collective(&queries)),
+        evidence(index.stats(), || {
+            exec.execute_batch(&queries, &seq(PlanBackend::InMemory), BatchOrder::Hilbert)
+        }),
     ));
+    drop(exec);
 
     // Late check-ins into already-digested epochs, sealed but not merged:
     // the snapshot reads them through the delta overlay.

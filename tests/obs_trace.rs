@@ -16,8 +16,10 @@
 
 mod common;
 
-use common::{index_of, small_dataset};
-use knnta::core::{BatchOptions, Grouping, StorageBackend, TarIndex};
+use common::{index_of, par, seq, small_dataset};
+use knnta::core::{
+    BatchOrder, Executor, Grouping, PagedNodes, PlanBackend, QueryHit, TarIndex,
+};
 use knnta::obs::{MetricsDoc, Obs, SpanId, TraceDoc, Tracer};
 use knnta::pagestore::BufferPoolConfig;
 use knnta::{KnntaQuery, TimeInterval};
@@ -30,6 +32,21 @@ fn observed_index() -> TarIndex {
     let mut index = index_of(&dataset, Grouping::TarIntegral);
     index.set_obs(Obs::enabled());
     index
+}
+
+/// One query on the arena's parallel frontier.
+fn parallel(index: &TarIndex, q: &KnntaQuery, threads: usize) -> Vec<QueryHit> {
+    Executor::new(index).execute(q, &par(PlanBackend::InMemory, threads))
+}
+
+/// One sequential query through the paged store.
+fn on_paged(index: &TarIndex, paged: &PagedNodes, q: &KnntaQuery) -> Vec<QueryHit> {
+    Executor::new(index).with_paged(paged).execute(q, &seq(PlanBackend::Paged))
+}
+
+/// The default collective batch over the arena.
+fn collective(index: &TarIndex, batch: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
+    Executor::new(index).execute_batch(batch, &seq(PlanBackend::InMemory), BatchOrder::Hilbert)
 }
 
 fn sample_query(k: usize) -> KnntaQuery {
@@ -63,7 +80,7 @@ fn span_nesting_well_formed_across_modes() {
     // Parallel, every thread count.
     for threads in [1, 2, 4, 8] {
         let index = observed_index();
-        let _ = index.query_parallel(&sample_query(10), threads);
+        let _ = parallel(&index, &sample_query(10), threads);
         let trace = index.obs().trace_snapshot();
         trace
             .validate()
@@ -82,7 +99,7 @@ fn span_nesting_well_formed_across_modes() {
     // Sequential over the paged backend.
     let index = observed_index();
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
-    let _ = index.query_on(&sample_query(5), StorageBackend::Paged(&paged));
+    let _ = on_paged(&index, &paged, &sample_query(5));
     let trace = index.obs().trace_snapshot();
     trace.validate().expect("paged trace");
     let query = trace.spans_named("query").next().expect("query span");
@@ -93,7 +110,7 @@ fn span_nesting_well_formed_across_modes() {
 
     // Collective batch, in-memory and paged.
     let index = observed_index();
-    let _ = index.query_batch_collective(&sample_batch());
+    let _ = collective(&index, &sample_batch());
     let trace = index.obs().trace_snapshot();
     trace.validate().expect("batch trace");
     assert_eq!(trace.spans_named("batch").count(), 1);
@@ -101,10 +118,10 @@ fn span_nesting_well_formed_across_modes() {
 
     let index = observed_index();
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
-    let _ = index.query_batch_collective_on(
+    let _ = Executor::new(&index).with_paged(&paged).execute_batch(
         &sample_batch(),
-        &BatchOptions::default(),
-        StorageBackend::Paged(&paged),
+        &seq(PlanBackend::Paged),
+        BatchOrder::Hilbert,
     );
     let trace = index.obs().trace_snapshot();
     trace.validate().expect("paged batch trace");
@@ -121,9 +138,9 @@ fn artifacts_round_trip_through_parser() {
     let index = observed_index();
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
     let _ = index.query(&sample_query(5));
-    let _ = index.query_parallel(&sample_query(10), 4);
-    let _ = index.query_on(&sample_query(3), StorageBackend::Paged(&paged));
-    let _ = index.query_batch_collective(&sample_batch());
+    let _ = parallel(&index, &sample_query(10), 4);
+    let _ = on_paged(&index, &paged, &sample_query(3));
+    let _ = collective(&index, &sample_batch());
 
     let trace = index.obs().trace_snapshot();
     assert!(!trace.spans.is_empty());
@@ -147,11 +164,11 @@ fn metrics_counters_match_access_stats() {
     let seq = index.stats().node_accesses();
     for threads in [2, 4] {
         index.stats().reset();
-        let _ = index.query_parallel(&sample_query(5), threads);
+        let _ = parallel(&index, &sample_query(5), threads);
         assert_eq!(index.stats().node_accesses(), seq, "threads={threads}");
     }
     index.stats().reset();
-    let _ = index.query_on(&sample_query(5), StorageBackend::Paged(&paged));
+    let _ = on_paged(&index, &paged, &sample_query(5));
     assert_eq!(index.stats().node_accesses(), seq, "paged");
 
     let metrics = index.obs().metrics_snapshot();

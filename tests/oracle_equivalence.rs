@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::{assert_same_answer, baseline_of, index_of, small_dataset};
-use knnta::core::{Grouping, PackedTarTree, StorageBackend};
+use common::{assert_same_answer, baseline_of, index_of, par, seq, small_dataset};
+use knnta::core::{Executor, Grouping, PackedTarTree, PlanBackend};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::{AccessStats, BufferPoolConfig, Disk, PolicyKind};
 use knnta::util::rng::{Rng, StdRng};
@@ -86,7 +86,7 @@ fn differential_cases() -> usize {
 #[test]
 fn parallel_query_is_bit_identical_to_sequential_and_oracle() {
     // The tentpole determinism oracle: for randomized workloads,
-    // `query_parallel` at every thread count returns hit-for-hit identical
+    // a `PlanMode::Parallel` plan at every thread count returns hit-for-hit identical
     // results (same POIs, same order, bit-equal scores) to `query`, and
     // both agree with the brute-force scan, for all three groupings.
     let dataset = small_dataset();
@@ -95,6 +95,7 @@ fn parallel_query_is_bit_identical_to_sequential_and_oracle() {
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
+        let exec = Executor::new(&index);
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Random, 7);
         for (i, &(point, interval)) in workload.queries.iter().enumerate() {
             let k = rng.gen_range(1..=120usize);
@@ -103,7 +104,7 @@ fn parallel_query_is_bit_identical_to_sequential_and_oracle() {
             let want = index.query(&q);
             assert_same_answer(&want, &baseline.query(&q), &format!("{grouping} query {i}"));
             for threads in [1, 2, 4, 8] {
-                let got = index.query_parallel(&q, threads);
+                let got = exec.execute(&q, &par(PlanBackend::InMemory, threads));
                 assert_eq!(
                     got.len(),
                     want.len(),
@@ -130,20 +131,21 @@ fn parallel_node_accounting_equals_sequential() {
     let mut rng = StdRng::seed_from_u64(0xACCE_55E5);
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
+        let exec = Executor::new(&index);
         let workload = Workload::generate(&dataset, 12, IntervalAnchor::Recent, 11);
         for &(point, interval) in &workload.queries {
             let k = rng.gen_range(1..=60usize);
             let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(0.3);
             index.stats().reset();
             let _ = index.query(&q);
-            let seq = index.stats().snapshot();
+            let want = index.stats().snapshot();
             for threads in [1, 2, 4, 8] {
                 index.stats().reset();
-                let _ = index.query_parallel(&q, threads);
-                let par = index.stats().snapshot();
+                let _ = exec.execute(&q, &par(PlanBackend::InMemory, threads));
+                let got = index.stats().snapshot();
                 assert_eq!(
-                    (par.node_accesses, par.leaf_node_accesses),
-                    (seq.node_accesses, seq.leaf_node_accesses),
+                    (got.node_accesses, got.leaf_node_accesses),
+                    (want.node_accesses, want.leaf_node_accesses),
                     "{grouping} k={k} threads={threads}"
                 );
             }
@@ -168,20 +170,20 @@ fn paged_backend_is_bit_identical_to_in_memory() {
             let paged =
                 index.materialize_paged_nodes(1024, BufferPoolConfig::new(8, policy));
             assert_eq!(paged.node_count(), index.node_count());
+            let exec = Executor::new(&index).with_paged(&paged);
             for (i, &(point, interval)) in workload.queries.iter().enumerate() {
                 let k = rng.gen_range(1..=120usize);
                 let alpha0 = rng.gen_range(0.05..0.95);
                 let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
                 let want = index.query(&q);
                 let ctx = format!("{grouping} {policy} query {i} k={k}");
-                let got = index.query_on(&q, StorageBackend::Paged(&paged));
+                let got = exec.execute(&q, &seq(PlanBackend::Paged));
                 assert_same_answer(&got, &want, &ctx);
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}");
                 }
                 for threads in [1, 2, 4, 8] {
-                    let got =
-                        index.query_parallel_on(&q, threads, StorageBackend::Paged(&paged));
+                    let got = exec.execute(&q, &par(PlanBackend::Paged, threads));
                     assert_eq!(got.len(), want.len(), "{ctx} threads={threads}");
                     for (rank, (a, b)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(
@@ -221,6 +223,8 @@ fn packed_backend_is_bit_identical_to_in_memory() {
         let disk = Disk::new(4096, stats);
         let pages = packed.save_to_disk(&disk);
         let loaded = PackedTarTree::load_from_disk(&disk, &pages).expect("valid packed image");
+        let exec = Executor::new(&index).with_packed(&packed);
+        let exec_loaded = Executor::new(&index).with_packed(&loaded);
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Random, 17);
         for (i, &(point, interval)) in workload.queries.iter().enumerate() {
             let k = rng.gen_range(1..=120usize);
@@ -228,12 +232,12 @@ fn packed_backend_is_bit_identical_to_in_memory() {
             let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
             let want = index.query(&q);
             let ctx = format!("{grouping} packed query {i} k={k}");
-            let got = index.query_on(&q, StorageBackend::Packed(&packed));
+            let got = exec.execute(&q, &seq(PlanBackend::Packed));
             assert_same_answer(&got, &want, &ctx);
             for (a, b) in got.iter().zip(&want) {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}");
             }
-            let reloaded = index.query_on(&q, StorageBackend::Packed(&loaded));
+            let reloaded = exec_loaded.execute(&q, &seq(PlanBackend::Packed));
             assert_eq!(got.len(), reloaded.len(), "{ctx} (reloaded)");
             for (rank, (a, b)) in reloaded.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -243,9 +247,9 @@ fn packed_backend_is_bit_identical_to_in_memory() {
                 );
             }
             for threads in [1, 2, 4, 8] {
-                let par = index.query_parallel_on(&q, threads, StorageBackend::Packed(&packed));
-                assert_eq!(par.len(), want.len(), "{ctx} threads={threads}");
-                for (rank, (a, b)) in par.iter().zip(&want).enumerate() {
+                let got = exec.execute(&q, &par(PlanBackend::Packed, threads));
+                assert_eq!(got.len(), want.len(), "{ctx} threads={threads}");
+                for (rank, (a, b)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
                         (a.poi, a.score.to_bits(), a.aggregate),
                         (b.poi, b.score.to_bits(), b.aggregate),
@@ -269,21 +273,22 @@ fn packed_node_accounting_is_thread_count_invariant() {
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
         let packed = index.pack();
+        let exec = Executor::new(&index).with_packed(&packed);
         let workload = Workload::generate(&dataset, 12, IntervalAnchor::Recent, 19);
         for &(point, interval) in &workload.queries {
             let k = rng.gen_range(1..=60usize);
             let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(0.3);
             index.stats().reset();
-            let _ = index.query_on(&q, StorageBackend::Packed(&packed));
-            let seq = index.stats().snapshot();
-            assert!(seq.node_accesses > 0, "{grouping}: packed queries must be counted");
+            let _ = exec.execute(&q, &seq(PlanBackend::Packed));
+            let want = index.stats().snapshot();
+            assert!(want.node_accesses > 0, "{grouping}: packed queries must be counted");
             for threads in [1, 2, 4, 8] {
                 index.stats().reset();
-                let _ = index.query_parallel_on(&q, threads, StorageBackend::Packed(&packed));
-                let par = index.stats().snapshot();
+                let _ = exec.execute(&q, &par(PlanBackend::Packed, threads));
+                let got = index.stats().snapshot();
                 assert_eq!(
-                    (par.node_accesses, par.leaf_node_accesses),
-                    (seq.node_accesses, seq.leaf_node_accesses),
+                    (got.node_accesses, got.leaf_node_accesses),
+                    (want.node_accesses, want.leaf_node_accesses),
                     "{grouping} k={k} threads={threads}"
                 );
             }

@@ -1,20 +1,22 @@
 //! Differential oracle for the cost-model planner (`DESIGN.md` §14).
 //!
 //! Whatever configuration [`Executor`] plans — sequential or parallel,
-//! in-memory, paged, or packed, any tile size or cache setting — the answer
-//! must be **bit-identical** to every forced configuration of the same
-//! query. The plan is allowed to change *how fast* an answer arrives, never
+//! in-memory, paged, or packed, any tile size — the answer must be
+//! **bit-identical** to every forced configuration of the same query. The plan is allowed to change *how fast* an answer arrives, never
 //! *which* answer arrives: admissibility of the best-first search (paper
 //! Section 4.3) is a property of the scoring function, not of the execution
 //! configuration.
 
 mod common;
 
-use common::{index_of, small_dataset};
-use knnta::core::{BatchOptions, Executor, Grouping, QueryHit, StorageBackend};
+use common::{forced, index_of, par, seq, small_dataset, tiny_dataset};
+use knnta::core::{
+    BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, PlanBackend, PlanMode, QueryHit,
+    TarIndex,
+};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::{BufferPoolConfig, PolicyKind};
-use knnta::KnntaQuery;
+use knnta::{KnntaQuery, PoiId, TimeInterval};
 
 /// Queries per grouping: a fast handful by default, 10× that under
 /// `KNNTA_SOAK=1` (the soak lane in `scripts/verify.sh`).
@@ -55,36 +57,40 @@ fn planned_queries_match_every_forced_config() {
             })
             .collect();
         let mut exec = Executor::new(&index).with_packed(&packed).with_paged(&paged[0]);
+        let on_policy: Vec<_> = paged
+            .iter()
+            .map(|p| Executor::new(&index).with_paged(p))
+            .collect();
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Random, 77);
         for (i, &(point, interval)) in workload.queries.iter().enumerate() {
             for k in [1, 10, 100] {
                 let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(0.3);
                 let planned = key(&exec.query(&q));
-                let plan = exec.last_plan().expect("executor records its plan");
+                let plan = *exec.last_plan().expect("executor records its plan");
                 let ctx = format!("{grouping} query {i} k={k} ({plan:?})");
                 assert_eq!(planned, key(&index.query(&q)), "{ctx}: vs in-memory seq");
                 for threads in [1, 2, 4, 8] {
                     assert_eq!(
                         planned,
-                        key(&index.query_parallel(&q, threads)),
+                        key(&exec.execute(&q, &par(PlanBackend::InMemory, threads))),
                         "{ctx}: vs in-memory par({threads})"
                     );
                 }
                 assert_eq!(
                     planned,
-                    key(&index.query_on(&q, StorageBackend::Packed(&packed))),
+                    key(&exec.execute(&q, &seq(PlanBackend::Packed))),
                     "{ctx}: vs packed seq"
                 );
-                for (p, policy) in paged.iter().zip(PolicyKind::ALL) {
+                for (on_paged, policy) in on_policy.iter().zip(PolicyKind::ALL) {
                     assert_eq!(
                         planned,
-                        key(&index.query_on(&q, StorageBackend::Paged(p))),
+                        key(&on_paged.execute(&q, &seq(PlanBackend::Paged))),
                         "{ctx}: vs paged/{policy}"
                     );
                 }
                 assert_eq!(
                     planned,
-                    key(&index.query_parallel_on(&q, 4, StorageBackend::Packed(&packed))),
+                    key(&exec.execute(&q, &par(PlanBackend::Packed, 4))),
                     "{ctx}: vs packed par(4)"
                 );
             }
@@ -92,9 +98,11 @@ fn planned_queries_match_every_forced_config() {
     }
 }
 
-/// Planned batches must be bit-identical to the forced collective and
-/// individual batch paths on every backend, whatever tile size or cache
-/// setting the planner picked.
+/// The batch half of the differential: `execute_batch` under every
+/// attached backend x tile size x batch order equals per-query
+/// [`TarIndex::query`] bit for bit, so does the individual loop on each
+/// backend, and the planned `query_batch` is exactly `execute_batch` under
+/// the plan it chose, in Hilbert order.
 #[test]
 fn planned_batches_match_every_forced_config() {
     let dataset = small_dataset();
@@ -117,24 +125,29 @@ fn planned_batches_match_every_forced_config() {
                     .with_alpha0(0.3)
             })
             .collect();
+        let want: Vec<_> = queries.iter().map(|q| key(&index.query(q))).collect();
         let mut exec = Executor::new(&index).with_packed(&packed).with_paged(&paged);
         let planned: Vec<_> = exec.query_batch(&queries).iter().map(|h| key(h)).collect();
-        let ctx = format!("{grouping} batch ({:?})", exec.last_plan());
-        let opts = BatchOptions::default();
-        for (name, forced) in [
-            ("collective in-memory", index.query_batch_collective(&queries)),
-            (
-                "collective packed",
-                index.query_batch_collective_on(&queries, &opts, StorageBackend::Packed(&packed)),
-            ),
-            (
-                "collective paged",
-                index.query_batch_collective_on(&queries, &opts, StorageBackend::Paged(&paged)),
-            ),
-            ("individual", index.query_batch_individual(&queries)),
-        ] {
-            let forced: Vec<_> = forced.iter().map(|h| key(h)).collect();
-            assert_eq!(planned, forced, "{ctx}: vs {name}");
+        let plan = *exec.last_plan().expect("executor records its plan");
+        let ctx = format!("{grouping} batch ({plan:?})");
+        assert_eq!(planned, want, "{ctx}: vs per-query in-memory");
+        let replayed = exec.execute_batch(&queries, &plan, BatchOrder::Hilbert);
+        let replayed: Vec<_> = replayed.iter().map(|h| key(h)).collect();
+        assert_eq!(planned, replayed, "{ctx}: vs execute_batch under the same plan");
+        for backend in [PlanBackend::InMemory, PlanBackend::Paged, PlanBackend::Packed] {
+            let individual: Vec<_> = queries
+                .iter()
+                .map(|q| key(&exec.execute(q, &seq(backend))))
+                .collect();
+            assert_eq!(individual, want, "{ctx}: vs individual on {backend}");
+            for tile in [1, 16, 64] {
+                for order in [BatchOrder::Hilbert, BatchOrder::Input] {
+                    let plan = forced(backend, PlanMode::Sequential, tile);
+                    let got = exec.execute_batch(&queries, &plan, order);
+                    let got: Vec<_> = got.iter().map(|h| key(h)).collect();
+                    assert_eq!(got, want, "{ctx}: vs collective on {backend}, tile {tile}, {order}");
+                }
+            }
         }
     }
 }
@@ -164,4 +177,51 @@ fn calibration_feedback_never_changes_answers() {
         exec.planner().calibration().samples() >= 40,
         "every planned execution must feed the calibration"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Misuse of a forced plan: each case of `Executor::execute`'s `# Panics`.
+// ---------------------------------------------------------------------------
+
+fn tiny_index() -> TarIndex {
+    let (grid, bounds, pois) = tiny_dataset();
+    TarIndex::build(IndexConfig::default(), grid, bounds, pois)
+}
+
+fn tiny_query() -> KnntaQuery {
+    KnntaQuery::new([50.0, 50.0], TimeInterval::days(0, 56)).with_k(3)
+}
+
+#[test]
+#[should_panic(expected = "packed backend that was never attached")]
+fn forced_plan_on_an_unattached_image_panics() {
+    let index = tiny_index();
+    Executor::new(&index).execute(&tiny_query(), &seq(PlanBackend::Packed));
+}
+
+#[test]
+#[should_panic(expected = "in-memory plan on a frozen index")]
+fn in_memory_plan_on_a_frozen_index_panics() {
+    let (grid, bounds, pois) = tiny_dataset();
+    let frozen = FrozenIndex::build(IndexConfig::default(), grid, bounds, &pois);
+    let plan = seq(PlanBackend::InMemory);
+    Executor::frozen(&frozen).execute_batch(&[tiny_query()], &plan, BatchOrder::Hilbert);
+}
+
+#[test]
+#[should_panic(expected = "at least one worker thread")]
+fn parallel_plan_with_zero_threads_panics() {
+    let index = tiny_index();
+    Executor::new(&index).execute(&tiny_query(), &par(PlanBackend::InMemory, 0));
+}
+
+#[test]
+#[should_panic(expected = "packed tree is stale")]
+fn forced_plan_on_a_stale_image_panics() {
+    let mut index = tiny_index();
+    let packed = index.pack();
+    index.ingest_epoch(0, &[(PoiId(0), 3)]);
+    Executor::new(&index)
+        .with_packed(&packed)
+        .execute(&tiny_query(), &seq(PlanBackend::Packed));
 }

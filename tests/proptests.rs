@@ -4,7 +4,10 @@
 
 mod common;
 
-use knnta::core::{Grouping, IndexConfig, ScanBaseline, TarIndex};
+use common::{par, seq};
+use knnta::core::{
+    BatchOrder, Executor, Grouping, IndexConfig, PlanBackend, ScanBaseline, TarIndex,
+};
 use knnta::util::prop::{check, Gen};
 use knnta::{AggregateSeries, EpochGrid, KnntaQuery, Poi, TimeInterval};
 use rtree::Rect;
@@ -146,8 +149,9 @@ fn collective_matches_individual() {
         let qs = g.vec(1, 12, gen_query);
         let (_, indexes) = build_all(&ds);
         let index = &indexes[0];
-        let collective = index.query_batch_collective(&qs);
-        let individual = index.query_batch_individual(&qs);
+        let plan = seq(PlanBackend::InMemory);
+        let collective = Executor::new(index).execute_batch(&qs, &plan, BatchOrder::Hilbert);
+        let individual: Vec<_> = qs.iter().map(|q| index.query(q)).collect();
         for (c, i) in collective.iter().zip(&individual) {
             assert_eq!(c.len(), i.len());
             for (a, b) in c.iter().zip(i) {
@@ -174,7 +178,7 @@ fn frontier_pops_are_monotone_per_worker() {
         let index = &mut indexes[g.usize_in(0..3)];
         index.set_obs(knnta::core::Obs::enabled());
         let threads = *g.pick(&[2usize, 3, 4, 8]);
-        let hits = index.query_parallel(&q, threads);
+        let hits = Executor::new(index).execute(&q, &par(PlanBackend::InMemory, threads));
         let trace = index.obs().trace_snapshot();
         let mut workers: Vec<_> = trace.spans.iter().filter(|s| s.name == "worker").collect();
         workers.sort_by_key(|s| s.attr("worker").and_then(|v| v.as_u64()));
@@ -205,7 +209,7 @@ fn frontier_pops_are_monotone_per_worker() {
 }
 
 /// Thread-count invariance of the access statistics: for any dataset and
-/// query, `query_parallel` records exactly the sequential node/leaf access
+/// query, a parallel plan records exactly the sequential node/leaf access
 /// totals at every thread count.
 #[test]
 fn leaf_access_totals_are_thread_count_invariant() {
@@ -216,14 +220,14 @@ fn leaf_access_totals_are_thread_count_invariant() {
         let index = &indexes[g.usize_in(0..3)];
         index.stats().reset();
         let _ = index.query(&q);
-        let seq = index.stats().snapshot();
+        let want = index.stats().snapshot();
         for threads in [1usize, 2, 4, 8] {
             index.stats().reset();
-            let _ = index.query_parallel(&q, threads);
-            let par = index.stats().snapshot();
+            let _ = Executor::new(index).execute(&q, &par(PlanBackend::InMemory, threads));
+            let got = index.stats().snapshot();
             assert_eq!(
-                (par.node_accesses, par.leaf_node_accesses),
-                (seq.node_accesses, seq.leaf_node_accesses),
+                (got.node_accesses, got.leaf_node_accesses),
+                (want.node_accesses, want.leaf_node_accesses),
                 "threads={threads}"
             );
         }
@@ -237,7 +241,7 @@ fn leaf_access_totals_are_thread_count_invariant() {
 /// packed one.
 #[test]
 fn packed_image_roundtrip_is_byte_identical() {
-    use knnta::core::{PackedTarTree, StorageBackend};
+    use knnta::core::PackedTarTree;
     use knnta::pagestore::{AccessStats, Disk};
     check("packed_image_roundtrip_is_byte_identical", 24, |g| {
         let ds = gen_dataset(g, 100);
@@ -253,8 +257,9 @@ fn packed_image_roundtrip_is_byte_identical() {
         let pages = packed.save_to_disk(&disk);
         let reloaded = PackedTarTree::load_from_disk(&disk, &pages).expect("disk image must parse");
         assert_eq!(image, reloaded.to_bytes(), "disk round trip drifted");
-        let want = index.query_on(&q, StorageBackend::Packed(&packed));
-        let got = index.query_on(&q, StorageBackend::Packed(&reloaded));
+        let on_packed = seq(PlanBackend::Packed);
+        let want = Executor::new(index).with_packed(&packed).execute(&q, &on_packed);
+        let got = Executor::new(index).with_packed(&reloaded).execute(&q, &on_packed);
         assert_eq!(want.len(), got.len());
         for (a, b) in want.iter().zip(&got) {
             assert_eq!(

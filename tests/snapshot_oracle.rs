@@ -6,11 +6,11 @@
 //! index built cold and fed the snapshot's cumulative deltas through
 //! `TarIndex::ingest_epoch`, one epoch at a time.
 //!
-//! That equality is checked for every entry point (`query`,
-//! `query_parallel` at every thread count, `query_batch_collective`),
-//! every serving backend (in-memory, paged, packed), and all three
-//! grouping strategies, plus the event-conservation invariant
-//! `pending + sealed + dropped == recorded` at quiescence.
+//! That equality is checked through `SnapshotView::query` — the one image a
+//! snapshot serves, its base's packed image under the overlay — for all
+//! three grouping strategies at every lifecycle point, plus the
+//! event-conservation invariant `pending + sealed + dropped == recorded` at
+//! quiescence.
 //!
 //! Under `KNNTA_SOAK=1` the suite additionally runs many randomized
 //! writer/reader schedules; a failing schedule panics with a
@@ -21,11 +21,9 @@ mod common;
 
 use common::{small_dataset, tiny_dataset};
 use knnta::core::{
-    BatchOptions, Grouping, IndexConfig, LiveIndex, LiveOptions, QueryHit, SnapshotBackend,
-    SnapshotView, TarIndex,
+    Grouping, IndexConfig, LiveIndex, LiveOptions, QueryHit, SnapshotView, TarIndex,
 };
 use knnta::lbsn::{IntervalAnchor, LbsnDataset, Workload};
-use knnta::pagestore::{BufferPoolConfig, PolicyKind};
 use knnta::util::rng::{Rng, StdRng};
 use knnta::{AggregateSeries, CheckIn, KnntaQuery, Poi, PoiId, TimeInterval, Timestamp};
 use rtree::Rect;
@@ -211,8 +209,8 @@ fn quiesce(live: &LiveIndex) {
 fn concurrent_snapshots_match_single_threaded_replay() {
     // The headline oracle: 4 writers + concurrent sealer/merger + a reader
     // taking snapshots mid-stream. Every snapshot answers bit-identically
-    // to its frozen replay, sequentially and at every thread count; after
-    // quiescing, the tier equals the batch-built reference exactly.
+    // to its frozen replay; after quiescing, the tier equals the
+    // batch-built reference exactly.
     let dataset = small_dataset();
     let (events, expected_drops) = synth_events(&dataset, 0xA11CE);
     let live = LiveIndex::new(empty_index(&dataset, Grouping::TarIntegral), 0);
@@ -248,15 +246,7 @@ fn concurrent_snapshots_match_single_threaded_replay() {
             let alpha0 = rng.gen_range(0.05..0.95);
             let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
             let ctx = format!("snapshot {si} ({}) query {qi} k={k}", snap.watermark());
-            let want = replay.query(&q);
-            assert_bits(&snap.query(&q), &want, &ctx);
-            for threads in [1, 2, 4, 8] {
-                assert_bits(
-                    &snap.query_parallel(&q, threads),
-                    &want,
-                    &format!("{ctx} threads={threads}"),
-                );
-            }
+            assert_bits(&snap.query(&q), &replay.query(&q), &ctx);
         }
     }
 
@@ -281,11 +271,10 @@ fn concurrent_snapshots_match_single_threaded_replay() {
 }
 
 #[test]
-fn every_backend_and_entry_point_matches_the_frozen_replay() {
-    // The full matrix: all three groupings x all three serving backends x
-    // sequential / parallel (1, 2, 4, 8 threads) / collective-batch entry
-    // points, against snapshots taken at three lifecycle points (overlay on
-    // an empty base, merged base, merged base + fresh overlay).
+fn every_grouping_and_lifecycle_point_matches_the_frozen_replay() {
+    // All three groupings, against snapshots taken at three lifecycle
+    // points (overlay on an empty base, merged base, merged base + fresh
+    // overlay); at each, the image served is the canonical one.
     let dataset = small_dataset();
     let per_snap = if soak() { 10 } else { 4 };
     let mut rng = StdRng::seed_from_u64(0xD00D);
@@ -293,13 +282,7 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
         .into_iter()
         .enumerate()
     {
-        let policy = PolicyKind::ALL[gi % PolicyKind::ALL.len()];
-        let opts = LiveOptions {
-            shards: 8,
-            serve_paged: Some((1024, BufferPoolConfig::new(8, policy))),
-            serve_packed: true,
-        };
-        let live = LiveIndex::with_options(empty_index(&dataset, grouping), 0, opts);
+        let live = LiveIndex::new(empty_index(&dataset, grouping), 0);
         let (events, _) = synth_events(&dataset, 0xD00D + gi as u64);
         let half = events.len() / 2;
 
@@ -307,7 +290,7 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
         // (a) overlay over the still-empty base.
         snaps.extend(stream_concurrently(&live, &events[..half], 4, 0, false));
         // (b) everything sealed so far folded into a re-packed base (its
-        // arena tree and paged image materialise on first use below).
+        // arena tree materialises on first use below).
         live.merge_sealed();
         snaps.push(live.snapshot());
         // (c) merged base plus a fresh overlay from the second half.
@@ -315,10 +298,10 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
 
         let workload = Workload::generate(&dataset, per_snap, IntervalAnchor::Random, 50 + gi as u64);
         for (si, snap) in snaps.iter().enumerate() {
-            assert!(snap.serves_paged() && snap.serves_packed());
-            // The base image is canonical: the arena tree — the
-            // construction-time index at (a), materialised from the merged
-            // POI table at (b) and (c) — packs to the very bytes served.
+            // The base image is canonical before and after a merge: the
+            // arena tree — the construction-time index at (a), materialised
+            // from the merged POI table at (b) and (c) — packs to the very
+            // bytes served.
             assert!(
                 snap.index().pack().to_bytes() == snap.packed().to_bytes(),
                 "{grouping} snapshot {si}: arena tree and base image disagree"
@@ -333,32 +316,9 @@ fn every_backend_and_entry_point_matches_the_frozen_replay() {
                         .with_alpha0(rng.gen_range(0.05..0.95))
                 })
                 .collect();
-            let wants: Vec<Vec<QueryHit>> = queries.iter().map(|q| replay.query(q)).collect();
             for (qi, q) in queries.iter().enumerate() {
-                let ctx = format!("{grouping} snapshot {si} default backend q{qi}");
-                assert_bits(&snap.query(q), &wants[qi], &ctx);
-            }
-            for backend in [
-                SnapshotBackend::InMemory,
-                SnapshotBackend::Paged,
-                SnapshotBackend::Packed,
-            ] {
-                let ctx = format!("{grouping} snapshot {si} {backend:?}");
-                for (qi, q) in queries.iter().enumerate() {
-                    assert_bits(&snap.query_on(q, backend), &wants[qi], &format!("{ctx} q{qi}"));
-                    for threads in [1, 2, 4, 8] {
-                        assert_bits(
-                            &snap.query_parallel_on(q, threads, backend),
-                            &wants[qi],
-                            &format!("{ctx} q{qi} threads={threads}"),
-                        );
-                    }
-                }
-                let batched =
-                    snap.query_batch_collective_on(&queries, &BatchOptions::default(), backend);
-                for (qi, got) in batched.iter().enumerate() {
-                    assert_bits(got, &wants[qi], &format!("{ctx} collective q{qi}"));
-                }
+                let ctx = format!("{grouping} snapshot {si} q{qi}");
+                assert_bits(&snap.query(q), &replay.query(q), &ctx);
             }
         }
     }
@@ -438,9 +398,7 @@ fn run_schedule(seed: u64) {
             let alpha0 = rng.gen_range(0.05..0.95);
             let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
             let ctx = format!("schedule {seed:#x} snapshot {si} q{qi}");
-            let want = replay.query(&q);
-            assert_bits(&snap.query(&q), &want, &ctx);
-            assert_bits(&snap.query_parallel(&q, 2), &want, &format!("{ctx} threads=2"));
+            assert_bits(&snap.query(&q), &replay.query(&q), &ctx);
         }
     }
 

@@ -19,10 +19,9 @@
 
 mod common;
 
-use common::{index_of, small_dataset};
+use common::{index_of, par, seq, small_dataset};
 use knnta::core::{
-    BatchOptions, Executor, FrozenIndex, Grouping, IndexConfig, Obs, PlanBackend, PlanMode,
-    StorageBackend,
+    BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, Obs, PlanBackend, PlanMode,
 };
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::BufferPoolConfig;
@@ -81,10 +80,11 @@ fn work_ledger_matches_the_golden_fixture() {
         .collect();
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
     let packed = index.pack();
+    let forced_exec = Executor::new(&index).with_paged(&paged).with_packed(&packed);
     let backends = [
-        ("arena", StorageBackend::InMemory),
-        ("paged", StorageBackend::Paged(&paged)),
-        ("packed", StorageBackend::Packed(&packed)),
+        ("arena", PlanBackend::InMemory),
+        ("paged", PlanBackend::Paged),
+        ("packed", PlanBackend::Packed),
     ];
     let counters = || {
         let m = obs.metrics_snapshot();
@@ -102,15 +102,16 @@ fn work_ledger_matches_the_golden_fixture() {
         for engine in ["seq", "par2", "tile64"] {
             index.stats().reset();
             let (before, fetches0) = (counters(), packed.fetches());
+            let (seq, par2) = (seq(backend), par(backend, 2));
             match engine {
                 "seq" => queries.iter().for_each(|q| {
-                    index.query_on(q, backend);
+                    forced_exec.execute(q, &seq);
                 }),
                 "par2" => queries.iter().for_each(|q| {
-                    index.query_parallel_on(q, 2, backend);
+                    forced_exec.execute(q, &par2);
                 }),
                 _ => {
-                    index.query_batch_collective_on(&queries, &BatchOptions::default(), backend);
+                    forced_exec.execute_batch(&queries, &seq, BatchOrder::Hilbert);
                 }
             }
             let after = counters();

@@ -510,8 +510,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Seeds the executor with a previously-accumulated planner, so EWMA
-    /// calibration survives the executor being rebuilt (the service carries
-    /// each shard's planner across shard rebuilds this way).
+    /// calibration survives the executor being rebuilt.
     pub fn with_planner(mut self, planner: Planner) -> Executor<'a> {
         self.planner = planner;
         self

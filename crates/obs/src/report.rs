@@ -5,8 +5,8 @@
 //! synthetic `phase.*` spans the query path emits (filter scoring vs. TIA
 //! aggregation vs. page I/O) into the per-phase cost decomposition the
 //! paper reports (Fig. 12-style); groups the service pipeline spans
-//! (`admit`/`tile`/`scatter`/`merge`, with a per-shard scatter table and
-//! retry counts from the `attempt` attrs) and the per-query `segment.*`
+//! (`admit`/`tile`/`scatter`/`merge`, with a per-shard scatter table) and
+//! the per-query `segment.*`
 //! spans of sampled tail traces; then a per-span-name summary and, when a
 //! metrics artifact is supplied, the counter table.
 //!
@@ -153,11 +153,10 @@ pub fn render_report(trace: &TraceDoc, metrics: Option<&MetricsDoc>) -> String {
         }
     }
 
-    // Scatter broken down by shard: execution count, total time, and
-    // retries (executions with a nonzero `attempt`/`attempts` attr). Both
+    // Scatter broken down by shard: execution count and total time. Both
     // the live `scatter` spans and the `segment.shard` spans of sampled
     // tail traces carry a `shard` attr.
-    let mut shards: Vec<(u64, u64, u64, u64)> = Vec::new(); // (shard, count, ns, retries)
+    let mut shards: Vec<(u64, u64, u64)> = Vec::new(); // (shard, count, ns)
     for s in trace
         .spans
         .iter()
@@ -166,37 +165,25 @@ pub fn render_report(trace: &TraceDoc, metrics: Option<&MetricsDoc>) -> String {
         let Some(shard) = s.attr("shard").and_then(|a| a.as_u64()) else {
             continue;
         };
-        let retry = s
-            .attr("attempt")
-            .or_else(|| s.attr("attempts"))
-            .and_then(|a| a.as_u64())
-            .unwrap_or(0)
-            > 0;
         match shards.iter_mut().find(|(id, ..)| *id == shard) {
-            Some((_, count, ns, retries)) => {
+            Some((_, count, ns)) => {
                 *count += 1;
                 *ns += s.duration_ns();
-                *retries += retry as u64;
             }
-            None => shards.push((shard, 1, s.duration_ns(), retry as u64)),
+            None => shards.push((shard, 1, s.duration_ns())),
         }
     }
     if !shards.is_empty() {
         shards.sort_by_key(|&(id, ..)| id);
         out.push_str("\nscatter by shard:\n");
-        let _ = writeln!(
-            out,
-            "  {:<14} {:>8} {:>12} {:>8}",
-            "shard", "execs", "total", "retries"
-        );
-        for (id, count, ns, retries) in &shards {
+        let _ = writeln!(out, "  {:<14} {:>8} {:>12}", "shard", "execs", "total");
+        for (id, count, ns) in &shards {
             let _ = writeln!(
                 out,
-                "  {:<14} {:>8} {:>12} {:>8}",
+                "  {:<14} {:>8} {:>12}",
                 format!("shard {id}"),
                 count,
-                format_ns(*ns),
-                retries
+                format_ns(*ns)
             );
         }
     }
@@ -372,16 +359,10 @@ mod tests {
         let t = Tracer::new();
         t.add_span("admit", SpanId::NONE, 0, 100_000, vec![("flush".into(), 1u64.into())]);
         t.add_span("tile", SpanId::NONE, 100_000, 150_000, vec![]);
-        for (shard, attempt, start, end) in
-            [(0u64, 0u64, 150_000u64, 500_000u64), (1, 0, 150_000, 400_000), (1, 1, 400_000, 700_000)]
+        for (shard, start, end) in
+            [(0u64, 150_000u64, 500_000u64), (1, 150_000, 400_000), (1, 400_000, 700_000)]
         {
-            t.add_span(
-                "scatter",
-                SpanId::NONE,
-                start,
-                end,
-                vec![("shard".into(), shard.into()), ("attempt".into(), attempt.into())],
-            );
+            t.add_span("scatter", SpanId::NONE, start, end, vec![("shard".into(), shard.into())]);
         }
         t.add_span("merge", SpanId::NONE, 700_000, 750_000, vec![]);
         let report = render_report(&t.snapshot(), None);
@@ -389,10 +370,10 @@ mod tests {
         assert!(report.contains("admit"));
         assert!(report.contains("scatter"));
         assert!(report.contains("scatter by shard:"));
+        assert!(report.contains("execs"));
         assert!(report.contains("shard 0"));
         assert!(report.contains("shard 1"));
-        // Shard 1 ran twice, once as a retry; service spans stay out of the
-        // generic table.
+        // Shard 1 ran twice; service spans stay out of the generic table.
         assert!(!report.contains("\nspans:"));
     }
 
@@ -408,7 +389,7 @@ mod tests {
             scatter,
             300_000,
             900_000,
-            vec![("shard".into(), 3u64.into()), ("attempts".into(), 0u64.into())],
+            vec![("shard".into(), 3u64.into())],
         );
         t.add_span("segment.merge", root, 900_000, 1_000_000, vec![]);
         let report = render_report(&t.snapshot(), None);

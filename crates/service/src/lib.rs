@@ -36,14 +36,16 @@
 //!   [`knnta_core::merge_ranked`] under the global `(score, PoiId)` total
 //!   order. `tests/service_oracle.rs` is the differential proof that the
 //!   whole pipeline is bit-identical to one-at-a-time unsharded execution.
-//! * **Faults**: a shard worker panic is caught at the execution boundary;
-//!   the shard is re-packed from its retained POIs and the flush retried
-//!   (bounded by [`ServiceConfig::retry_limit`] and
-//!   [`ServiceConfig::deadline`]). Exhausted retries propagate the original
-//!   panic payload through [`Ticket::wait`] via `resume_unwind`, matching
-//!   the workspace's parallel-search convention. In-flight queries never
-//!   hang: every code path either answers the ticket or drops its response
-//!   slot, which wakes the waiter with an error.
+//! * **Faults**: a shard worker panic is caught at the execution boundary
+//!   and fails exactly the tickets of the tile that hit it, each counted
+//!   once ([`M_FAILURES`]): one ticket resumes the original panic payload
+//!   through [`Ticket::wait`] via `resume_unwind` (the workspace's
+//!   parallel-search convention), the rest get its message. A shard image
+//!   is immutable and the kernel deterministic, so running the tile again
+//!   could only panic again: the worker keeps serving the same image with
+//!   the same executor. In-flight queries never hang: every code path
+//!   either answers the ticket or drops its response slot, which wakes the
+//!   waiter with an error.
 //!
 //! Per-phase spans (`admit`, `tile`, `scatter`, `merge`) and
 //! `knnta.service.*` counters flow into the attached [`Obs`] handle, so
@@ -70,12 +72,11 @@ pub use telemetry::{
 
 use knnta_core::{
     merge_ranked, partition_pois, BatchOrder, Executor, FrozenIndex, IndexConfig, KnntaQuery, Obs,
-    Planner, Poi, QueryHit,
+    Poi, QueryHit,
 };
 use knnta_obs::SpanId;
 use knnta_util::chan::{self, OneshotReceiver, OneshotSender, Receiver, RecvError, Sender};
 use knnta_util::pool::ThreadPool;
-use knnta_util::sync::Mutex;
 use rtree::Rect;
 use std::any::Any;
 use std::collections::HashMap;
@@ -92,17 +93,15 @@ pub const M_ANSWERED: &str = "knnta.service.answered";
 pub const M_FLUSHES: &str = "knnta.service.flushes";
 /// Counter: queries flushed by the size trigger (vs the deadline trigger).
 pub const M_FLUSH_FULL: &str = "knnta.service.flush_full";
-/// Counter: shard-task retries after a caught worker panic.
-pub const M_RETRIES: &str = "knnta.service.retries";
-/// Counter: shard rebuilds triggered by caught panics.
-pub const M_REBUILDS: &str = "knnta.service.rebuilds";
-/// Counter: shard tasks that exhausted their retries.
+/// Counter: queries failed because a shard worker panicked on their tile,
+/// one per ticket. Once the service is quiescent,
+/// `M_SUBMITTED = M_ANSWERED + M_FAILURES`.
 pub const M_FAILURES: &str = "knnta.service.failures";
 
-/// Test-only fault injection: called with `(shard, flush id, attempt)` at
-/// the start of every shard execution, inside the panic boundary — panic
-/// here to simulate a shard worker dying mid-query.
-pub type FaultHook = Arc<dyn Fn(usize, u64, usize) + Send + Sync>;
+/// Test-only fault injection: called with `(shard, flush id)` at the start
+/// of every shard execution, inside the panic boundary — panic here to
+/// simulate a shard worker dying mid-query.
+pub type FaultHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
 /// Tuning knobs for a [`Service`].
 #[derive(Clone)]
@@ -116,12 +115,6 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// …or when the oldest waiting query has been held this long.
     pub max_delay: Duration,
-    /// Retries per shard task after a caught panic (each on a freshly
-    /// rebuilt shard) before the panic is propagated to the tickets.
-    pub retry_limit: usize,
-    /// Retries stop once a flush has been in flight this long, even if
-    /// `retry_limit` is not yet exhausted.
-    pub deadline: Duration,
     /// Test-only fault injection, normally `None`; set via
     /// [`ServiceConfig::with_fault_hook`].
     pub fault_hook: Option<FaultHook>,
@@ -136,8 +129,6 @@ impl Default for ServiceConfig {
             workers: 1,
             max_batch: 64,
             max_delay: Duration::from_micros(200),
-            retry_limit: 2,
-            deadline: Duration::from_secs(5),
             fault_hook: None,
             telemetry: TelemetryConfig::default(),
         }
@@ -181,6 +172,22 @@ struct Response {
     completed: Instant,
 }
 
+impl Response {
+    /// The hits and the latency since `submitted`, or the shard worker's
+    /// panic resumed on the waiting thread.
+    fn resolve(self, submitted: Instant) -> (Vec<QueryHit>, Duration) {
+        let latency = self.completed.saturating_duration_since(submitted);
+        match self.result {
+            Ok(hits) => (hits, latency),
+            Err(Failure {
+                payload: Some(payload),
+                ..
+            }) => resume_unwind(payload),
+            Err(Failure { message, .. }) => resume_unwind(Box::new(message)),
+        }
+    }
+}
+
 /// A pending answer for one submitted query.
 pub struct Ticket {
     rx: OneshotReceiver<Response>,
@@ -193,7 +200,7 @@ impl Ticket {
     /// # Panics
     ///
     /// Resumes the shard worker's panic (`std::panic::resume_unwind`) if
-    /// the query's retries were exhausted, and panics with a shutdown
+    /// the query's tile panicked on a shard, and panics with a shutdown
     /// message if the service stopped before answering — a ticket never
     /// hangs.
     pub fn wait(self) -> Vec<QueryHit> {
@@ -203,16 +210,7 @@ impl Ticket {
     /// [`Ticket::wait`], also returning the submit-to-answer latency.
     pub fn wait_timed(self) -> (Vec<QueryHit>, Duration) {
         match self.rx.recv() {
-            Ok(resp) => {
-                let latency = resp.completed.saturating_duration_since(self.submitted);
-                match resp.result {
-                    Ok(hits) => (hits, latency),
-                    Err(failure) => match failure.payload {
-                        Some(payload) => resume_unwind(payload),
-                        None => resume_unwind(Box::new(failure.message)),
-                    },
-                }
-            }
+            Ok(resp) => resp.resolve(self.submitted),
             Err(_) => panic!("query service shut down before answering"),
         }
     }
@@ -222,16 +220,7 @@ impl Ticket {
     /// never hang).
     pub fn wait_timeout(self, timeout: Duration) -> Result<(Vec<QueryHit>, Duration), Ticket> {
         match self.rx.recv_timeout_ref(timeout) {
-            Ok(resp) => {
-                let latency = resp.completed.saturating_duration_since(self.submitted);
-                match resp.result {
-                    Ok(hits) => Ok((hits, latency)),
-                    Err(failure) => match failure.payload {
-                        Some(payload) => resume_unwind(payload),
-                        None => resume_unwind(Box::new(failure.message)),
-                    },
-                }
-            }
+            Ok(resp) => Ok(resp.resolve(self.submitted)),
             Err(RecvError::Timeout) => Err(self),
             Err(RecvError::Closed) => panic!("query service shut down before answering"),
         }
@@ -249,7 +238,6 @@ struct Entry {
 struct Task {
     flush: u64,
     queries: Arc<Vec<KnntaQuery>>,
-    submitted: Instant,
 }
 
 enum MergeMsg {
@@ -264,69 +252,19 @@ enum MergeMsg {
         flush: u64,
         shard: usize,
         outcome: Result<Vec<Vec<QueryHit>>, Failure>,
-        /// Wall time of the (final) execution attempt on this shard.
+        /// Wall time of the execution on this shard.
         exec_ns: u64,
-        /// Execution attempts consumed (0 = first try succeeded).
-        attempts: u64,
         /// When this shard finished (the queue/merge boundary is the max
         /// over shards).
         finished: Instant,
     },
 }
 
-/// One shard's immutable serving state for one generation; replaced
-/// wholesale on rebuild.
-struct ShardData {
-    generation: u64,
-    frozen: FrozenIndex,
-}
-
-/// A shard: its retained build inputs (for rebuilds; the only copy of the
-/// series) plus the current [`ShardData`] generation.
-struct ShardState {
+/// One engine shard: the packed serving image of its POIs, built once at
+/// start with the *global* grid and bounds and never replaced.
+struct Shard {
     id: usize,
-    pois: Vec<(Poi, AggregateSeries)>,
-    grid: EpochGrid,
-    bounds: Rect<2>,
-    obs: Obs,
-    slot: Mutex<Arc<ShardData>>,
-}
-
-/// Builds one shard generation: the packed serving image over the shard's
-/// POIs with the *global* grid and bounds, packed straight from the POIs (a
-/// pure function of them, so every generation has the same bytes).
-fn build_shard(
-    pois: &[(Poi, AggregateSeries)],
-    grid: &EpochGrid,
-    bounds: Rect<2>,
-    obs: &Obs,
-    generation: u64,
-) -> Arc<ShardData> {
-    let mut frozen = FrozenIndex::build(IndexConfig::default(), grid.clone(), bounds, pois);
-    frozen.set_obs(obs.clone());
-    Arc::new(ShardData { generation, frozen })
-}
-
-impl ShardState {
-    fn build_data(&self, generation: u64) -> Arc<ShardData> {
-        build_shard(&self.pois, &self.grid, self.bounds, &self.obs, generation)
-    }
-
-    fn current(&self) -> Arc<ShardData> {
-        self.slot.lock().clone()
-    }
-
-    /// Rebuilds the shard unless another worker already moved past the
-    /// generation the caller saw the panic on.
-    fn rebuild_after(&self, seen_generation: u64) -> Arc<ShardData> {
-        let mut slot = self.slot.lock();
-        if slot.generation > seen_generation {
-            return slot.clone();
-        }
-        let data = self.build_data(slot.generation + 1);
-        *slot = data.clone();
-        data
-    }
+    frozen: FrozenIndex,
 }
 
 struct Counters {
@@ -334,8 +272,6 @@ struct Counters {
     answered: knnta_obs::Counter,
     flushes: knnta_obs::Counter,
     flush_full: knnta_obs::Counter,
-    retries: knnta_obs::Counter,
-    rebuilds: knnta_obs::Counter,
     failures: knnta_obs::Counter,
 }
 
@@ -346,8 +282,6 @@ impl Counters {
             answered: obs.counter(M_ANSWERED),
             flushes: obs.counter(M_FLUSHES),
             flush_full: obs.counter(M_FLUSH_FULL),
-            retries: obs.counter(M_RETRIES),
-            rebuilds: obs.counter(M_REBUILDS),
             failures: obs.counter(M_FAILURES),
         }
     }
@@ -360,14 +294,15 @@ pub struct Service {
     submit_tx: Sender<Entry>,
     submitted: knnta_obs::Counter,
     obs: Obs,
-    shards: Vec<Arc<ShardState>>,
+    shards: Vec<Arc<Shard>>,
     telemetry: Arc<ServiceTelemetry>,
     pools: Vec<ThreadPool>,
 }
 
 impl Service {
-    /// Partitions `pois` into shards, builds every shard's serving state,
-    /// and starts the admission / worker / merger threads.
+    /// Partitions `pois` into shards, packs every shard's serving image
+    /// (the POIs are dropped once packed), and starts the admission /
+    /// worker / merger threads.
     ///
     /// The global `grid` and `bounds` are shared by every shard tree, and
     /// the global root-max series (the per-epoch max over all POI series —
@@ -401,7 +336,7 @@ impl Service {
 
         let counters = Arc::new(Counters::new(&obs));
         let mut pois: Vec<Option<(Poi, AggregateSeries)>> = pois.into_iter().map(Some).collect();
-        let shards: Vec<Arc<ShardState>> = parts
+        let shards: Vec<Arc<Shard>> = parts
             .iter()
             .enumerate()
             .map(|(id, part)| {
@@ -409,15 +344,10 @@ impl Service {
                     .iter()
                     .map(|&i| pois[i].take().expect("a partition holds each POI once"))
                     .collect();
-                let data = build_shard(&shard_pois, &grid, bounds, &obs, 1);
-                Arc::new(ShardState {
-                    id,
-                    pois: shard_pois,
-                    grid: grid.clone(),
-                    bounds,
-                    obs: obs.clone(),
-                    slot: Mutex::new(data),
-                })
+                let mut frozen =
+                    FrozenIndex::build(IndexConfig::default(), grid.clone(), bounds, &shard_pois);
+                frozen.set_obs(obs.clone());
+                Arc::new(Shard { id, frozen })
             })
             .collect();
 
@@ -431,7 +361,7 @@ impl Service {
         // Admission orders each flush with a shard's metadata (same global
         // grid and bounds as the unsharded tree, so the same Hilbert
         // ordering).
-        let order_data = shards[0].current();
+        let order_shard = shards[0].clone();
 
         let admit_pool = ThreadPool::new("knnta-admit", 1);
         {
@@ -444,7 +374,7 @@ impl Service {
             let telemetry = telemetry.clone();
             let queued = admit_pool.execute(move || {
                 admission_loop(
-                    &submit_rx, &shard_txs, &merge_tx, &order_data, &config, &obs, &counters,
+                    &submit_rx, &shard_txs, &merge_tx, &order_shard, &config, &obs, &counters,
                     &telemetry,
                 );
                 for tx in &shard_txs {
@@ -457,18 +387,15 @@ impl Service {
         let worker_pool = ThreadPool::new("knnta-shard", shards_n * workers_n);
         for shard in &shards {
             for _ in 0..workers_n {
-                let state = shard.clone();
+                let shard = shard.clone();
                 let rx = shard_channels[shard.id].1.clone();
                 let merge_tx = merge_tx.clone();
                 let root_max = root_max.clone();
                 let config = config.clone();
                 let obs = obs.clone();
-                let counters = counters.clone();
                 let telemetry = telemetry.clone();
                 let queued = worker_pool.execute(move || {
-                    worker_loop(
-                        &state, &rx, &merge_tx, &root_max, &config, &obs, &counters, &telemetry,
-                    );
+                    worker_loop(&shard, &rx, &merge_tx, &root_max, &config, &obs, &telemetry);
                 });
                 assert!(queued.is_ok(), "worker pool accepts its loops");
             }
@@ -527,20 +454,6 @@ impl Service {
         self.shards.len()
     }
 
-    /// Every shard's current `(generation, packed image bytes)`, in shard
-    /// order. A generation is 1 at start and goes up by one per rebuild;
-    /// the image is a pure function of the shard's POIs, so its bytes are
-    /// the same at every generation (`tests/service_faults.rs`).
-    pub fn shard_images(&self) -> Vec<(u64, Vec<u8>)> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let data = shard.current();
-                (data.generation, data.frozen.packed().to_bytes())
-            })
-            .collect()
-    }
-
     /// The observability handle every phase reports into.
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -569,7 +482,7 @@ fn admission_loop(
     submit_rx: &Receiver<Entry>,
     shard_txs: &[Sender<Task>],
     merge_tx: &Sender<MergeMsg>,
-    order_data: &ShardData,
+    order_shard: &Shard,
     config: &ServiceConfig,
     obs: &Obs,
     counters: &Counters,
@@ -621,18 +534,13 @@ fn admission_loop(
 
         let tile_span = obs.span("tile", SpanId::NONE);
         let queries: Vec<KnntaQuery> = batch.iter().map(|e| e.query).collect();
-        let order = order_data.frozen.batch_order(&queries, BatchOrder::Hilbert);
+        let order = order_shard.frozen.batch_order(&queries, BatchOrder::Hilbert);
         let mut slots: Vec<Option<Entry>> = batch.into_iter().map(Some).collect();
         let entries: Vec<Entry> = order
             .iter()
             .map(|&i| slots[i].take().expect("batch_order is a permutation"))
             .collect();
         let ordered = Arc::new(entries.iter().map(|e| e.query).collect::<Vec<_>>());
-        let oldest = entries
-            .iter()
-            .map(|e| e.submitted)
-            .min()
-            .expect("non-empty batch");
         tile_span.set_attrs(vec![
             ("flush".into(), flush_id.into()),
             ("batch".into(), entries.len().into()),
@@ -654,7 +562,6 @@ fn admission_loop(
                 let _ = tx.send(Task {
                     flush: flush_id,
                     queries: ordered.clone(),
-                    submitted: oldest,
                 });
             }
         }
@@ -663,96 +570,47 @@ fn admission_loop(
 }
 
 /// One shard worker: drain tasks, execute through the planner-driven
-/// executor, catch panics, rebuild + retry, report to the merger.
-#[allow(clippy::too_many_arguments)]
+/// executor, report to the merger. A caught panic becomes this tile's
+/// failure; the executor stays valid (calibration feeds back only after a
+/// successful execution) and serves the next task.
 fn worker_loop(
-    state: &ShardState,
+    shard: &Shard,
     rx: &Receiver<Task>,
     merge_tx: &Sender<MergeMsg>,
     root_max: &AggregateSeries,
     config: &ServiceConfig,
     obs: &Obs,
-    counters: &Counters,
     telemetry: &ServiceTelemetry,
 ) {
-    // The planner survives shard rebuilds: calibration is a property of
-    // the workload + shard shape, not of one index instance.
-    let mut planner = Planner::default();
-    let mut pending: Option<(Task, usize)> = None;
-    'generations: loop {
-        let data = state.current();
-        let mut exec = Executor::frozen(&data.frozen)
-            .with_root_max(root_max)
-            .with_planner(planner.clone())
-            .with_windows(telemetry.windows());
-        loop {
-            let (task, attempt) = match pending.take() {
-                Some(t) => t,
-                None => match rx.recv() {
-                    Ok(task) => {
-                        telemetry.set_queue_depth(state.id, rx.len());
-                        (task, 0)
-                    }
-                    Err(_) => return, // closed and drained
-                },
-            };
-            let exec_start = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(hook) = &config.fault_hook {
-                    hook(state.id, task.flush, attempt);
-                }
-                let span = obs.span("scatter", SpanId::NONE);
-                span.set_attrs(vec![
-                    ("flush".into(), task.flush.into()),
-                    ("shard".into(), state.id.into()),
-                    ("attempt".into(), attempt.into()),
-                    ("batch".into(), task.queries.len().into()),
-                ]);
-                if task.queries.len() == 1 {
-                    vec![exec.query(&task.queries[0])]
-                } else {
-                    exec.query_batch(&task.queries)
-                }
-            }));
-            let exec_ns = exec_start.elapsed().as_nanos() as u64;
-            match outcome {
-                Ok(lists) => {
-                    let _ = merge_tx.send(MergeMsg::ShardDone {
-                        flush: task.flush,
-                        shard: state.id,
-                        outcome: Ok(lists),
-                        exec_ns,
-                        attempts: attempt as u64,
-                        finished: Instant::now(),
-                    });
-                }
-                Err(payload) => {
-                    let next = attempt + 1;
-                    let expired = task.submitted.elapsed() >= config.deadline;
-                    if next > config.retry_limit || expired {
-                        counters.failures.add(1);
-                        telemetry.on_failure();
-                        let _ = merge_tx.send(MergeMsg::ShardDone {
-                            flush: task.flush,
-                            shard: state.id,
-                            outcome: Err(Failure::from_payload(payload)),
-                            exec_ns,
-                            attempts: attempt as u64,
-                            finished: Instant::now(),
-                        });
-                    } else {
-                        counters.retries.add(1);
-                        counters.rebuilds.add(1);
-                        telemetry.on_retry(state.id);
-                        planner = exec.planner().clone();
-                        pending = Some((task, next));
-                        drop(exec);
-                        state.rebuild_after(data.generation);
-                        continue 'generations;
-                    }
-                }
+    let mut exec = Executor::frozen(&shard.frozen)
+        .with_root_max(root_max)
+        .with_windows(telemetry.windows());
+    while let Ok(task) = rx.recv() {
+        telemetry.set_queue_depth(shard.id, rx.len());
+        let exec_start = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = &config.fault_hook {
+                hook(shard.id, task.flush);
             }
-        }
+            let span = obs.span("scatter", SpanId::NONE);
+            span.set_attrs(vec![
+                ("flush".into(), task.flush.into()),
+                ("shard".into(), shard.id.into()),
+                ("batch".into(), task.queries.len().into()),
+            ]);
+            if task.queries.len() == 1 {
+                vec![exec.query(&task.queries[0])]
+            } else {
+                exec.query_batch(&task.queries)
+            }
+        }));
+        let _ = merge_tx.send(MergeMsg::ShardDone {
+            flush: task.flush,
+            shard: shard.id,
+            outcome: outcome.map_err(Failure::from_payload),
+            exec_ns: exec_start.elapsed().as_nanos() as u64,
+            finished: Instant::now(),
+        });
     }
 }
 
@@ -768,8 +626,8 @@ fn merger_loop(
         entries: Vec<Entry>,
         flushed_at: Instant,
         results: Vec<Option<Result<Vec<Vec<QueryHit>>, Failure>>>,
-        // Per-shard (exec_ns, attempts, finished), same indexing as results.
-        execs: Vec<Option<(u64, u64, Instant)>>,
+        // Per-shard (exec_ns, finished), same indexing as results.
+        execs: Vec<Option<(u64, Instant)>>,
     }
     let mut pending: HashMap<u64, Pending> = HashMap::new();
     while let Ok(msg) = rx.recv() {
@@ -795,14 +653,13 @@ fn merger_loop(
                 shard,
                 outcome,
                 exec_ns,
-                attempts,
                 finished,
             } => {
                 let slot = pending
                     .get_mut(&flush)
                     .expect("manifest always precedes shard results");
                 slot.results[shard] = Some(outcome);
-                slot.execs[shard] = Some((exec_ns, attempts, finished));
+                slot.execs[shard] = Some((exec_ns, finished));
                 if !slot.results.iter().all(Option::is_some) {
                     continue;
                 }
@@ -811,21 +668,17 @@ fn merger_loop(
                 // slowest shard execution; queueing is whatever of the
                 // post-flush wall time the executions themselves don't
                 // explain.
-                let shard_execs: Vec<(u64, u64)> = done
+                let execs: Vec<(u64, Instant)> = done
                     .execs
                     .iter()
-                    .map(|e| {
-                        let (ns, attempts, _) = e.expect("all shards reported");
-                        (ns / 1_000, attempts)
-                    })
+                    .map(|e| e.expect("all shards reported"))
                     .collect();
-                let execs_us: Vec<u64> = shard_execs.iter().map(|&(us, _)| us).collect();
+                let execs_us: Vec<u64> = execs.iter().map(|&(ns, _)| ns / 1_000).collect();
                 telemetry.record_flush_execs(&execs_us);
                 let scatter_us = execs_us.iter().copied().max().unwrap_or(0);
-                let last_finish = done
-                    .execs
+                let last_finish = execs
                     .iter()
-                    .map(|e| e.expect("all shards reported").2)
+                    .map(|&(_, finished)| finished)
                     .max()
                     .unwrap_or(done.flushed_at);
                 let queue_us = (last_finish
@@ -877,7 +730,7 @@ fn merger_loop(
                                 queue_us,
                                 scatter_us,
                                 merge_us,
-                                &shard_execs,
+                                &execs_us,
                             );
                             let _ = entry.reply.send(Response {
                                 result: Ok(hits),
@@ -886,9 +739,12 @@ fn merger_loop(
                         }
                     }
                     Some(mut f) => {
-                        // Every ticket of the flush fails; the first gets
-                        // the original payload, the rest its message.
+                        // Every ticket of the tile fails, counted once
+                        // each; the first gets the original payload, the
+                        // rest its message.
                         for entry in done.entries {
+                            counters.failures.add(1);
+                            telemetry.on_failure();
                             let _ = entry.reply.send(Response {
                                 result: Err(Failure {
                                     message: f.message.clone(),

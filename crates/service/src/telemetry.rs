@@ -62,7 +62,8 @@ pub const W_ANSWERED: &str = "knnta.service.window.answered";
 pub const W_FLUSHES: &str = "knnta.service.window.flushes";
 /// Window counter: flushes triggered by size (vs deadline).
 pub const W_FLUSH_FULL: &str = "knnta.service.window.flush_full";
-/// Window counter: shard-task failures (retries exhausted).
+/// Window counter: queries failed because a shard worker panicked on their
+/// tile, one per ticket.
 pub const W_FAILURES: &str = "knnta.service.window.failures";
 /// Window counter: tail traces retained by the sampler.
 pub const W_TAIL_KEPT: &str = "knnta.service.window.tail_kept";
@@ -105,8 +106,6 @@ impl Default for TelemetryConfig {
 struct ShardHealth {
     queue_depth: Gauge,
     busy_ewma_us: Gauge,
-    retries: WindowCounter,
-    rebuilds: WindowCounter,
 }
 
 /// The live-telemetry sink of one [`crate::Service`].
@@ -146,8 +145,6 @@ impl ServiceTelemetry {
             .map(|s| ShardHealth {
                 queue_depth: windows.gauge(&format!("knnta.service.shard{s}.queue_depth")),
                 busy_ewma_us: windows.gauge(&format!("knnta.service.shard{s}.busy_ewma_us")),
-                retries: windows.counter(&format!("knnta.service.shard{s}.retries")),
-                rebuilds: windows.counter(&format!("knnta.service.shard{s}.rebuilds")),
             })
             .collect();
         Arc::new(ServiceTelemetry {
@@ -238,15 +235,7 @@ impl ServiceTelemetry {
         }
     }
 
-    /// Worker hook: a caught panic triggered a rebuild + retry on `shard`.
-    pub(crate) fn on_retry(&self, shard: usize) {
-        if let Some(h) = self.shards.get(shard) {
-            h.retries.inc();
-            h.rebuilds.inc();
-        }
-    }
-
-    /// Worker hook: a shard task exhausted its retries.
+    /// Merger hook: one ticket failed (a shard worker panicked on its tile).
     pub(crate) fn on_failure(&self) {
         self.failures.inc();
     }
@@ -288,7 +277,7 @@ impl ServiceTelemetry {
         queue_us: u64,
         scatter_us: u64,
         merge_us: u64,
-        shard_execs: &[(u64, u64)],
+        shard_execs_us: &[u64],
     ) {
         if !self.windows.is_enabled() {
             return;
@@ -302,7 +291,7 @@ impl ServiceTelemetry {
         if let Some(sampler) = &self.sampler {
             let kept = sampler.offer(total_us, || {
                 tail_trace_doc(
-                    flush, k, total_us, admit_us, queue_us, scatter_us, merge_us, shard_execs,
+                    flush, k, total_us, admit_us, queue_us, scatter_us, merge_us, shard_execs_us,
                 )
             });
             if kept {
@@ -333,7 +322,7 @@ fn tail_trace_doc(
     queue_us: u64,
     scatter_us: u64,
     merge_us: u64,
-    shard_execs: &[(u64, u64)],
+    shard_execs_us: &[u64],
 ) -> TraceDoc {
     let total_ns = total_us.saturating_mul(1_000);
     let mut spans = vec![SpanDoc {
@@ -373,7 +362,7 @@ fn tail_trace_doc(
         next_id += 1;
     }
     let scatter_id = 4; // third segment child
-    for (shard, &(exec_us, attempts)) in shard_execs.iter().enumerate() {
+    for (shard, &exec_us) in shard_execs_us.iter().enumerate() {
         let end = scatter_interval
             .0
             .saturating_add(exec_us.saturating_mul(1_000))
@@ -387,7 +376,6 @@ fn tail_trace_doc(
             attrs: vec![
                 ("shard".to_string(), AttrValue::from(shard as u64)),
                 ("exec_us".to_string(), AttrValue::from(exec_us)),
-                ("attempts".to_string(), AttrValue::from(attempts)),
             ],
         });
         next_id += 1;
@@ -414,7 +402,7 @@ mod tests {
         );
         assert!(!t.is_enabled());
         t.on_flush(1, true);
-        t.record_query(1, 10, 500, 100, 100, 200, 100, &[(200, 0)]);
+        t.record_query(1, 10, 500, 100, 100, 200, 100, &[200]);
         t.record_flush_execs(&[10, 20]);
         assert_eq!(t.snapshot(), SnapshotDoc::default());
         assert!(t.tail_trace().spans.is_empty());
@@ -426,7 +414,7 @@ mod tests {
         let t = ServiceTelemetry::new(&TelemetryConfig::default(), 2);
         for i in 0..20u64 {
             let total = 200 + i * 50;
-            t.record_query(1, 10, total, 40, 10, total - 80, 30, &[(total - 80, 0), (50, 0)]);
+            t.record_query(1, 10, total, 40, 10, total - 80, 30, &[total - 80, 50]);
         }
         t.record_flush_execs(&[900, 100]);
         let doc = t.snapshot();
@@ -448,7 +436,7 @@ mod tests {
 
     #[test]
     fn segments_nest_and_sum_to_total() {
-        let doc = tail_trace_doc(7, 5, 1_000, 300, 100, 500, 100, &[(500, 1), (200, 0)]);
+        let doc = tail_trace_doc(7, 5, 1_000, 300, 100, 500, 100, &[500, 200]);
         doc.validate().unwrap();
         let root = doc.spans_named("served_query").next().unwrap();
         assert_eq!(root.duration_ns(), 1_000_000);

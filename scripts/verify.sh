@@ -24,7 +24,8 @@
 # (tests/fixtures/work_ledger.golden.txt) must be unchanged, the direct
 # packer must reproduce build-then-pack byte for byte (tests/direct_pack.rs),
 # crates/service must not name the pointer tree (shards are packed straight
-# from their POIs), the query surface must not regrow (at most seven
+# from their POIs) nor regrow the shard rebuild/retry path (a shard is
+# immutable, so a worker panic fails only its own tile), the query surface must not regrow (at most seven
 # `pub fn query*` in crates/core/src — `query` on TarIndex / LiveIndex /
 # SnapshotView / Executor / ScanBaseline, `Executor::query_batch`,
 # `query_with_disk_tias`; a forced configuration is a QueryPlan through
@@ -82,6 +83,10 @@ if grep -rq TarIndex crates/service/src; then
     echo "crates/service/src names TarIndex: shards must stay image + metadata" >&2
     exit 1
 fi
+if grep -rqE 'rebuild|retry|generation' crates/service/src; then
+    echo "crates/service/src regrew shard rebuild/retry: a worker panic fails only its own tile" >&2
+    exit 1
+fi
 if [ "$(grep -rn 'pub fn query' crates/core/src | wc -l)" -gt 7 ] ||
     grep -rn 'SnapshotBackend\|query_parallel_on\|query_batch_collective' crates src examples tests; then
     echo "the query surface regrew: force a configuration with a QueryPlan through Executor" >&2
@@ -109,7 +114,7 @@ if [ "${KNNTA_SOAK:-0}" != "0" ] && [ -n "${KNNTA_SOAK:-}" ]; then
     # KNNTA_PROP_CASES soak figure; the deterministic sweeps scale their
     # query streams via KNNTA_SOAK themselves.
     KNNTA_PROP_CASES=30 cargo test -q --release --offline --test service_oracle
-    KNNTA_PROP_CASES=30 cargo test -q --release --offline --test service_faults
+    cargo test -q --release --offline --test service_faults
 fi
 
 if [ -n "${KNNTA_BENCH_DIFF:-}" ]; then

@@ -738,11 +738,9 @@ fn serve(opts: &Opts) -> Result<(), String> {
         let metrics = obs.metrics_snapshot();
         let c = |name: &str| metrics.counter(name).unwrap_or(0);
         outln!(
-            "service:     {} flushes ({} size-triggered), {} retries, {} rebuilds, {} failures",
+            "service:     {} flushes ({} size-triggered), {} failures",
             c(knnta::service::M_FLUSHES),
             c(knnta::service::M_FLUSH_FULL),
-            c(knnta::service::M_RETRIES),
-            c(knnta::service::M_REBUILDS),
             c(knnta::service::M_FAILURES)
         );
     }

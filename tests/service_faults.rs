@@ -4,15 +4,19 @@
 //! start of every execution, so these tests can kill a shard mid-query on
 //! demand and assert the service's failure contract:
 //!
-//! * a caught panic rebuilds the shard and retries the task — answers
-//!   after a retry are still bit-identical to the unsharded reference;
-//! * retries are bounded (`retry_limit`) and cut short by the flush
-//!   `deadline`;
-//! * when retries are exhausted the original panic payload is re-raised
-//!   through the ticket via `resume_unwind` — failure is loud, not a
-//!   wrong answer;
-//! * in-flight tickets **never hang**: every path (success, retry,
-//!   failure, shutdown) resolves them;
+//! * a caught panic fails exactly the tickets of the tile that hit it —
+//!   every other ticket is answered bit-identically to the unsharded
+//!   reference;
+//! * the failure is loud, not a wrong answer: one ticket of the tile
+//!   re-raises the original panic payload via `resume_unwind`, the rest
+//!   carry its message;
+//! * the worker keeps serving the same image: later tiles are answered;
+//! * a real poison query (a non-finite point) fails its own ticket the
+//!   same way;
+//! * every failed ticket is counted once, so `submitted = answered +
+//!   failures` at quiescence;
+//! * in-flight tickets **never hang**: every path (success, failure,
+//!   shutdown) resolves them;
 //! * shutdown drains everything already accepted, and late submissions
 //!   fail with an explicit shutdown panic.
 
@@ -20,12 +24,14 @@ mod common;
 
 use common::tiny_dataset;
 use knnta::core::{IndexConfig, Obs, QueryHit, TarIndex};
+use knnta::service::telemetry::W_FAILURES;
 use knnta::service::{
-    FaultHook, Service, ServiceConfig, M_FAILURES, M_REBUILDS, M_RETRIES,
+    FaultHook, Service, ServiceConfig, Ticket, M_ANSWERED, M_FAILURES, M_SUBMITTED,
 };
 use knnta::{KnntaQuery, TimeInterval, Timestamp};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,65 +69,75 @@ fn service_with(config: ServiceConfig) -> (Service, TarIndex, Vec<KnntaQuery>) {
     (service, reference, qs)
 }
 
-/// A worker panic mid-query is caught, the shard is rebuilt, and the task
-/// retried on the new generation — the answers still match the unsharded
-/// reference bit-for-bit, and the retry/rebuild counters record it.
+/// The text of a panic payload (`panic!` with or without format arguments).
+fn message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<non-string payload>")
+}
+
+/// Waits for a ticket that must fail; a ticket still unresolved after a
+/// minute fails the test instead of wedging it.
+fn expect_failure(ticket: Ticket, what: &str) -> Box<dyn Any + Send> {
+    match catch_unwind(AssertUnwindSafe(|| ticket.wait_timeout(Duration::from_secs(60)))) {
+        Err(payload) => payload,
+        Ok(Ok(_)) => panic!("{what}: answered, but its tile panicked"),
+        Ok(Err(_)) => panic!("{what}: hung for 60s"),
+    }
+}
+
+/// `submitted = answered + failures`, with the failures counted per ticket
+/// both in the obs counters and in the always-on telemetry window.
+fn assert_conserved(service: &Service, answered: u64, failed: u64) {
+    let metrics = service.obs().metrics_snapshot();
+    let c = |name| metrics.counter(name).unwrap_or(0);
+    assert_eq!(c(M_ANSWERED), answered);
+    assert_eq!(c(M_FAILURES), failed);
+    assert_eq!(c(M_SUBMITTED), c(M_ANSWERED) + c(M_FAILURES));
+    let window = service.telemetry().snapshot();
+    assert_eq!(window.counter(W_FAILURES).map_or(0, |w| w.lifetime), failed);
+}
+
+/// A panic on one shard for one flush fails exactly that flush's tickets;
+/// every ticket of the other flush is answered bit-identically by the same
+/// workers on the same images.
 #[test]
-fn panic_mid_query_is_retried_on_rebuilt_shard() {
-    let injected = Arc::new(AtomicUsize::new(0));
-    let max_attempt = Arc::new(AtomicUsize::new(0));
-    let hook: FaultHook = {
-        let injected = injected.clone();
-        let max_attempt = max_attempt.clone();
-        Arc::new(move |shard, _flush, attempt| {
-            max_attempt.fetch_max(attempt, Ordering::SeqCst);
-            if shard == 0 && attempt == 0 {
-                injected.fetch_add(1, Ordering::SeqCst);
-                panic!("injected fault: shard 0 dies on first attempt");
-            }
-        })
-    };
+fn panic_fails_only_its_own_tile() {
+    let hook: FaultHook = Arc::new(|shard, flush| {
+        if shard == 0 && flush == 1 {
+            panic!("injected fault: shard 0 dies on flush 1");
+        }
+    });
+    // Eight queries, four per flush: both flushes fill by size, so flush 1
+    // is exactly the first four submissions.
     let (service, reference, qs) = service_with(
         ServiceConfig {
             shards: 2,
             workers: 1,
             max_batch: 4,
-            max_delay: Duration::from_micros(500),
+            max_delay: Duration::from_secs(5),
             ..ServiceConfig::default()
         }
         .with_fault_hook(hook),
     );
-    let first = service.shard_images();
-    assert!(first.iter().all(|(generation, _)| *generation == 1));
     let tickets: Vec<_> = qs.iter().map(|q| service.submit(*q)).collect();
+    let mut originals = 0;
     for (i, ticket) in tickets.into_iter().enumerate() {
-        let got = ticket.wait();
-        assert_eq!(
-            key(&got),
-            key(&reference.query(&qs[i])),
-            "query {i} diverged after a mid-query fault + retry",
-        );
+        if i < 4 {
+            let payload = expect_failure(ticket, &format!("query {i}"));
+            assert!(message(&*payload).contains("shard 0 dies on flush 1"));
+            originals += payload.downcast_ref::<&str>().is_some() as usize;
+        } else {
+            let (got, _) = ticket
+                .wait_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("query {i} hung"));
+            assert_eq!(key(&got), key(&reference.query(&qs[i])), "query {i}");
+        }
     }
-    assert!(injected.load(Ordering::SeqCst) >= 1, "hook never fired");
-    // The rebuilt shard is a re-pack of the same POIs: a later generation,
-    // the very same bytes.
-    let rebuilt = service.shard_images();
-    assert!(rebuilt[0].0 > 1, "shard 0 was never rebuilt");
-    assert_eq!(rebuilt[1].0, 1, "shard 1 never panicked");
-    for ((_, was), (_, now)) in first.iter().zip(&rebuilt) {
-        assert!(was == now, "a shard image changed across generations");
-    }
-    assert_eq!(
-        max_attempt.load(Ordering::SeqCst),
-        1,
-        "every retry should succeed on its first rebuilt-shard attempt",
-    );
-    let metrics = service.obs().metrics_snapshot();
-    let retries = metrics.counter(M_RETRIES).unwrap_or(0);
-    let rebuilds = metrics.counter(M_REBUILDS).unwrap_or(0);
-    assert!(retries >= 1, "no retry was recorded");
-    assert_eq!(retries, rebuilds, "each retry runs on a rebuilt shard");
-    assert_eq!(metrics.counter(M_FAILURES).unwrap_or(0), 0);
+    assert_eq!(originals, 1, "exactly one ticket resumes the original payload");
+    assert_conserved(&service, 4, 4);
 }
 
 /// A custom panic payload: proves `resume_unwind` re-raises the worker's
@@ -130,17 +146,17 @@ struct InjectedFault {
     flush: u64,
 }
 
-/// When a shard panics more times than `retry_limit`, the original panic
-/// payload is propagated via `resume_unwind` through one ticket of the
-/// flush (the first in Hilbert order), the remaining tickets get the
-/// panic message — and the service keeps answering later flushes.
+/// A panicking tile propagates the original panic payload via
+/// `resume_unwind` through one of its tickets (the first in Hilbert order),
+/// the remaining tickets get the panic message — and the service keeps
+/// answering later flushes.
 #[test]
-fn exhausted_retries_propagate_the_panic_and_service_recovers() {
+fn panic_payload_reaches_one_ticket_and_service_recovers() {
     let doomed_flush = Arc::new(AtomicU64::new(0));
     let hook: FaultHook = {
         let doomed = doomed_flush.clone();
-        Arc::new(move |_shard, flush, _attempt| {
-            // The first flush ever seen is doomed on every attempt.
+        Arc::new(move |_shard, flush| {
+            // The first flush ever seen is doomed.
             let _ = doomed.compare_exchange(0, flush, Ordering::SeqCst, Ordering::SeqCst);
             if doomed.load(Ordering::SeqCst) == flush {
                 std::panic::panic_any(InjectedFault { flush });
@@ -153,7 +169,6 @@ fn exhausted_retries_propagate_the_panic_and_service_recovers() {
             workers: 1,
             max_batch: 2,
             max_delay: Duration::from_secs(1),
-            retry_limit: 1,
             ..ServiceConfig::default()
         }
         .with_fault_hook(hook),
@@ -165,10 +180,7 @@ fn exhausted_retries_propagate_the_panic_and_service_recovers() {
     let t1 = service.submit(qs[1]);
     let payloads: Vec<_> = [t0, t1]
         .into_iter()
-        .map(|t| {
-            catch_unwind(AssertUnwindSafe(|| t.wait()))
-                .expect_err("every ticket of the doomed flush must fail")
-        })
+        .map(|t| expect_failure(t, "doomed flush"))
         .collect();
     let originals = payloads
         .iter()
@@ -196,50 +208,47 @@ fn exhausted_retries_propagate_the_panic_and_service_recovers() {
         key(&reference.query(&qs[2])),
         "service must keep answering after a failed flush",
     );
-    let metrics = service.obs().metrics_snapshot();
-    assert_eq!(metrics.counter(M_RETRIES).unwrap_or(0), 1, "retry_limit = 1");
-    assert_eq!(metrics.counter(M_FAILURES).unwrap_or(0), 1);
+    assert_conserved(&service, 1, 2);
 }
 
-/// A zero deadline forbids retries entirely: the first caught panic is
-/// already past the deadline, so it propagates without a rebuild cycle.
+/// A real poison query, not an injected one: a non-finite point reaches
+/// the engine's finiteness assertion on every shard. It fails its own
+/// ticket with that message, without hanging, and the next valid query is
+/// answered bit-identically.
 #[test]
-fn deadline_expiry_cuts_retries_short() {
-    let hook: FaultHook = Arc::new(|_, _, attempt| {
-        assert_eq!(attempt, 0, "an expired flush must never be retried");
-        panic!("injected fault: dies past deadline");
+fn poison_query_fails_its_own_ticket() {
+    let (service, reference, qs) = service_with(ServiceConfig {
+        shards: 2,
+        max_batch: 1,
+        ..ServiceConfig::default()
     });
-    let (service, _reference, qs) = service_with(
-        ServiceConfig {
-            shards: 1,
-            max_batch: 1,
-            retry_limit: 100,
-            deadline: Duration::ZERO,
-            ..ServiceConfig::default()
-        }
-        .with_fault_hook(hook),
+    let poison = KnntaQuery::new([f64::NAN, 10.0], qs[0].interval).with_k(3);
+    let payload = expect_failure(service.submit(poison), "poison query");
+    assert!(
+        message(&*payload).contains("query point must be finite"),
+        "unexpected failure: {}",
+        message(&*payload),
     );
-    let ticket = service.submit(qs[0]);
-    let payload = catch_unwind(AssertUnwindSafe(|| ticket.wait()))
-        .expect_err("expired flush must fail");
-    assert!(payload
-        .downcast_ref::<&str>()
-        .is_some_and(|m| m.contains("dies past deadline")));
-    let metrics = service.obs().metrics_snapshot();
-    assert_eq!(metrics.counter(M_RETRIES).unwrap_or(0), 0);
-    assert_eq!(metrics.counter(M_FAILURES).unwrap_or(0), 1);
+    let got = service.submit(qs[0]).wait();
+    assert_eq!(key(&got), key(&reference.query(&qs[0])));
+    assert_conserved(&service, 1, 1);
 }
 
-/// Under constant first-attempt faults on every shard, every in-flight
-/// ticket still resolves within the deadline — none hang. `wait_timeout`
-/// bounds the wait so a hang fails the test instead of wedging it.
+/// While a hook panics on every flush, every in-flight ticket still
+/// resolves — none hang (`wait_timeout` bounds the wait so a hang fails the
+/// test instead of wedging it). Once the fault clears, the same service
+/// answers correctly.
 #[test]
 fn in_flight_queries_never_hang_under_faults() {
-    let hook: FaultHook = Arc::new(|_shard, _flush, attempt| {
-        if attempt == 0 {
-            panic!("injected fault: first attempt always dies");
-        }
-    });
+    let faulty = Arc::new(AtomicBool::new(true));
+    let hook: FaultHook = {
+        let faulty = faulty.clone();
+        Arc::new(move |_shard, _flush| {
+            if faulty.load(Ordering::SeqCst) {
+                panic!("injected fault: every flush dies");
+            }
+        })
+    };
     let (service, reference, qs) = service_with(
         ServiceConfig {
             shards: 4,
@@ -252,13 +261,20 @@ fn in_flight_queries_never_hang_under_faults() {
     );
     let tickets: Vec<_> = qs.iter().map(|q| service.submit(*q)).collect();
     for (i, ticket) in tickets.into_iter().enumerate() {
+        let payload = expect_failure(ticket, &format!("query {i}"));
+        assert!(message(&*payload).contains("every flush dies"));
+    }
+    faulty.store(false, Ordering::SeqCst);
+    let tickets: Vec<_> = qs.iter().map(|q| service.submit(*q)).collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
         match ticket.wait_timeout(Duration::from_secs(60)) {
             Ok((got, _latency)) => {
                 assert_eq!(key(&got), key(&reference.query(&qs[i])), "query {i}")
             }
-            Err(_) => panic!("ticket {i} hung for 60s under fault injection"),
+            Err(_) => panic!("ticket {i} hung for 60s after the fault cleared"),
         }
     }
+    assert_conserved(&service, qs.len() as u64, qs.len() as u64);
 }
 
 /// Shutdown drains the accepted queue (every pre-shutdown ticket gets its

@@ -122,7 +122,7 @@ fn report_groups_live_service_spans() {
         assert!(text.contains(phase), "missing phase `{phase}`: {text}");
     }
     assert!(text.contains("scatter by shard:"), "{text}");
-    assert!(text.contains("retries"), "{text}");
+    assert!(text.contains("execs"), "{text}");
 }
 
 #[test]

@@ -262,7 +262,7 @@ fn obs_overhead(h: &mut Harness) {
                 black_box(enabled.query(q));
             }
         });
-        b.counters(enabled.obs().counter_deltas());
+        b.counters(enabled.obs().metrics_snapshot().counters);
     });
     group.finish();
 }

@@ -31,7 +31,7 @@ use crate::poi::{KnntaQuery, Poi, QueryHit};
 use crate::search::{bfs_query_nodes, entry_tia};
 use crate::storage::{MemNodes, NodeSource, PagedNodes, PagedStoreImpl, StorageBackend};
 use costmodel::{IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec};
-use knnta_obs::{LiveWindows, SpanId, WindowHistogram};
+use knnta_obs::{Histogram, Registry, SpanId};
 use rtree::{RTreeParams, Rect};
 use tempora::AggregateSeries;
 
@@ -391,7 +391,7 @@ pub struct Executor<'a> {
     last_plan: Option<QueryPlan>,
     /// Sliding-window measured/estimated cost-ratio histogram (×1000),
     /// attached via [`Executor::with_windows`].
-    ratio_window: Option<WindowHistogram>,
+    ratio_window: Option<Histogram>,
 }
 
 /// What an [`Executor`] runs over: an arena index (which may mutate between
@@ -531,7 +531,7 @@ impl<'a> Executor<'a> {
     /// outliers, and forgetting stale workload regimes as the window
     /// rotates. Plan choice never changes answers, so attaching a window
     /// is always answer-safe (the planner-oracle suite pins this).
-    pub fn with_windows(mut self, windows: &LiveWindows) -> Executor<'a> {
+    pub fn with_windows(mut self, windows: &Registry) -> Executor<'a> {
         if windows.is_enabled() {
             self.ratio_window =
                 Some(windows.histogram(Self::RATIO_METRIC, knnta_obs::bounds::RATIO_X1000));
@@ -720,7 +720,7 @@ mod tests {
     #[test]
     fn executor_window_feedback_records_ratios_and_recalibrates() {
         let index = build(Grouping::TarIntegral);
-        let windows = knnta_obs::LiveWindows::new(4);
+        let windows = Registry::new(4);
         let mut exec = Executor::new(&index).with_windows(&windows);
         let mut plain = Executor::new(&index);
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3))
@@ -738,7 +738,7 @@ mod tests {
             exec.planner().calibration().samples() > plain.planner().calibration().samples()
         );
         // A disabled window registry attaches nothing.
-        let exec = Executor::new(&index).with_windows(&knnta_obs::LiveWindows::disabled());
+        let exec = Executor::new(&index).with_windows(&Registry::default());
         assert!(exec.ratio_window.is_none());
     }
 

@@ -7,9 +7,8 @@
 //! tweak lands everywhere at once instead of drifting per call site.
 //!
 //! All tables are strictly ascending (asserted by
-//! [`MetricsRegistry::histogram`](crate::MetricsRegistry::histogram) and by
-//! the window registry) and leave the `> last` range to the implicit
-//! overflow bucket.
+//! [`Registry::histogram`](crate::Registry::histogram)) and leave the
+//! `> last` range to the implicit overflow bucket.
 
 /// Page-fetch latency bounds in nanoseconds (250ns .. 1ms). Used by the
 /// paged node backend's `knnta.core.storage.paged.fetch_ns` histogram.

@@ -7,21 +7,21 @@
 //! * [`AccessStats`] — the shared atomic access counters that were previously
 //!   private to `pagestore`; they remain the *oracle* accounting (schedule
 //!   invariant, bit-identical across backends and thread counts).
-//! * [`metrics`] — a lock-cheap registry of named counters, gauges and
-//!   fixed-bucket histograms. Registration takes a mutex once per name;
-//!   the returned handles are plain atomics. Names follow
-//!   `knnta.<crate>.<subsystem>.<name>`.
+//! * [`metrics`] — the one lock-cheap registry of named counters, gauges
+//!   and fixed-bucket histograms, each counter and histogram a ring of
+//!   epoch cells. Registration takes a mutex once per name; the returned
+//!   handles are plain atomics. Names follow
+//!   `knnta.<crate>.<subsystem>.<name>`. Its lifetime view serializes to
+//!   `knnta.metrics.v1`, its sliding-window view (for long-running serving
+//!   processes) to `knnta.snapshot.v1`.
 //! * [`trace`] — hierarchical spans with monotonic nanosecond timestamps and
 //!   point events, serialized to the stable `knnta.trace.v1` JSON schema.
 //! * [`report`] — renders a per-phase breakdown table (filter vs. TIA
 //!   aggregation vs. page I/O, echoing the paper's Fig. 12-style
 //!   decomposition) from a parsed trace, and a `top`-style view over live
 //!   snapshots.
-//! * [`live`] — sliding-window counters/gauges/histograms for long-running
-//!   serving processes, snapshotted to the stable `knnta.snapshot.v1`
-//!   schema.
 //! * [`sample`] — tail trace sampling: a bounded, deterministic reservoir
-//!   of span trees for queries over a rolling latency quantile.
+//!   of span trees for queries over a window latency quantile.
 //! * [`bounds`] — the shared default bucket-bound tables.
 //!
 //! Everything hangs off an [`Obs`] handle. A disabled handle
@@ -33,15 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
-pub mod live;
 pub mod metrics;
 pub mod report;
 pub mod sample;
 mod stats;
 pub mod trace;
 
-pub use live::{LiveWindows, SnapshotDoc, WindowCounter, WindowHistDoc, WindowHistogram};
-pub use metrics::{Counter, Gauge, Histogram, MetricsDoc, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram, MetricsDoc, Registry, SnapshotDoc, WindowHistDoc};
 pub use report::{format_ns, render_report, render_top};
 pub use sample::{KeptTrace, TailConfig, TailSampler};
 pub use stats::{AccessStats, StatsSnapshot};
@@ -57,7 +55,8 @@ pub const METRICS_SCHEMA: &str = "knnta.metrics.v1";
 pub const SNAPSHOT_SCHEMA: &str = "knnta.snapshot.v1";
 
 struct ObsCore {
-    metrics: MetricsRegistry,
+    /// One slot, never advanced: every reading is a lifetime total.
+    metrics: Registry,
     tracer: Tracer,
 }
 
@@ -80,7 +79,7 @@ impl Obs {
     pub fn enabled() -> Self {
         Self {
             core: Some(Arc::new(ObsCore {
-                metrics: MetricsRegistry::new(),
+                metrics: Registry::new(1),
                 tracer: Tracer::new(),
             })),
         }
@@ -92,20 +91,11 @@ impl Obs {
         self.core.is_some()
     }
 
-    /// Whether two handles share the same sinks.
-    pub fn same_sinks(&self, other: &Obs) -> bool {
-        match (&self.core, &other.core) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
-    }
-
     /// Registers (or fetches) the counter `name`. No-op handle when disabled.
     pub fn counter(&self, name: &str) -> Counter {
         match &self.core {
             Some(c) => c.metrics.counter(name),
-            None => Counter::noop(),
+            None => Counter::default(),
         }
     }
 
@@ -113,7 +103,7 @@ impl Obs {
     pub fn gauge(&self, name: &str) -> Gauge {
         match &self.core {
             Some(c) => c.metrics.gauge(name),
-            None => Gauge::noop(),
+            None => Gauge::default(),
         }
     }
 
@@ -124,7 +114,7 @@ impl Obs {
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         match &self.core {
             Some(c) => c.metrics.histogram(name, bounds),
-            None => Histogram::noop(),
+            None => Histogram::default(),
         }
     }
 
@@ -175,7 +165,7 @@ impl Obs {
     /// The current metrics as an in-process document (empty when disabled).
     pub fn metrics_snapshot(&self) -> MetricsDoc {
         match &self.core {
-            Some(c) => c.metrics.snapshot(),
+            Some(c) => c.metrics.metrics(),
             None => MetricsDoc::default(),
         }
     }
@@ -183,12 +173,6 @@ impl Obs {
     /// The current metrics serialized to the `knnta.metrics.v1` schema.
     pub fn metrics_json(&self) -> String {
         self.metrics_snapshot().to_json()
-    }
-
-    /// Counter (name, value) pairs for threading into bench results
-    /// (empty when disabled).
-    pub fn counter_deltas(&self) -> Vec<(String, u64)> {
-        self.metrics_snapshot().counters
     }
 }
 
@@ -211,7 +195,7 @@ mod tests {
         let c = obs.counter("knnta.test.x");
         c.inc();
         c.add(10);
-        assert_eq!(c.get(), 0);
+        assert_eq!(c.lifetime(), 0);
         let g = obs.gauge("knnta.test.g");
         g.set(7);
         assert_eq!(g.get(), 0);
@@ -229,21 +213,8 @@ mod tests {
     fn enabled_handle_shares_sinks_across_clones() {
         let obs = Obs::enabled();
         let other = obs.clone();
-        assert!(obs.same_sinks(&other));
-        assert!(!obs.same_sinks(&Obs::enabled()));
-        assert!(Obs::disabled().same_sinks(&Obs::disabled()));
         other.counter("knnta.test.shared").add(3);
-        assert_eq!(obs.counter("knnta.test.shared").get(), 3);
-    }
-
-    #[test]
-    fn counter_deltas_are_sorted_name_value_pairs() {
-        let obs = Obs::enabled();
-        obs.counter("knnta.b").add(2);
-        obs.counter("knnta.a").add(1);
-        assert_eq!(
-            obs.counter_deltas(),
-            vec![("knnta.a".to_string(), 1), ("knnta.b".to_string(), 2)]
-        );
+        assert_eq!(obs.counter("knnta.test.shared").lifetime(), 3);
+        assert_eq!(Obs::enabled().counter("knnta.test.shared").lifetime(), 0);
     }
 }

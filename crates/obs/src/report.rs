@@ -14,8 +14,7 @@
 //! quantiles, rates, and shard-health gauges from a `knnta.snapshot.v1`
 //! document.
 
-use crate::live::SnapshotDoc;
-use crate::metrics::MetricsDoc;
+use crate::metrics::{MetricsDoc, SnapshotDoc};
 use crate::trace::TraceDoc;
 use std::fmt::Write as _;
 
@@ -327,7 +326,7 @@ pub fn render_top(doc: &SnapshotDoc) -> String {
 mod tests {
     use super::*;
     use crate::trace::{SpanId, Tracer};
-    use crate::MetricsRegistry;
+    use crate::Registry;
 
     #[test]
     fn report_aggregates_phases_and_counters() {
@@ -336,9 +335,9 @@ mod tests {
         t.add_span("phase.filter", q, 0, 600_000, vec![]);
         t.add_span("phase.tia", q, 600_000, 900_000, vec![]);
         t.add_span("phase.io", q, 900_000, 1_000_000, vec![]);
-        let reg = MetricsRegistry::new();
+        let reg = Registry::new(1);
         reg.counter("knnta.core.search.node_accesses").add(42);
-        let report = render_report(&t.snapshot(), Some(&reg.snapshot()));
+        let report = render_report(&t.snapshot(), Some(&reg.metrics()));
         assert!(report.contains("per-phase breakdown"));
         assert!(report.contains("filter"));
         assert!(report.contains("60.0%"));
@@ -405,7 +404,7 @@ mod tests {
 
     #[test]
     fn top_renders_snapshot_tables() {
-        let w = crate::LiveWindows::new(4);
+        let w = Registry::new(4);
         let c = w.counter("knnta.service.answered");
         let h = w.histogram("knnta.service.window.e2e_us", &[100, 1_000]);
         let g = w.gauge("knnta.service.shard0.queue_depth");

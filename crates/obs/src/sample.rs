@@ -4,19 +4,20 @@
 //! none loses exactly the forensics that matter. [`TailSampler`] splits the
 //! difference: each answered query *offers* its latency plus a lazy span-tree
 //! builder, and the sampler retains the tree only when the latency clears a
-//! **rolling quantile threshold** computed from its own ring-of-epochs
-//! latency histogram (advanced by the same admission clock as
-//! [`crate::LiveWindows`] — no wall-clock reads). Retention is a bounded
+//! **rolling quantile threshold** — the quantile of the owner's window
+//! latency [`Histogram`] (the service's `e2e_us` window, advanced by its
+//! admission clock; no wall-clock reads), into which the owner records
+//! every offered latency before offering it. Retention is a bounded
 //! reservoir of the worst `capacity` queries, with a total order on
 //! `(latency, seq)` so eviction — and therefore the whole kept set — is a
-//! deterministic function of the offered stream (property-tested under
-//! `KNNTA_PROP_SEED` replay).
+//! deterministic function of the offered stream and the window (property-
+//! tested under `KNNTA_PROP_SEED` replay).
 //!
 //! The trace builder closure runs only when the offer is accepted, so the
-//! fast path pays one histogram update and a comparison — never a span-tree
+//! fast path pays one quantile walk and a comparison — never a span-tree
 //! allocation.
 
-use crate::live::quantile_from;
+use crate::metrics::Histogram;
 use crate::trace::TraceDoc;
 use knnta_util::sync::Mutex;
 
@@ -25,15 +26,11 @@ use knnta_util::sync::Mutex;
 pub struct TailConfig {
     /// Max retained traces (the reservoir bound).
     pub capacity: usize,
-    /// Rolling latency quantile a query must reach to be kept.
+    /// Window latency quantile a query must reach to be kept.
     pub quantile: f64,
-    /// Observations before the threshold filter engages; during warmup
-    /// every offer is eligible (the reservoir bound still applies).
+    /// Offers before the threshold filter engages; during warmup every
+    /// offer is eligible (the reservoir bound still applies).
     pub warmup: u64,
-    /// Epochs in the rolling threshold window.
-    pub slots: usize,
-    /// Threshold histogram bounds (inclusive upper bounds, ascending).
-    pub bounds: Vec<u64>,
 }
 
 impl Default for TailConfig {
@@ -42,8 +39,6 @@ impl Default for TailConfig {
             capacity: 32,
             quantile: 0.95,
             warmup: 64,
-            slots: 8,
-            bounds: crate::bounds::LATENCY_US.to_vec(),
         }
     }
 }
@@ -61,11 +56,6 @@ pub struct KeptTrace {
 
 #[derive(Debug)]
 struct SamplerCore {
-    /// Ring of per-epoch bucket rows, `slots × (bounds.len() + 1)`.
-    buckets: Vec<Vec<u64>>,
-    maxes: Vec<u64>,
-    tick: u64,
-    observed: u64,
     seq: u64,
     kept: Vec<KeptTrace>,
     kept_ever: u64,
@@ -77,97 +67,47 @@ struct SamplerCore {
 #[derive(Debug)]
 pub struct TailSampler {
     config: TailConfig,
+    latency: Histogram,
     core: Mutex<SamplerCore>,
 }
 
 impl TailSampler {
-    /// A sampler with the given policy (`capacity ≥ 1`, `slots ≥ 1`,
-    /// ascending `bounds`, `quantile` in `(0, 1]`).
-    pub fn new(config: TailConfig) -> Self {
+    /// A sampler with the given policy (`capacity ≥ 1`, `quantile` in
+    /// `(0, 1]`) whose keep threshold is that quantile of `latency`.
+    pub fn new(config: TailConfig, latency: Histogram) -> Self {
         assert!(config.capacity >= 1, "reservoir needs capacity");
-        assert!(config.slots >= 1, "threshold window needs a slot");
         assert!(
             config.quantile > 0.0 && config.quantile <= 1.0,
             "quantile must be in (0, 1]"
         );
-        assert!(
-            config.bounds.windows(2).all(|w| w[0] < w[1]),
-            "threshold bounds must be strictly ascending"
-        );
-        let width = config.bounds.len() + 1;
-        let core = SamplerCore {
-            buckets: (0..config.slots).map(|_| vec![0; width]).collect(),
-            maxes: vec![0; config.slots],
-            tick: 0,
-            observed: 0,
-            seq: 0,
-            kept: Vec::new(),
-            kept_ever: 0,
-        };
         Self {
             config,
-            core: Mutex::new(core),
+            latency,
+            core: Mutex::new(SamplerCore {
+                seq: 0,
+                kept: Vec::new(),
+                kept_ever: 0,
+            }),
         }
     }
 
-    /// The policy in force.
-    pub fn config(&self) -> &TailConfig {
-        &self.config
-    }
-
-    /// Rotates the threshold window one epoch (zeroes the incoming slot).
-    /// Driven by the owner's admission clock alongside
-    /// [`crate::LiveWindows::advance`].
-    pub fn advance(&self) {
-        let mut c = self.core.lock();
-        c.tick += 1;
-        let slot = (c.tick % self.config.slots as u64) as usize;
-        c.buckets[slot].iter_mut().for_each(|b| *b = 0);
-        c.maxes[slot] = 0;
-    }
-
-    fn threshold_of(&self, core: &SamplerCore) -> u64 {
-        let width = self.config.bounds.len() + 1;
-        let mut merged = vec![0u64; width];
-        for row in &core.buckets {
-            for (m, b) in merged.iter_mut().zip(row) {
-                *m += b;
-            }
-        }
-        let max = core.maxes.iter().copied().max().unwrap_or(0);
-        quantile_from(&self.config.bounds, &merged, max, self.config.quantile)
-    }
-
-    /// The current rolling-quantile keep threshold in microseconds
-    /// (0 while the window is empty).
+    /// The current keep threshold in microseconds: the configured quantile
+    /// of the latency window (0 while the window is empty).
     pub fn threshold_us(&self) -> u64 {
-        self.threshold_of(&self.core.lock())
+        self.latency.quantile(self.config.quantile)
     }
 
-    /// Offers one answered query. Returns `true` (and invokes
-    /// `make_trace`) iff the trace was retained: the latency reaches the
-    /// rolling threshold (or the stream is still warming up) *and* it
-    /// displaces nothing worse from a full reservoir. Eviction order is
-    /// the total order on `(latency_us, seq)` — ties keep the newer query.
+    /// Offers one answered query, whose latency the owner has already
+    /// recorded into the window. Returns `true` (and invokes `make_trace`)
+    /// iff the trace was retained: the latency reaches the window threshold
+    /// (or the stream is still warming up) *and* it displaces nothing worse
+    /// from a full reservoir. Eviction order is the total order on
+    /// `(latency_us, seq)` — ties keep the newer query.
     pub fn offer(&self, latency_us: u64, make_trace: impl FnOnce() -> TraceDoc) -> bool {
         let mut c = self.core.lock();
         c.seq += 1;
         let seq = c.seq;
-        c.observed += 1;
-        // Record into the rolling threshold histogram (current epoch slot).
-        let slot = (c.tick % self.config.slots as u64) as usize;
-        let idx = self
-            .config
-            .bounds
-            .iter()
-            .position(|&b| latency_us <= b)
-            .unwrap_or(self.config.bounds.len());
-        c.buckets[slot][idx] += 1;
-        c.maxes[slot] = c.maxes[slot].max(latency_us);
-
-        let over_threshold =
-            c.observed <= self.config.warmup || latency_us >= self.threshold_of(&c);
-        if !over_threshold {
+        if seq > self.config.warmup && latency_us < self.threshold_us() {
             return false;
         }
         if c.kept.len() == self.config.capacity {
@@ -210,11 +150,6 @@ impl TailSampler {
         self.core.lock().kept_ever
     }
 
-    /// Total queries offered.
-    pub fn observed(&self) -> u64 {
-        self.core.lock().observed
-    }
-
     /// Merges every retained span tree into one valid `knnta.trace.v1`
     /// document (span ids remapped to stay unique), ordered by offer
     /// sequence — the artifact behind `knnta serve --tail-out`.
@@ -250,6 +185,7 @@ impl TailSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Registry;
     use crate::trace::SpanDoc;
 
     fn trace_of(latency_us: u64) -> TraceDoc {
@@ -267,70 +203,91 @@ mod tests {
         }
     }
 
-    fn small(capacity: usize, warmup: u64) -> TailSampler {
-        TailSampler::new(TailConfig {
-            capacity,
-            warmup,
-            slots: 2,
-            bounds: vec![10, 100, 1000],
-            ..TailConfig::default()
-        })
+    /// A sampler over a 2-slot latency window, and the window's registry.
+    struct Small {
+        window: Registry,
+        latency: Histogram,
+        sampler: TailSampler,
+    }
+
+    impl Small {
+        fn new(capacity: usize, warmup: u64) -> Small {
+            let window = Registry::new(2);
+            let latency = window.histogram("latency_us", &[10, 100, 1000]);
+            let sampler = TailSampler::new(
+                TailConfig {
+                    capacity,
+                    warmup,
+                    ..TailConfig::default()
+                },
+                latency.clone(),
+            );
+            Small {
+                window,
+                latency,
+                sampler,
+            }
+        }
+
+        /// Records `v` into the window, then offers it, as the owner does.
+        fn offer(&self, v: u64, make: impl FnOnce() -> TraceDoc) -> bool {
+            self.latency.record(v);
+            self.sampler.offer(v, make)
+        }
     }
 
     #[test]
     fn warmup_keeps_everything_then_threshold_engages() {
-        let s = small(8, 4);
+        let s = Small::new(8, 4);
         for v in [5, 6, 7, 8] {
             assert!(s.offer(v, || trace_of(v)));
         }
         // Threshold is now the window p95 (= max of the small window): a
         // fast query is rejected, a slow one kept.
-        assert!(s.threshold_us() >= 8);
+        assert!(s.sampler.threshold_us() >= 8);
         assert!(!s.offer(1, || unreachable!("builder must stay lazy")));
         assert!(s.offer(5_000, || trace_of(5_000)));
-        assert_eq!(s.kept_len(), 5);
-        assert_eq!(s.kept_ever(), 5);
-        assert_eq!(s.observed(), 6);
+        assert_eq!(s.sampler.kept_len(), 5);
+        assert_eq!(s.sampler.kept_ever(), 5);
     }
 
     #[test]
     fn reservoir_is_bounded_and_evicts_fastest() {
-        let s = small(2, 0);
-        // Everything beats the empty-window threshold at first.
+        let s = Small::new(2, 0);
+        // Each of these reaches the window's p95 when offered.
         assert!(s.offer(500, || trace_of(500)));
         assert!(s.offer(2_000, || trace_of(2_000)));
         // Slower than the reservoir minimum: displaces the 500µs trace.
         assert!(s.offer(3_000, || trace_of(3_000)));
-        assert_eq!(s.kept_len(), 2);
-        let kept: Vec<u64> = s.kept().iter().map(|k| k.latency_us).collect();
+        assert_eq!(s.sampler.kept_len(), 2);
+        let kept: Vec<u64> = s.sampler.kept().iter().map(|k| k.latency_us).collect();
         assert_eq!(kept, vec![2_000, 3_000]);
-        // Over threshold but not worse than the reservoir floor: dropped.
-        let before = s.kept();
+        // Below the window p95 (the max so far) and the reservoir floor.
+        let before = s.sampler.kept();
         assert!(!s.offer(1_999, || trace_of(1_999)));
-        assert_eq!(s.kept(), before);
-        assert_eq!(s.kept_len(), 2);
+        assert_eq!(s.sampler.kept(), before);
     }
 
     #[test]
     fn rotation_forgets_old_threshold_epochs() {
-        let s = small(32, 0);
+        let s = Small::new(32, 0);
         for _ in 0..50 {
             s.offer(5_000, || trace_of(5_000));
         }
-        assert_eq!(s.threshold_us(), 5_000);
+        assert_eq!(s.sampler.threshold_us(), 5_000);
         // Rotate both slots out: the threshold resets with the window.
-        s.advance();
-        s.advance();
-        assert_eq!(s.threshold_us(), 0);
+        s.window.advance();
+        s.window.advance();
+        assert_eq!(s.sampler.threshold_us(), 0);
     }
 
     #[test]
     fn export_merges_kept_trees_into_one_valid_doc() {
-        let s = small(4, 0);
+        let s = Small::new(4, 0);
         for v in [300, 700, 900] {
             assert!(s.offer(v, || trace_of(v)));
         }
-        let doc = s.export();
+        let doc = s.sampler.export();
         doc.validate().unwrap();
         assert_eq!(doc.spans.len(), 3);
         let ids: Vec<u64> = doc.spans.iter().map(|sp| sp.id).collect();

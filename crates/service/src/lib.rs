@@ -38,7 +38,7 @@
 //!   whole pipeline is bit-identical to one-at-a-time unsharded execution.
 //! * **Faults**: a shard worker panic is caught at the execution boundary
 //!   and fails exactly the tickets of the tile that hit it, each counted
-//!   once ([`M_FAILURES`]): one ticket resumes the original panic payload
+//!   once ([`telemetry::W_FAILURES`]): one ticket resumes the original panic payload
 //!   through [`Ticket::wait`] via `resume_unwind` (the workspace's
 //!   parallel-search convention), the rest get its message. A shard image
 //!   is immutable and the kernel deterministic, so running the tile again
@@ -47,14 +47,15 @@
 //!   either answers the ticket or drops its response slot, which wakes the
 //!   waiter with an error.
 //!
-//! Per-phase spans (`admit`, `tile`, `scatter`, `merge`) and
-//! `knnta.service.*` counters flow into the attached [`Obs`] handle, so
-//! `knnta report` breaks service latency down by phase. See DESIGN.md §15.
+//! Per-phase spans (`admit`, `tile`, `scatter`, `merge`) flow into the
+//! attached [`Obs`] handle, so `knnta report` breaks service latency down
+//! by phase. See DESIGN.md §15.
 //!
 //! Independently of the opt-in [`Obs`] tracing, every service carries an
-//! always-on [`ServiceTelemetry`] ([`telemetry`]): sliding-window latency
-//! histograms with per-segment attribution (admit / queue / scatter /
-//! merge), per-shard health gauges, and a bounded tail-trace sampler —
+//! always-on [`ServiceTelemetry`] ([`telemetry`]): the service's event
+//! counters, sliding-window latency histograms with per-segment attribution
+//! (admit / queue / scatter / merge), per-shard health gauges, and a
+//! bounded tail-trace sampler —
 //! snapshotted to the stable `knnta.snapshot.v1` schema for
 //! `knnta serve --stats-out`, `knnta top`, and `knnta slo`. See
 //! DESIGN.md §16.
@@ -84,19 +85,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempora::{AggregateSeries, EpochGrid};
-
-/// Counter: queries accepted by [`Service::submit`].
-pub const M_SUBMITTED: &str = "knnta.service.submitted";
-/// Counter: queries answered (successfully) by the merger.
-pub const M_ANSWERED: &str = "knnta.service.answered";
-/// Counter: admission flushes (locality tiles dispatched).
-pub const M_FLUSHES: &str = "knnta.service.flushes";
-/// Counter: queries flushed by the size trigger (vs the deadline trigger).
-pub const M_FLUSH_FULL: &str = "knnta.service.flush_full";
-/// Counter: queries failed because a shard worker panicked on their tile,
-/// one per ticket. Once the service is quiescent,
-/// `M_SUBMITTED = M_ANSWERED + M_FAILURES`.
-pub const M_FAILURES: &str = "knnta.service.failures";
 
 /// Test-only fault injection: called with `(shard, flush id)` at the start
 /// of every shard execution, inside the panic boundary — panic here to
@@ -267,32 +255,11 @@ struct Shard {
     frozen: FrozenIndex,
 }
 
-struct Counters {
-    submitted: knnta_obs::Counter,
-    answered: knnta_obs::Counter,
-    flushes: knnta_obs::Counter,
-    flush_full: knnta_obs::Counter,
-    failures: knnta_obs::Counter,
-}
-
-impl Counters {
-    fn new(obs: &Obs) -> Self {
-        Counters {
-            submitted: obs.counter(M_SUBMITTED),
-            answered: obs.counter(M_ANSWERED),
-            flushes: obs.counter(M_FLUSHES),
-            flush_full: obs.counter(M_FLUSH_FULL),
-            failures: obs.counter(M_FAILURES),
-        }
-    }
-}
-
 /// The running service: submission front door plus the admission, shard
 /// worker, and merger threads behind it. Dropping the service shuts it
 /// down (draining the queue first).
 pub struct Service {
     submit_tx: Sender<Entry>,
-    submitted: knnta_obs::Counter,
     obs: Obs,
     shards: Vec<Arc<Shard>>,
     telemetry: Arc<ServiceTelemetry>,
@@ -334,7 +301,6 @@ impl Service {
         let positions: Vec<Poi> = pois.iter().map(|(p, _)| *p).collect();
         let parts = partition_pois(&positions, &bounds, shards_n);
 
-        let counters = Arc::new(Counters::new(&obs));
         let mut pois: Vec<Option<(Poi, AggregateSeries)>> = pois.into_iter().map(Some).collect();
         let shards: Vec<Arc<Shard>> = parts
             .iter()
@@ -370,12 +336,10 @@ impl Service {
             let merge_tx = merge_tx.clone();
             let config = config.clone();
             let obs = obs.clone();
-            let counters = counters.clone();
             let telemetry = telemetry.clone();
             let queued = admit_pool.execute(move || {
                 admission_loop(
-                    &submit_rx, &shard_txs, &merge_tx, &order_shard, &config, &obs, &counters,
-                    &telemetry,
+                    &submit_rx, &shard_txs, &merge_tx, &order_shard, &config, &obs, &telemetry,
                 );
                 for tx in &shard_txs {
                     tx.close();
@@ -405,16 +369,13 @@ impl Service {
         let merge_pool = ThreadPool::new("knnta-merge", 1);
         {
             let obs = obs.clone();
-            let counters = counters.clone();
             let telemetry = telemetry.clone();
-            let queued =
-                merge_pool.execute(move || merger_loop(&merge_rx, &obs, &counters, &telemetry));
+            let queued = merge_pool.execute(move || merger_loop(&merge_rx, &obs, &telemetry));
             assert!(queued.is_ok(), "merge pool accepts its loop");
         }
 
         Service {
             submit_tx,
-            submitted: counters.submitted.clone(),
             obs,
             shards,
             telemetry,
@@ -437,7 +398,6 @@ impl Service {
             submitted,
         };
         if self.submit_tx.send(entry).is_ok() {
-            self.submitted.add(1);
             self.telemetry.submitted.inc();
         }
         Ticket { rx, submitted }
@@ -477,7 +437,6 @@ impl Drop for Service {
 
 /// Admission: accumulate submissions into a tile, flush on size or
 /// deadline, order along the Hilbert curve, scatter to every shard.
-#[allow(clippy::too_many_arguments)]
 fn admission_loop(
     submit_rx: &Receiver<Entry>,
     shard_txs: &[Sender<Task>],
@@ -485,7 +444,6 @@ fn admission_loop(
     order_shard: &Shard,
     config: &ServiceConfig,
     obs: &Obs,
-    counters: &Counters,
     telemetry: &ServiceTelemetry,
 ) {
     let mut flush_id = 0u64;
@@ -524,10 +482,6 @@ fn admission_loop(
             ("filled".into(), filled.into()),
         ]);
         drop(admit_span);
-        counters.flushes.add(1);
-        if filled {
-            counters.flush_full.add(1);
-        }
         // The admission clock: flush counting drives window rotation — no
         // wall-clock reads, deterministic under seeded test streams.
         telemetry.on_flush(flush_id, filled);
@@ -616,12 +570,7 @@ fn worker_loop(
 
 /// Merger: gather per-shard results per flush, merge under the global
 /// total order, answer every ticket.
-fn merger_loop(
-    rx: &Receiver<MergeMsg>,
-    obs: &Obs,
-    counters: &Counters,
-    telemetry: &ServiceTelemetry,
-) {
+fn merger_loop(rx: &Receiver<MergeMsg>, obs: &Obs, telemetry: &ServiceTelemetry) {
     struct Pending {
         entries: Vec<Entry>,
         flushed_at: Instant,
@@ -709,7 +658,6 @@ fn merger_loop(
                             let per_shard: Vec<Vec<QueryHit>> =
                                 lists.iter().map(|l| l[i].clone()).collect();
                             let hits = merge_ranked(&per_shard, entry.query.k);
-                            counters.answered.add(1);
                             let completed = Instant::now();
                             let total_us = completed
                                 .saturating_duration_since(entry.submitted)
@@ -743,7 +691,6 @@ fn merger_loop(
                         // each; the first gets the original payload, the
                         // rest its message.
                         for entry in done.entries {
-                            counters.failures.add(1);
                             telemetry.on_failure();
                             let _ = entry.reply.send(Response {
                                 result: Err(Failure {

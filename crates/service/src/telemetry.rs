@@ -7,15 +7,17 @@
 //! bounded by construction and cheap enough to leave on:
 //!
 //! * every answered query costs a handful of atomic adds into
-//!   [`LiveWindows`] ring buckets (one per latency segment) plus one mutex
-//!   hop in the tail sampler — all on the single merger thread, off the
-//!   shard hot paths;
+//!   [`Registry`] ring cells (one per latency segment) plus one mutex hop
+//!   in the tail sampler — all on the single merger thread, off the shard
+//!   hot paths;
 //! * the window clock is the admission loop's flush counter
 //!   ([`TelemetryConfig::advance_every_flushes`]), not wall-clock reads,
 //!   so window contents are deterministic under seeded test clocks;
-//! * full span trees survive only for queries over the tail sampler's
-//!   rolling latency quantile, in a bounded reservoir
-//!   ([`knnta_obs::TailSampler`]).
+//! * full span trees survive only for queries over a quantile of the
+//!   `e2e_us` window, in a bounded reservoir ([`knnta_obs::TailSampler`]).
+//!
+//! The window counters' lifetimes are the service's only event counts:
+//! once it is quiescent, `W_SUBMITTED = W_ANSWERED + W_FAILURES`.
 //!
 //! End-to-end latency is decomposed into back-to-back segments measured
 //! from the pipeline's own `Instant`s:
@@ -38,8 +40,8 @@
 
 use knnta_obs::trace::SpanDoc;
 use knnta_obs::{
-    bounds, AttrValue, Gauge, LiveWindows, SnapshotDoc, TailConfig, TailSampler, TraceDoc,
-    WindowCounter, WindowHistogram,
+    bounds, AttrValue, Counter, Gauge, Histogram, Registry, SnapshotDoc, TailConfig, TailSampler,
+    TraceDoc,
 };
 use knnta_util::sync::Mutex;
 use std::sync::Arc;
@@ -54,11 +56,11 @@ pub const W_QUEUE_US: &str = "knnta.service.window.queue_us";
 pub const W_SCATTER_US: &str = "knnta.service.window.scatter_us";
 /// Window histogram: merge + answer-delivery latency (µs).
 pub const W_MERGE_US: &str = "knnta.service.window.merge_us";
-/// Window counter: queries submitted.
+/// Window counter: queries accepted by [`crate::Service::submit`].
 pub const W_SUBMITTED: &str = "knnta.service.window.submitted";
-/// Window counter: queries answered.
+/// Window counter: queries answered (successfully) by the merger.
 pub const W_ANSWERED: &str = "knnta.service.window.answered";
-/// Window counter: admission flushes.
+/// Window counter: admission flushes (locality tiles dispatched).
 pub const W_FLUSHES: &str = "knnta.service.window.flushes";
 /// Window counter: flushes triggered by size (vs deadline).
 pub const W_FLUSH_FULL: &str = "knnta.service.window.flush_full";
@@ -76,14 +78,15 @@ pub const G_IMBALANCE_X1000: &str = "knnta.service.imbalance_x1000";
 /// Per-shard busy-EWMA weight (×1000): `ewma ← 0.75·ewma + 0.25·exec`.
 const EWMA_NEW_X1000: u64 = 250;
 
+/// Epochs per sliding window.
+const WINDOW_SLOTS: usize = 8;
+
 /// Knobs for the always-on serving telemetry.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Master switch. Off vends no-op handles everywhere (one branch per
     /// site) — the overhead-bench baseline, not a production mode.
     pub enabled: bool,
-    /// Epochs per sliding window.
-    pub window_slots: usize,
     /// The admission loop advances the window clock every this many
     /// flushes (the deterministic "admission clock").
     pub advance_every_flushes: u64,
@@ -95,7 +98,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: true,
-            window_slots: 8,
             advance_every_flushes: 4,
             tail: TailConfig::default(),
         }
@@ -110,20 +112,20 @@ struct ShardHealth {
 
 /// The live-telemetry sink of one [`crate::Service`].
 pub struct ServiceTelemetry {
-    windows: LiveWindows,
+    windows: Registry,
     sampler: Option<TailSampler>,
     advance_every: u64,
-    e2e: WindowHistogram,
-    admit: WindowHistogram,
-    queue: WindowHistogram,
-    scatter: WindowHistogram,
-    merge: WindowHistogram,
-    pub(crate) submitted: WindowCounter,
-    answered: WindowCounter,
-    flushes: WindowCounter,
-    flush_full: WindowCounter,
-    failures: WindowCounter,
-    tail_kept: WindowCounter,
+    e2e: Histogram,
+    admit: Histogram,
+    queue: Histogram,
+    scatter: Histogram,
+    merge: Histogram,
+    pub(crate) submitted: Counter,
+    answered: Counter,
+    flushes: Counter,
+    flush_full: Counter,
+    failures: Counter,
+    tail_kept: Counter,
     tail_threshold: Gauge,
     imbalance: Gauge,
     shards: Vec<ShardHealth>,
@@ -135,12 +137,15 @@ pub struct ServiceTelemetry {
 impl ServiceTelemetry {
     pub(crate) fn new(config: &TelemetryConfig, shard_count: usize) -> Arc<ServiceTelemetry> {
         let windows = if config.enabled {
-            LiveWindows::new(config.window_slots)
+            Registry::new(WINDOW_SLOTS)
         } else {
-            LiveWindows::disabled()
+            Registry::default()
         };
-        let sampler = config.enabled.then(|| TailSampler::new(config.tail.clone()));
         let hist = |name| windows.histogram(name, bounds::LATENCY_US);
+        let e2e = hist(W_E2E_US);
+        let sampler = config
+            .enabled
+            .then(|| TailSampler::new(config.tail.clone(), e2e.clone()));
         let shards = (0..shard_count)
             .map(|s| ShardHealth {
                 queue_depth: windows.gauge(&format!("knnta.service.shard{s}.queue_depth")),
@@ -148,7 +153,7 @@ impl ServiceTelemetry {
             })
             .collect();
         Arc::new(ServiceTelemetry {
-            e2e: hist(W_E2E_US),
+            e2e,
             admit: hist(W_ADMIT_US),
             queue: hist(W_QUEUE_US),
             scatter: hist(W_SCATTER_US),
@@ -176,7 +181,7 @@ impl ServiceTelemetry {
 
     /// The sliding-window registry (for attaching more windowed metrics,
     /// e.g. the executor's planner-feedback ratio histogram).
-    pub fn windows(&self) -> &LiveWindows {
+    pub fn windows(&self) -> &Registry {
         &self.windows
     }
 
@@ -208,7 +213,8 @@ impl ServiceTelemetry {
         self.sampler.as_ref().map_or(0, |s| s.kept_ever())
     }
 
-    /// The tail sampler's current rolling keep threshold in microseconds.
+    /// The tail sampler's current keep threshold in microseconds: the
+    /// configured quantile of the `e2e_us` window.
     pub fn tail_threshold_us(&self) -> u64 {
         self.sampler.as_ref().map_or(0, |s| s.threshold_us())
     }
@@ -220,11 +226,8 @@ impl ServiceTelemetry {
         if filled {
             self.flush_full.inc();
         }
-        if self.windows.is_enabled() && flush_id % self.advance_every == 0 {
+        if flush_id % self.advance_every == 0 {
             self.windows.advance();
-            if let Some(s) = &self.sampler {
-                s.advance();
-            }
         }
     }
 
@@ -266,7 +269,8 @@ impl ServiceTelemetry {
 
     /// Merger hook: one answered query's latency decomposition. Records
     /// every segment into its window histogram and offers the query to the
-    /// tail sampler (the span tree is built only if retained).
+    /// tail sampler, whose threshold reads the `e2e_us` window it just
+    /// landed in (the span tree is built only if retained).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_query(
         &self,

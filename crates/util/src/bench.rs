@@ -489,8 +489,8 @@ pub struct Bencher {
 
 impl Bencher {
     /// Attaches observability counter deltas to this bench's result (e.g.
-    /// `obs.counter_deltas()` from a `knnta-obs` handle). Replaces any
-    /// previously attached set.
+    /// `obs.metrics_snapshot().counters` from a `knnta-obs` handle).
+    /// Replaces any previously attached set.
     pub fn counters(&mut self, counters: Vec<(String, u64)>) {
         self.counters = counters;
     }

@@ -25,7 +25,9 @@
 # packer must reproduce build-then-pack byte for byte (tests/direct_pack.rs),
 # crates/service must not name the pointer tree (shards are packed straight
 # from their POIs) nor regrow the shard rebuild/retry path (a shard is
-# immutable, so a worker panic fails only its own tile), the query surface must not regrow (at most seven
+# immutable, so a worker panic fails only its own tile), crates/obs must not
+# regrow a second metrics registry or histogram core (a lifetime counter is a
+# window that never rotates), the query surface must not regrow (at most seven
 # `pub fn query*` in crates/core/src — `query` on TarIndex / LiveIndex /
 # SnapshotView / Executor / ScanBaseline, `Executor::query_batch`,
 # `query_with_disk_tias`; a forced configuration is a QueryPlan through
@@ -85,6 +87,11 @@ if grep -rq TarIndex crates/service/src; then
 fi
 if grep -rqE 'rebuild|retry|generation' crates/service/src; then
     echo "crates/service/src regrew shard rebuild/retry: a worker panic fails only its own tile" >&2
+    exit 1
+fi
+if grep -rqE 'LiveWindows|MetricsRegistry|WindowHistogram|WindowCounter' crates/obs/src ||
+    [ "$(grep -rhoE 'struct [A-Za-z]*HistCore' crates/obs/src | wc -l)" -gt 1 ]; then
+    echo "crates/obs/src regrew a second metrics registry: every metric is one ring of epoch cells" >&2
     exit 1
 fi
 if [ "$(grep -rn 'pub fn query' crates/core/src | wc -l)" -gt 7 ] ||

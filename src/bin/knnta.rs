@@ -693,8 +693,8 @@ fn serve(opts: &Opts) -> Result<(), String> {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         let _ = handle.join();
     }
+    let snap = telemetry.snapshot();
     if let Some(path) = &stats_out {
-        let snap = telemetry.snapshot();
         snap.validate()?;
         std::fs::write(path, snap.to_json()).map_err(|e| format!("{path}: {e}"))?;
         let e2e = snap.histogram(knnta::service::W_E2E_US);
@@ -734,16 +734,13 @@ fn serve(opts: &Opts) -> Result<(), String> {
         "latency:     p50 {} µs   p95 {} µs   max {} µs (submit-to-answer)",
         report.p50_us, report.p95_us, report.max_us
     );
-    if obs_wanted {
-        let metrics = obs.metrics_snapshot();
-        let c = |name: &str| metrics.counter(name).unwrap_or(0);
-        outln!(
-            "service:     {} flushes ({} size-triggered), {} failures",
-            c(knnta::service::M_FLUSHES),
-            c(knnta::service::M_FLUSH_FULL),
-            c(knnta::service::M_FAILURES)
-        );
-    }
+    let c = |name: &str| snap.counter(name).map_or(0, |c| c.lifetime);
+    outln!(
+        "service:     {} flushes ({} size-triggered), {} failures",
+        c(knnta::service::W_FLUSHES),
+        c(knnta::service::telemetry::W_FLUSH_FULL),
+        c(knnta::service::telemetry::W_FAILURES)
+    );
     write_obs_artifacts_from(opts, &obs)
 }
 

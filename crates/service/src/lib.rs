@@ -11,18 +11,21 @@
 //! ```text
 //! submit() ──► admission ──► shard 0 workers ─┐
 //!              (tile by     shard 1 workers ──┼──► merger ──► Ticket
-//!               Hilbert,         ...          │
-//!               flush on    shard N-1 workers ┘
-//!               size or
-//!               deadline)
+//!               Hilbert,         ...          │      │
+//!               flush when  shard N-1 workers ┘      │
+//!               idle, or at                          │
+//!               a ceiling) ◄──── drained ────────────┘
 //! ```
 //!
-//! * **Admission** accumulates in-flight queries into a batch and flushes
-//!   when the batch reaches `max_batch` queries or the oldest query has
-//!   waited `max_delay` (deadline-or-size). Each flush is ordered along
-//!   the 3-D Hilbert curve ([`knnta_core::BatchOrder::Hilbert`]) so the
-//!   collective execution inside every shard walks a locality tile — the
-//!   streaming generalisation of the static batches of PR 4.
+//! * **Admission** is work-conserving with ceilings. While fewer flushes
+//!   are in flight than each shard has workers, it takes whatever is
+//!   already queued (up to `max_batch`) and flushes at once. Otherwise the
+//!   tile grows until a flush drains (the merger's notice), the tile
+//!   reaches `max_batch`, or its oldest query has waited `max_delay`. Each
+//!   flush is ordered along the 3-D Hilbert curve
+//!   ([`knnta_core::BatchOrder::Hilbert`]) so the collective execution
+//!   inside every shard walks a locality tile — the streaming
+//!   generalisation of the static collective batches.
 //! * **Shards**: the POI set is partitioned across `shards` engine shards
 //!   by [`knnta_core::partition_pois`] (contiguous Hilbert runs). Every
 //!   shard is a [`knnta_core::FrozenIndex`] — a packed image plus metadata,
@@ -97,9 +100,10 @@ pub struct ServiceConfig {
     /// Engine shards the POI set is partitioned across (clamped to the POI
     /// count at startup).
     pub shards: usize,
-    /// Worker threads per shard.
+    /// Worker threads per shard — also the pipeline's capacity: admission
+    /// flushes at once while fewer flushes than this are in flight.
     pub workers: usize,
-    /// Admission flushes when this many queries are waiting…
+    /// Otherwise admission flushes when this many queries are waiting…
     pub max_batch: usize,
     /// …or when the oldest waiting query has been held this long.
     pub max_delay: Duration,
@@ -222,6 +226,13 @@ struct Entry {
     submitted: Instant,
 }
 
+/// What admission receives: a submitted query, or the merger's notice that
+/// a flush has drained (every shard of it reported, answered or failed).
+enum Admit {
+    Query(Entry),
+    Drained,
+}
+
 /// One shard execution: a flushed tile, in Hilbert order.
 struct Task {
     flush: u64,
@@ -259,7 +270,7 @@ struct Shard {
 /// worker, and merger threads behind it. Dropping the service shuts it
 /// down (draining the queue first).
 pub struct Service {
-    submit_tx: Sender<Entry>,
+    submit_tx: Sender<Admit>,
     obs: Obs,
     shards: Vec<Arc<Shard>>,
     telemetry: Arc<ServiceTelemetry>,
@@ -319,7 +330,7 @@ impl Service {
 
         let telemetry = ServiceTelemetry::new(&config.telemetry, shards_n);
 
-        let (submit_tx, submit_rx) = chan::channel::<Entry>();
+        let (submit_tx, submit_rx) = chan::channel::<Admit>();
         let (merge_tx, merge_rx) = chan::channel::<MergeMsg>();
         let shard_channels: Vec<(Sender<Task>, Receiver<Task>)> =
             (0..shards_n).map(|_| chan::channel::<Task>()).collect();
@@ -368,9 +379,13 @@ impl Service {
 
         let merge_pool = ThreadPool::new("knnta-merge", 1);
         {
+            // The merger's drained notices keep the submit channel open
+            // past the last `Service` handle; `shutdown` closes it.
+            let drained_tx = submit_tx.clone();
             let obs = obs.clone();
             let telemetry = telemetry.clone();
-            let queued = merge_pool.execute(move || merger_loop(&merge_rx, &obs, &telemetry));
+            let queued =
+                merge_pool.execute(move || merger_loop(&merge_rx, &drained_tx, &obs, &telemetry));
             assert!(queued.is_ok(), "merge pool accepts its loop");
         }
 
@@ -397,7 +412,7 @@ impl Service {
             reply: tx,
             submitted,
         };
-        if self.submit_tx.send(entry).is_ok() {
+        if self.submit_tx.send(Admit::Query(entry)).is_ok() {
             self.telemetry.submitted.inc();
         }
         Ticket { rx, submitted }
@@ -435,10 +450,38 @@ impl Drop for Service {
     }
 }
 
-/// Admission: accumulate submissions into a tile, flush on size or
-/// deadline, order along the Hilbert curve, scatter to every shard.
+/// Admission's decision for the tile it holds.
+#[derive(Debug, PartialEq)]
+enum Next {
+    /// Flush the held tile now.
+    Flush,
+    /// Keep holding: re-decide on the next message, or after this long
+    /// (`None` while nothing is held, so there is no deadline).
+    Wait(Option<Duration>),
+}
+
+/// The admission rule, work-conserving with ceilings. Every flush occupies
+/// one worker on every shard, so while fewer than `config.workers` flushes
+/// are in flight a held tile flushes at once. Otherwise it is held until a
+/// flush drains (the caller re-decides with one fewer in flight), it
+/// reaches `max_batch`, or its oldest query has waited `max_delay`.
+fn admit_next(held: usize, oldest_age: Duration, in_flight: usize, config: &ServiceConfig) -> Next {
+    if held == 0 {
+        Next::Wait(None)
+    } else if in_flight < config.workers
+        || held >= config.max_batch
+        || oldest_age >= config.max_delay
+    {
+        Next::Flush
+    } else {
+        Next::Wait(Some(config.max_delay - oldest_age))
+    }
+}
+
+/// Admission: hold submissions in a tile until [`admit_next`] flushes it,
+/// order it along the Hilbert curve, scatter it to every shard.
 fn admission_loop(
-    submit_rx: &Receiver<Entry>,
+    submit_rx: &Receiver<Admit>,
     shard_txs: &[Sender<Task>],
     merge_tx: &Sender<MergeMsg>,
     order_shard: &Shard,
@@ -447,34 +490,46 @@ fn admission_loop(
     telemetry: &ServiceTelemetry,
 ) {
     let mut flush_id = 0u64;
+    let mut in_flight = 0usize;
+    let mut held: Vec<Entry> = Vec::new();
+    let mut admit_span = None;
     loop {
-        let first = match submit_rx.recv() {
-            Ok(entry) => entry,
-            Err(_) => return, // closed and drained: every entry was flushed
+        let oldest_age = held
+            .first()
+            .map_or(Duration::ZERO, |e| e.submitted.elapsed());
+        let received = match admit_next(held.len(), oldest_age, in_flight, config) {
+            Next::Flush => None,
+            Next::Wait(None) => Some(submit_rx.recv()),
+            Next::Wait(Some(deadline)) => Some(submit_rx.recv_timeout(deadline)),
         };
-        let admit_span = obs.span("admit", SpanId::NONE);
-        let batch_started = Instant::now();
-        let mut batch = vec![first];
-        let mut filled = true;
-        while batch.len() < config.max_batch {
-            let elapsed = batch_started.elapsed();
-            if elapsed >= config.max_delay {
-                filled = false;
-                break;
+        match received {
+            Some(Ok(Admit::Query(entry))) => {
+                admit_span.get_or_insert_with(|| obs.span("admit", SpanId::NONE));
+                held.push(entry);
+                continue;
             }
-            match submit_rx.recv_timeout(config.max_delay - elapsed) {
-                Ok(entry) => batch.push(entry),
-                Err(RecvError::Timeout) => {
-                    filled = false;
-                    break;
-                }
-                // Closed: flush what we have, then the next recv() exits.
-                Err(RecvError::Closed) => {
-                    filled = false;
-                    break;
-                }
+            Some(Ok(Admit::Drained)) => {
+                in_flight -= 1;
+                continue;
+            }
+            // The oldest query's deadline passed: re-decide.
+            Some(Err(RecvError::Timeout)) => continue,
+            // Closed and drained: every entry was flushed.
+            Some(Err(RecvError::Closed)) if held.is_empty() => return,
+            // Closed: flush what is held, then the next receive returns.
+            Some(Err(RecvError::Closed)) | None => {}
+        }
+        // Take what is already queued, without blocking, up to the ceiling.
+        while held.len() < config.max_batch {
+            match submit_rx.try_recv() {
+                Ok(Admit::Query(entry)) => held.push(entry),
+                Ok(Admit::Drained) => in_flight -= 1,
+                Err(_) => break,
             }
         }
+        let batch = std::mem::take(&mut held);
+        let filled = batch.len() >= config.max_batch;
+        let admit_span = admit_span.take().expect("a held tile has an admit span");
         flush_id += 1;
         admit_span.set_attrs(vec![
             ("flush".into(), flush_id.into()),
@@ -512,6 +567,7 @@ fn admission_loop(
             })
             .is_ok();
         if manifest_sent {
+            in_flight += 1;
             for tx in shard_txs {
                 let _ = tx.send(Task {
                     flush: flush_id,
@@ -568,9 +624,14 @@ fn worker_loop(
     }
 }
 
-/// Merger: gather per-shard results per flush, merge under the global
-/// total order, answer every ticket.
-fn merger_loop(rx: &Receiver<MergeMsg>, obs: &Obs, telemetry: &ServiceTelemetry) {
+/// Merger: gather per-shard results per flush, tell admission the flush
+/// drained, merge under the global total order, answer every ticket.
+fn merger_loop(
+    rx: &Receiver<MergeMsg>,
+    drained_tx: &Sender<Admit>,
+    obs: &Obs,
+    telemetry: &ServiceTelemetry,
+) {
     struct Pending {
         entries: Vec<Entry>,
         flushed_at: Instant,
@@ -613,6 +674,10 @@ fn merger_loop(rx: &Receiver<MergeMsg>, obs: &Obs, telemetry: &ServiceTelemetry)
                     continue;
                 }
                 let done = pending.remove(&flush).expect("present above");
+                // Every shard of this flush has freed its worker. After
+                // shutdown the channel is closed and admission needs no
+                // notice.
+                let _ = drained_tx.send(Admit::Drained);
                 // Per-shard attribution for this flush: scatter is the
                 // slowest shard execution; queueing is whatever of the
                 // post-flush wall time the executions themselves don't
@@ -708,4 +773,137 @@ fn merger_loop(rx: &Receiver<MergeMsg>, obs: &Obs, telemetry: &ServiceTelemetry)
     // Channel closed: admission and every worker are done, so nothing can
     // still be pending — but if a flush somehow is, dropping it closes its
     // response slots and wakes the waiters with an error instead of a hang.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    fn config(workers: usize, max_batch: usize, max_delay: Duration) -> ServiceConfig {
+        ServiceConfig {
+            workers,
+            max_batch,
+            max_delay,
+            ..ServiceConfig::default()
+        }
+    }
+
+    #[test]
+    fn idle_pipeline_flushes_on_first_arrival() {
+        let cfg = config(2, 64, us(200));
+        assert_eq!(admit_next(0, us(0), 0, &cfg), Next::Wait(None));
+        assert_eq!(admit_next(1, us(0), 0, &cfg), Next::Flush);
+        // One flush in flight still leaves a worker per shard free.
+        assert_eq!(admit_next(1, us(0), 1, &cfg), Next::Flush);
+    }
+
+    #[test]
+    fn busy_pipeline_holds_until_drained_full_or_due() {
+        let cfg = config(1, 4, us(200));
+        assert_eq!(admit_next(0, us(0), 1, &cfg), Next::Wait(None));
+        assert_eq!(admit_next(1, us(50), 1, &cfg), Next::Wait(Some(us(150))));
+        assert_eq!(admit_next(3, us(199), 1, &cfg), Next::Wait(Some(us(1))));
+        // A drained notice frees the pipeline.
+        assert_eq!(admit_next(1, us(50), 0, &cfg), Next::Flush);
+        // Both ceilings hold however many flushes are in flight.
+        assert_eq!(admit_next(4, us(0), 1, &cfg), Next::Flush);
+        assert_eq!(admit_next(1, us(200), 1, &cfg), Next::Flush);
+        assert_eq!(admit_next(4, us(0), 5, &cfg), Next::Flush);
+        assert_eq!(admit_next(1, us(300), 5, &cfg), Next::Flush);
+    }
+
+    /// One flushed tile of [`simulate`]: the virtual time of the flush and
+    /// the arrival time of each member.
+    struct Tile {
+        at: u64,
+        members: Vec<u64>,
+    }
+
+    /// Drives [`admit_next`] the way `admission_loop` does, on a virtual
+    /// clock in µs: `arrivals` (ascending) are submissions, and every flush
+    /// sends its drained notice `exec_us` after dispatch. One message is
+    /// delivered per decision; a flush first takes every arrival already
+    /// due, up to `max_batch`. A sound rule makes at most four steps per
+    /// arrival (its delivery, and per non-empty flush: the flush, its
+    /// drained notice, one deadline), so a rule that stalls fails here.
+    fn simulate(arrivals: &[u64], exec_us: u64, cfg: &ServiceConfig) -> Vec<Tile> {
+        let (mut now, mut next) = (0u64, 0usize);
+        let mut held: Vec<u64> = Vec::new();
+        let mut drains: Vec<u64> = Vec::new();
+        let mut tiles = Vec::new();
+        let arrived = |next: usize, now: u64| arrivals.get(next).is_some_and(|&a| a <= now);
+        for _ in 0..=4 * arrivals.len() {
+            let age = held.first().map_or(0, |&t| now - t);
+            match admit_next(held.len(), us(age), drains.len(), cfg) {
+                Next::Flush => {
+                    while held.len() < cfg.max_batch && arrived(next, now) {
+                        held.push(arrivals[next]);
+                        next += 1;
+                    }
+                    tiles.push(Tile {
+                        at: now,
+                        members: std::mem::take(&mut held),
+                    });
+                    drains.push(now + exec_us);
+                }
+                Next::Wait(deadline) => {
+                    let due = [
+                        arrivals.get(next).copied(),
+                        drains.iter().copied().min(),
+                        deadline.map(|d| now + d.as_micros() as u64),
+                    ];
+                    let Some(t) = due.into_iter().flatten().min() else {
+                        return tiles;
+                    };
+                    now = now.max(t);
+                    if let Some(i) = drains.iter().position(|&d| d <= now) {
+                        drains.swap_remove(i);
+                    } else if arrived(next, now) {
+                        held.push(arrivals[next]);
+                        next += 1;
+                    }
+                }
+            }
+        }
+        panic!("admission stalled: more than four steps per arrival");
+    }
+
+    /// On virtual time, over random arrival streams and pipelines: every
+    /// query lands in exactly one tile in submission order, no tile exceeds
+    /// `max_batch`, no query is held past `max_delay`, and a query that
+    /// finds the pipeline idle and nothing held flushes the instant it
+    /// arrives.
+    #[test]
+    fn virtual_time_tiles_respect_both_ceilings() {
+        knnta_util::prop::check("service_admission_virtual_time", 200, |g| {
+            let cfg = config(
+                g.usize_in(1..4),
+                g.usize_in(1..17),
+                us(g.u64_in(0..400)),
+            );
+            let exec_us = g.u64_in(0..600);
+            let mut t = 0u64;
+            let arrivals = g.vec(1, 200, |g| {
+                t += g.u64_in(0..60);
+                t
+            });
+            let tiles = simulate(&arrivals, exec_us, &cfg);
+            let served: Vec<u64> = tiles.iter().flat_map(|t| t.members.clone()).collect();
+            assert_eq!(served, arrivals, "every query in one tile, FIFO");
+            let max_delay = cfg.max_delay.as_micros() as u64;
+            for tile in &tiles {
+                assert!((1..=cfg.max_batch).contains(&tile.members.len()));
+                assert!(tile.at - tile.members[0] <= max_delay, "held past max_delay");
+            }
+            // With no flush ever in flight at an arrival, nothing waits.
+            let cfg_idle = config(arrivals.len(), cfg.max_batch, cfg.max_delay);
+            for tile in simulate(&arrivals, exec_us, &cfg_idle) {
+                assert_eq!(tile.at, tile.members[0], "an idle pipeline waited");
+            }
+        });
+    }
 }

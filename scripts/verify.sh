@@ -121,7 +121,11 @@ if [ "${KNNTA_SOAK:-0}" != "0" ] && [ -n "${KNNTA_SOAK:-}" ]; then
     # KNNTA_PROP_CASES soak figure; the deterministic sweeps scale their
     # query streams via KNNTA_SOAK themselves.
     KNNTA_PROP_CASES=30 cargo test -q --release --offline --test service_oracle
-    cargo test -q --release --offline --test service_faults
+    # Tile membership depends on thread timing (admission flushes at once
+    # while a worker is free), so one pass could hide a race: run 20.
+    for _ in $(seq 20); do
+        cargo test -q --release --offline --test service_faults
+    done
 fi
 
 if [ -n "${KNNTA_BENCH_DIFF:-}" ]; then

@@ -683,7 +683,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let stream = powerlaw_queries(&dataset, &client);
     outln!(
         "serving:     {name} ×{scale} ({venues} venues) on {} shards × {workers} workers, \
-         flush at {max_batch} queries or {max_delay_us} µs",
+         flush at once while a worker is free, else at {max_batch} queries or {max_delay_us} µs",
         service.shards()
     );
     let report = run_open_loop(&service, &stream, rate);

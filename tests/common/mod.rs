@@ -8,7 +8,8 @@ use knnta::core::{
 use knnta::lbsn::LbsnDataset;
 use knnta::{AggregateSeries, EpochGrid, Poi};
 use rtree::Rect;
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 /// When `KNNTA_OBS_TRACE_DIR` is set (the soak lane's failing-seed replay),
 /// every index built through these helpers shares one enabled [`Obs`]
@@ -139,6 +140,49 @@ pub fn assert_same_answer(got: &[QueryHit], want: &[QueryHit], context: &str) {
 /// A small deterministic dataset for the fast tests.
 pub fn small_dataset() -> LbsnDataset {
     knnta::lbsn::gs().generate(0.004, 7, 20_260_704)
+}
+
+/// A latch for a service `FaultHook`: [`Gate::hold`] parks the shard worker
+/// that calls it until [`Gate::open`]. While flushes are parked the
+/// pipeline is busy, so admission holds what the test submits meanwhile
+/// and the tiles it builds stop depending on thread timing. Both waits give
+/// up after a minute, so a broken test fails instead of wedging.
+#[derive(Default)]
+pub struct Gate {
+    /// (a worker has reached `hold`, the gate is open)
+    state: Mutex<(bool, bool)>,
+    cond: Condvar,
+}
+
+impl Gate {
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    /// Parks the calling worker until the gate opens.
+    pub fn hold(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 = true;
+        self.cond.notify_all();
+        let _ = self
+            .cond
+            .wait_timeout_while(state, Self::PATIENCE, |s| !s.1)
+            .unwrap();
+    }
+
+    /// Blocks until some worker is parked in [`Gate::hold`].
+    pub fn wait_held(&self) {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .cond
+            .wait_timeout_while(state, Self::PATIENCE, |s| !s.0)
+            .unwrap();
+        assert!(state.0, "no flush reached the gate within a minute");
+    }
+
+    /// Releases every parked worker and lets later ones pass.
+    pub fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cond.notify_all();
+    }
 }
 
 /// A tiny hand-rolled dataset (no randomness at all).

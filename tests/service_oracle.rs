@@ -1,7 +1,7 @@
 //! Service-level differential oracle (`DESIGN.md` §15).
 //!
 //! Whatever the service does between `submit` and answer — streaming
-//! admission into Hilbert locality tiles, deadline-or-size flushes, POI
+//! admission into Hilbert locality tiles, work-conserving flushes, POI
 //! partitioning across engine shards, per-shard planner-driven execution,
 //! scatter-gather merge — each response must be **bit-identical** to the
 //! unsharded, one-at-a-time execution of the same query on a single
@@ -13,20 +13,20 @@
 //!
 //! * a deterministic sweep over the full configuration grid — shard
 //!   counts {1, 2, 4, 8} × worker counts × flush policies (singleton
-//!   flushes, mixed, one-big-tile) — on the power-law client stream;
+//!   flushes, mixed, gated big tiles) — on the power-law client stream;
 //! * a randomized property (`knnta_util::prop`) drawing the service
 //!   configuration *and* the query stream, so failures print a
 //!   `KNNTA_PROP_SEED=…` replay line.
 
 mod common;
 
-use common::small_dataset;
+use common::{small_dataset, Gate};
 use knnta::core::{IndexConfig, Obs, QueryHit, TarIndex};
 use knnta::service::client::{powerlaw_queries, ClientConfig};
-use knnta::service::{Service, ServiceConfig};
+use knnta::service::{FaultHook, Service, ServiceConfig, W_FLUSHES};
 use knnta::{AggregateSeries, EpochGrid, KnntaQuery, Poi, TimeInterval, Timestamp};
 use rtree::Rect;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Bitwise identity key: no float tolerance anywhere.
@@ -98,10 +98,20 @@ fn start(fix: &Fixture, config: ServiceConfig) -> Service {
     )
 }
 
-/// Submits `queries` to `service` and asserts every answer is bit-identical
-/// to the reference tree's one-at-a-time execution.
-fn assert_oracle(fix: &Fixture, service: &Service, queries: &[KnntaQuery], label: &str) {
+/// Submits `queries` to `service`, then opens `gate` if one parks the
+/// service's flushes, and asserts every answer is bit-identical to the
+/// reference tree's one-at-a-time execution.
+fn assert_oracle(
+    fix: &Fixture,
+    service: &Service,
+    queries: &[KnntaQuery],
+    gate: Option<&Gate>,
+    label: &str,
+) {
     let tickets: Vec<_> = queries.iter().map(|q| service.submit(*q)).collect();
+    if let Some(gate) = gate {
+        gate.open();
+    }
     for (i, ticket) in tickets.into_iter().enumerate() {
         let got = ticket.wait();
         let want = fix.reference.query(&queries[i]);
@@ -115,33 +125,57 @@ fn assert_oracle(fix: &Fixture, service: &Service, queries: &[KnntaQuery], label
 
 /// The full deterministic grid: shard counts {1, 2, 4, 8} × worker counts
 /// {1, 2} × three flush policies — singleton flushes (`max_batch = 1`, the
-/// pure scatter path), a mixed policy that flushes on whichever of size or
-/// deadline trips first, and a one-big-tile policy (every query of the
-/// stream lands in a single Hilbert-ordered batch).
+/// pure scatter path), a mixed policy where admission flushes at once while
+/// a worker is free and otherwise on whichever of size or deadline trips
+/// first, and a big-tile policy. Admission flushes the first query alone
+/// when the pipeline is idle, so the big-tile policy parks every flush on a
+/// [`Gate`] until the whole stream is submitted: the first `workers`
+/// flushes leave with whatever was queued, and the rest of the stream is
+/// held as one Hilbert-ordered tile until a flush drains. The telemetry's
+/// flush count proves the stream went out in at most `workers + 1` tiles.
 #[test]
 fn sharded_service_matches_unsharded_reference_across_grid() {
     let fix = fixture();
+    let big_tile = fix.stream.len();
     let flush_policies: [(usize, Duration); 3] = [
         (1, Duration::ZERO),
         (8, Duration::from_micros(200)),
-        (fix.stream.len(), Duration::from_millis(2)),
+        (big_tile, Duration::from_secs(1)),
     ];
     for shards in [1usize, 2, 4, 8] {
         for workers in [1usize, 2] {
             for (max_batch, max_delay) in flush_policies {
-                let config = ServiceConfig {
+                let gate = (max_batch == big_tile).then(|| Arc::new(Gate::default()));
+                let mut config = ServiceConfig {
                     shards,
                     workers,
                     max_batch,
                     max_delay,
                     ..ServiceConfig::default()
                 };
+                if let Some(gate) = &gate {
+                    let gate = gate.clone();
+                    let hook: FaultHook = Arc::new(move |_shard, _flush| gate.hold());
+                    config = config.with_fault_hook(hook);
+                }
                 let service = start(fix, config);
                 let label = format!(
                     "shards={shards} workers={workers} max_batch={max_batch} \
                      max_delay={max_delay:?}"
                 );
-                assert_oracle(fix, &service, &fix.stream, &label);
+                assert_oracle(fix, &service, &fix.stream, gate.as_deref(), &label);
+                if gate.is_some() {
+                    let flushes = service
+                        .telemetry()
+                        .snapshot()
+                        .counter(W_FLUSHES)
+                        .map_or(0, |w| w.lifetime);
+                    assert!(
+                        flushes <= workers as u64 + 1,
+                        "{label}: {} queries went out in {flushes} flushes",
+                        fix.stream.len(),
+                    );
+                }
             }
         }
     }
@@ -206,6 +240,6 @@ fn random_service_configs_match_unsharded_reference() {
                 .with_alpha0(g.f64_in(0.0..1.0))
         });
         let service = start(fix, config);
-        assert_oracle(fix, &service, &queries, &label);
+        assert_oracle(fix, &service, &queries, None, &label);
     });
 }

@@ -110,9 +110,9 @@ pub(crate) enum NodeView<'a, const D: usize> {
         node: rtree::PackedNode,
         /// Per-POI sealed deltas (leaf entries).
         per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
-        /// Per-epoch sum of all sealed deltas — an admissible upper bound
-        /// added to every internal entry's aggregate.
-        total: &'a AggregateSeries,
+        /// Per node, the per-epoch max sealed delta of the POIs beneath it —
+        /// the admissible bound added to the internal entry pointing there.
+        node_max: &'a [AggregateSeries],
     },
 }
 
@@ -138,13 +138,13 @@ impl<'a, const D: usize> NodeView<'a, D> {
                 tree,
                 node,
                 per_poi,
-                total,
+                node_max,
             } => EntryIter::Overlaid {
                 tree,
                 leaf: node.is_leaf(),
                 range: node.entries(),
                 per_poi,
-                total,
+                node_max,
             },
         }
     }
@@ -173,8 +173,8 @@ pub(crate) enum EntryIter<'a, const D: usize> {
         range: Range<usize>,
         /// Per-POI sealed deltas (leaf entries).
         per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
-        /// Per-epoch sum of all sealed deltas (internal entries).
-        total: &'a AggregateSeries,
+        /// Per-node max sealed deltas (internal entries, by child node).
+        node_max: &'a [AggregateSeries],
     },
 }
 
@@ -199,17 +199,21 @@ impl<'a, const D: usize> Iterator for EntryIter<'a, D> {
                 leaf,
                 range,
                 per_poi,
-                total,
+                node_max,
             } => range.next().map(|i| {
                 let mut e = packed_entry(tree, *leaf, i);
                 let delta = match e.target {
                     // Leaf entries get their POI's exact sealed delta, so
                     // leaf aggregates equal the merged index's bit for bit.
                     EntryTarget::Data(poi) => per_poi.get(&poi),
-                    // Internal entries get the sum of all sealed deltas —
-                    // an admissible (never under-estimating) bound over any
-                    // subtree, so best-first pruning stays correct.
-                    EntryTarget::Child(_) => Some(*total),
+                    // Internal entries get the per-epoch max delta beneath
+                    // their child (Property 1 applied to the delta): for
+                    // every POI p below, `b_p + δ_p ≤ B_c + max δ`, so the
+                    // bound stays admissible and best-first pruning exact.
+                    // With no delta beneath, the plain packed block.
+                    EntryTarget::Child(c) => {
+                        Some(&node_max[c.0 as usize]).filter(|d| !d.is_empty())
+                    }
                 };
                 if let (AggRef::Packed(block), Some(delta)) = (&e.agg, delta) {
                     e.agg = AggRef::PackedPlus(*block, delta);
@@ -293,19 +297,20 @@ where
 }
 
 /// A packed image with a frozen delta overlay stacked on top — the live
-/// snapshot read path. Leaf entries gain their POI's exact sealed delta,
-/// internal entries gain the per-epoch sum of all sealed deltas (admissible),
-/// and everything else — tree shape, rects, positions — passes through
-/// untouched. The image is never mutated, so overlay readers share it freely
-/// with merged-index readers.
+/// snapshot read path. Leaf entries gain their POI's exact sealed delta; an
+/// internal entry gains the per-epoch max delta of the POIs under the node
+/// it points at (admissible, and the merged tree's own bound wherever the
+/// base holds nothing in the delta's epochs); everything else — tree shape,
+/// rects, positions — passes through untouched. The image is never mutated,
+/// so overlay readers share it freely with merged-index readers.
 #[derive(Clone, Copy)]
 pub(crate) struct OverlayNodes<'a> {
     /// The base image.
     pub packed: PackedSource<'a>,
     /// Per-POI sealed deltas.
     pub per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
-    /// Per-epoch sum of all sealed deltas.
-    pub total: &'a AggregateSeries,
+    /// Per node of the image, the per-epoch max sealed delta beneath it.
+    pub node_max: &'a [AggregateSeries],
 }
 
 impl NodeSource<2> for OverlayNodes<'_> {
@@ -329,7 +334,7 @@ impl NodeSource<2> for OverlayNodes<'_> {
                 tree,
                 node,
                 per_poi: self.per_poi,
-                total: self.total,
+                node_max: self.node_max,
             },
             probe,
         )

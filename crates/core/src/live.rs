@@ -4,11 +4,12 @@
 //! the check-ins (in this epoch), and then insert the non-zero aggregates in
 //! a batch fashion." [`LiveIndex`] turns that loop into a concurrent tier:
 //!
-//! * **Sharded write path** — [`LiveIndex::record`] hashes each event's POI
-//!   onto one of `shards` lock-striped accumulators, so independent writer
-//!   threads almost never contend. Per event the hot path is one uncontended
+//! * **Sharded write path** — [`LiveIndex::record`] binary-searches each
+//!   event's POI for its slot in the base table and stripes slots over
+//!   `shards` lock-striped accumulators, so independent writer threads
+//!   almost never contend. Per event the hot path is one uncontended
 //!   reader-writer acquisition (the epoch roll), one shard mutex and one
-//!   hash-map upsert.
+//!   add into the shard's slot-indexed array.
 //! * **Epoch-snapshot read path** — [`LiveIndex::snapshot`] hands out an
 //!   immutable [`SnapshotView`]: the current base (a packed image + POI
 //!   table) plus a frozen
@@ -19,8 +20,8 @@
 //!   to the same query on an index that had the snapshot's deltas digested
 //!   via [`TarIndex::ingest_epoch`] — `tests/snapshot_oracle.rs` is the
 //!   differential proof.
-//! * **Background merge** — [`LiveIndex::merge_sealed`] folds sealed deltas
-//!   into a copy of the base's POI table and packs the new base image
+//! * **Background merge** — [`LiveIndex::merge_sealed`] folds the overlay's
+//!   deltas into a copy of the base's POI table and packs the new base image
 //!   straight from it ([`FrozenIndex`]) off the hot path — a fold plus a
 //!   pack, no R\*-tree. The arena [`TarIndex`] is materialised lazily, once
 //!   per base, only for [`SnapshotView::index`] and
@@ -43,9 +44,10 @@
 //! Property 1 applied to the delta, an admissible upper bound that never
 //! changes answers and prunes like the merged tree; and the `gmax`
 //! normaliser comes from the overlay-adjusted root maximum, which equals the
-//! merged index's root maximum epoch by epoch because per-POI cumulative
-//! deltas are monotone. A seal extends the previous overlay by its batch
-//! alone. See `DESIGN.md` §13.
+//! merged index's root maximum epoch by epoch because per-POI deltas only
+//! grow. The overlay stores both deltas as cumulative columns over its
+//! epochs, so a read is one subtraction and a seal appends one column. See
+//! `DESIGN.md` §13.
 
 use crate::index::{IndexConfig, TarIndex};
 use crate::observe;
@@ -55,7 +57,8 @@ use crate::storage::{OverlayNodes, StorageBackend};
 use knnta_obs::Obs;
 use knnta_util::sync::{Mutex, RwLock};
 use pagestore::BufferPoolConfig;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tempora::{AggregateSeries, CheckIn, EpochGrid, EpochWatermark, PoiId, TimeInterval};
@@ -85,13 +88,13 @@ impl Default for LiveOptions {
     }
 }
 
-/// One lock stripe of the write path: per-POI aggregates of the open epoch,
-/// late aggregates keyed by their own (sealed) epoch, and the event count
-/// backing [`LiveIndex::pending`].
-#[derive(Default)]
+/// One lock stripe of the write path. Stripe `i` of `n` owns the base-table
+/// slots `s` with `s % n == i`: the open epoch's aggregate of slot `s` at
+/// `open[s / n]`, late aggregates keyed by their own (sealed) epoch and
+/// slot, and the event count backing [`LiveIndex::pending`].
 struct ShardBuf {
-    open: HashMap<PoiId, u64>,
-    late: HashMap<(usize, PoiId), u64>,
+    open: Vec<u64>,
+    late: HashMap<(u32, u32), u64>,
     events: u64,
 }
 
@@ -104,27 +107,182 @@ struct Roll {
     open_epoch: usize,
 }
 
-/// The deltas drained by one seal, keyed by `(epoch, poi)`. Retained until
-/// a merge folds them into the base tree.
+/// The deltas drained by one seal as `(epoch, slot, value)` triples,
+/// ascending and one per `(epoch, slot)`. Retained until a merge folds them
+/// into the base tree.
 struct SealBatch {
-    deltas: HashMap<(usize, PoiId), u64>,
+    deltas: Vec<(u32, u32, u64)>,
+}
+
+/// One cumulative column: a `u64` per row (base-table slot or image node).
+type Column = Arc<[u64]>;
+
+/// The overlay columns one query's epoch range covers, `lo..hi`.
+#[derive(Clone, Copy)]
+pub(crate) struct ColumnSpan {
+    lo: u32,
+    hi: u32,
+}
+
+impl ColumnSpan {
+    /// Row `row` of `lane` summed over the span: two lookups and a
+    /// subtraction, exact in `u64`.
+    fn sum(self, lane: &[Column], row: usize) -> u64 {
+        let (lo, hi) = (self.lo as usize, self.hi as usize);
+        if lo >= hi {
+            return 0;
+        }
+        let top = lane[hi - 1][row];
+        if lo == 0 {
+            top
+        } else {
+            top - lane[lo - 1][row]
+        }
+    }
+}
+
+/// Sealed-but-unmerged deltas over one base as cumulative columns, one pair
+/// per *overlay epoch* (a grid epoch some unmerged delta falls in) — read
+/// the way a packed TIA prefix block is: a sum over an epoch range is one
+/// subtraction.
+#[derive(Clone)]
+pub(crate) struct DeltaColumns {
+    /// The overlay epochs, ascending.
+    epochs: Vec<u32>,
+    /// Indexed by grid epoch `e` in `0..=grid.len()`: the number of overlay
+    /// epochs below `e`.
+    below: Vec<u32>,
+    /// `poi[j]`, by base-table slot: the POI's deltas summed over
+    /// `epochs[..=j]` (exact leaf adjustments).
+    poi: Vec<Column>,
+    /// `node[j]`, by image node: the per-epoch maximum delta of the POIs
+    /// beneath the node, summed over `epochs[..=j]` — the admissible
+    /// adjustment of the internal entry pointing at it. A node's maximum is
+    /// never below a child's, epoch by epoch.
+    node: Vec<Column>,
+}
+
+impl DeltaColumns {
+    /// No deltas over a grid of `grid_len` epochs.
+    fn empty(grid_len: usize) -> Self {
+        DeltaColumns {
+            epochs: Vec::new(),
+            below: vec![0; grid_len + 1],
+            poi: Vec::new(),
+            node: Vec::new(),
+        }
+    }
+
+    /// The columns the grid epochs in `epochs` cover.
+    pub(crate) fn span(&self, epochs: Range<usize>) -> ColumnSpan {
+        let last = self.below.len() - 1;
+        ColumnSpan {
+            lo: self.below[epochs.start.min(last)],
+            hi: self.below[epochs.end.min(last)],
+        }
+    }
+
+    /// POI `slot`'s delta summed over `span`.
+    pub(crate) fn poi_sum(&self, slot: u32, span: ColumnSpan) -> u64 {
+        span.sum(&self.poi, slot as usize)
+    }
+
+    /// Node `node`'s delta maximum summed over `span`.
+    pub(crate) fn node_sum(&self, node: u32, span: ColumnSpan) -> u64 {
+        span.sum(&self.node, node as usize)
+    }
+
+    /// The column index of grid epoch `epoch`, inserting a column pair if
+    /// the overlay has none yet: a copy of its predecessor's (zero in
+    /// `epoch`).
+    fn column_of(&mut self, epoch: u32, base: &BaseState) -> usize {
+        match self.epochs.binary_search(&epoch) {
+            Ok(j) => j,
+            Err(j) => {
+                let (poi, node) = if j == 0 {
+                    (
+                        vec![0; base.table.len()].into(),
+                        vec![0; base.parent.len()].into(),
+                    )
+                } else {
+                    (
+                        Column::from(&self.poi[j - 1][..]),
+                        Column::from(&self.node[j - 1][..]),
+                    )
+                };
+                self.epochs.insert(j, epoch);
+                self.poi.insert(j, poi);
+                self.node.insert(j, node);
+                for below in &mut self.below[epoch as usize + 1..] {
+                    *below += 1;
+                }
+                j
+            }
+        }
+    }
+
+    /// Adds every POI's deltas to its series in `table` (indexed by slot),
+    /// one column difference at a time.
+    fn fold_into(&self, table: &mut [(Poi, AggregateSeries)]) {
+        for (j, &epoch) in self.epochs.iter().enumerate() {
+            for (slot, (_, series)) in table.iter_mut().enumerate() {
+                let v = in_epoch(&self.poi, j, slot);
+                if v != 0 {
+                    series.add(epoch, v);
+                }
+            }
+        }
+    }
+}
+
+/// Row `row`'s value in the one epoch of column `j`.
+fn in_epoch(cols: &[Column], j: usize, row: usize) -> u64 {
+    let cum = cols[j][row];
+    if j == 0 {
+        cum
+    } else {
+        cum - cols[j - 1][row]
+    }
+}
+
+/// Row `row` of `lane` per overlay epoch, `(epoch, delta)` ascending, zeros
+/// skipped.
+fn per_epoch<'c>(
+    epochs: &'c [u32],
+    lane: &'c [Column],
+    row: usize,
+) -> impl Iterator<Item = (u32, u64)> + 'c {
+    epochs.iter().enumerate().filter_map(move |(j, &epoch)| {
+        let v = in_epoch(lane, j, row);
+        (v != 0).then_some((epoch, v))
+    })
+}
+
+/// Adds `(row, value)` pairs to every column of `cols` — the cumulative
+/// columns from the deltas' epoch on. A column a published overlay still
+/// shares is copied first.
+fn add_rows(cols: &mut [Column], rows: &[(u32, u64)]) {
+    if rows.is_empty() {
+        return;
+    }
+    for col in cols {
+        let cells = Arc::make_mut(col);
+        for &(row, v) in rows {
+            cells[row as usize] += v;
+        }
+    }
 }
 
 /// A frozen overlay of every sealed-but-unmerged delta over one base, shared
 /// immutably by snapshots.
 ///
-/// Every field is a function of (base, `per_poi`) alone, whatever the order
-/// the deltas arrived in: cumulative deltas only grow, so raising a maximum
-/// to each new cumulative value as it appears ends where a recompute over
-/// the final values would.
+/// Every field is a function of (base, unmerged deltas) alone, whatever the
+/// order the deltas arrived in: a POI's delta in an epoch only grows, so
+/// raising a maximum to each new value as it appears ends where a recompute
+/// over the final values would.
 struct DeltaOverlay {
-    /// Cumulative per-POI delta series (exact leaf adjustments).
-    per_poi: HashMap<PoiId, AggregateSeries>,
-    /// Indexed by node of the base image: the per-epoch max of `per_poi`
-    /// over the POIs beneath that node — the admissible adjustment of the
-    /// internal entry pointing at it. A node's series is never below a
-    /// child's.
-    node_max: Vec<AggregateSeries>,
+    /// The deltas: per-POI and per-node cumulative columns.
+    cols: DeltaColumns,
     /// The base's root maximum raised to every `base[poi] + delta[poi]`:
     /// the merged index's root maximum, epoch by epoch.
     root_max: AggregateSeries,
@@ -136,8 +294,7 @@ impl DeltaOverlay {
     /// The overlay of no deltas over `base`.
     fn empty(base: &BaseState, watermark: EpochWatermark) -> Self {
         DeltaOverlay {
-            per_poi: HashMap::new(),
-            node_max: vec![AggregateSeries::new(); base.parent.len()],
+            cols: DeltaColumns::empty(base.frozen.meta.grid.len()),
             root_max: base.frozen.root_max.clone(),
             watermark,
         }
@@ -152,12 +309,11 @@ impl DeltaOverlay {
         overlay
     }
 
-    /// This overlay (over `base`) plus `batch`, stamped `watermark`: a copy
-    /// of the tables, then work proportional to the batch.
+    /// This overlay (over `base`) plus `batch`, stamped `watermark`: the
+    /// columns are shared, and the batch copies the ones it writes.
     fn extend(&self, base: &BaseState, batch: &SealBatch, watermark: EpochWatermark) -> Self {
         let mut next = DeltaOverlay {
-            per_poi: self.per_poi.clone(),
-            node_max: self.node_max.clone(),
+            cols: self.cols.clone(),
             root_max: self.root_max.clone(),
             watermark,
         };
@@ -165,25 +321,38 @@ impl DeltaOverlay {
         next
     }
 
-    /// Adds `batch` in place. For each delta: the POI's cumulative series,
-    /// the root maximum, and `node_max` along the leaf → root path, stopping
-    /// at the first node already at or above the new cumulative value (every
-    /// ancestor is too).
+    /// Adds `batch` in place, one epoch at a time.
     fn absorb(&mut self, base: &BaseState, batch: &SealBatch) {
-        // HashMap iteration order is irrelevant: see the type's docs.
-        for (&(e, poi), &v) in &batch.deltas {
-            let epoch = e as u32;
-            let series = self.per_poi.entry(poi).or_default();
-            series.add(epoch, v);
-            let cum = series.get(epoch);
-            let slot = base.table.binary_search_by_key(&poi, |(p, _)| p.id).expect(
-                "record admits only POIs of the construction-time index, and merges keep them all",
-            );
-            self.root_max
-                .raise_to(epoch, base.table[slot].1.get(epoch) + cum);
+        for group in batch.deltas.chunk_by(|a, b| a.0 == b.0) {
+            self.absorb_epoch(base, group[0].0, group);
+        }
+    }
+
+    /// Adds one epoch's deltas (ascending slot) to the columns from that
+    /// epoch's on. Each POI's new value in the epoch raises the root maximum
+    /// and the epoch's node maxima along the leaf → root path, stopping at
+    /// the first node already at or above it (every ancestor is too); the
+    /// raises then enter the node columns as one more batch.
+    fn absorb_epoch(&mut self, base: &BaseState, epoch: u32, deltas: &[(u32, u32, u64)]) {
+        let cols = &mut self.cols;
+        let j = cols.column_of(epoch, base);
+        let before: Vec<u64> = (0..base.parent.len())
+            .map(|n| in_epoch(&cols.node, j, n))
+            .collect();
+        let mut raised = before.clone();
+        // `base[poi] <= base root`, so a POI whose delta cannot lift the
+        // base root past the current maximum needs no table lookup.
+        let base_root = base.frozen.root_max.get(epoch);
+        let mut root = self.root_max.get(epoch);
+        for &(_, slot, v) in deltas {
+            let slot = slot as usize;
+            let delta = in_epoch(&cols.poi, j, slot) + v;
+            if base_root + delta > root {
+                root = root.max(base.table[slot].1.get(epoch) + delta);
+            }
             let mut node = base.leaf[slot] as usize;
-            while self.node_max[node].get(epoch) < cum {
-                self.node_max[node].raise_to(epoch, cum);
+            while raised[node] < delta {
+                raised[node] = delta;
                 let up = base.parent[node] as usize;
                 if up == node {
                     break;
@@ -191,6 +360,17 @@ impl DeltaOverlay {
                 node = up;
             }
         }
+        self.root_max.raise_to(epoch, root);
+        let pois: Vec<(u32, u64)> = deltas.iter().map(|&(_, slot, v)| (slot, v)).collect();
+        add_rows(&mut cols.poi[j..], &pois);
+        let nodes: Vec<(u32, u64)> = raised
+            .iter()
+            .zip(&before)
+            .enumerate()
+            .filter(|(_, (now, was))| now > was)
+            .map(|(n, (now, was))| (n as u32, now - was))
+            .collect();
+        add_rows(&mut cols.node[j..], &nodes);
     }
 }
 
@@ -202,17 +382,22 @@ impl DeltaOverlay {
 struct BaseState {
     frozen: FrozenIndex,
     /// Every POI with its base series, ascending [`PoiId`]; the only copy
-    /// of the series this base holds besides the image's prefix blocks.
-    table: Vec<(Poi, AggregateSeries)>,
+    /// of the series this base holds besides the image's prefix blocks. A
+    /// POI's index here is its *slot*, the same in every base (merges keep
+    /// every POI).
+    table: Arc<Vec<(Poi, AggregateSeries)>>,
+    /// The table the [`LiveIndex`] was constructed with, shared by every
+    /// base (for [`SnapshotView::cumulative_deltas`]).
+    origin: Arc<Vec<(Poi, AggregateSeries)>>,
     /// Parallel to `table`: the image's leaf node holding each POI.
     leaf: Vec<u32>,
     /// Indexed by image node: its parent node; the root is its own parent.
     /// Leaves come first in the image, so a child's index is always below
     /// its parent's.
     parent: Vec<u32>,
-    /// Cumulative deltas folded into this base by merges since the
-    /// [`LiveIndex`] was constructed (for [`SnapshotView::cumulative_deltas`]).
-    merged: HashMap<PoiId, AggregateSeries>,
+    /// Indexed by leaf entry of the image (leaf entries come first): the
+    /// slot of the POI it holds.
+    entry_slot: Vec<u32>,
     /// What the arena tree is (re)built with.
     config: IndexConfig,
     /// The arena tree over `table`: the construction-time index for the
@@ -225,8 +410,8 @@ impl BaseState {
     /// [`PoiId`]), reading the image's shape once.
     fn new(
         frozen: FrozenIndex,
-        table: Vec<(Poi, AggregateSeries)>,
-        merged: HashMap<PoiId, AggregateSeries>,
+        table: Arc<Vec<(Poi, AggregateSeries)>>,
+        origin: Arc<Vec<(Poi, AggregateSeries)>>,
         config: IndexConfig,
         arena: OnceLock<TarIndex>,
     ) -> Self {
@@ -234,6 +419,7 @@ impl BaseState {
         let root = tree.root() as u32;
         let mut parent = vec![root; tree.node_count()];
         let mut leaf = vec![root; table.len()];
+        let mut entry_slot = vec![0; tree.item_count()];
         for n in 0..tree.node_count() {
             let node = tree.node(n);
             for entry in node.entries() {
@@ -243,6 +429,7 @@ impl BaseState {
                         .binary_search_by_key(&PoiId(target as u32), |(p, _)| p.id)
                         .expect("the image is packed from the table");
                     leaf[slot] = n as u32;
+                    entry_slot[entry] = slot as u32;
                 } else {
                     parent[target as usize] = n as u32;
                 }
@@ -251,9 +438,10 @@ impl BaseState {
         BaseState {
             frozen,
             table,
+            origin,
             leaf,
             parent,
-            merged,
+            entry_slot,
             config,
             arena,
         }
@@ -264,7 +452,7 @@ impl BaseState {
             // Sharing the image's metadata keeps one set of access counters
             // and one observability handle per base.
             let mut index = TarIndex::with_meta(self.config, self.frozen.meta.clone());
-            index.fill(self.table.clone());
+            index.fill(self.table.to_vec());
             index
         })
     }
@@ -286,11 +474,12 @@ struct Published {
 /// module docs for the write / snapshot / merge architecture.
 pub struct LiveIndex {
     grid: EpochGrid,
-    /// POIs known to the index. Events for unknown POIs are dropped *at
-    /// record time* — an unknown-POI overlay entry would inflate the
-    /// snapshot's root maximum relative to a merged index (where
-    /// `ingest_epoch` silently ignores unknown POIs) and break bit-identity.
-    members: HashSet<PoiId>,
+    /// POIs known to the index, ascending: an id's position is its slot.
+    /// Events for unknown POIs are dropped *at record time* — an
+    /// unknown-POI overlay entry would inflate the snapshot's root maximum
+    /// relative to a merged index (where `ingest_epoch` silently ignores
+    /// unknown POIs) and break bit-identity.
+    ids: Vec<PoiId>,
     shards: Vec<Mutex<ShardBuf>>,
     roll: RwLock<Roll>,
     state: RwLock<Published>,
@@ -328,19 +517,29 @@ impl LiveIndex {
         let obs = index.obs().clone();
         let mut table = index.export_pois();
         table.sort_by_key(|(poi, _)| poi.id);
+        let ids: Vec<PoiId> = table.iter().map(|(poi, _)| poi.id).collect();
+        let table = Arc::new(table);
         let base = BaseState::new(
             FrozenIndex::of(&index),
+            Arc::clone(&table),
             table,
-            HashMap::new(),
             index.config(),
             OnceLock::from(index),
         );
-        let members = base.table.iter().map(|(poi, _)| poi.id).collect();
         let shard_count = opts.shards.max(1);
+        let stripe = ids.len().div_ceil(shard_count);
         LiveIndex {
             grid,
-            members,
-            shards: (0..shard_count).map(|_| Mutex::new(ShardBuf::default())).collect(),
+            ids,
+            shards: (0..shard_count)
+                .map(|_| {
+                    Mutex::new(ShardBuf {
+                        open: vec![0; stripe],
+                        late: HashMap::new(),
+                        events: 0,
+                    })
+                })
+                .collect(),
             roll: RwLock::new(Roll {
                 open_epoch: first_open_epoch,
             }),
@@ -393,11 +592,6 @@ impl LiveIndex {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    fn shard_of(&self, poi: PoiId) -> usize {
-        let h = (poi.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) % self.shards.len()
-    }
-
     /// Records one check-in. Safe to call from any number of threads.
     ///
     /// * In the open epoch: buffered in a shard until the next seal.
@@ -415,12 +609,13 @@ impl LiveIndex {
             self.obs.counter(observe::M_LIVE_DROPPED).add(1);
             return;
         };
-        if !self.members.contains(&checkin.poi) {
+        let Ok(slot) = self.ids.binary_search(&checkin.poi) else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             self.obs.counter(observe::M_LIVE_DROPPED).add(1);
             return;
-        }
+        };
         let value = checkin.value as u64;
+        let stripes = self.shards.len();
         loop {
             let roll = self.roll.read();
             let open = roll.open_epoch;
@@ -431,12 +626,15 @@ impl LiveIndex {
             }
             // Holding the roll read lock across the shard insert keeps the
             // open/late classification consistent with any concurrent seal.
-            let mut shard = self.shards[self.shard_of(checkin.poi)].lock();
+            let mut shard = self.shards[slot % stripes].lock();
             if value != 0 {
                 if epoch.index == open {
-                    *shard.open.entry(checkin.poi).or_insert(0) += value;
+                    shard.open[slot / stripes] += value;
                 } else {
-                    *shard.late.entry((epoch.index, checkin.poi)).or_insert(0) += value;
+                    *shard
+                        .late
+                        .entry((epoch.index as u32, slot as u32))
+                        .or_insert(0) += value;
                 }
             }
             shard.events += 1;
@@ -467,25 +665,38 @@ impl LiveIndex {
 
     fn seal_locked(&self, roll: &mut Roll) -> usize {
         let open = roll.open_epoch;
-        let mut deltas: HashMap<(usize, PoiId), u64> = HashMap::new();
+        // No `record` holds a shard while the roll is write-locked, so
+        // taking every stripe at once cannot wait on a writer.
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut deltas: Vec<(u32, u32, u64)> = Vec::new();
         let mut events = 0u64;
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            for (poi, v) in s.open.drain() {
-                *deltas.entry((open, poi)).or_insert(0) += v;
-            }
-            for ((e, poi), v) in s.late.drain() {
-                *deltas.entry((e, poi)).or_insert(0) += v;
-            }
-            events += s.events;
-            s.events = 0;
+        for s in &mut shards {
+            deltas.extend(s.late.drain().map(|((e, slot), v)| (e, slot, v)));
+            events += std::mem::take(&mut s.events);
         }
+        // Late epochs lie below the open one, so the open epoch's deltas,
+        // appended in slot order, keep the batch sorted.
+        deltas.sort_unstable();
+        let late = deltas.len();
+        let stripes = shards.len();
+        for i in 0..shards[0].open.len() {
+            for (s, shard) in shards.iter_mut().enumerate() {
+                let v = std::mem::take(&mut shard.open[i]);
+                if v != 0 {
+                    deltas.push((open as u32, (i * stripes + s) as u32, v));
+                }
+            }
+        }
+        drop(shards);
         roll.open_epoch = (open + 1).min(self.grid.len());
-        let changed = {
-            let mut pois: Vec<PoiId> = deltas.keys().map(|&(_, p)| p).collect();
-            pois.sort_unstable();
-            pois.dedup();
-            pois.len()
+        // Open-epoch slots are distinct; only late ones can repeat a slot.
+        let changed = if late == 0 {
+            deltas.len()
+        } else {
+            let mut slots: Vec<u32> = deltas.iter().map(|&(_, slot, _)| slot).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            slots.len()
         };
 
         let batch = SealBatch { deltas };
@@ -529,43 +740,31 @@ impl LiveIndex {
     /// nothing to merge). Concurrent callers are serialised.
     pub fn merge_sealed(&self) -> usize {
         let _guard = self.merge_lock.lock();
-        let (base, batches) = {
+        // A seal publishes its batch and the overlay holding it together,
+        // so this overlay holds exactly the first `folded_n` batches.
+        let (base, overlay, folded_n) = {
             let st = self.state.read();
-            (Arc::clone(&st.base), st.batches.clone())
+            (
+                Arc::clone(&st.base),
+                Arc::clone(&st.overlay),
+                st.batches.len(),
+            )
         };
-        if batches.is_empty() {
+        if folded_n == 0 {
             return 0;
         }
-        let folded_n = batches.len();
-        let mut folded: HashMap<PoiId, AggregateSeries> = HashMap::new();
-        for b in &batches {
-            for (&(e, poi), &v) in &b.deltas {
-                folded
-                    .entry(poi)
-                    .or_insert_with(AggregateSeries::new)
-                    .add(e as u32, v);
-            }
-        }
-
-        let mut table = base.table.clone();
-        for (poi, series) in &mut table {
-            if let Some(d) = folded.get(&poi.id) {
-                for (e, v) in d.iter() {
-                    series.add(e, v);
-                }
-            }
-        }
+        let mut table = base.table.to_vec();
+        overlay.cols.fold_into(&mut table);
         let mut frozen =
             FrozenIndex::build(base.config, self.grid.clone(), base.frozen.meta.bounds, &table);
         frozen.set_obs(self.obs.clone());
-        let mut merged = base.merged.clone();
-        for (poi, d) in &folded {
-            let m = merged.entry(*poi).or_insert_with(AggregateSeries::new);
-            for (e, v) in d.iter() {
-                m.add(e, v);
-            }
-        }
-        let fresh = BaseState::new(frozen, table, merged, base.config, OnceLock::new());
+        let fresh = BaseState::new(
+            frozen,
+            Arc::new(table),
+            Arc::clone(&base.origin),
+            base.config,
+            OnceLock::new(),
+        );
 
         let mut st = self.state.write();
         // Seals that happened during the rebuild appended to `batches`;
@@ -649,21 +848,20 @@ impl SnapshotView {
     /// bit; the differential oracle in `tests/snapshot_oracle.rs` does
     /// exactly that.
     pub fn cumulative_deltas(&self) -> Vec<(usize, PoiId, u64)> {
-        let mut map: HashMap<(usize, PoiId), u64> = HashMap::new();
-        for (poi, s) in &self.base.merged {
-            for (e, v) in s.iter() {
-                *map.entry((e as usize, *poi)).or_insert(0) += v;
+        let base = &self.base;
+        let mut out = Vec::new();
+        for (slot, ((poi, now), (_, origin))) in
+            base.table.iter().zip(base.origin.iter()).enumerate()
+        {
+            // What merges folded into the base, plus what the overlay adds.
+            let mut series =
+                AggregateSeries::from_pairs(now.iter().map(|(e, v)| (e, v - origin.get(e))));
+            let cols = &self.overlay.cols;
+            for (e, v) in per_epoch(&cols.epochs, &cols.poi, slot) {
+                series.add(e, v);
             }
+            out.extend(series.iter().map(|(e, v)| (e as usize, poi.id, v)));
         }
-        for (poi, s) in &self.overlay.per_poi {
-            for (e, v) in s.iter() {
-                *map.entry((e as usize, *poi)).or_insert(0) += v;
-            }
-        }
-        let mut out: Vec<(usize, PoiId, u64)> = map
-            .into_iter()
-            .map(|((e, p), v)| (e, p, v))
-            .collect();
         out.sort_unstable_by_key(|&(e, p, _)| (e, p));
         out
     }
@@ -688,8 +886,9 @@ impl SnapshotView {
         };
         let overlaid = OverlayNodes {
             packed: crate::packed::PackedSource(&self.base.frozen.packed),
-            per_poi: &self.overlay.per_poi,
-            node_max: &self.overlay.node_max,
+            deltas: &self.overlay.cols,
+            entry_slot: &self.base.entry_slot,
+            span: self.overlay.cols.span(self.grid().epochs_within(query.interval)),
         };
         crate::plan::run_query(
             &env,
@@ -917,7 +1116,8 @@ mod tests {
     const EPOCHS: usize = 6;
 
     /// An empty-history index over `n` POIs on a lattice: past 16 POIs the
-    /// image has internal levels, past 256 three levels.
+    /// image has internal levels, past 256 three levels. POI `i` has slot
+    /// `i`.
     fn lattice(n: usize) -> LiveIndex {
         let pois = (0..n as u32).map(|i| {
             let (x, y) = ((i % 20) as f64 * 5.0 + 1.0, (i / 20) as f64 * 5.0 + 1.0);
@@ -931,76 +1131,103 @@ mod tests {
         )
     }
 
+    /// Records one check-in worth `value` of POI `poi` in epoch `epoch`.
+    fn record_at(live: &LiveIndex, poi: u32, epoch: usize, value: u32) {
+        let at = live.grid.epoch(epoch).start + 1;
+        live.record(CheckIn::with_value(PoiId(poi), at, value));
+    }
+
     /// Records one check-in of a random POI in a random epoch: open, late
     /// (already sealed) or future (rolls the open epoch forward).
     fn record_any(live: &LiveIndex, g: &mut Gen) {
-        let poi = PoiId(g.u32_in(0..live.members.len() as u32));
-        let at = live.grid.epoch(g.usize_in(0..EPOCHS)).start + 1;
-        live.record(CheckIn::with_value(poi, at, g.u32_in(1..5)));
+        let poi = g.u32_in(0..live.ids.len() as u32);
+        record_at(live, poi, g.usize_in(0..EPOCHS), g.u32_in(1..5));
     }
 
-    /// POIs in the subtree of image node `n`.
-    fn pois_beneath(tree: &rtree::PackedTree, n: usize, out: &mut Vec<PoiId>) {
+    /// Slots of the POIs in the subtree of image node `n`.
+    fn slots_beneath(base: &BaseState, n: usize, out: &mut Vec<usize>) {
+        let tree = &base.frozen.packed.tree;
         let node = tree.node(n);
         for entry in node.entries() {
-            let target = tree.entry_target(entry);
             if node.is_leaf() {
-                out.push(PoiId(target as u32));
+                out.push(base.entry_slot[entry] as usize);
             } else {
-                pois_beneath(tree, target as usize, out);
+                slots_beneath(base, tree.entry_target(entry) as usize, out);
             }
         }
     }
 
     /// The published overlay is the one a recompute over (base, unmerged
-    /// batches) gives — `per_poi`, `node_max` walked over the image, and the
-    /// merged table's root maximum — and every node's max covers every
-    /// delta beneath it.
+    /// batches) gives — per-epoch POI deltas and node maxima read back as
+    /// column differences, node maxima walked over the image, the merged
+    /// table's root maximum — every node's maximum covers every delta
+    /// beneath it.
     fn assert_overlay_is_canonical(live: &LiveIndex) {
         let st = live.state.read();
         let (base, overlay) = (&st.base, &st.overlay);
+        let cols = &overlay.cols;
+        let tree = &base.frozen.packed.tree;
 
-        let mut per_poi: HashMap<PoiId, AggregateSeries> = HashMap::new();
+        let mut per_poi = vec![AggregateSeries::new(); base.table.len()];
         for batch in &st.batches {
-            for (&(e, poi), &v) in &batch.deltas {
-                per_poi.entry(poi).or_default().add(e as u32, v);
+            for &(e, slot, v) in &batch.deltas {
+                per_poi[slot as usize].add(e, v);
             }
         }
-        assert_eq!(
-            overlay.per_poi, per_poi,
-            "the overlay holds exactly the unmerged batches"
-        );
+        let mut epochs: Vec<u32> = per_poi
+            .iter()
+            .flat_map(|s| s.iter().map(|(e, _)| e))
+            .collect();
+        epochs.sort_unstable();
+        epochs.dedup();
+        assert_eq!(cols.epochs, epochs, "one column per epoch with a delta");
+        for (e, &below) in cols.below.iter().enumerate() {
+            assert_eq!(
+                below as usize,
+                epochs.partition_point(|&x| (x as usize) < e)
+            );
+        }
+        let values = |lane, row| AggregateSeries::from_pairs(per_epoch(&cols.epochs, lane, row));
+        for (slot, series) in per_poi.iter().enumerate() {
+            assert_eq!(
+                &values(&cols.poi, slot),
+                series,
+                "slot {slot}: the overlay holds exactly the unmerged batches"
+            );
+        }
 
         // Children precede parents in the image, so one ascending pass has
         // every child's max before its parent reads it.
-        let tree = &base.frozen.packed.tree;
         let mut node_max = vec![AggregateSeries::new(); tree.node_count()];
         for n in 0..tree.node_count() {
             let node = tree.node(n);
             for entry in node.entries() {
                 let target = tree.entry_target(entry);
                 let below = if node.is_leaf() {
-                    per_poi
-                        .get(&PoiId(target as u32))
-                        .cloned()
-                        .unwrap_or_default()
+                    let slot = base.entry_slot[entry] as usize;
+                    assert_eq!(base.table[slot].0.id, PoiId(target as u32));
+                    per_poi[slot].clone()
                 } else {
                     node_max[target as usize].clone()
                 };
                 node_max[n].merge_max(&below);
             }
         }
-        assert_eq!(
-            overlay.node_max, node_max,
-            "incremental node maxima equal a recompute"
-        );
+        for (n, max) in node_max.iter().enumerate() {
+            assert_eq!(
+                &values(&cols.node, n),
+                max,
+                "node {n}: incremental node maxima equal a recompute"
+            );
+        }
 
         let merged: Vec<AggregateSeries> = base
             .table
             .iter()
-            .map(|(poi, series)| {
+            .zip(&per_poi)
+            .map(|((_, series), delta)| {
                 let mut series = series.clone();
-                for (e, v) in per_poi.get(&poi.id).into_iter().flat_map(|d| d.iter()) {
+                for (e, v) in delta.iter() {
                     series.add(e, v);
                 }
                 series
@@ -1012,15 +1239,12 @@ mod tests {
             "the adjusted root max is the merged index's"
         );
 
-        for n in 0..tree.node_count() {
-            let mut pois = Vec::new();
-            pois_beneath(tree, n, &mut pois);
-            for poi in pois {
-                for (e, v) in per_poi.get(&poi).into_iter().flat_map(|d| d.iter()) {
-                    assert!(
-                        overlay.node_max[n].get(e) >= v,
-                        "node {n} under-bounds {poi} at {e}"
-                    );
+        for (n, max) in node_max.iter().enumerate() {
+            let mut slots = Vec::new();
+            slots_beneath(base, n, &mut slots);
+            for slot in slots {
+                for (e, v) in per_poi[slot].iter() {
+                    assert!(max.get(e) >= v, "node {n} under-bounds slot {slot} at {e}");
                 }
             }
         }
@@ -1043,5 +1267,43 @@ mod tests {
                 assert_overlay_is_canonical(&live);
             }
         });
+    }
+
+    /// A late delta rewrites every column from its epoch on — into a new
+    /// first column, a new middle one, an existing one, and after the grid
+    /// saturated — and the overlay stays canonical.
+    #[test]
+    fn late_deltas_rewrite_the_columns_from_their_epoch_on() {
+        let live = lattice(300);
+        let epochs = |live: &LiveIndex| live.state.read().overlay.cols.epochs.clone();
+        record_at(&live, 7, 1, 1);
+        record_at(&live, 200, 3, 1);
+        live.seal_epoch();
+        assert_eq!(epochs(&live), [1, 3]);
+        record_at(&live, 7, 0, 1);
+        record_at(&live, 250, 2, 1);
+        record_at(&live, 7, 1, 1);
+        live.seal_epoch();
+        assert_overlay_is_canonical(&live);
+        assert_eq!(epochs(&live), [0, 1, 2, 3]);
+        while live.current_epoch() < EPOCHS {
+            live.seal_epoch();
+        }
+        record_at(&live, 299, EPOCHS - 1, 1);
+        record_at(&live, 7, 2, 1);
+        assert_eq!(live.seal_epoch(), 2);
+        assert_overlay_is_canonical(&live);
+        assert_eq!(epochs(&live), [0, 1, 2, 3, 5]);
+        assert_eq!(
+            live.snapshot().cumulative_deltas(),
+            [
+                (0, PoiId(7), 1),
+                (1, PoiId(7), 2),
+                (2, PoiId(7), 1),
+                (2, PoiId(250), 1),
+                (3, PoiId(200), 1),
+                (5, PoiId(299), 1),
+            ]
+        );
     }
 }

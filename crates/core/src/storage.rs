@@ -20,6 +20,7 @@
 
 use crate::augmentation::TiaAug;
 use crate::index::{Grouping, TarIndex, TreeImpl};
+use crate::live::{ColumnSpan, DeltaColumns};
 use crate::observe::Probe;
 use crate::packed::{PackedSource, PackedTarTree};
 use crate::poi::Poi;
@@ -42,11 +43,12 @@ pub(crate) enum AggRef<'a> {
     Series(&'a AggregateSeries),
     /// An inline `(epoch, cumulative)` prefix block of a packed tree.
     Packed(TiaBlock<'a>),
-    /// A packed prefix block plus a frozen delta overlay (live snapshot
-    /// reads: the base image's TIA with an unmerged sealed-epoch delta on
-    /// top). All sums become `base + delta` — exact in `u64`, so overlay
+    /// A packed prefix block plus a live snapshot's unmerged sealed delta
+    /// over the query's epoch range, read off the delta columns when the
+    /// overlaid node source (built for that one query) handed the entry
+    /// out. The sum becomes `base + delta` — exact in `u64`, so overlay
     /// reads stay bit-identical to a merged index.
-    PackedPlus(TiaBlock<'a>, &'a AggregateSeries),
+    PackedPlus(TiaBlock<'a>, u64),
 }
 
 impl<'a> AggRef<'a> {
@@ -58,10 +60,7 @@ impl<'a> AggRef<'a> {
         match self {
             AggRef::Series(s) => s.sum_range_counted(range),
             AggRef::Packed(b) => (b.sum_range(range), 0),
-            AggRef::PackedPlus(b, d) => {
-                let (v1, n1) = d.sum_range_counted(range.clone());
-                (b.sum_range(range) + v1, n1)
-            }
+            AggRef::PackedPlus(b, delta) => (b.sum_range(range) + delta, 0),
         }
     }
 }
@@ -108,11 +107,8 @@ pub(crate) enum NodeView<'a, const D: usize> {
         tree: &'a rtree::PackedTree,
         /// The node's entry window.
         node: rtree::PackedNode,
-        /// Per-POI sealed deltas (leaf entries).
-        per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
-        /// Per node, the per-epoch max sealed delta of the POIs beneath it —
-        /// the admissible bound added to the internal entry pointing there.
-        node_max: &'a [AggregateSeries],
+        /// The sealed deltas as this query reads them.
+        overlay: &'a OverlayNodes<'a>,
     },
 }
 
@@ -137,14 +133,12 @@ impl<'a, const D: usize> NodeView<'a, D> {
             NodeView::Overlaid {
                 tree,
                 node,
-                per_poi,
-                node_max,
+                overlay,
             } => EntryIter::Overlaid {
                 tree,
                 leaf: node.is_leaf(),
                 range: node.entries(),
-                per_poi,
-                node_max,
+                overlay,
             },
         }
     }
@@ -171,10 +165,8 @@ pub(crate) enum EntryIter<'a, const D: usize> {
         leaf: bool,
         /// Remaining absolute entry indices.
         range: Range<usize>,
-        /// Per-POI sealed deltas (leaf entries).
-        per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
-        /// Per-node max sealed deltas (internal entries, by child node).
-        node_max: &'a [AggregateSeries],
+        /// The sealed deltas as this query reads them.
+        overlay: &'a OverlayNodes<'a>,
     },
 }
 
@@ -198,24 +190,22 @@ impl<'a, const D: usize> Iterator for EntryIter<'a, D> {
                 tree,
                 leaf,
                 range,
-                per_poi,
-                node_max,
+                overlay,
             } => range.next().map(|i| {
                 let mut e = packed_entry(tree, *leaf, i);
+                let (deltas, span) = (overlay.deltas, overlay.span);
                 let delta = match e.target {
                     // Leaf entries get their POI's exact sealed delta, so
                     // leaf aggregates equal the merged index's bit for bit.
-                    EntryTarget::Data(poi) => per_poi.get(&poi),
+                    EntryTarget::Data(_) => deltas.poi_sum(overlay.entry_slot[i], span),
                     // Internal entries get the per-epoch max delta beneath
                     // their child (Property 1 applied to the delta): for
                     // every POI p below, `b_p + δ_p ≤ B_c + max δ`, so the
                     // bound stays admissible and best-first pruning exact.
-                    // With no delta beneath, the plain packed block.
-                    EntryTarget::Child(c) => {
-                        Some(&node_max[c.0 as usize]).filter(|d| !d.is_empty())
-                    }
+                    EntryTarget::Child(c) => deltas.node_sum(c.0, span),
                 };
-                if let (AggRef::Packed(block), Some(delta)) = (&e.agg, delta) {
+                // With no delta in the query's epochs, the plain packed block.
+                if let (AggRef::Packed(block), true) = (&e.agg, delta != 0) {
                     e.agg = AggRef::PackedPlus(*block, delta);
                 }
                 e
@@ -307,10 +297,13 @@ where
 pub(crate) struct OverlayNodes<'a> {
     /// The base image.
     pub packed: PackedSource<'a>,
-    /// Per-POI sealed deltas.
-    pub per_poi: &'a std::collections::HashMap<PoiId, AggregateSeries>,
-    /// Per node of the image, the per-epoch max sealed delta beneath it.
-    pub node_max: &'a [AggregateSeries],
+    /// The sealed deltas as cumulative per-slot and per-node columns.
+    pub deltas: &'a DeltaColumns,
+    /// Indexed by leaf entry of the image: the slot of its POI.
+    pub entry_slot: &'a [u32],
+    /// The columns the query's epoch range covers: a source is built for
+    /// one query, so each entry's delta is read as it is handed out.
+    pub span: ColumnSpan,
 }
 
 impl NodeSource<2> for OverlayNodes<'_> {
@@ -333,8 +326,7 @@ impl NodeSource<2> for OverlayNodes<'_> {
             NodeView::Overlaid {
                 tree,
                 node,
-                per_poi: self.per_poi,
-                node_max: self.node_max,
+                overlay: self,
             },
             probe,
         )
@@ -659,6 +651,18 @@ mod tests {
             "paged nodes must be read through the buffer pool"
         );
         assert!(paged.page_count() > 0);
+    }
+
+    /// Every backend's search moves these by value per node or per entry,
+    /// so the overlay must not grow them (sizes on x86-64 before the delta
+    /// columns: 32, 72, 56, 56 bytes).
+    #[test]
+    fn overlay_views_are_no_larger_than_before_the_columns() {
+        use std::mem::size_of;
+        assert!(size_of::<AggRef<'_>>() <= 32);
+        assert!(size_of::<EntryRef<'_>>() <= 72);
+        assert!(size_of::<NodeView<'_, 2>>() <= 56);
+        assert!(size_of::<EntryIter<'_, 2>>() <= 56);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 # `pub fn query*` in crates/core/src — `query` on TarIndex / LiveIndex /
 # SnapshotView / Executor / ScanBaseline, `Executor::query_batch`,
 # `query_with_disk_tias`; a forced configuration is a QueryPlan through
-# `Executor::execute` / `execute_batch`), crates/core/src/storage.rs must not
-# regrow the all-POI delta field `total: &'a AggregateSeries` (an internal
-# overlay entry adds the delta max of its own subtree; the work ledger's
-# `overlay seq` row gates the behaviour), and the stand-alone benchmark
+# `Executor::execute` / `execute_batch`), crates/core/src/{live,storage}.rs
+# must not regrow a per-POI delta map `HashMap<PoiId, AggregateSeries>` (the
+# overlay is slot-indexed cumulative columns; the work ledger's `overlay
+# seq` row gates the read side), and the stand-alone benchmark
 # program (perfbench/, what BENCHMARK.json runs) must still build against
 # the workspace crates and pass its own tests — the only guard that a
 # deletion under crates/ did not break it.
@@ -102,8 +102,8 @@ if [ "$(grep -rn 'pub fn query' crates/core/src | wc -l)" -gt 7 ] ||
     echo "the query surface regrew: force a configuration with a QueryPlan through Executor" >&2
     exit 1
 fi
-if grep -n "total: &'a AggregateSeries" crates/core/src/storage.rs; then
-    echo "crates/core/src/storage.rs regrew an all-POI delta total: internal entries take their own subtree's delta max" >&2
+if grep -n 'HashMap<PoiId, AggregateSeries>' crates/core/src/live.rs crates/core/src/storage.rs; then
+    echo "the live overlay regrew a per-POI delta map: sealed deltas are slot-indexed cumulative columns" >&2
     exit 1
 fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -24,11 +24,12 @@
 //! equals its individual search's), collective accesses never exceed
 //! individual accesses.
 
+use crate::frontier::{SharedBound, WorkerHits};
 use crate::hilbert;
 use crate::index::{IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::{KnntaQuery, QueryHit};
-use crate::search::{entry_tia, expand_node, NodeCand, TopK};
+use crate::search::{entry_tia, expand_node, NodeCand};
 use crate::storage::NodeSource;
 use knnta_obs::{AttrValue, SpanId};
 use rtree::NodeId;
@@ -160,7 +161,7 @@ struct BatchQuery<'a> {
     ctx: QueryCtx<'a>,
     /// Node frontier (min-heap on `(key, NodeId)`).
     heap: BinaryHeap<NodeCand>,
-    topk: TopK,
+    hits: WorkerHits<'a>,
 }
 
 impl BatchQuery<'_> {
@@ -170,7 +171,7 @@ impl BatchQuery<'_> {
     /// search's early exit.
     fn front(&mut self) -> Option<NodeId> {
         match self.heap.peek() {
-            Some(cand) if cand.key <= self.topk.bound() => Some(cand.id),
+            Some(cand) if cand.key <= self.hits.bound() => Some(cand.id),
             Some(_) => {
                 self.heap.clear();
                 None
@@ -205,18 +206,22 @@ fn park(
 /// is computed from — the index's own [`TarIndex::root_max_series`] for
 /// plain batches, or a live snapshot's overlay-adjusted series (which keeps
 /// batch answers bit-identical to a merged index).
+///
+/// Query `i` prunes against and publishes to `bounds[i]` (see
+/// [`crate::search::bfs_query_nodes`]).
 pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
     nodes: &N,
     meta: &IndexMeta,
     root_max: &tempora::AggregateSeries,
     queries: &[KnntaQuery],
+    bounds: &[SharedBound],
     opts: &BatchOptions,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
     if meta.obs.is_enabled() {
-        run_tiles::<D, N, Counts>(nodes, meta, root_max, queries, opts, parent)
+        run_tiles::<D, N, Counts>(nodes, meta, root_max, queries, bounds, opts, parent)
     } else {
-        run_tiles::<D, N, NoProbe>(nodes, meta, root_max, queries, opts, parent)
+        run_tiles::<D, N, NoProbe>(nodes, meta, root_max, queries, bounds, opts, parent)
     }
 }
 
@@ -227,6 +232,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
     meta: &IndexMeta,
     root_max: &tempora::AggregateSeries,
     queries: &[KnntaQuery],
+    bounds: &[SharedBound],
     opts: &BatchOptions,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
@@ -274,7 +280,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
                     BatchQuery {
                         ctx: meta.ctx_with_normalizer(q, gmax),
                         heap,
-                        topk: TopK::new(q.k),
+                        hits: WorkerHits::new(q.k, &bounds[qi]),
                     },
                 )
             })
@@ -307,9 +313,9 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
                         let st = states.get_mut(&qi).expect("waiting query has state");
                         debug_assert_eq!(st.heap.peek().map(|c| c.id), Some(node_id));
                         st.heap.pop();
-                        let BatchQuery { ctx, heap, topk } = &mut *st;
+                        let BatchQuery { ctx, heap, hits } = &mut *st;
                         let push = |cand| heap.push(cand);
-                        expand_node(&node, node_id, ctx, &entry_tia(ctx), topk, push, probe);
+                        expand_node(&node, node_id, ctx, &entry_tia(ctx), hits, push, probe);
                         park(qi, st, &mut buckets, &mut sizes);
                     }
                 })
@@ -336,7 +342,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
         }
 
         for (qi, st) in states {
-            results[qi] = st.topk.into_sorted_vec();
+            results[qi] = st.hits.into_sorted_vec();
         }
     }
     results

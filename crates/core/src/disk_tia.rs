@@ -13,6 +13,7 @@
 //! must be rebuilt afterwards — mirroring the paper's static-index
 //! measurement methodology.
 
+use crate::frontier::SharedBound;
 use crate::index::{with_tree, TarIndex};
 use crate::observe::{self, QueryScope, ScopeBackend};
 use crate::poi::{KnntaQuery, QueryHit};
@@ -130,7 +131,8 @@ impl TarIndex {
             (tia.expect("every entry has a mirrored TIA").aggregate_over(ctx.iq), 0)
         };
         let hits = with_tree!(self, t => {
-            bfs_query_nodes(&MemNodes(t), t.stats(), &ctx, query.k, disk_tia, self.obs(), parent)
+            let bound = SharedBound::new();
+            bfs_query_nodes(&MemNodes(t), &self.meta, &ctx, query.k, &bound, disk_tia, parent)
         });
         if let Some(scope) = scope {
             let probes: u64 = tias.tias.values().map(MvbtTia::probes).sum();

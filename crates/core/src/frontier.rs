@@ -7,7 +7,9 @@
 //! root's children round-robin, one subtree at a time), workers expand their
 //! own best node first and steal the best front entry from a victim when
 //! their frontier drains, and all workers prune against a shared atomic
-//! upper bound on `f(p_k)` (see [`SharedBound`]).
+//! upper bound on `f(p_k)` (see [`SharedBound`]). The caller owns that
+//! bound: a query split across service shards hands every shard the same
+//! one, so its workers also prune against the other shards' hits.
 //!
 //! Determinism is the contract, not an aspiration: for every thread count
 //! the result is bit-identical to the sequential search, and the node-access
@@ -18,24 +20,37 @@
 use crate::index::QueryCtx;
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::QueryHit;
-use crate::search::{entry_tia, expand_node, HitSink, NodeCand, TopK};
+use crate::search::{entry_tia, expand_node, NodeCand, TopK};
 use crate::storage::NodeSource;
 use knnta_obs::{AttrValue, Obs, SpanId};
 use knnta_util::sync::Mutex;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
 
-/// Lock-free shared upper bound on `f(p_k)`: an `AtomicU64` holding the bit
-/// pattern of an `f64`, monotonically tightened by CAS.
+/// Lock-free shared upper bound on one query's `f(p_k)`: an `AtomicU64`
+/// holding the bit pattern of an `f64`, monotonically tightened by CAS.
+///
+/// Every search that holds the same bound prunes against the best `k` hits
+/// any of them has found: the workers of one parallel query, and the shards
+/// of a partitioned index answering the same query
+/// ([`crate::Executor::query_tile`]). Callers can only create and share a
+/// bound; only the searches holding it ever move it.
 ///
 /// Admissibility under concurrent updates: every value ever stored is some
-/// worker's *local* k-th-best score, published only once that worker holds
+/// search's *local* k-th-best score, published only once that search holds
 /// `k` genuine hits. A local top-k over a subset of the data is at least the
 /// global `f(p_k)`, so the bound never drops below `f(p_k)` under any
 /// interleaving — pruning `key > bound` can therefore never discard a node
 /// whose lower bound is within the true answer (Property 1 makes `key`
-/// admissible, this makes the threshold admissible).
-pub(crate) struct SharedBound(AtomicU64);
+/// admissible, this makes the threshold admissible). Pruning is strict, so a
+/// hit tied with the bound is kept and the `PoiId` tie-break still sees it.
+pub struct SharedBound(AtomicU64);
+
+impl Default for SharedBound {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl SharedBound {
     /// A bound starting at `+∞`.
@@ -44,13 +59,13 @@ impl SharedBound {
     }
 
     /// The current bound.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(MemOrder::Relaxed))
     }
 
     /// Lowers the bound to `candidate` if that is an improvement; reports
     /// whether the bound actually moved (feeds the `bound_updates` counter).
-    pub fn tighten(&self, candidate: f64) -> bool {
+    pub(crate) fn tighten(&self, candidate: f64) -> bool {
         let mut cur = self.0.load(MemOrder::Relaxed);
         while candidate < f64::from_bits(cur) {
             match self.0.compare_exchange_weak(
@@ -67,19 +82,31 @@ impl SharedBound {
     }
 }
 
-/// One worker's [`HitSink`]: its local top-k, pruned against and published
-/// to the bound all workers share.
-struct WorkerHits<'a> {
-    local: &'a mut TopK,
+/// Where every engine collects a query's hits: one search's local top-k,
+/// pruned against and published to the [`SharedBound`] every holder shares.
+/// Under a fresh bound with no other holder the bound always equals the
+/// local k-th score, so this is exactly a plain top-k.
+pub(crate) struct WorkerHits<'a> {
+    local: TopK,
     shared: &'a SharedBound,
 }
 
-impl HitSink for WorkerHits<'_> {
-    fn bound(&self) -> f64 {
+impl<'a> WorkerHits<'a> {
+    /// An empty local top-`k` under `shared`.
+    pub fn new(k: usize, shared: &'a SharedBound) -> Self {
+        WorkerHits {
+            local: TopK::new(k),
+            shared,
+        }
+    }
+
+    /// The current upper bound on `f(p_k)`.
+    pub fn bound(&self) -> f64 {
         self.shared.get()
     }
 
-    fn offer(&mut self, hit: QueryHit) -> bool {
+    /// Offers a hit; reports whether the bound tightened.
+    pub fn offer(&mut self, hit: QueryHit) -> bool {
         // The bound never drops below f(p_k), so hits above it can never
         // rank in the global top k.
         if hit.score > self.shared.get() {
@@ -87,6 +114,11 @@ impl HitSink for WorkerHits<'_> {
         }
         self.local.push(hit);
         self.shared.tighten(self.local.bound())
+    }
+
+    /// The retained hits in ranked order (best first).
+    pub fn into_sorted_vec(self) -> Vec<QueryHit> {
+        self.local.into_sorted_vec()
     }
 }
 
@@ -107,16 +139,16 @@ pub(crate) struct PopEvent {
 }
 
 /// One worker's private state: its best-k accumulator, pop log and probe.
-struct WorkerOutput<P> {
-    topk: TopK,
+struct WorkerOutput<'b, P> {
+    hits: WorkerHits<'b>,
     pops: Vec<PopEvent>,
     probe: P,
 }
 
-impl<P: Probe> WorkerOutput<P> {
-    fn new(k: usize) -> Self {
+impl<'b, P: Probe> WorkerOutput<'b, P> {
+    fn new(k: usize, bound: &'b SharedBound) -> Self {
         WorkerOutput {
-            topk: TopK::new(k),
+            hits: WorkerHits::new(k, bound),
             pops: Vec::new(),
             probe: P::default(),
         }
@@ -138,6 +170,8 @@ impl Drop for PanicGuard<'_> {
 /// The parallel best-first search over any [`NodeSource`] — the in-memory
 /// arena, a paged snapshot or a packed image.
 ///
+/// Every worker prunes against `bound`, which the caller may share with
+/// searches elsewhere (a fresh [`SharedBound`] when the query runs alone).
 /// Returns the ranked hits and the deterministic `(node, leaf)` access
 /// counts to record. When `obs` is enabled, the traversal additionally emits
 /// one `worker` span per worker (bracketing the whole parallel section)
@@ -148,6 +182,7 @@ pub(crate) fn parallel_bfs<const D: usize, N>(
     ctx: &QueryCtx<'_>,
     k: usize,
     threads: usize,
+    bound: &SharedBound,
     obs: &Obs,
     parent: SpanId,
 ) -> (Vec<QueryHit>, u64, u64)
@@ -158,9 +193,9 @@ where
         return (Vec::new(), 0, 0);
     }
     if obs.is_enabled() {
-        traverse::<D, N, Counts>(nodes, ctx, k, threads, obs, parent)
+        traverse::<D, N, Counts>(nodes, ctx, k, threads, bound, obs, parent)
     } else {
-        traverse::<D, N, NoProbe>(nodes, ctx, k, threads, obs, parent)
+        traverse::<D, N, NoProbe>(nodes, ctx, k, threads, bound, obs, parent)
     }
 }
 
@@ -172,6 +207,7 @@ fn traverse<const D: usize, N, P>(
     ctx: &QueryCtx<'_>,
     k: usize,
     threads: usize,
+    bound: &SharedBound,
     obs: &Obs,
     parent: SpanId,
 ) -> (Vec<QueryHit>, u64, u64)
@@ -180,7 +216,6 @@ where
     P: Probe + Send,
 {
     let start_ns = obs.now_ns();
-    let bound = SharedBound::new();
     let tia = entry_tia(ctx);
     // Number of frontier candidates not yet fully processed (incremented
     // before a push, decremented after the pop finishes expanding); zero
@@ -191,14 +226,11 @@ where
     // Worker 0 expands the root inline and deals its children round-robin
     // across the worker frontiers — the initial subtree sharding.
     let mut heaps: Vec<BinaryHeap<NodeCand>> = (0..threads).map(|_| BinaryHeap::new()).collect();
-    let mut seed = WorkerOutput::<P>::new(k);
+    let mut seed = WorkerOutput::<P>::new(k, bound);
     {
         let root = nodes.root();
         let mut dealt = 0usize;
-        let mut hits = WorkerHits {
-            local: &mut seed.topk,
-            shared: &bound,
-        };
+        let hits = &mut seed.hits;
         let is_leaf = seed.probe.busy(|probe| {
             nodes.with_node(root, probe, |node, probe| {
                 let deal = |cand| {
@@ -206,7 +238,7 @@ where
                     heaps[dealt % threads].push(cand);
                     dealt += 1;
                 };
-                expand_node(&node, root, ctx, &tia, &mut hits, deal, probe);
+                expand_node(&node, root, ctx, &tia, hits, deal, probe);
                 node.is_leaf()
             })
         });
@@ -220,7 +252,7 @@ where
     }
     let frontiers: Vec<Mutex<BinaryHeap<NodeCand>>> = heaps.into_iter().map(Mutex::new).collect();
 
-    let run_worker = |me: usize, mut out: WorkerOutput<P>| -> WorkerOutput<P> {
+    let run_worker = |me: usize, out: &mut WorkerOutput<P>| {
         let _guard = PanicGuard(&poisoned);
         loop {
             // Own frontier first; otherwise steal the best front entry from
@@ -251,14 +283,11 @@ where
             let mut is_leaf = false;
             if expanded {
                 let mut children = Vec::new();
-                let mut hits = WorkerHits {
-                    local: &mut out.topk,
-                    shared: &bound,
-                };
+                let hits = &mut out.hits;
                 is_leaf = out.probe.busy(|probe| {
                     nodes.with_node(task.id, probe, |node, probe| {
                         let collect = |cand| children.push(cand);
-                        expand_node(&node, task.id, ctx, &tia, &mut hits, collect, probe);
+                        expand_node(&node, task.id, ctx, &tia, hits, collect, probe);
                         node.is_leaf()
                     })
                 });
@@ -279,19 +308,26 @@ where
             });
             pending.fetch_sub(1, MemOrder::Release);
         }
-        out
     };
 
-    let mut outputs: Vec<WorkerOutput<P>> = Vec::with_capacity(threads);
+    let mut outputs: Vec<WorkerOutput<'_, P>> = Vec::with_capacity(threads);
     if threads == 1 {
-        outputs.push(run_worker(0, seed));
+        run_worker(0, &mut seed);
+        outputs.push(seed);
     } else {
         std::thread::scope(|scope| {
             let run_worker = &run_worker;
             let handles: Vec<_> = (1..threads)
-                .map(|w| scope.spawn(move || run_worker(w, WorkerOutput::new(k))))
+                .map(|w| {
+                    scope.spawn(move || {
+                        let mut out = WorkerOutput::new(k, bound);
+                        run_worker(w, &mut out);
+                        out
+                    })
+                })
                 .collect();
-            outputs.push(run_worker(0, seed));
+            run_worker(0, &mut seed);
+            outputs.push(seed);
             for handle in handles {
                 match handle.join() {
                     Ok(out) => outputs.push(out),
@@ -305,7 +341,7 @@ where
     let mut pops: Vec<Vec<PopEvent>> = Vec::with_capacity(threads);
     let mut phases: Vec<Counts> = Vec::with_capacity(threads);
     for out in outputs {
-        hits.extend(out.topk.into_hits());
+        hits.extend(out.hits.local.into_hits());
         pops.push(out.pops);
         phases.push(out.probe.counts());
     }
@@ -410,7 +446,7 @@ mod tests {
     use super::*;
     use crate::index::tests::paper_example;
     use crate::index::{Grouping, IndexConfig, TarIndex};
-    use crate::plan::{run_query, ExecMode};
+    use crate::plan::{run_query, ExecEnv, ExecMode};
     use crate::poi::KnntaQuery;
     use crate::storage::StorageBackend;
     use tempora::TimeInterval;
@@ -474,6 +510,30 @@ mod tests {
             let _ = query_parallel(&index, &q, threads);
             let par = (index.stats().node_accesses(), index.stats().leaf_node_accesses());
             assert_eq!(par, seq, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_prunes_against_a_caller_bound() {
+        // A bound another search already tightened to the true f(p_k) is
+        // admissible: the answer is unchanged and no more nodes are opened.
+        let index = build(Grouping::TarIntegral);
+        let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(3);
+        let want = index.query(&q);
+        for threads in [1, 2, 4] {
+            index.stats().reset();
+            let _ = query_parallel(&index, &q, threads);
+            let alone = index.stats().node_accesses();
+            let bound = SharedBound::new();
+            bound.tighten(want[q.k - 1].score);
+            let env = ExecEnv {
+                bounds: Some(std::slice::from_ref(&bound)),
+                ..index.exec_env()
+            };
+            index.stats().reset();
+            let got = run_query(&env, StorageBackend::InMemory, ExecMode::Par(threads), &q);
+            assert_eq!(got, want, "threads={threads}");
+            assert!(index.stats().node_accesses() <= alone, "threads={threads}");
         }
     }
 

@@ -96,6 +96,7 @@ pub use augmentation::TiaAug;
 pub use baseline::ScanBaseline;
 pub use collective::BatchOrder;
 pub use disk_tia::DiskTias;
+pub use frontier::SharedBound;
 pub use geo::{haversine_km, GeoPoint, GeoProjector, EARTH_RADIUS_KM};
 pub use knnta_obs::Obs;
 pub use index::{Grouping, IndexConfig, TarIndex};

@@ -780,13 +780,6 @@ impl LiveIndex {
         folded_n
     }
 
-    /// Answers a query over the sealed epochs (shorthand for
-    /// `snapshot().query(query)`; the open epoch's shard buffers are not
-    /// yet visible, exactly as before the concurrent tier existed).
-    pub fn query(&self, query: &KnntaQuery) -> Vec<QueryHit> {
-        self.snapshot().query(query)
-    }
-
     /// Checks every structural and TIA-summary invariant of the current
     /// base's arena tree, materialising it if need be (test helper).
     pub fn validate(&self) {
@@ -883,6 +876,7 @@ impl SnapshotView {
             arena: None,
             root_max: Some(&self.overlay.root_max),
             fresh_at: None,
+            bounds: None,
         };
         let overlaid = OverlayNodes {
             packed: crate::packed::PackedSource(&self.base.frozen.packed),
@@ -945,7 +939,7 @@ mod tests {
         let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3))
             .with_k(1)
             .with_alpha0(0.3);
-        let hits = live.query(&q);
+        let hits = live.snapshot().query(&q);
         assert_eq!(hits[0].poi, PoiId(5), "f wins, as in Section 3.2");
         assert_eq!(hits[0].aggregate, 12);
         live.validate();
@@ -964,12 +958,12 @@ mod tests {
             .with_alpha0(0.3);
         // Buffered, not yet visible.
         assert_eq!(live.pending(), 1);
-        assert_eq!(live.query(&q)[0].aggregate, 0);
+        assert_eq!(live.snapshot().query(&q)[0].aggregate, 0);
         // The next seal drains it into its own epoch without advancing past
         // the open epoch's normal roll.
         assert_eq!(live.seal_epoch(), 1);
-        assert_eq!(live.query(&q)[0].poi, pois[3].0.id);
-        assert_eq!(live.query(&q)[0].aggregate, 1);
+        assert_eq!(live.snapshot().query(&q)[0].poi, pois[3].0.id);
+        assert_eq!(live.snapshot().query(&q)[0].aggregate, 1);
     }
 
     #[test]
@@ -994,7 +988,7 @@ mod tests {
         let q = KnntaQuery::new(pois[0].0.pos, TimeInterval::days(0, 1))
             .with_k(1)
             .with_alpha0(0.3);
-        assert_eq!(live.query(&q)[0].aggregate, 1);
+        assert_eq!(live.snapshot().query(&q)[0].aggregate, 1);
     }
 
     #[test]
@@ -1009,7 +1003,7 @@ mod tests {
         let q = KnntaQuery::new(pois[2].0.pos, TimeInterval::days(0, 1))
             .with_k(1)
             .with_alpha0(0.3);
-        assert_eq!(live.query(&q)[0].aggregate, 12);
+        assert_eq!(live.snapshot().query(&q)[0].aggregate, 12);
     }
 
     /// Regression for the seal saturation bug: once the open epoch reaches
@@ -1036,12 +1030,12 @@ mod tests {
         let q1 = KnntaQuery::new(pois[0].0.pos, TimeInterval::days(1, 2))
             .with_k(1)
             .with_alpha0(0.3);
-        assert_eq!(live.query(&q1)[0].aggregate, 1);
+        assert_eq!(live.snapshot().query(&q1)[0].aggregate, 1);
         // … and NOT misattributed to the final epoch.
         let qlast = KnntaQuery::new(pois[0].0.pos, TimeInterval::days(len as i64 - 1, len as i64))
             .with_k(1)
             .with_alpha0(0.3);
-        assert_eq!(live.query(&qlast)[0].aggregate, 0);
+        assert_eq!(live.snapshot().query(&qlast)[0].aggregate, 0);
         // Out-of-grid still drops.
         live.record(CheckIn::at(pois[0].0.id, Timestamp::from_days(99)));
         assert_eq!(live.dropped(), 1);

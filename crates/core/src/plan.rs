@@ -3,7 +3,9 @@
 //! A [`QueryPlan`] is the only selector of backend, mode and tile, and
 //! [`Executor`] the only public place that takes one: [`Executor::execute`]
 //! / [`Executor::execute_batch`] run a forced plan, [`Executor::query`] /
-//! [`Executor::query_batch`] plan first and feed the measurement back.
+//! [`Executor::query_batch`] plan first and feed the measurement back, and
+//! [`Executor::query_tile`] does the same for one shard's part of a tile
+//! under bounds shared with the other shards.
 //! [`TarIndex::query`] (Algorithm 1 on the arena, the reference every oracle
 //! compares against) and [`crate::SnapshotView::query`] (packed image under
 //! the live overlay) fix one configuration each. All of them call
@@ -24,6 +26,7 @@
 //! it, and feeds the measurement back. See `DESIGN.md` §14.
 
 use crate::collective::{batch_attrs, collective_on_nodes, BatchOptions, BatchOrder};
+use crate::frontier::SharedBound;
 use crate::index::{with_tree, IndexConfig, IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{QueryScope, ScopeBackend};
 use crate::packed::{FrozenIndex, PackedSource, PackedTarTree};
@@ -56,14 +59,16 @@ impl TarIndex {
             arena: Some(self),
             root_max: None,
             fresh_at: Some(self.content_epoch),
+            bounds: None,
         }
     }
 }
 
 /// Everything an execution needs besides the plan itself: the query space
 /// and sinks, the arena tree when there is one, an optional caller-owned
-/// `gmax` source, and the content epoch paged/packed backends must match
-/// (snapshots own their images, so they skip the check).
+/// `gmax` source, the content epoch paged/packed backends must match
+/// (snapshots own their images, so they skip the check), and the `f(p_k)`
+/// bounds the queries share with other shards, if any.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecEnv<'e> {
     /// The stats / obs / grid / bounds that drive the execution.
@@ -78,6 +83,9 @@ pub(crate) struct ExecEnv<'e> {
     /// The content epoch paged/packed backends are validated against;
     /// `None` skips the check.
     pub fresh_at: Option<u64>,
+    /// One [`SharedBound`] per query, held by every shard answering the
+    /// same tile; `None` runs each query under a fresh bound of its own.
+    pub bounds: Option<&'e [SharedBound]>,
 }
 
 impl<'e> ExecEnv<'e> {
@@ -173,6 +181,7 @@ pub(crate) fn run_query(
             meta,
             ctx: &ctx,
             k: query.k,
+            bound: env.bounds.and_then(<[_]>::first),
             mode,
             parent,
         },
@@ -187,6 +196,7 @@ struct QueryOp<'c> {
     meta: &'c IndexMeta,
     ctx: &'c QueryCtx<'c>,
     k: usize,
+    bound: Option<&'c SharedBound>,
     mode: ExecMode,
     parent: SpanId,
 }
@@ -194,38 +204,30 @@ struct QueryOp<'c> {
 impl SourceOp for QueryOp<'_> {
     type Out = Vec<QueryHit>;
 
+    /// The engine dispatch shared by every single-query path: the
+    /// sequential best-first search, or the parallel frontier with
+    /// caller-side access accounting, under the caller's bound or a fresh
+    /// one when the query runs alone.
     fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<QueryHit> {
-        exec_search(self.meta, nodes, self.ctx, self.k, self.mode, self.parent)
-    }
-}
-
-/// The engine dispatch shared by every single-query path: the sequential
-/// best-first search, or the parallel frontier with caller-side access
-/// accounting.
-fn exec_search<const D: usize, N: NodeSource<D> + Sync>(
-    meta: &IndexMeta,
-    nodes: &N,
-    ctx: &QueryCtx<'_>,
-    k: usize,
-    mode: ExecMode,
-    parent: SpanId,
-) -> Vec<QueryHit> {
-    match mode {
-        ExecMode::Seq => bfs_query_nodes(
-            nodes,
-            &meta.stats,
+        let QueryOp {
+            meta,
             ctx,
             k,
-            entry_tia(ctx),
-            &meta.obs,
+            bound,
+            mode,
             parent,
-        ),
-        ExecMode::Par(threads) => {
-            let (hits, nodes_n, leaves) =
-                crate::frontier::parallel_bfs(nodes, ctx, k, threads, &meta.obs, parent);
-            meta.stats.record_node_accesses(nodes_n);
-            meta.stats.record_leaf_accesses(leaves);
-            hits
+        } = self;
+        let fresh = SharedBound::new();
+        let bound = bound.unwrap_or(&fresh);
+        match mode {
+            ExecMode::Seq => bfs_query_nodes(nodes, meta, ctx, k, bound, entry_tia(ctx), parent),
+            ExecMode::Par(threads) => {
+                let (hits, nodes_n, leaves) =
+                    crate::frontier::parallel_bfs(nodes, ctx, k, threads, bound, &meta.obs, parent);
+                meta.stats.record_node_accesses(nodes_n);
+                meta.stats.record_leaf_accesses(leaves);
+                hits
+            }
         }
     }
 }
@@ -265,6 +267,7 @@ pub(crate) fn run_batch(
             meta,
             root_max,
             queries,
+            bounds: env.bounds,
             opts,
             parent,
         },
@@ -279,6 +282,7 @@ struct BatchOp<'c> {
     meta: &'c IndexMeta,
     root_max: &'c AggregateSeries,
     queries: &'c [KnntaQuery],
+    bounds: Option<&'c [SharedBound]>,
     opts: &'c BatchOptions,
     parent: SpanId,
 }
@@ -287,7 +291,23 @@ impl SourceOp for BatchOp<'_> {
     type Out = Vec<Vec<QueryHit>>;
 
     fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<Vec<QueryHit>> {
-        collective_on_nodes(nodes, self.meta, self.root_max, self.queries, self.opts, self.parent)
+        let BatchOp {
+            meta,
+            root_max,
+            queries,
+            bounds,
+            opts,
+            parent,
+        } = self;
+        let fresh: Vec<SharedBound>;
+        let bounds = match bounds {
+            Some(bounds) => bounds,
+            None => {
+                fresh = queries.iter().map(|_| SharedBound::new()).collect();
+                &fresh
+            }
+        };
+        collective_on_nodes(nodes, meta, root_max, queries, bounds, opts, parent)
     }
 }
 
@@ -501,6 +521,7 @@ impl<'a> Executor<'a> {
             },
             root_max: self.root_max,
             fresh_at: Some(self.base.content_epoch()),
+            bounds: None,
         }
     }
 
@@ -624,12 +645,15 @@ impl<'a> Executor<'a> {
     /// * `PlanMode::Parallel { threads: 0 }`,
     /// * a stale image (the index changed since it was materialised).
     pub fn execute(&self, query: &KnntaQuery, plan: &QueryPlan) -> Vec<QueryHit> {
-        let backend = self.backend_of(plan);
+        self.execute_in(&self.env(), query, plan)
+    }
+
+    fn execute_in(&self, env: &ExecEnv<'_>, query: &KnntaQuery, plan: &QueryPlan) -> Vec<QueryHit> {
         let mode = match plan.mode {
             PlanMode::Sequential => ExecMode::Seq,
             PlanMode::Parallel { threads } => ExecMode::Par(threads),
         };
-        run_query(&self.env(), backend, mode, query)
+        run_query(env, self.backend_of(plan), mode, query)
     }
 
     /// Runs `queries` as one collective batch (paper §7.2) under `plan`'s
@@ -648,11 +672,21 @@ impl<'a> Executor<'a> {
         plan: &QueryPlan,
         order: BatchOrder,
     ) -> Vec<Vec<QueryHit>> {
+        self.execute_batch_in(&self.env(), queries, plan, order)
+    }
+
+    fn execute_batch_in(
+        &self,
+        env: &ExecEnv<'_>,
+        queries: &[KnntaQuery],
+        plan: &QueryPlan,
+        order: BatchOrder,
+    ) -> Vec<Vec<QueryHit>> {
         let opts = BatchOptions {
             order,
             tile: plan.tile,
         };
-        run_batch(&self.env(), self.backend_of(plan), queries, &opts)
+        run_batch(env, self.backend_of(plan), queries, &opts)
     }
 
     /// Feeds the node accesses `run` caused back into the calibration.
@@ -678,6 +712,45 @@ impl<'a> Executor<'a> {
     pub fn query_batch(&mut self, queries: &[KnntaQuery]) -> Vec<Vec<QueryHit>> {
         let plan = self.plan_batch(queries);
         self.measured(&plan, |exec| exec.execute_batch(queries, &plan, BatchOrder::Hilbert))
+    }
+
+    /// Plans and answers this executor's part of a tile whose queries other
+    /// searches — the other shards of a partitioned index — answer too:
+    /// [`Executor::query`] for one query, [`Executor::query_batch`] for
+    /// more, feeding measured node accesses back either way.
+    ///
+    /// Query `i` prunes against `bounds[i]` and publishes its own k-th
+    /// score there, so each search stops as soon as the hits found anywhere
+    /// rule out the rest of its tree. A returned list then holds every hit
+    /// of this executor's index that can rank in the global top `k` — ties
+    /// with the bound included — and may be shorter than `k`;
+    /// [`crate::merge_ranked`] over every holder's lists is the answer of
+    /// one search over all the data, bit for bit. With a fresh bound per
+    /// query and no other holder, the lists equal [`Executor::query_batch`]'s.
+    ///
+    /// # Panics
+    ///
+    /// If `bounds` and `queries` differ in length.
+    pub fn query_tile(
+        &mut self,
+        queries: &[KnntaQuery],
+        bounds: &[SharedBound],
+    ) -> Vec<Vec<QueryHit>> {
+        assert_eq!(queries.len(), bounds.len(), "one bound per query");
+        let env = ExecEnv {
+            bounds: Some(bounds),
+            ..self.env()
+        };
+        if let [query] = queries {
+            let plan = self.plan(query);
+            vec![self.measured(&plan, |exec| exec.execute_in(&env, query, &plan))]
+        } else {
+            let plan = self.plan_batch(queries);
+            let order = BatchOrder::Hilbert;
+            self.measured(&plan, |exec| {
+                exec.execute_batch_in(&env, queries, &plan, order)
+            })
+        }
     }
 }
 

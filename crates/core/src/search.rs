@@ -5,15 +5,18 @@
 //! engines — the sequential loop here, the work-stealing
 //! [`crate::frontier::parallel_bfs`] and the batched
 //! [`crate::collective::collective_on_nodes`] — are drivers around it: each
-//! owns its frontier, says where hits go and the `f(p_k)` bound lives
-//! ([`HitSink`]) and does its own access accounting. Because the score expressions and their
-//! f64 operation order exist once, the engines agree bit for bit.
+//! owns its frontier, collects each query's hits in a [`WorkerHits`] under
+//! the query's [`SharedBound`] on `f(p_k)` (fresh when the query runs alone,
+//! shared with other workers or shards otherwise) and does its own access
+//! accounting. Because the score expressions and their f64 operation order
+//! exist once, the engines agree bit for bit.
 
-use crate::index::QueryCtx;
+use crate::frontier::{SharedBound, WorkerHits};
+use crate::index::{IndexMeta, QueryCtx};
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::QueryHit;
 use crate::storage::{AggRef, EntryTarget, NodeSource, NodeView};
-use knnta_obs::{Obs, SpanId};
+use knnta_obs::SpanId;
 use pagestore::AccessStats;
 use rtree::NodeId;
 use std::cmp::Ordering;
@@ -126,29 +129,6 @@ impl TopK {
     }
 }
 
-/// Where an engine collects a query's hits and reads its upper bound on
-/// `f(p_k)`: the query's own [`TopK`] (sequential and collective), or one
-/// worker's top-k under the bound shared by all workers of a parallel query
-/// (`frontier::WorkerHits`).
-pub(crate) trait HitSink {
-    /// The current upper bound on `f(p_k)`.
-    fn bound(&self) -> f64;
-    /// Offers a hit; reports whether the bound tightened.
-    fn offer(&mut self, hit: QueryHit) -> bool;
-}
-
-impl HitSink for TopK {
-    fn bound(&self) -> f64 {
-        TopK::bound(self)
-    }
-
-    fn offer(&mut self, hit: QueryHit) -> bool {
-        let before = self.bound();
-        self.push(hit);
-        self.bound() < before
-    }
-}
-
 /// Expands one fetched node for one query — the node-expansion kernel.
 ///
 /// Scores every entry (`s0` from the entry's box, the aggregate from
@@ -163,7 +143,7 @@ pub(crate) fn expand_node<const D: usize, P: Probe>(
     id: NodeId,
     ctx: &QueryCtx<'_>,
     agg_of: &impl Fn(NodeId, usize, &AggRef<'_>) -> (u64, u64),
-    hits: &mut impl HitSink,
+    hits: &mut WorkerHits<'_>,
     mut push_child: impl FnMut(NodeCand),
     probe: &mut P,
 ) {
@@ -203,17 +183,23 @@ pub(crate) fn entry_tia<'a>(
 /// The frontier holds only *nodes* (min-heap on `(key, NodeId)`); hits from
 /// expanded leaves go straight into a bounded top-k accumulator under the
 /// `(score, PoiId)` total order. Logical node/leaf accesses are recorded in
-/// `stats` exactly as `RStarTree::access_node` records them, so the access
-/// profile is backend-independent. With `obs` enabled the search also emits
-/// a `search.seq` span with its `phase.*` children and publishes its frontier
-/// counters.
+/// `meta.stats` exactly as `RStarTree::access_node` records them, so the
+/// access profile is backend-independent. With `meta.obs` enabled the search
+/// also emits a `search.seq` span with its `phase.*` children and publishes
+/// its frontier counters.
+///
+/// The search prunes against `bound` and publishes its own k-th score to
+/// it. Under a fresh bound it is the plain search. Under a bound that
+/// searches over other parts of the data also hold, it stops as early as
+/// one search over all of it, and its result holds only the hits that may
+/// rank in the global top `k`, possibly fewer than `k`.
 pub(crate) fn bfs_query_nodes<const D: usize, N, F>(
     nodes: &N,
-    stats: &AccessStats,
+    meta: &IndexMeta,
     ctx: &QueryCtx<'_>,
     k: usize,
+    bound: &SharedBound,
     agg_of: F,
-    obs: &Obs,
     parent: SpanId,
 ) -> Vec<QueryHit>
 where
@@ -223,15 +209,17 @@ where
     if k == 0 || nodes.is_empty() {
         return Vec::new();
     }
+    let (stats, obs) = (&meta.stats, &meta.obs);
+    let hits = WorkerHits::new(k, bound);
     if !obs.is_enabled() {
-        return best_first(nodes, stats, ctx, k, &agg_of, &mut NoProbe, |_| {});
+        return best_first(nodes, stats, ctx, hits, &agg_of, &mut NoProbe, |_| {});
     }
     let span = obs.span("search.seq", parent);
     let start_ns = obs.now_ns();
     let paged = nodes.kind() == "paged";
     let fetch_hist = obs.histogram(observe::M_PAGED_FETCH_NS, observe::PAGED_FETCH_BOUNDS);
     let mut probe = Counts::default();
-    let hits = best_first(nodes, stats, ctx, k, &agg_of, &mut probe, |io_ns| {
+    let hits = best_first(nodes, stats, ctx, hits, &agg_of, &mut probe, |io_ns| {
         if paged {
             fetch_hist.record(io_ns);
         }
@@ -254,7 +242,7 @@ fn best_first<const D: usize, N, F, P>(
     nodes: &N,
     stats: &AccessStats,
     ctx: &QueryCtx<'_>,
-    k: usize,
+    mut hits: WorkerHits<'_>,
     agg_of: &F,
     probe: &mut P,
     mut fetched: impl FnMut(u64),
@@ -264,7 +252,6 @@ where
     F: Fn(NodeId, usize, &AggRef<'_>) -> (u64, u64),
     P: Probe,
 {
-    let mut topk = TopK::new(k);
     let mut heap = BinaryHeap::new();
     heap.push(NodeCand {
         key: 0.0,
@@ -273,7 +260,7 @@ where
     probe.push();
     while let Some(NodeCand { key, id }) = heap.pop() {
         probe.pop();
-        if key > topk.bound() {
+        if key > hits.bound() {
             break;
         }
         let io_before = probe.counts().io_ns;
@@ -282,11 +269,11 @@ where
             if node.is_leaf() {
                 stats.record_leaf_access();
             }
-            expand_node(&node, id, ctx, agg_of, &mut topk, |cand| heap.push(cand), probe);
+            expand_node(&node, id, ctx, agg_of, &mut hits, |cand| heap.push(cand), probe);
         });
         fetched(probe.counts().io_ns - io_before);
     }
-    topk.into_sorted_vec()
+    hits.into_sorted_vec()
 }
 
 #[cfg(test)]

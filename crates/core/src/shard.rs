@@ -2,21 +2,26 @@
 //! service (`crates/service`).
 //!
 //! The service splits a POI set across `N` engine shards, runs every query
-//! on every shard, and merges the per-shard top-k lists. Both halves of
-//! that scheme live here so `crates/core/tests/shard_props.rs` can pin
-//! their contracts down next to the engine they feed:
+//! on every shard under one [`crate::SharedBound`] per query
+//! ([`crate::Executor::query_tile`]), and merges the per-shard lists. Both
+//! halves of that scheme live here so `crates/core/tests/shard_props.rs`
+//! can pin their contracts down next to the engine they feed:
 //!
 //! * [`partition_pois`] cuts the POI set into `N` contiguous runs of the
 //!   same 2-D Hilbert curve the packed bulk-load uses, so each shard's tree
 //!   covers a spatially tight region (small per-shard MBRs → tight bounds →
 //!   early termination inside each shard).
-//! * [`merge_ranked`] merges per-shard top-k lists under the global
+//! * [`merge_ranked`] merges per-shard lists under the global
 //!   `(score, PoiId)` total order ([`QueryHit::ranked_cmp`]).
 //!
 //! **Merge correctness.** Every hit of the global top-k lives in exactly
 //! one shard, and within that shard at most `k − 1` hits rank strictly
-//! before it — so it is inside that shard's own top-k. The union of
-//! per-shard top-k lists therefore contains the global top-k, and sorting
+//! before it — so it is inside that shard's own top-k. The shared bound
+//! never drops below the global `f(p_k)` (each value published to it is
+//! some shard's k-th best of `k` real hits) and prunes only scores
+//! strictly above it, so the hit also survives that shard's pruning, ties
+//! included. The union of per-shard lists therefore contains the global
+//! top-k, though a single list may hold fewer than `k` hits, and sorting
 //! the union by the same total order and truncating to `k` reproduces the
 //! single-tree answer element-for-element. Bit-identity additionally needs
 //! every shard to *score* like the unsharded tree: shards are built with

@@ -10,10 +10,14 @@
 //!   exactly (the identity that lets shards score with the global
 //!   normaliser, DESIGN.md §15);
 //! * the merge of per-shard top-k lists equals the single-heap top-k of
-//!   the union, ties broken by the global `(score, PoiId)` total order.
+//!   the union, ties broken by the global `(score, PoiId)` total order;
+//! * shards pruning against one `SharedBound` per query
+//!   (`Executor::query_tile`), run one after another in any order or
+//!   concurrently, still merge to the unsharded answer bit for bit.
 
 use knnta_core::{
-    merge_ranked, partition_pois, Grouping, IndexConfig, KnntaQuery, Poi, QueryHit, TarIndex,
+    merge_ranked, partition_pois, Executor, FrozenIndex, Grouping, IndexConfig, KnntaQuery, Poi,
+    QueryHit, SharedBound, TarIndex,
 };
 use knnta_util::prop::{check, Gen};
 use tempora::{AggregateSeries, EpochGrid, PoiId, TimeInterval};
@@ -207,5 +211,113 @@ fn sharded_query_with_global_normaliser_matches_unsharded() {
             got.iter().map(key).collect::<Vec<_>>(),
             want.iter().map(key).collect::<Vec<_>>()
         );
+    });
+}
+
+/// Every order of `0..n`.
+fn orders(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for rest in orders(n - 1) {
+        for at in 0..=rest.len() {
+            let mut order = rest.clone();
+            order.insert(at, n - 1);
+            out.push(order);
+        }
+    }
+    out
+}
+
+#[test]
+fn shards_under_one_bound_merge_to_the_unsharded_answer() {
+    check("shard_shared_bound_bit_identical", 40, |g| {
+        // All aggregates tied, and POIs and query points on a 4 x 4
+        // lattice: scores tie in bulk, so the bound often equals the score
+        // of a hit in another shard exactly.
+        let tied = g.bool();
+        let lattice = |x: f64| if tied { (x / 3.0).floor() * 3.0 } else { x };
+        let mut pois = gen_pois(g);
+        if tied {
+            let series = AggregateSeries::from_pairs((0..EPOCHS).map(|e| (e, 7)));
+            for (poi, s) in &mut pois {
+                poi.pos = poi.pos.map(lattice);
+                *s = series.clone();
+            }
+        }
+        let grid = EpochGrid::fixed_days(1, EPOCHS as usize);
+        let bounds = rtree::Rect::new([0.0, 0.0], [10.0, 10.0]);
+        let config = IndexConfig::with_grouping(Grouping::TarIntegral);
+        let root_max = AggregateSeries::max_of(pois.iter().map(|(_, s)| s));
+        let positions: Vec<Poi> = pois.iter().map(|(p, _)| *p).collect();
+        let parts = partition_pois(&positions, &bounds, g.usize_in(1..5));
+        let shards: Vec<FrozenIndex> = parts
+            .iter()
+            .filter(|part| !part.is_empty())
+            .map(|part| {
+                let part: Vec<_> = part.iter().map(|&i| pois[i].clone()).collect();
+                FrozenIndex::build(config, grid.clone(), bounds, &part)
+            })
+            .collect();
+        let all = FrozenIndex::build(config, grid.clone(), bounds, &pois);
+
+        let largest = parts.iter().map(Vec::len).max().unwrap_or(0);
+        let tile: Vec<KnntaQuery> = (0..*g.pick(&[1usize, 2, 5]))
+            .map(|_| {
+                let e = g.u32_in(0..EPOCHS) as i64;
+                let interval = if g.bool() {
+                    TimeInterval::days(e, e + 1)
+                } else {
+                    TimeInterval::days(0, EPOCHS as i64)
+                };
+                let beyond = largest + 1 + g.usize_in(0..5);
+                let k = *g.pick(&[1, 10, beyond]);
+                let point = [g.f64_in(0.0..10.0), g.f64_in(0.0..10.0)].map(lattice);
+                KnntaQuery::new(point, interval)
+                    .with_k(k)
+                    .with_alpha0(g.f64_in(0.1..0.9))
+            })
+            .collect();
+        let mut unsharded = Executor::frozen(&all);
+        let want: Vec<Vec<QueryHit>> = tile.iter().map(|q| unsharded.query(q)).collect();
+
+        let key = |h: &QueryHit| (h.poi, h.score.to_bits(), h.aggregate);
+        let check_merge = |lists: &[Vec<Vec<QueryHit>>], how: &str| {
+            for (i, q) in tile.iter().enumerate() {
+                let per_shard: Vec<Vec<QueryHit>> = lists.iter().map(|l| l[i].clone()).collect();
+                let got = merge_ranked(&per_shard, q.k);
+                assert_eq!(
+                    got.iter().map(key).collect::<Vec<_>>(),
+                    want[i].iter().map(key).collect::<Vec<_>>(),
+                    "{how}, query {i} (k = {})",
+                    q.k
+                );
+            }
+        };
+        let fresh = || -> Vec<SharedBound> { tile.iter().map(|_| SharedBound::new()).collect() };
+        let run = |shard: &FrozenIndex, bounds: &[SharedBound]| {
+            Executor::frozen(shard)
+                .with_root_max(&root_max)
+                .query_tile(&tile, bounds)
+        };
+
+        for order in orders(shards.len()) {
+            let bounds = fresh();
+            let mut lists = vec![Vec::new(); shards.len()];
+            for &s in &order {
+                lists[s] = run(&shards[s], &bounds);
+            }
+            check_merge(&lists, &format!("shards run one by one in order {order:?}"));
+        }
+        let bounds = fresh();
+        let lists: Vec<Vec<Vec<QueryHit>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|shard| scope.spawn(|| run(shard, &bounds)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        check_merge(&lists, "shards concurrently");
     });
 }

@@ -197,7 +197,7 @@ impl Tracer {
     pub fn end_span(&self, id: SpanId) {
         let end = self.now_ns();
         let mut buf = self.buf.lock();
-        if let Some(rec) = buf.spans.iter_mut().find(|s| s.id == id.0) {
+        if let Some(rec) = buf.spans.iter_mut().rev().find(|s| s.id == id.0) {
             if rec.end_ns.is_none() {
                 rec.end_ns = Some(end.max(rec.start_ns));
             }
@@ -207,7 +207,7 @@ impl Tracer {
     /// Appends attributes to a span (open or closed).
     pub fn set_attrs(&self, id: SpanId, attrs: Attrs) {
         let mut buf = self.buf.lock();
-        if let Some(rec) = buf.spans.iter_mut().find(|s| s.id == id.0) {
+        if let Some(rec) = buf.spans.iter_mut().rev().find(|s| s.id == id.0) {
             rec.attrs.extend(attrs);
         }
     }

@@ -34,8 +34,12 @@
 //!   [`knnta_core::Executor`]
 //!   (cost-model planner + EWMA calibration, per shard) seeded with the
 //!   **global root-max** series ([`knnta_core::Executor::with_root_max`])
-//!   so per-shard scores are bit-identical to the unsharded tree's.
-//! * **Merge**: per-shard top-k lists are merged by
+//!   so per-shard scores are bit-identical to the unsharded tree's. Each
+//!   flush carries one [`knnta_core::SharedBound`] per query, and every
+//!   shard runs its tile through [`knnta_core::Executor::query_tile`]
+//!   against them: a shard prunes with the k-th score any shard has found,
+//!   so it stops about where one search over all the POIs would.
+//! * **Merge**: per-shard lists (each possibly shorter than k) are merged by
 //!   [`knnta_core::merge_ranked`] under the global `(score, PoiId)` total
 //!   order. `tests/service_oracle.rs` is the differential proof that the
 //!   whole pipeline is bit-identical to one-at-a-time unsharded execution.
@@ -76,7 +80,7 @@ pub use telemetry::{
 
 use knnta_core::{
     merge_ranked, partition_pois, BatchOrder, Executor, FrozenIndex, IndexConfig, KnntaQuery, Obs,
-    Poi, QueryHit,
+    Poi, QueryHit, SharedBound,
 };
 use knnta_obs::SpanId;
 use knnta_util::chan::{self, OneshotReceiver, OneshotSender, Receiver, RecvError, Sender};
@@ -233,10 +237,12 @@ enum Admit {
     Drained,
 }
 
-/// One shard execution: a flushed tile, in Hilbert order.
+/// One shard execution: a flushed tile, in Hilbert order, and one `f(p_k)`
+/// bound per query that every shard of the flush prunes against.
 struct Task {
     flush: u64,
     queries: Arc<Vec<KnntaQuery>>,
+    bounds: Arc<[SharedBound]>,
 }
 
 enum MergeMsg {
@@ -550,6 +556,7 @@ fn admission_loop(
             .map(|&i| slots[i].take().expect("batch_order is a permutation"))
             .collect();
         let ordered = Arc::new(entries.iter().map(|e| e.query).collect::<Vec<_>>());
+        let bounds: Arc<[SharedBound]> = ordered.iter().map(|_| SharedBound::new()).collect();
         tile_span.set_attrs(vec![
             ("flush".into(), flush_id.into()),
             ("batch".into(), entries.len().into()),
@@ -572,6 +579,7 @@ fn admission_loop(
                 let _ = tx.send(Task {
                     flush: flush_id,
                     queries: ordered.clone(),
+                    bounds: bounds.clone(),
                 });
             }
         }
@@ -580,9 +588,9 @@ fn admission_loop(
 }
 
 /// One shard worker: drain tasks, execute through the planner-driven
-/// executor, report to the merger. A caught panic becomes this tile's
-/// failure; the executor stays valid (calibration feeds back only after a
-/// successful execution) and serves the next task.
+/// executor under the flush's shared bounds, report to the merger. A caught
+/// panic becomes this tile's failure; the executor stays valid (calibration
+/// feeds back only after a successful execution) and serves the next task.
 fn worker_loop(
     shard: &Shard,
     rx: &Receiver<Task>,
@@ -608,11 +616,7 @@ fn worker_loop(
                 ("shard".into(), shard.id.into()),
                 ("batch".into(), task.queries.len().into()),
             ]);
-            if task.queries.len() == 1 {
-                vec![exec.query(&task.queries[0])]
-            } else {
-                exec.query_batch(&task.queries)
-            }
+            exec.query_tile(&task.queries, &task.bounds)
         }));
         let _ = merge_tx.send(MergeMsg::ShardDone {
             flush: task.flush,

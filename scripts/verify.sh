@@ -25,11 +25,14 @@
 # packer must reproduce build-then-pack byte for byte (tests/direct_pack.rs),
 # crates/service must not name the pointer tree (shards are packed straight
 # from their POIs) nor regrow the shard rebuild/retry path (a shard is
-# immutable, so a worker panic fails only its own tile), crates/obs must not
+# immutable, so a worker panic fails only its own tile) nor run a shard's
+# tile through `Executor::query` / `query_batch` (every shard execution goes
+# through `query_tile` with its flush's bounds, so the shards answering one
+# query prune against one shared f(p_k)), crates/obs must not
 # regrow a second metrics registry or histogram core (a lifetime counter is a
 # window that never rotates), the query surface must not regrow (at most seven
-# `pub fn query*` in crates/core/src — `query` on TarIndex / LiveIndex /
-# SnapshotView / Executor / ScanBaseline, `Executor::query_batch`,
+# `pub fn query*` in crates/core/src — `query` on TarIndex / SnapshotView /
+# Executor / ScanBaseline, `Executor::query_batch`, `Executor::query_tile`,
 # `query_with_disk_tias`; a forced configuration is a QueryPlan through
 # `Executor::execute` / `execute_batch`), crates/core/src/{live,storage}.rs
 # must not regrow a per-POI delta map `HashMap<PoiId, AggregateSeries>` (the
@@ -90,6 +93,10 @@ if grep -rq TarIndex crates/service/src; then
 fi
 if grep -rqE 'rebuild|retry|generation' crates/service/src; then
     echo "crates/service/src regrew shard rebuild/retry: a worker panic fails only its own tile" >&2
+    exit 1
+fi
+if grep -rnE '\.query(_batch)?\(' crates/service/src; then
+    echo "crates/service/src runs a shard outside Executor::query_tile: every shard execution prunes against its flush's shared bounds" >&2
     exit 1
 fi
 if grep -rqE 'LiveWindows|MetricsRegistry|WindowHistogram|WindowCounter' crates/obs/src ||

@@ -104,7 +104,7 @@ fn live_streaming_matches_batch_build() {
     let workload = Workload::generate(&dataset, 15, IntervalAnchor::Random, 33);
     for &(point, interval) in &workload.queries {
         let q = KnntaQuery::new(point, interval).with_k(10).with_alpha0(0.3);
-        assert_same_answer(&live.query(&q), &reference.query(&q), "live stream");
+        assert_same_answer(&live.snapshot().query(&q), &reference.query(&q), "live stream");
     }
 }
 

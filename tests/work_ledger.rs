@@ -12,8 +12,10 @@
 //! (intervals 2^0…2^9 days, k ∈ {1, 10, 100}) on `common::small_dataset()`,
 //! read only from `AccessStats`, `PackedTarTree::fetches()` and the published
 //! `knnta.*` counters. Two more lines read the same queries through a live
-//! snapshot, once through a delta overlay and once after merging it. Regenerate
-//! after an *intentional* change with:
+//! snapshot, once through a delta overlay and once after merging it, and two
+//! through a 2-way POI split, once with every shard searching alone and once
+//! with each query's `f(p_k)` bound carried from one shard to the next.
+//! Regenerate after an *intentional* change with:
 //!
 //! ```text
 //! KNNTA_BLESS=1 cargo test --test work_ledger
@@ -23,8 +25,8 @@ mod common;
 
 use common::{index_of, par, seq, small_dataset};
 use knnta::core::{
-    BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, LiveIndex, Obs, PlanBackend,
-    PlanMode, TarIndex,
+    partition_pois, BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, LiveIndex, Obs,
+    PlanBackend, PlanMode, SharedBound, TarIndex,
 };
 use knnta::lbsn::{IntervalAnchor, LbsnDataset, Workload};
 use knnta::pagestore::BufferPoolConfig;
@@ -144,6 +146,94 @@ fn live_rows(dataset: &LbsnDataset, queries: &[KnntaQuery]) -> String {
     rows
 }
 
+/// The sharded service's work on the same queries: the POIs split 2 ways
+/// by `partition_pois`, one `FrozenIndex` per shard under the global root
+/// max, each query run through `Executor::query_tile` on shard 0 and then on
+/// shard 1. `alone` hands every shard a fresh bound; `shared` carries each
+/// query's bound from shard 0 to shard 1, so shard 1 starts from shard 0's
+/// k-th score; `preset` first runs the query on the unsharded image under
+/// the same bound, so both shards start from the global `f(p_k)` — the
+/// least any holder of a shared bound can open, which concurrent shards
+/// approach as each one tightens the other's bound.
+fn shard_rows(
+    dataset: &LbsnDataset,
+    pois: &[(Poi, AggregateSeries)],
+    queries: &[KnntaQuery],
+) -> String {
+    let bounds = Rect::new(dataset.bounds.0, dataset.bounds.1);
+    let root_max = AggregateSeries::max_of(pois.iter().map(|(_, s)| s));
+    let positions: Vec<Poi> = pois.iter().map(|(p, _)| *p).collect();
+    let obs = Obs::enabled();
+    let parts = partition_pois(&positions, &bounds, 2);
+    let shards: Vec<FrozenIndex> = parts
+        .iter()
+        .map(|part| {
+            let part: Vec<_> = part.iter().map(|&i| pois[i].clone()).collect();
+            let config = IndexConfig::with_grouping(Grouping::TarIntegral);
+            let mut shard = FrozenIndex::build(config, dataset.grid.clone(), bounds, &part);
+            shard.set_obs(obs.clone());
+            shard
+        })
+        .collect();
+    let counters = || {
+        let m = obs.metrics_snapshot();
+        COUNTERS.map(|name| m.counter(name).unwrap_or(0))
+    };
+    let totals = || {
+        let sum = |of: &dyn Fn(&FrozenIndex) -> u64| shards.iter().map(of).sum::<u64>();
+        let nodes = sum(&|s| s.stats().node_accesses());
+        let leaves = sum(&|s| s.stats().leaf_node_accesses());
+        (nodes, leaves, sum(&|s| s.packed().fetches()))
+    };
+    let whole = FrozenIndex::build(
+        IndexConfig::with_grouping(Grouping::TarIntegral),
+        dataset.grid.clone(),
+        bounds,
+        pois,
+    );
+    let mut rows = format!(
+        "# 2-way split ({} + {} POIs), shard 0 then shard 1; shared = each query's bound carried \
+         over; preset = bound preset to the global f(p_k)\n",
+        parts[0].len(),
+        parts[1].len(),
+    );
+    let fresh = || -> Vec<SharedBound> { queries.iter().map(|_| SharedBound::new()).collect() };
+    let mut opened = Vec::new();
+    for name in ["alone", "shared", "preset"] {
+        let (before, (nodes0, leaves0, fetches0)) = (counters(), totals());
+        let carried = fresh();
+        if name == "preset" {
+            let mut exec = Executor::frozen(&whole);
+            for (q, bound) in queries.iter().zip(&carried) {
+                exec.query_tile(std::slice::from_ref(q), std::slice::from_ref(bound));
+            }
+        }
+        for shard in &shards {
+            let mut exec = Executor::frozen(shard).with_root_max(&root_max);
+            let own = fresh();
+            let bounds = if name == "alone" { &own } else { &carried };
+            for (q, bound) in queries.iter().zip(bounds) {
+                exec.query_tile(std::slice::from_ref(q), std::slice::from_ref(bound));
+            }
+        }
+        let (after, (nodes, leaves, fetches)) = (counters(), totals());
+        let (nodes, leaves) = (nodes - nodes0, leaves - leaves0);
+        let fetches = (fetches - fetches0).to_string();
+        writeln!(
+            rows,
+            "{}",
+            row("shard2", name, nodes, leaves, &fetches, before, after)
+        )
+        .unwrap();
+        opened.push(nodes);
+    }
+    assert!(
+        opened[2] <= opened[1] && opened[1] < opened[0],
+        "a carried bound must save node opens, and the global f(p_k) the most:\n{rows}"
+    );
+    rows
+}
+
 #[test]
 fn work_ledger_matches_the_golden_fixture() {
     let dataset = small_dataset();
@@ -257,6 +347,7 @@ fn work_ledger_matches_the_golden_fixture() {
     }
 
     ledger.push_str(&live_rows(&dataset, &queries));
+    ledger.push_str(&shard_rows(&dataset, &pois, &queries));
 
     if blessing() {
         std::fs::write(GOLDEN_PATH, &ledger).expect("write golden fixture");

@@ -30,7 +30,7 @@ use crate::index::{IndexMeta, QueryCtx, TarIndex};
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::{KnntaQuery, QueryHit};
 use crate::search::{entry_tia, expand_node, NodeCand};
-use crate::storage::NodeSource;
+use crate::storage::{NodeSource, NodeView};
 use knnta_obs::{AttrValue, SpanId};
 use rtree::NodeId;
 use std::collections::{BinaryHeap, HashMap};
@@ -315,7 +315,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
                         st.heap.pop();
                         let BatchQuery { ctx, heap, hits } = &mut *st;
                         let push = |cand| heap.push(cand);
-                        expand_node(&node, node_id, ctx, &entry_tia(ctx), hits, push, probe);
+                        expand_node(node, node_id, ctx, &entry_tia(ctx), hits, push, probe);
                         park(qi, st, &mut buckets, &mut sizes);
                     }
                 })

@@ -15,10 +15,10 @@
 
 use crate::frontier::SharedBound;
 use crate::index::{with_tree, TarIndex};
-use crate::observe::{self, QueryScope, ScopeBackend};
+use crate::observe::{self, QueryScope};
 use crate::poi::{KnntaQuery, QueryHit};
 use crate::search::bfs_query_nodes;
-use crate::storage::{AggRef, MemNodes};
+use crate::storage::{MemNodes, StorageBackend};
 use knnta_obs::SpanId;
 use mvbt::MvbtTia;
 use pagestore::{AccessStats, BufferPoolConfig, Disk, StatsSnapshot};
@@ -118,7 +118,7 @@ impl TarIndex {
             self.obs(),
             self.stats(),
             "disk_tia",
-            ScopeBackend::Mem,
+            StorageBackend::InMemory,
             query,
             1,
         );
@@ -126,11 +126,11 @@ impl TarIndex {
         let probes_before = scope
             .is_some()
             .then(|| tias.tias.values().map(MvbtTia::probes).sum::<u64>());
-        let disk_tia = |node, idx, _series: &AggRef<'_>| {
-            let tia = tias.tias.get(&(node, idx));
-            (tia.expect("every entry has a mirrored TIA").aggregate_over(ctx.iq), 0)
-        };
         let hits = with_tree!(self, t => {
+            let disk_tia = |node, idx, _: &_| {
+                let tia = tias.tias.get(&(node, idx));
+                (tia.expect("every entry has a mirrored TIA").aggregate_over(ctx.iq), 0)
+            };
             let bound = SharedBound::new();
             bfs_query_nodes(&MemNodes(t), &self.meta, &ctx, query.k, &bound, disk_tia, parent)
         });

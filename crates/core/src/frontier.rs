@@ -21,7 +21,7 @@ use crate::index::QueryCtx;
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::QueryHit;
 use crate::search::{entry_tia, expand_node, NodeCand, TopK};
-use crate::storage::NodeSource;
+use crate::storage::{NodeSource, NodeView};
 use knnta_obs::{AttrValue, Obs, SpanId};
 use knnta_util::sync::Mutex;
 use std::collections::BinaryHeap;
@@ -238,7 +238,7 @@ where
                     heaps[dealt % threads].push(cand);
                     dealt += 1;
                 };
-                expand_node(&node, root, ctx, &tia, hits, deal, probe);
+                expand_node(node, root, ctx, &tia, hits, deal, probe);
                 node.is_leaf()
             })
         });
@@ -287,7 +287,7 @@ where
                 is_leaf = out.probe.busy(|probe| {
                     nodes.with_node(task.id, probe, |node, probe| {
                         let collect = |cand| children.push(cand);
-                        expand_node(&node, task.id, ctx, &tia, hits, collect, probe);
+                        expand_node(node, task.id, ctx, &tia, hits, collect, probe);
                         node.is_leaf()
                     })
                 });

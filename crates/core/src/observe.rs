@@ -15,7 +15,7 @@
 
 use crate::packed::PackedTarTree;
 use crate::poi::KnntaQuery;
-use crate::storage::PagedNodes;
+use crate::storage::StorageBackend;
 use knnta_obs::{AttrValue, Obs, SpanGuard, SpanId};
 use pagestore::{AccessStats, StatsSnapshot};
 
@@ -223,31 +223,6 @@ pub(crate) fn publish_paged_io(obs: &Obs, policy: &str, d: &StatsSnapshot) {
         .add(d.buffer_evictions);
 }
 
-/// The storage backend a [`QueryScope`] observes, with whatever handle that
-/// backend's accounting needs: paged I/O snapshots or the packed fetch
-/// counter. The `backend` span attribute carries [`ScopeBackend::label`].
-#[derive(Clone, Copy)]
-pub(crate) enum ScopeBackend<'a> {
-    /// The in-memory arena — no backend-specific accounting.
-    Mem,
-    /// A paged snapshot; physical I/O deltas are published on finish.
-    Paged(&'a PagedNodes),
-    /// A packed serving image; the fetch-counter delta is published on
-    /// finish.
-    Packed(&'a PackedTarTree),
-}
-
-impl ScopeBackend<'_> {
-    /// The `backend` span-attribute value.
-    fn label(&self) -> &'static str {
-        match self {
-            ScopeBackend::Mem => "mem",
-            ScopeBackend::Paged(_) => "paged",
-            ScopeBackend::Packed(_) => "packed",
-        }
-    }
-}
-
 /// One instrumented query (or batch) entry point: opens the root span,
 /// snapshots the oracle accounting (and the backend's own counters) on
 /// entry, and publishes the deltas as metrics + span attributes on
@@ -257,7 +232,7 @@ pub(crate) struct QueryScope<'a> {
     span: SpanGuard<'a>,
     stats: &'a AccessStats,
     before: StatsSnapshot,
-    backend: ScopeBackend<'a>,
+    backend: StorageBackend<'a>,
     io_before: Option<StatsSnapshot>,
     fetches_before: u64,
 }
@@ -269,7 +244,7 @@ impl<'a> QueryScope<'a> {
         stats: &'a AccessStats,
         name: &str,
         mode: &str,
-        backend: ScopeBackend<'a>,
+        backend: StorageBackend<'a>,
         attrs: Vec<(String, AttrValue)>,
     ) -> Option<Self> {
         if !obs.is_enabled() {
@@ -283,13 +258,10 @@ impl<'a> QueryScope<'a> {
         all.extend(attrs);
         span.set_attrs(all);
         let io_before = match backend {
-            ScopeBackend::Paged(p) => Some(p.io_snapshot()),
+            StorageBackend::Paged(p) => Some(p.io_snapshot()),
             _ => None,
         };
-        let fetches_before = match backend {
-            ScopeBackend::Packed(p) => p.fetches(),
-            _ => 0,
-        };
+        let fetches_before = backend.packed().map_or(0, PackedTarTree::fetches);
         Some(QueryScope {
             obs,
             span,
@@ -306,7 +278,7 @@ impl<'a> QueryScope<'a> {
         obs: &'a Obs,
         stats: &'a AccessStats,
         mode: &str,
-        backend: ScopeBackend<'a>,
+        backend: StorageBackend<'a>,
         query: &KnntaQuery,
         threads: usize,
     ) -> Option<Self> {
@@ -345,27 +317,22 @@ impl<'a> QueryScope<'a> {
                 AttrValue::from(d.leaf_node_accesses),
             ),
         ];
-        match self.backend {
-            ScopeBackend::Mem => {}
-            ScopeBackend::Paged(paged) => {
-                if let Some(before) = self.io_before {
-                    let io = paged.io_snapshot().since(before);
-                    let policy = paged.config().policy.to_string();
-                    publish_paged_io(self.obs, &policy, &io);
-                    attrs.push(("policy".to_string(), AttrValue::from(policy)));
-                    attrs.push(("buffer_hits".to_string(), AttrValue::from(io.buffer_hits)));
-                    attrs.push((
-                        "buffer_misses".to_string(),
-                        AttrValue::from(io.buffer_misses),
-                    ));
-                    attrs.push(("page_reads".to_string(), AttrValue::from(io.page_reads)));
-                }
-            }
-            ScopeBackend::Packed(packed) => {
-                let fetches = packed.fetches().saturating_sub(self.fetches_before);
-                self.obs.counter(M_PACKED_FETCHES).add(fetches);
-                attrs.push(("packed_fetches".to_string(), AttrValue::from(fetches)));
-            }
+        if let (StorageBackend::Paged(paged), Some(before)) = (self.backend, self.io_before) {
+            let io = paged.io_snapshot().since(before);
+            let policy = paged.config().policy.to_string();
+            publish_paged_io(self.obs, &policy, &io);
+            attrs.push(("policy".to_string(), AttrValue::from(policy)));
+            attrs.push(("buffer_hits".to_string(), AttrValue::from(io.buffer_hits)));
+            attrs.push((
+                "buffer_misses".to_string(),
+                AttrValue::from(io.buffer_misses),
+            ));
+            attrs.push(("page_reads".to_string(), AttrValue::from(io.page_reads)));
+        }
+        if let Some(packed) = self.backend.packed() {
+            let fetches = packed.fetches().saturating_sub(self.fetches_before);
+            self.obs.counter(M_PACKED_FETCHES).add(fetches);
+            attrs.push(("packed_fetches".to_string(), AttrValue::from(fetches)));
         }
         self.span.set_attrs(attrs);
         self.span.finish();

@@ -34,14 +34,15 @@ use crate::hilbert;
 use crate::index::{z_of, Grouping, IndexConfig, IndexMeta, TarIndex};
 use crate::observe::Probe;
 use crate::poi::{KnntaQuery, Poi};
-use crate::storage::{NodeSource, NodeView};
+use crate::storage::{EntryTarget, NodeSource, NodeView};
 use costmodel::IndexStats;
 use knnta_obs::Obs;
 use pagestore::{AccessStats, Bytes, Disk, PageId};
 use rtree::{NodeId, PackItem, PackedTree, Rect};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tempora::{AggregateSeries, EpochGrid};
+use tempora::{AggregateSeries, EpochGrid, PoiId};
 
 /// A packed immutable serving image of a POI set (format v1, see
 /// `docs/FORMAT.md`).
@@ -510,24 +511,31 @@ impl PackedPages {
 }
 
 /// [`NodeSource`] adapter over a packed image: node ids are packed node
-/// indices, and `with_node` hands out a [`NodeView::Packed`] borrowing the
-/// shared word buffer — no allocation, no decode.
+/// indices, and `with_node` hands out a [`PackedView`] borrowing the shared
+/// word buffer — no allocation, no decode.
 #[derive(Clone, Copy)]
 pub(crate) struct PackedSource<'a>(pub &'a PackedTarTree);
 
 impl<'a> PackedSource<'a> {
-    /// Node `id`'s buffer and entry window. A packed fetch is two index
+    /// Node `id` as a view into the buffer. A packed fetch is two index
     /// computations into a shared buffer: counted when observed, never
     /// timed.
-    pub(crate) fn fetch<P: Probe>(&self, id: NodeId) -> (&'a PackedTree, rtree::PackedNode) {
+    pub(crate) fn fetch<P: Probe>(&self, id: NodeId) -> PackedView<'a> {
         if P::ON {
             self.0.fetches.fetch_add(1, Ordering::Relaxed);
         }
-        (&self.0.tree, self.0.tree.node(id.0 as usize))
+        let node = self.0.tree.node(id.0 as usize);
+        PackedView {
+            tree: &self.0.tree,
+            leaf: node.is_leaf(),
+            entries: node.entries(),
+        }
     }
 }
 
-impl<const D: usize> NodeSource<D> for PackedSource<'_> {
+impl<'a, const D: usize> NodeSource<D> for PackedSource<'a> {
+    type View = PackedView<'a>;
+
     fn root(&self) -> NodeId {
         NodeId(self.0.tree.root() as u32)
     }
@@ -540,14 +548,48 @@ impl<const D: usize> NodeSource<D> for PackedSource<'_> {
         &self,
         id: NodeId,
         probe: &mut P,
-        f: impl FnOnce(NodeView<'_, D>, &mut P) -> R,
+        f: impl FnOnce(&Self::View, &mut P) -> R,
     ) -> R {
-        let (tree, node) = self.fetch::<P>(id);
-        f(NodeView::Packed { tree, node }, probe)
+        f(&self.fetch::<P>(id), probe)
+    }
+}
+
+/// One node of a packed image, read zero-copy out of its word buffer: entry
+/// `i` is the buffer's entry `entries.start + i`.
+pub(crate) struct PackedView<'a> {
+    /// The owning buffer.
+    tree: &'a PackedTree,
+    /// Whether the targets are items (leaf) or child nodes.
+    leaf: bool,
+    /// The node's absolute entry indices.
+    pub entries: Range<usize>,
+}
+
+impl NodeView for PackedView<'_> {
+    fn is_leaf(&self) -> bool {
+        self.leaf
     }
 
-    fn kind(&self) -> &'static str {
-        "packed"
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn rect2(&self, i: usize) -> Rect<2> {
+        let r = self.tree.entry_rect(self.entries.start + i);
+        Rect::new([r[0], r[1]], [r[2], r[3]])
+    }
+
+    fn target(&self, i: usize) -> EntryTarget {
+        let target = self.tree.entry_target(self.entries.start + i) as u32;
+        if self.leaf {
+            EntryTarget::Data(PoiId(target))
+        } else {
+            EntryTarget::Child(NodeId(target))
+        }
+    }
+
+    fn sum_range(&self, i: usize, range: Range<usize>) -> (u64, u64) {
+        (self.tree.entry_tia(self.entries.start + i).sum_range(range), 0)
     }
 }
 

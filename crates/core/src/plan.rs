@@ -28,7 +28,7 @@
 use crate::collective::{batch_attrs, collective_on_nodes, BatchOptions, BatchOrder};
 use crate::frontier::SharedBound;
 use crate::index::{with_tree, IndexConfig, IndexMeta, QueryCtx, TarIndex};
-use crate::observe::{QueryScope, ScopeBackend};
+use crate::observe::QueryScope;
 use crate::packed::{FrozenIndex, PackedSource, PackedTarTree};
 use crate::poi::{KnntaQuery, Poi, QueryHit};
 use crate::search::{bfs_query_nodes, entry_tia};
@@ -139,15 +139,6 @@ pub(crate) enum ExecMode {
     Par(usize),
 }
 
-fn scope_backend<'a>(backend: StorageBackend<'a>) -> ScopeBackend<'a> {
-    match backend {
-        StorageBackend::InMemory => ScopeBackend::Mem,
-        StorageBackend::Paged(p) => ScopeBackend::Paged(p),
-        StorageBackend::Packed(p) => ScopeBackend::Packed(p),
-        StorageBackend::Overlaid(o) => ScopeBackend::Packed(o.packed.0),
-    }
-}
-
 /// The single-query execution function: every single-query entry point
 /// lands here with a fixed plan.
 pub(crate) fn run_query(
@@ -170,7 +161,7 @@ pub(crate) fn run_query(
         &meta.obs,
         &meta.stats,
         label,
-        scope_backend(backend),
+        backend,
         query,
         threads,
     );
@@ -247,7 +238,7 @@ pub(crate) fn run_batch(
         &meta.stats,
         "batch",
         "collective",
-        scope_backend(backend),
+        backend,
         batch_attrs(queries, opts),
     );
     let parent = scope.as_ref().map_or(SpanId::NONE, QueryScope::span_id);

@@ -15,7 +15,7 @@ use crate::frontier::{SharedBound, WorkerHits};
 use crate::index::{IndexMeta, QueryCtx};
 use crate::observe::{self, Counts, NoProbe, Probe};
 use crate::poi::QueryHit;
-use crate::storage::{AggRef, EntryTarget, NodeSource, NodeView};
+use crate::storage::{EntryTarget, NodeSource, NodeView};
 use knnta_obs::SpanId;
 use pagestore::AccessStats;
 use rtree::NodeId;
@@ -138,20 +138,20 @@ impl TopK {
 /// tightens and never drops below the true `f(p_k)`, so a child above it
 /// now is never expanded later: the expanded node set is exactly the nodes
 /// with `key ≤ f(p_k)`, whatever the driver's schedule.
-pub(crate) fn expand_node<const D: usize, P: Probe>(
-    node: &NodeView<'_, D>,
+pub(crate) fn expand_node<V: NodeView, P: Probe>(
+    node: &V,
     id: NodeId,
     ctx: &QueryCtx<'_>,
-    agg_of: &impl Fn(NodeId, usize, &AggRef<'_>) -> (u64, u64),
+    agg_of: &impl Fn(NodeId, usize, &V) -> (u64, u64),
     hits: &mut WorkerHits<'_>,
     mut push_child: impl FnMut(NodeCand),
     probe: &mut P,
 ) {
-    for (idx, e) in node.entries().enumerate() {
-        let s0 = e.rect2.min_dist2(&ctx.q).sqrt();
-        let (agg, scanned) = probe.tia(|| agg_of(id, idx, &e.agg));
+    for i in 0..node.len() {
+        let s0 = node.rect2(i).min_dist2(&ctx.q).sqrt();
+        let (agg, scanned) = probe.tia(|| agg_of(id, i, node));
         probe.epochs_scanned(scanned);
-        match e.target {
+        match node.target(i) {
             EntryTarget::Data(poi) => {
                 if hits.offer(ctx.hit(poi, s0, agg)) {
                     probe.bound_update();
@@ -170,10 +170,10 @@ pub(crate) fn expand_node<const D: usize, P: Probe>(
 
 /// The aggregate hook of every engine that reads the entries' own TIAs:
 /// the entry's aggregate over the query's contained-epoch range.
-pub(crate) fn entry_tia<'a>(
+pub(crate) fn entry_tia<'a, V: NodeView>(
     ctx: &'a QueryCtx<'_>,
-) -> impl Fn(NodeId, usize, &AggRef<'_>) -> (u64, u64) + 'a {
-    |_, _, agg| agg.sum_range(ctx.range.clone())
+) -> impl Fn(NodeId, usize, &V) -> (u64, u64) + 'a {
+    |_, i, node| node.sum_range(i, ctx.range.clone())
 }
 
 /// Sequential best-first kNNTA search over any [`NodeSource`], with a
@@ -204,7 +204,7 @@ pub(crate) fn bfs_query_nodes<const D: usize, N, F>(
 ) -> Vec<QueryHit>
 where
     N: NodeSource<D>,
-    F: Fn(NodeId, usize, &AggRef<'_>) -> (u64, u64),
+    F: Fn(NodeId, usize, &N::View) -> (u64, u64),
 {
     if k == 0 || nodes.is_empty() {
         return Vec::new();
@@ -216,11 +216,10 @@ where
     }
     let span = obs.span("search.seq", parent);
     let start_ns = obs.now_ns();
-    let paged = nodes.kind() == "paged";
     let fetch_hist = obs.histogram(observe::M_PAGED_FETCH_NS, observe::PAGED_FETCH_BOUNDS);
     let mut probe = Counts::default();
     let hits = best_first(nodes, stats, ctx, hits, &agg_of, &mut probe, |io_ns| {
-        if paged {
+        if N::PAGED {
             fetch_hist.record(io_ns);
         }
     });
@@ -249,7 +248,7 @@ fn best_first<const D: usize, N, F, P>(
 ) -> Vec<QueryHit>
 where
     N: NodeSource<D>,
-    F: Fn(NodeId, usize, &AggRef<'_>) -> (u64, u64),
+    F: Fn(NodeId, usize, &N::View) -> (u64, u64),
     P: Probe,
 {
     let mut heap = BinaryHeap::new();
@@ -269,7 +268,7 @@ where
             if node.is_leaf() {
                 stats.record_leaf_access();
             }
-            expand_node(&node, id, ctx, agg_of, &mut hits, |cand| heap.push(cand), probe);
+            expand_node(node, id, ctx, agg_of, &mut hits, |cand| heap.push(cand), probe);
         });
         fetched(probe.counts().io_ns - io_before);
     }

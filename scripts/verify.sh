@@ -37,7 +37,11 @@
 # `Executor::execute` / `execute_batch`), crates/core/src/{live,storage}.rs
 # must not regrow a per-POI delta map `HashMap<PoiId, AggregateSeries>` (the
 # overlay is slot-indexed cumulative columns; the work ledger's `overlay
-# seq` row gates the read side), and the stand-alone benchmark
+# seq` row gates the read side), crates/core/src must not regrow a shared
+# node-view enum (`NodeView` / `EntryIter` / `AggRef` / `ScopeBackend`,
+# `struct EntryRef`) nor a string backend label `fn kind(` (each node source
+# hands out its own view type, so every engine compiles per backend with no
+# per-entry match), and the stand-alone benchmark
 # program (perfbench/, what BENCHMARK.json runs) must still build against
 # the workspace crates and pass its own tests — the only guard that a
 # deletion under crates/ did not break it.
@@ -111,6 +115,10 @@ if [ "$(grep -rn 'pub fn query' crates/core/src | wc -l)" -gt 7 ] ||
 fi
 if grep -n 'HashMap<PoiId, AggregateSeries>' crates/core/src/live.rs crates/core/src/storage.rs; then
     echo "the live overlay regrew a per-POI delta map: sealed deltas are slot-indexed cumulative columns" >&2
+    exit 1
+fi
+if grep -rnE 'enum (NodeView|EntryIter|AggRef|ScopeBackend)|struct EntryRef|fn kind\(' crates/core/src; then
+    echo "crates/core/src regrew a shared node-view enum: each NodeSource hands out its own View" >&2
     exit 1
 fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -231,6 +231,12 @@ fn shard_rows(
         opened[2] <= opened[1] && opened[1] < opened[0],
         "a carried bound must save node opens, and the global f(p_k) the most:\n{rows}"
     );
+    // The concurrent case: shards that tighten one bound as they go move
+    // toward `preset`, which must open at most 0.85x of `alone`.
+    assert!(
+        20 * opened[2] <= 17 * opened[0],
+        "the global f(p_k) must save at least 15% of the shards' solo node opens:\n{rows}"
+    );
     rows
 }
 

@@ -3,7 +3,7 @@
 //! strategy (the CPU-time axis of the paper's plots).
 
 use knnta_bench::{load, BenchConfig};
-use knnta_core::{Executor, Grouping, IndexConfig, PlanBackend, PlanMode, QueryPlan};
+use knnta_core::{Executor, Grouping, IndexConfig, PlanBackend, QueryPlan};
 use knnta_util::bench::Harness;
 use std::hint::black_box;
 
@@ -107,7 +107,6 @@ fn packed(h: &mut Harness) {
         let queries = data.queries(config.queries, k, 0.3, config.seed);
         let plan = QueryPlan {
             backend: PlanBackend::Packed,
-            mode: PlanMode::Sequential,
             ..exec.plan(&queries[0])
         };
         group.bench(format!("TAR-tree/{k}"), |b| {
@@ -160,11 +159,7 @@ fn planner(h: &mut Harness) {
         // and a single cold sample would otherwise dominate the p95 the
         // gate reads.
         let plan = exec.plan(&queries[0]);
-        let forced = |backend| QueryPlan {
-            backend,
-            mode: PlanMode::Sequential,
-            ..plan
-        };
+        let forced = |backend| QueryPlan { backend, ..plan };
         let (on_paged, on_packed) = (forced(PlanBackend::Paged), forced(PlanBackend::Packed));
         group.bench(format!("paged_seq/{k}"), move || {
             for q in queries {
@@ -185,43 +180,6 @@ fn planner(h: &mut Harness) {
             for q in queries {
                 black_box(exec.query(q));
             }
-        });
-    }
-    group.finish();
-}
-
-/// Intra-query parallelism (ROADMAP: work-stealing frontier): sequential
-/// `query` against `PlanMode::Parallel` at 1–8 workers, on the traversal shape
-/// that favours it — large k and a wide interval, so the frontier is deep
-/// enough to shard.
-fn parallel_single(h: &mut Harness) {
-    let config = bench_config();
-    let data = load(&lbsn::gw(), &config);
-    let index = data.index(Grouping::TarIntegral);
-    // Fewer, heavier queries: k=200 over the full workload interval mix.
-    let queries = data.queries(16, 200, 0.3, config.seed);
-    let mut exec = Executor::new(&index);
-    let planned = exec.plan(&queries[0]);
-    let mut group = h.group("parallel_single");
-    group.bench("sequential", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(index.query(q));
-            }
-        })
-    });
-    for threads in [1usize, 2, 4, 8] {
-        let plan = QueryPlan {
-            backend: PlanBackend::InMemory,
-            mode: PlanMode::Parallel { threads },
-            ..planned
-        };
-        group.bench(format!("threads/{threads}"), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(exec.execute(q, &plan));
-                }
-            })
         });
     }
     group.finish();
@@ -298,7 +256,6 @@ fn main() {
     planner(&mut h);
     alpha_sweep(&mut h);
     node_size_sweep(&mut h);
-    parallel_single(&mut h);
     obs_overhead(&mut h);
     ingest(&mut h);
     h.finish().expect("write BENCH_queries.json");

@@ -120,7 +120,6 @@ impl TarIndex {
             "disk_tia",
             StorageBackend::InMemory,
             query,
-            1,
         );
         let parent = scope.as_ref().map_or(SpanId::NONE, QueryScope::span_id);
         let probes_before = scope

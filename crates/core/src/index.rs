@@ -570,7 +570,6 @@ impl TarIndex {
         crate::plan::run_query(
             &self.exec_env(),
             crate::storage::StorageBackend::InMemory,
-            crate::plan::ExecMode::Seq,
             query,
         )
     }

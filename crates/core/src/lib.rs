@@ -24,8 +24,7 @@
 //!   query or batch with the paper-§6 cost model ([`Executor::query`],
 //!   [`Executor::query_batch`]) or runs a plan the caller forced
 //!   ([`Executor::execute`], [`Executor::execute_batch`]). The plan alone
-//!   selects the backend ([`PlanBackend`]), the mode ([`PlanMode`]:
-//!   sequential, or the work-stealing parallel frontier) and the tile of the
+//!   selects the backend ([`PlanBackend`]) and the tile of the
 //!   collective scheme (Section 7.2, node accesses shared across a batch
 //!   in Hilbert-curve or input order — [`BatchOrder`], [`hilbert`]); every
 //!   plan answers bit-identically to [`TarIndex::query`].

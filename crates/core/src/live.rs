@@ -887,7 +887,6 @@ impl SnapshotView {
         crate::plan::run_query(
             &env,
             StorageBackend::Overlaid(overlaid),
-            crate::plan::ExecMode::Seq,
             query,
         )
     }

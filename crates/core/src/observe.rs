@@ -10,8 +10,8 @@
 //!
 //! Metric names follow `knnta.<crate>.<subsystem>.<name>`. The node-access
 //! and buffer counters are published from [`AccessStats`] snapshot deltas,
-//! so they *are* the oracle accounting by construction — schedule invariant,
-//! bit-identical across backends and thread counts.
+//! so they *are* the oracle accounting by construction — bit-identical
+//! across backends.
 
 use crate::packed::PackedTarTree;
 use crate::poi::KnntaQuery;
@@ -30,13 +30,6 @@ pub(crate) const M_HEAP_PUSHES: &str = "knnta.core.search.heap_pushes";
 pub(crate) const M_HEAP_POPS: &str = "knnta.core.search.heap_pops";
 /// `knnta.core.search.bound_updates` — times `f(p_k)` tightened.
 pub(crate) const M_BOUND_UPDATES: &str = "knnta.core.search.bound_updates";
-/// `knnta.core.frontier.pops` — parallel frontier pops (all workers).
-pub(crate) const M_FRONTIER_POPS: &str = "knnta.core.frontier.pops";
-/// `knnta.core.frontier.steals` — pops taken from another worker's heap.
-pub(crate) const M_FRONTIER_STEALS: &str = "knnta.core.frontier.steals";
-/// `knnta.core.frontier.speculative` — expansions beyond the final `f(p_k)`
-/// (timing noise, excluded from the oracle accounting).
-pub(crate) const M_FRONTIER_SPECULATIVE: &str = "knnta.core.frontier.speculative";
 /// `knnta.core.batch.tiles` — locality tiles processed.
 pub(crate) const M_BATCH_TILES: &str = "knnta.core.batch.tiles";
 /// `knnta.core.batch.queries` — active queries across processed batches.
@@ -112,8 +105,8 @@ pub(crate) struct NoProbe;
 
 impl Probe for NoProbe {}
 
-/// The enabled-observability probe: plain integers local to one query,
-/// worker or tile, which the owning engine publishes to the shared counters
+/// The enabled-observability probe: plain integers local to one query
+/// or tile, which the owning engine publishes to the shared counters
 /// and `phase.*` spans once when it finishes. The three `*_ns` fields are
 /// the Fig. 12-style cost decomposition: total measured work, its
 /// TIA-aggregation share and its page-I/O share; filter (scoring) time is
@@ -128,8 +121,8 @@ pub(crate) struct Counts {
     pub bound_updates: u64,
     /// Stored epoch records scanned by aggregate lookups.
     pub epochs_scanned: u64,
-    /// Total measured work time (the whole search loop, or one worker's or
-    /// tile's expansion time).
+    /// Total measured work time (the whole search loop, or one tile's
+    /// expansion time).
     pub busy_ns: u64,
     /// Time spent computing temporal aggregates.
     pub tia_ns: u64,
@@ -280,7 +273,6 @@ impl<'a> QueryScope<'a> {
         mode: &str,
         backend: StorageBackend<'a>,
         query: &KnntaQuery,
-        threads: usize,
     ) -> Option<Self> {
         Self::begin(
             obs,
@@ -291,12 +283,11 @@ impl<'a> QueryScope<'a> {
             vec![
                 ("k".to_string(), AttrValue::from(query.k as u64)),
                 ("alpha0".to_string(), AttrValue::from(query.alpha0)),
-                ("threads".to_string(), AttrValue::from(threads as u64)),
             ],
         )
     }
 
-    /// The open root span (parent for search/worker/phase spans).
+    /// The open root span (parent for search/phase spans).
     pub fn span_id(&self) -> SpanId {
         self.span.id()
     }

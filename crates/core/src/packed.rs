@@ -599,7 +599,7 @@ mod tests {
     use crate::index::tests::paper_example;
     use crate::index::IndexConfig;
     use crate::collective::BatchOptions;
-    use crate::plan::{run_batch, run_query, ExecMode};
+    use crate::plan::{run_batch, run_query};
     use crate::poi::{KnntaQuery, QueryHit};
     use crate::storage::StorageBackend;
     use pagestore::AccessStats;
@@ -611,7 +611,7 @@ mod tests {
     }
 
     fn query_packed(index: &TarIndex, q: &KnntaQuery, packed: &PackedTarTree) -> Vec<QueryHit> {
-        run_query(&index.exec_env(), StorageBackend::Packed(packed), ExecMode::Seq, q)
+        run_query(&index.exec_env(), StorageBackend::Packed(packed), q)
     }
 
     fn scratch_disk(page_size: usize) -> Disk {
@@ -638,27 +638,6 @@ mod tests {
                         assert_eq!(a.aggregate, b.aggregate, "{grouping} k={k}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_parallel_matches_sequential() {
-        let index = example_index(Grouping::TarIntegral);
-        let packed = index.pack();
-        let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(5);
-        let seq = query_packed(&index, &q, &packed);
-        for threads in [1, 2, 4] {
-            let par = run_query(
-                &index.exec_env(),
-                StorageBackend::Packed(&packed),
-                ExecMode::Par(threads),
-                &q,
-            );
-            assert_eq!(seq.len(), par.len(), "threads={threads}");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.poi, b.poi, "threads={threads}");
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "threads={threads}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The unified `QueryPlan` → `Executor` pipeline.
 //!
-//! A [`QueryPlan`] is the only selector of backend, mode and tile, and
+//! A [`QueryPlan`] is the only selector of backend and tile, and
 //! [`Executor`] the only public place that takes one: [`Executor::execute`]
 //! / [`Executor::execute_batch`] run a forced plan, [`Executor::query`] /
 //! [`Executor::query_batch`] plan first and feed the measurement back, and
@@ -11,12 +11,11 @@
 //! the live overlay) fix one configuration each. All of them call
 //! [`run_query`] / [`run_batch`] here, which own the dispatch logic:
 //! staleness checks, context construction, observability scopes, backend
-//! dispatch (in-memory / paged / packed via [`SourceOp`]), the live-snapshot
-//! overlay on the packed image, and the sequential-vs-parallel engine
-//! choice. The engines themselves ([`bfs_query_nodes`],
-//! [`crate::frontier::parallel_bfs`], [`collective_on_nodes`]) are drivers
-//! around the one node-expansion kernel in [`crate::search`], so every
-//! configuration scores entries with the same code and answers are
+//! dispatch (in-memory / paged / packed via [`SourceOp`]) and the
+//! live-snapshot overlay on the packed image. The two engines
+//! ([`bfs_query_nodes`], [`collective_on_nodes`]) are single-threaded
+//! drivers around the one node-expansion kernel in [`crate::search`], so
+//! every configuration scores entries with the same code and answers are
 //! bit-identical across plans — `tests/planner_oracle.rs` is the
 //! differential proof.
 //!
@@ -33,7 +32,7 @@ use crate::packed::{FrozenIndex, PackedSource, PackedTarTree};
 use crate::poi::{KnntaQuery, Poi, QueryHit};
 use crate::search::{bfs_query_nodes, entry_tia};
 use crate::storage::{MemNodes, NodeSource, PagedNodes, PagedStoreImpl, StorageBackend};
-use costmodel::{IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec};
+use costmodel::{IndexStats, PlanBackend, Planner, QueryPlan, QuerySpec};
 use knnta_obs::{Histogram, Registry, SpanId};
 use rtree::{RTreeParams, Rect};
 use tempora::AggregateSeries;
@@ -47,7 +46,7 @@ pub(crate) trait SourceOp {
     /// The computation's result type.
     type Out;
     /// Runs the computation against one concrete node source.
-    fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Self::Out;
+    fn run<const D: usize, N: NodeSource<D>>(self, nodes: &N) -> Self::Out;
 }
 
 impl TarIndex {
@@ -130,41 +129,17 @@ impl<'e> ExecEnv<'e> {
     }
 }
 
-/// Sequential or parallel execution of a single query.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExecMode {
-    /// Single-threaded best-first search.
-    Seq,
-    /// Work-stealing parallel search over the given worker count.
-    Par(usize),
-}
-
 /// The single-query execution function: every single-query entry point
 /// lands here with a fixed plan.
 pub(crate) fn run_query(
     env: &ExecEnv<'_>,
     backend: StorageBackend<'_>,
-    mode: ExecMode,
     query: &KnntaQuery,
 ) -> Vec<QueryHit> {
-    if let ExecMode::Par(threads) = mode {
-        assert!(threads > 0, "at least one worker thread");
-    }
     env.check_backend(backend);
     let ctx = env.ctx(query);
     let meta = env.meta;
-    let (label, threads) = match mode {
-        ExecMode::Seq => ("seq", 1),
-        ExecMode::Par(t) => ("par", t),
-    };
-    let scope = QueryScope::begin_query(
-        &meta.obs,
-        &meta.stats,
-        label,
-        backend,
-        query,
-        threads,
-    );
+    let scope = QueryScope::begin_query(&meta.obs, &meta.stats, "seq", backend, query);
     let parent = scope.as_ref().map_or(SpanId::NONE, QueryScope::span_id);
     let hits = env.with_nodes(
         backend,
@@ -173,7 +148,6 @@ pub(crate) fn run_query(
             ctx: &ctx,
             k: query.k,
             bound: env.bounds.and_then(<[_]>::first),
-            mode,
             parent,
         },
     );
@@ -188,38 +162,25 @@ struct QueryOp<'c> {
     ctx: &'c QueryCtx<'c>,
     k: usize,
     bound: Option<&'c SharedBound>,
-    mode: ExecMode,
     parent: SpanId,
 }
 
 impl SourceOp for QueryOp<'_> {
     type Out = Vec<QueryHit>;
 
-    /// The engine dispatch shared by every single-query path: the
-    /// sequential best-first search, or the parallel frontier with
-    /// caller-side access accounting, under the caller's bound or a fresh
-    /// one when the query runs alone.
-    fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<QueryHit> {
+    /// The best-first search every single-query path runs, under the
+    /// caller's bound or a fresh one when the query runs alone.
+    fn run<const D: usize, N: NodeSource<D>>(self, nodes: &N) -> Vec<QueryHit> {
         let QueryOp {
             meta,
             ctx,
             k,
             bound,
-            mode,
             parent,
         } = self;
         let fresh = SharedBound::new();
         let bound = bound.unwrap_or(&fresh);
-        match mode {
-            ExecMode::Seq => bfs_query_nodes(nodes, meta, ctx, k, bound, entry_tia(ctx), parent),
-            ExecMode::Par(threads) => {
-                let (hits, nodes_n, leaves) =
-                    crate::frontier::parallel_bfs(nodes, ctx, k, threads, bound, &meta.obs, parent);
-                meta.stats.record_node_accesses(nodes_n);
-                meta.stats.record_leaf_accesses(leaves);
-                hits
-            }
-        }
+        bfs_query_nodes(nodes, meta, ctx, k, bound, entry_tia(ctx), parent)
     }
 }
 
@@ -281,7 +242,7 @@ struct BatchOp<'c> {
 impl SourceOp for BatchOp<'_> {
     type Out = Vec<Vec<QueryHit>>;
 
-    fn run<const D: usize, N: NodeSource<D> + Sync>(self, nodes: &N) -> Vec<Vec<QueryHit>> {
+    fn run<const D: usize, N: NodeSource<D>>(self, nodes: &N) -> Vec<Vec<QueryHit>> {
         let BatchOp {
             meta,
             root_max,
@@ -310,7 +271,7 @@ impl TarIndex {
     /// A planning-time [`costmodel::IndexStats`] snapshot of this index:
     /// shape (POI/node counts, height, effective fanout from the configured
     /// node size), the full-span per-POI aggregate sample the power-law fit
-    /// runs on, and the clustering-aware support area. Backend availability
+    /// runs on, and the clustering-aware support area. Packed availability
     /// is left `false` — [`Executor`] fills it in from the images actually
     /// attached.
     pub fn index_stats(&self) -> IndexStats {
@@ -350,10 +311,7 @@ pub(crate) fn index_stats_of(
         fanout: costmodel::effective_fanout(params.max_entries),
         aggregates,
         support_area,
-        paged_available: false,
         packed_available: false,
-        buffer_capacity: 0,
-        max_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
 }
 
@@ -364,8 +322,9 @@ pub(crate) fn index_stats_of(
 /// back so estimates converge to observed costs.
 ///
 /// Attach materialised serving tiers with [`Executor::with_paged`] /
-/// [`Executor::with_packed`]; the planner only ever picks a backend that
-/// was attached. Plan choice never affects answers — every configuration is
+/// [`Executor::with_packed`]; the planner picks the packed image when one
+/// is attached and never the paged one, which only a forced plan runs.
+/// Plan choice never affects answers — every configuration is
 /// bit-identical (`tests/planner_oracle.rs`) — only latency.
 ///
 /// ```
@@ -476,8 +435,9 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Makes a paged node snapshot available to the planner. The image must
-    /// stay fresh: executing a plan against a stale image panics.
+    /// Makes a paged node snapshot available to forced plans (the planner
+    /// never picks it). The image must stay fresh: executing a plan against
+    /// a stale image panics.
     pub fn with_paged(mut self, paged: &'a PagedNodes) -> Executor<'a> {
         self.paged = Some(paged);
         self
@@ -579,10 +539,7 @@ impl<'a> Executor<'a> {
             let fp = stats.fingerprint();
             self.stats = Some((epoch, stats, fp));
         }
-        let s = &mut self.stats.as_mut().expect("just set").1;
-        s.paged_available = self.paged.is_some();
-        s.packed_available = self.packed.is_some();
-        s.buffer_capacity = self.paged.map_or(0, |p| p.config().capacity);
+        self.stats.as_mut().expect("just set").1.packed_available = self.packed.is_some();
     }
 
     fn plan_spec(&mut self, spec: QuerySpec) -> QueryPlan {
@@ -621,8 +578,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs `query` under `plan` — the planner's, or one whose `mode` /
-    /// `backend` the caller overwrote to force a configuration (no feedback).
+    /// Runs `query` under `plan` — the planner's, or one whose `backend` the
+    /// caller overwrote to force a configuration (no feedback).
     /// Every plan returns the same answer, bit for bit.
     ///
     /// # Panics
@@ -633,18 +590,13 @@ impl<'a> Executor<'a> {
     ///   image attached ([`Executor::with_paged`] / [`Executor::with_packed`]),
     /// * [`PlanBackend::InMemory`] on an [`Executor::frozen`] (there is no
     ///   arena tree),
-    /// * `PlanMode::Parallel { threads: 0 }`,
     /// * a stale image (the index changed since it was materialised).
     pub fn execute(&self, query: &KnntaQuery, plan: &QueryPlan) -> Vec<QueryHit> {
         self.execute_in(&self.env(), query, plan)
     }
 
     fn execute_in(&self, env: &ExecEnv<'_>, query: &KnntaQuery, plan: &QueryPlan) -> Vec<QueryHit> {
-        let mode = match plan.mode {
-            PlanMode::Sequential => ExecMode::Seq,
-            PlanMode::Parallel { threads } => ExecMode::Par(threads),
-        };
-        run_query(env, self.backend_of(plan), mode, query)
+        run_query(env, self.backend_of(plan), query)
     }
 
     /// Runs `queries` as one collective batch (paper §7.2) under `plan`'s
@@ -655,8 +607,7 @@ impl<'a> Executor<'a> {
     ///
     /// # Panics
     ///
-    /// As [`Executor::execute`], except that the plan's mode is not read (a
-    /// collective batch is one interleaved traversal).
+    /// As [`Executor::execute`].
     pub fn execute_batch(
         &self,
         queries: &[KnntaQuery],

@@ -95,7 +95,7 @@ impl QueryHit {
     /// The total result order every query path agrees on: ascending score,
     /// ties broken by ascending [`PoiId`]. Using [`f64::total_cmp`] makes the
     /// order total (scores are finite and non-negative, so its -0.0/NaN
-    /// quirks never surface), which is what lets the sequential, parallel
+    /// quirks never surface), which is what lets the sequential, collective
     /// and scan-baseline paths return bit-identical rankings.
     pub fn ranked_cmp(&self, other: &QueryHit) -> std::cmp::Ordering {
         self.score

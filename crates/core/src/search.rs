@@ -1,13 +1,12 @@
 //! Best-first kNNTA search (Section 4.3): the node-expansion kernel every
 //! engine shares, and the sequential engine around it.
 //!
-//! [`expand_node`] is the only place an index entry is scored. The three
-//! engines — the sequential loop here, the work-stealing
-//! [`crate::frontier::parallel_bfs`] and the batched
+//! [`expand_node`] is the only place an index entry is scored. The two
+//! engines — the sequential loop here and the batched
 //! [`crate::collective::collective_on_nodes`] — are drivers around it: each
 //! owns its frontier, collects each query's hits in a [`WorkerHits`] under
 //! the query's [`SharedBound`] on `f(p_k)` (fresh when the query runs alone,
-//! shared with other workers or shards otherwise) and does its own access
+//! shared with other shards otherwise) and does its own access
 //! accounting. Because the score expressions and their f64 operation order
 //! exist once, the engines agree bit for bit.
 
@@ -116,14 +115,9 @@ impl TopK {
         }
     }
 
-    /// The retained hits, unordered.
-    pub fn into_hits(self) -> Vec<QueryHit> {
-        self.heap.into_iter().map(|r| r.0).collect()
-    }
-
     /// The retained hits in ranked order (best first).
     pub fn into_sorted_vec(self) -> Vec<QueryHit> {
-        let mut v = self.into_hits();
+        let mut v: Vec<QueryHit> = self.heap.into_iter().map(|r| r.0).collect();
         v.sort_by(QueryHit::ranked_cmp);
         v
     }

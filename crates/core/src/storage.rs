@@ -6,9 +6,8 @@
 //! accesses; this module makes the other end of that spectrum real. A
 //! [`PagedNodes`] snapshot serialises every TAR-tree node onto
 //! [`pagestore::Disk`] pages (via the in-repo codec, bit-exact for floats)
-//! and answers node reads through a policy-driven buffer pool, so both the
-//! sequential and the parallel best-first search can run against genuinely
-//! paged storage. The search code itself is backend-agnostic: it goes
+//! and answers node reads through a policy-driven buffer pool, so the
+//! best-first search can run against genuinely paged storage. The search code itself is backend-agnostic: it goes
 //! through the crate-private [`NodeSource`] abstraction, and the answers are
 //! **bit-identical** across backends because the bytes of every rect,
 //! position and aggregate round-trip exactly — the differential oracle in
@@ -106,8 +105,8 @@ pub(crate) trait NodeSource<const D: usize> {
     fn root(&self) -> NodeId;
     /// Whether the tree holds no data items.
     fn is_empty(&self) -> bool;
-    /// Applies `f` to node `id` (no logical-access counting here — callers
-    /// account, so speculative parallel expansions stay uncharged). The
+    /// Applies `f` to node `id` (no logical-access counting here — the
+    /// engines account, once per expanded node or physical fetch). The
     /// probe is handed on to `f`; a source whose fetch does real work
     /// charges it to the probe first (the paged store's buffered read +
     /// decode is its I/O time).
@@ -502,13 +501,13 @@ mod tests {
     use super::*;
     use crate::index::tests::paper_example;
     use crate::index::IndexConfig;
-    use crate::plan::{run_query, ExecMode};
+    use crate::plan::run_query;
     use crate::poi::{KnntaQuery, QueryHit};
     use pagestore::PolicyKind;
     use tempora::TimeInterval;
 
     fn query_on(index: &TarIndex, q: &KnntaQuery, backend: StorageBackend<'_>) -> Vec<QueryHit> {
-        run_query(&index.exec_env(), backend, ExecMode::Seq, q)
+        run_query(&index.exec_env(), backend, q)
     }
 
     fn example_index(grouping: Grouping) -> TarIndex {

@@ -749,22 +749,16 @@ pub struct IndexStats {
     /// Fraction of the bounding box occupied by data
     /// (see [`CostModel::support_area`]).
     pub support_area: f64,
-    /// A paged (buffer-pool) image is materialised and fresh.
-    pub paged_available: bool,
     /// A packed immutable image is materialised and fresh.
     pub packed_available: bool,
-    /// Buffer-pool capacity in pages (0 when no paged image).
-    pub buffer_capacity: usize,
-    /// Upper bound on worker threads the executor may spawn.
-    pub max_threads: usize,
 }
 
 impl IndexStats {
     /// A cheap content token over everything the *model estimate* reads
-    /// (shape, aggregate sample, support area) — backend availability and
-    /// thread limits are deliberately excluded, they only steer the plan
-    /// after the estimate. Used to key [`Planner`]'s estimate memo; FNV-1a
-    /// over the scalar fields plus a sample of the aggregate vector.
+    /// (shape, aggregate sample, support area) — backend availability is
+    /// deliberately excluded, it only steers the plan after the estimate.
+    /// Used to key [`Planner`]'s estimate memo; FNV-1a over the scalar
+    /// fields plus a sample of the aggregate vector.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
@@ -787,16 +781,14 @@ impl IndexStats {
     }
 }
 
-/// Execution mode chosen by the planner.
+/// Execution mode of a plan. Every plan runs the one single-threaded
+/// engine, so this has one variant and nothing reads it; it stays only
+/// because the benchmark harness still assigns it, and goes once that line
+/// is dropped (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
     /// Single-threaded best-first search.
     Sequential,
-    /// Work-stealing parallel best-first search.
-    Parallel {
-        /// Worker thread count (always ≥ 2; 1 would be sequential).
-        threads: usize,
-    },
 }
 
 /// Storage backend chosen by the planner.
@@ -814,7 +806,6 @@ impl std::fmt::Display for PlanMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanMode::Sequential => write!(f, "sequential"),
-            PlanMode::Parallel { threads } => write!(f, "parallel({threads})"),
         }
     }
 }
@@ -833,7 +824,7 @@ impl std::fmt::Display for PlanBackend {
 /// justified it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryPlan {
-    /// Sequential or parallel (with thread count).
+    /// Always [`PlanMode::Sequential`] (see there).
     pub mode: PlanMode,
     /// Which materialised tier to traverse.
     pub backend: PlanBackend,
@@ -934,24 +925,18 @@ impl Calibration {
 ///
 /// Decision rules (all deterministic given the same stats + calibration):
 ///
-/// - **Backend** — prefer the packed serving image when materialised (its
+/// - **Backend** — the packed serving image when materialised (its
 ///   latency dominance over the pointer tree is CI-gated), else the
-///   in-memory tree, else the paged tier. The paged tier is never chosen
-///   over an available in-memory tree: it trades latency for bounded
-///   memory, which is the *caller's* constraint, not a per-query one.
-/// - **Mode** — parallel only when the calibrated total-node-access
-///   estimate amortises worker spawn + steal overhead
-///   ([`Planner::PARALLEL_THRESHOLD`]); the thread count then scales with
-///   the estimate ([`Planner::NODES_PER_THREAD`]) and clamps to
-///   `max_threads`. Below the threshold the sequential path is both faster
-///   and allocation-free.
-/// - **Tile** (collective batches) — tiles grow with the batch so adjacent
-///   Hilbert-ordered queries share node accesses, capped to bound frontier
-///   state, and on the paged tier additionally capped so one tile's
-///   working set (`tile × height` pages) fits the buffer pool without
-///   thrashing.
-/// - **Agg-cache** — on for real batches (≥ 2 queries, where repeated
-///   epoch scans amortise), off for trivial ones.
+///   in-memory tree. The paged tier is never chosen: it trades latency for
+///   bounded memory, which is the *caller's* constraint, not a per-query
+///   one, so only a forced plan runs it.
+/// - **Tile** (collective batches) — the batch length clamped to
+///   [`Planner::MIN_TILE`]`..=`[`Planner::MAX_TILE`], so adjacent
+///   Hilbert-ordered queries share node accesses while frontier state
+///   stays bounded.
+///
+/// The calibrated estimate decides neither; it is reported on the plan
+/// and fed back against the measured node accesses.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Planner {
     calibration: Calibration,
@@ -965,11 +950,6 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Minimum calibrated node-access estimate before parallel execution
-    /// pays for itself.
-    pub const PARALLEL_THRESHOLD: f64 = 4096.0;
-    /// Calibrated node accesses each extra worker should have to chew on.
-    pub const NODES_PER_THREAD: f64 = 2048.0;
     /// Collective tile-size bounds.
     pub const MIN_TILE: usize = 16;
     /// Upper tile bound (frontier state per tile is O(tile)).
@@ -1063,35 +1043,17 @@ impl Planner {
 
         let backend = if stats.packed_available {
             PlanBackend::Packed
-        } else if stats.paged_available {
-            // Only reachable when no in-memory tree is being planned for;
-            // TarIndex always has one, so this arm serves stats built for
-            // page-resident deployments.
-            PlanBackend::InMemory
         } else {
             PlanBackend::InMemory
         };
-
-        let mode = if calibrated >= Self::PARALLEL_THRESHOLD && stats.max_threads >= 2 {
-            let threads = ((calibrated / Self::NODES_PER_THREAD) as usize)
-                .clamp(2, stats.max_threads);
-            PlanMode::Parallel { threads }
-        } else {
-            PlanMode::Sequential
-        };
-
         let tile = if query.batch <= 1 {
             1
         } else {
-            let mut tile = query.batch.clamp(Self::MIN_TILE, Self::MAX_TILE);
-            if backend == PlanBackend::Paged && stats.buffer_capacity > 0 {
-                tile = tile.min((stats.buffer_capacity / stats.height.max(1)).max(1));
-            }
-            tile
+            query.batch.clamp(Self::MIN_TILE, Self::MAX_TILE)
         };
 
         QueryPlan {
-            mode,
+            mode: PlanMode::Sequential,
             backend,
             tile,
             estimated_fpk: fpk,
@@ -1119,10 +1081,7 @@ mod planner_tests {
             fanout: effective_fanout(36),
             aggregates: sample_aggregates(),
             support_area: 0.2,
-            paged_available: false,
             packed_available: false,
-            buffer_capacity: 0,
-            max_threads: 8,
         }
     }
 
@@ -1203,13 +1162,6 @@ mod planner_tests {
             planner.plan(&QuerySpec::single(10, 0.3), &s).backend,
             PlanBackend::InMemory
         );
-        s.paged_available = true;
-        s.buffer_capacity = 64;
-        assert_eq!(
-            planner.plan(&QuerySpec::single(10, 0.3), &s).backend,
-            PlanBackend::InMemory,
-            "paged trades latency for memory; never chosen over in-memory"
-        );
         s.packed_available = true;
         assert_eq!(
             planner.plan(&QuerySpec::single(10, 0.3), &s).backend,
@@ -1218,49 +1170,7 @@ mod planner_tests {
     }
 
     #[test]
-    fn small_indexes_plan_sequential() {
-        // At laptop/bench scale the calibrated estimate sits far below the
-        // spawn-amortisation threshold: the plan must be sequential (which
-        // is also the measured-fastest fixed configuration there).
-        let mut planner = Planner::new();
-        let plan = planner.plan(&QuerySpec::single(100, 0.3), &stats());
-        assert_eq!(plan.mode, PlanMode::Sequential);
-    }
-
-    #[test]
-    fn huge_estimates_go_parallel_and_clamp_threads() {
-        let mut planner = Planner::new();
-        let mut s = stats();
-        s.n = 4_000_000;
-        s.node_count = 200_000;
-        // A large batch on a tree the calibration has learned costs far more
-        // than the model predicts (the ratio clamps at `RATIO_CLAMP`).
-        let spec = QuerySpec {
-            k: 100,
-            alpha0: 0.3,
-            batch: 16,
-        };
-        let probe = planner.plan(&spec, &s);
-        for _ in 0..20 {
-            planner.feedback(&probe, (probe.model_node_accesses * 50.0) as u64);
-        }
-        let plan = planner.plan(&spec, &s);
-        match plan.mode {
-            PlanMode::Parallel { threads } => {
-                assert!(threads >= 2 && threads <= s.max_threads, "threads = {threads}");
-            }
-            PlanMode::Sequential => panic!(
-                "estimate {} above threshold must plan parallel",
-                plan.estimated_node_accesses
-            ),
-        }
-        // max_threads = 1 forbids parallelism no matter the estimate.
-        s.max_threads = 1;
-        assert_eq!(planner.plan(&spec, &s).mode, PlanMode::Sequential);
-    }
-
-    #[test]
-    fn tile_scales_with_batch_and_respects_buffer() {
+    fn tile_scales_with_batch() {
         let mut planner = Planner::new();
         let s = stats();
         let mut tile_of = |batch: usize, s: &IndexStats| {

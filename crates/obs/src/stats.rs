@@ -74,25 +74,6 @@ impl AccessStats {
         self.inner.leaf_node_accesses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` logical node accesses in one atomic add (used by the
-    /// parallel traversal, which settles its exact deterministic count
-    /// post-hoc instead of counting speculative expansions live).
-    #[inline]
-    pub fn record_node_accesses(&self, n: u64) {
-        if n > 0 {
-            self.inner.node_accesses.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` leaf node accesses in one atomic add (in addition to the
-    /// plain node accesses, mirroring [`AccessStats::record_leaf_access`]).
-    #[inline]
-    pub fn record_leaf_accesses(&self, n: u64) {
-        if n > 0 {
-            self.inner.leaf_node_accesses.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Records one physical page read.
     #[inline]
     pub fn record_page_read(&self) {
@@ -199,25 +180,6 @@ mod tests {
         assert_eq!(snap.buffer_hits, 1);
         assert_eq!(snap.buffer_misses, 1);
         assert_eq!(snap.buffer_evictions, 1);
-    }
-
-    #[test]
-    fn bulk_adds_match_repeated_singles() {
-        let s = AccessStats::new();
-        s.record_node_accesses(5);
-        s.record_leaf_accesses(3);
-        s.record_node_accesses(0); // no-op
-        s.record_leaf_accesses(0); // no-op
-        assert_eq!(s.node_accesses(), 5);
-        assert_eq!(s.leaf_node_accesses(), 3);
-        let t = AccessStats::new();
-        for _ in 0..5 {
-            t.record_node_access();
-        }
-        for _ in 0..3 {
-            t.record_leaf_access();
-        }
-        assert_eq!(s.snapshot(), t.snapshot());
     }
 
     #[test]

@@ -213,9 +213,8 @@ impl Tracer {
     }
 
     /// Records a fully-formed span with explicit timestamps. Used for
-    /// post-hoc recording — e.g. per-worker spans assembled by the parallel
-    /// frontier coordinator after the workers have joined, or synthetic
-    /// per-phase breakdown spans.
+    /// post-hoc recording, such as the synthetic per-phase breakdown spans
+    /// a search lays out after it finishes.
     pub fn add_span(
         &self,
         name: &str,

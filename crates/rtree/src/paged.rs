@@ -38,8 +38,8 @@ pub trait NodeCodec<const D: usize, T, V> {
 /// A read-only snapshot of a tree's nodes on paged storage.
 ///
 /// Shared-reference reads are thread-safe (the buffer pool locks internally),
-/// so the parallel best-first search can run against a `&PagedNodeStore`
-/// exactly as it runs against a `&RStarTree`.
+/// so concurrent best-first searches can run against a `&PagedNodeStore`
+/// exactly as they run against a `&RStarTree`.
 pub struct PagedNodeStore<const D: usize, T, V, C> {
     pool: BufferPool,
     /// `NodeId`-indexed page chains (the arena's ids are dense u32s).

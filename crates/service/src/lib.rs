@@ -46,13 +46,12 @@
 //! * **Faults**: a shard worker panic is caught at the execution boundary
 //!   and fails exactly the tickets of the tile that hit it, each counted
 //!   once ([`telemetry::W_FAILURES`]): one ticket resumes the original panic payload
-//!   through [`Ticket::wait`] via `resume_unwind` (the workspace's
-//!   parallel-search convention), the rest get its message. A shard image
-//!   is immutable and the kernel deterministic, so running the tile again
-//!   could only panic again: the worker keeps serving the same image with
-//!   the same executor. In-flight queries never hang: every code path
-//!   either answers the ticket or drops its response slot, which wakes the
-//!   waiter with an error.
+//!   through [`Ticket::wait`] via `resume_unwind`, the rest get its
+//!   message. A shard image is immutable and the kernel deterministic, so
+//!   running the tile again could only panic again: the worker keeps
+//!   serving the same image with the same executor. In-flight queries never
+//!   hang: every code path either answers the ticket or drops its response
+//!   slot, which wakes the waiter with an error.
 //!
 //! Per-phase spans (`admit`, `tile`, `scatter`, `merge`) flow into the
 //! attached [`Obs`] handle, so `knnta report` breaks service latency down

@@ -1,10 +1,9 @@
 //! A fixed-size thread pool over [`crate::chan`] (replaces `rayon`/`tokio`
 //! for the query service's long-running loops).
 //!
-//! Unlike the scoped workers of `knnta-core`'s parallel frontier (which are
-//! built for one parallel region inside a single query), a [`ThreadPool`]
-//! owns its workers for the lifetime of a service: jobs are `'static`
-//! closures pushed onto an MPMC queue, workers drain it until shutdown, and
+//! A [`ThreadPool`] owns its workers for the lifetime of a service: jobs
+//! are `'static` closures pushed onto an MPMC queue, workers drain it until
+//! shutdown, and
 //! [`ThreadPool::join`] drains remaining jobs before the workers exit —
 //! matching the service contract that accepted work is never dropped.
 //!

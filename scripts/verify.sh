@@ -6,8 +6,8 @@
 # Opt-in soak lane: KNNTA_SOAK=1 ./scripts/verify.sh additionally re-runs
 # the rtree / mvbt / core property harnesses at KNNTA_PROP_CASES=10000
 # (override the case count by exporting KNNTA_PROP_CASES yourself), the
-# parallel-search and collective-batch differential oracles at their soak
-# case counts, the snapshot-equivalence oracle (concurrent live
+# backend and collective-batch differential oracles at their soak case
+# counts, the snapshot-equivalence oracle (concurrent live
 # ingestion vs frozen single-threaded replay) with many randomized
 # writer/reader schedules, and the planner differential oracle (planned
 # execution vs every forced configuration, bit-identical). The default
@@ -41,8 +41,11 @@
 # node-view enum (`NodeView` / `EntryIter` / `AggRef` / `ScopeBackend`,
 # `struct EntryRef`) nor a string backend label `fn kind(` (each node source
 # hands out its own view type, so every engine compiles per backend with no
-# per-entry match), and the stand-alone benchmark
-# program (perfbench/, what BENCHMARK.json runs) must still build against
+# per-entry match), intra-query parallel search must not come back
+# (`parallel_bfs` / `ExecMode` / `PlanMode::Parallel` / the
+# `knnta.core.frontier.*` metrics: one query is one single-threaded
+# traversal, the work-stealing one lost at every k), and the stand-alone
+# benchmark program (perfbench/, what BENCHMARK.json runs) must still build against
 # the workspace crates and pass its own tests — the only guard that a
 # deletion under crates/ did not break it.
 #
@@ -119,6 +122,10 @@ if grep -n 'HashMap<PoiId, AggregateSeries>' crates/core/src/live.rs crates/core
 fi
 if grep -rnE 'enum (NodeView|EntryIter|AggRef|ScopeBackend)|struct EntryRef|fn kind\(' crates/core/src; then
     echo "crates/core/src regrew a shared node-view enum: each NodeSource hands out its own View" >&2
+    exit 1
+fi
+if grep -rnE 'parallel_bfs|ExecMode|PlanMode::Parallel|knnta\.core\.frontier\.' crates src tests examples; then
+    echo "intra-query parallel search regrew: one query is one single-threaded traversal (DESIGN.md §8)" >&2
     exit 1
 fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
@@ -243,7 +250,7 @@ if [ "${KNNTA_OBS_CHECK:-0}" != "0" ] && [ -n "${KNNTA_OBS_CHECK:-}" ]; then
     "$knnta" generate --dataset GS --out "$obsdir/gs.csv" --scale 0.004 --seed 20260704
     "$knnta" build --input "$obsdir/gs.csv" --out "$obsdir/gs.idx"
     "$knnta" query --index "$obsdir/gs.idx" --x 40 --y 55 --from-day 0 --to-day 63 \
-        --k 5 --paged --threads 4 \
+        --k 5 --paged \
         --trace-out "$obsdir/query_trace.json" --metrics-out "$obsdir/query_metrics.json"
     printf '40,55,0,63,5\n10,20,7,28,3\n80,75,14,63,8\n' > "$obsdir/batch.csv"
     "$knnta" batch --index "$obsdir/gs.idx" --queries "$obsdir/batch.csv" \

@@ -16,7 +16,7 @@
 
 use knnta::core::{
     BatchOrder, Executor, Grouping, IndexConfig, KnntaQuery, LiveIndex, LiveOptions, PackedTarTree,
-    PagedNodes, PlanBackend, PlanMode, Poi, QueryPlan, TarIndex,
+    PagedNodes, PlanBackend, Poi, QueryPlan, TarIndex,
 };
 use knnta::obs::{render_report, MetricsDoc, Obs, TraceDoc};
 use knnta::pagestore::{BufferPoolConfig, PolicyKind};
@@ -141,8 +141,6 @@ commands:
                              --shards/--workers/--max-batch setting.)
   stats     --index FILE
   query     --index FILE --x X --y Y --from-day A --to-day B [--k K] [--alpha0 W]
-            [--threads N]   (N > 1 uses the parallel work-stealing traversal;
-                             results are identical for every N)
             [--paged] [--policy lru|clock|2q] [--buffer-slots N]
                             (--paged answers from tree nodes serialised onto
                              disk pages behind a buffer pool; results are
@@ -158,7 +156,7 @@ commands:
             [--plan auto]   (let the cost-model planner choose the execution
                              configuration among the in-memory tree and any
                              --paged/--packed image supplied; prints the
-                             chosen plan. Conflicts with --threads.)
+                             chosen plan)
   batch     --index FILE --queries FILE [--batch-order hilbert|input]
             [--individual]
             [--paged] [--policy lru|clock|2q] [--buffer-slots N] [--packed]
@@ -221,7 +219,7 @@ fn known_options(cmd: &str) -> Vec<&'static str> {
             &["stats-out", "stats-interval-ms", "tail-out"],
         ],
         "stats" => &[&["index"]],
-        "query" => &[POINT, IMAGE, OBS_OUT, &["threads", "plan"]],
+        "query" => &[POINT, IMAGE, OBS_OUT, &["plan"]],
         "batch" => &[IMAGE, OBS_OUT, &["index", "queries", "batch-order", "individual", "plan"]],
         "explain" => &[POINT, IMAGE, &["metrics"]],
         "report" => &[&["metrics", "check"]],
@@ -916,24 +914,12 @@ fn query(opts: &Opts) -> Result<(), String> {
     let mut index = open_index(opts)?;
     enable_obs(opts, &mut index);
     let q = parse_query(opts)?;
-    let threads: usize = opts.num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     let packed = packed_tree_of(opts, &index)?;
     let paged = paged_nodes_of(opts, &index)?;
     let auto = plan_auto(opts)?;
-    if auto && opts.0.contains_key("threads") {
-        return Err("--threads conflicts with --plan auto (the planner chooses)".into());
-    }
     let mut exec = executor_of(&index, &paged, &packed);
     let mut plan = exec.plan(&q);
     if !auto {
-        plan.mode = if threads > 1 {
-            PlanMode::Parallel { threads }
-        } else {
-            PlanMode::Sequential
-        };
         plan.backend = flagged_backend(&paged, &packed);
     }
     let hits = exec.execute(&q, &plan);
@@ -1057,7 +1043,6 @@ fn batch(opts: &Opts) -> Result<(), String> {
     let mut exec = executor_of(&index, &paged, &packed);
     let mut plan = exec.plan_batch(&queries);
     if !auto {
-        plan.mode = PlanMode::Sequential;
         plan.backend = flagged_backend(&paged, &packed);
         plan.tile = BATCH_TILE;
     }

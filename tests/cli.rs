@@ -60,88 +60,68 @@ fn full_pipeline() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.lines().count() >= 6, "5 hits + header: {text}");
 
-    // query --threads: the parallel traversal must print byte-identical
-    // output (same hits, same order, same node-access count) for any N.
+    // The reference every other query configuration must match byte for
+    // byte: hits, order and node-access count.
     let sequential = knnta()
         .args(["query", "--index", idx.to_str().unwrap()])
         .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-        .args(["--k", "25", "--alpha0", "0.3", "--threads", "1"])
+        .args(["--k", "25", "--alpha0", "0.3"])
         .output()
         .expect("run sequential query");
     assert!(sequential.status.success());
-    for threads in ["2", "4", "8"] {
-        let out = knnta()
-            .args(["query", "--index", idx.to_str().unwrap()])
-            .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-            .args(["--k", "25", "--alpha0", "0.3", "--threads", threads])
-            .output()
-            .expect("run parallel query");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&sequential.stdout),
-            "--threads {threads} diverged"
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr),
-            String::from_utf8_lossy(&sequential.stderr),
-            "--threads {threads} node accesses diverged"
-        );
-    }
+
+    // query --threads is gone (one query is one single-threaded traversal):
+    // it is an unknown option now, rejected by name.
     let out = knnta()
         .args(["query", "--index", idx.to_str().unwrap()])
         .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-        .args(["--threads", "0"])
+        .args(["--threads", "2"])
         .output()
-        .expect("run zero-thread query");
+        .expect("run query with --threads");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
 
     // query --paged: answering from paged node storage must print
-    // byte-identical hits for every policy and thread count.
+    // byte-identical hits for every policy.
     for policy in ["lru", "clock", "2q"] {
-        for threads in ["1", "4"] {
-            let out = knnta()
-                .args(["query", "--index", idx.to_str().unwrap()])
-                .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-                .args(["--k", "25", "--alpha0", "0.3", "--threads", threads])
-                .args(["--paged", "--policy", policy, "--buffer-slots", "6"])
-                .output()
-                .expect("run paged query");
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-            assert_eq!(
-                String::from_utf8_lossy(&out.stdout),
-                String::from_utf8_lossy(&sequential.stdout),
-                "--paged --policy {policy} --threads {threads} diverged"
-            );
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                err.contains(&format!("paged: {policy} policy, 6 slots")),
-                "--policy {policy}: {err}"
-            );
-            assert!(err.contains("hit rate"), "{err}");
-        }
-    }
-
-    // query --packed: the packed serving image must print byte-identical
-    // hits, sequential and parallel.
-    for threads in ["1", "4"] {
         let out = knnta()
             .args(["query", "--index", idx.to_str().unwrap()])
             .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-            .args(["--k", "25", "--alpha0", "0.3", "--threads", threads])
-            .args(["--packed"])
+            .args(["--k", "25", "--alpha0", "0.3"])
+            .args(["--paged", "--policy", policy, "--buffer-slots", "6"])
             .output()
-            .expect("run packed query");
+            .expect("run paged query");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&sequential.stdout),
-            "--packed --threads {threads} diverged"
+            "--paged --policy {policy} diverged"
         );
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("packed:"), "{err}");
+        assert!(
+            err.contains(&format!("paged: {policy} policy, 6 slots")),
+            "--policy {policy}: {err}"
+        );
+        assert!(err.contains("hit rate"), "{err}");
     }
+
+    // query --packed: the packed serving image must print byte-identical
+    // hits.
+    let out = knnta()
+        .args(["query", "--index", idx.to_str().unwrap()])
+        .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
+        .args(["--k", "25", "--alpha0", "0.3"])
+        .args(["--packed"])
+        .output()
+        .expect("run packed query");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&sequential.stdout),
+        "--packed diverged"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("packed:"), "{err}");
 
     // --packed and --paged are mutually exclusive.
     let out = knnta()

@@ -47,13 +47,13 @@ fn archive_obs() -> Option<Obs> {
 }
 
 /// A forced execution configuration for `Executor::execute` /
-/// `execute_batch`, written out as a literal: the plan's three selector
-/// fields are all an execution reads, so no planning call is needed and the
+/// `execute_batch`, written out as a literal: the plan's backend and tile
+/// are all an execution reads, so no planning call is needed and the
 /// estimates stay zero. `tile` is the collective-batch tile (64 is the
 /// classic fixed tile; single queries ignore it).
-pub fn forced(backend: PlanBackend, mode: PlanMode, tile: usize) -> QueryPlan {
+pub fn forced(backend: PlanBackend, tile: usize) -> QueryPlan {
     QueryPlan {
-        mode,
+        mode: PlanMode::Sequential,
         backend,
         tile,
         estimated_fpk: 0.0,
@@ -64,12 +64,7 @@ pub fn forced(backend: PlanBackend, mode: PlanMode, tile: usize) -> QueryPlan {
 
 /// The sequential plan on `backend` (batches: under the 64-query tile).
 pub fn seq(backend: PlanBackend) -> QueryPlan {
-    forced(backend, PlanMode::Sequential, 64)
-}
-
-/// The work-stealing parallel plan on `backend` at `threads` workers.
-pub fn par(backend: PlanBackend, threads: usize) -> QueryPlan {
-    forced(backend, PlanMode::Parallel { threads }, 64)
+    forced(backend, 64)
 }
 
 /// Builds an index of the given grouping over a generated dataset snapshot.

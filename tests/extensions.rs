@@ -1,5 +1,5 @@
-//! Integration tests for the production extensions: bulk loading, parallel
-//! batches, live ingestion, persistence, the public skyline, and the
+//! Integration tests for the production extensions: bulk loading, live
+//! ingestion, persistence, the public skyline, and the
 //! multi-change MWA — all on generated LBSN data.
 
 mod common;

@@ -7,12 +7,11 @@
 //! --test obs_overhead` — doing so redefines the oracle, so only do it when
 //! the traversal itself legitimately changes). Each line captures one
 //! deterministic query's full answer (POI, score bits, aggregate) plus the
-//! node/leaf access counts, across sequential, parallel and paged
-//! executions.
+//! node/leaf access counts, across sequential and paged executions.
 
 mod common;
 
-use common::{index_of, par, seq, small_dataset};
+use common::{index_of, seq, small_dataset};
 use knnta::core::{
     BatchOrder, Executor, Grouping, LiveIndex, Obs, PlanBackend, QueryHit, TarIndex,
 };
@@ -69,12 +68,10 @@ fn dump_with(index: TarIndex) -> String {
     let queries = fixture_queries(&index);
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
     let exec = Executor::new(&index).with_paged(&paged);
-    let (par4, on_paged) = (par(PlanBackend::InMemory, 4), seq(PlanBackend::Paged));
+    let on_paged = seq(PlanBackend::Paged);
     let mut out = String::new();
     for (i, q) in queries.iter().enumerate() {
         out.push_str(&oracle_line(i, "seq", &index, || index.query(q)));
-        out.push('\n');
-        out.push_str(&oracle_line(i, "par4", &index, || exec.execute(q, &par4)));
         out.push('\n');
         out.push_str(&oracle_line(i, "paged", &index, || exec.execute(q, &on_paged)));
         out.push('\n');

@@ -6,9 +6,8 @@
 //!   by `--trace-out` / `--metrics-out` parses back (via the in-repo
 //!   `knnta-util` JSON parser behind `TraceDoc::parse`) into exactly the
 //!   document that was serialized.
-//! * **Nesting**: every execution mode — sequential, parallel at every
-//!   thread count, paged, collective batch — emits a structurally
-//!   well-formed trace: no orphaned spans, children nested inside parents,
+//! * **Nesting**: every execution mode — sequential, paged, collective
+//!   batch — emits a structurally well-formed trace: no orphaned spans, children nested inside parents,
 //!   events timestamped within their spans.
 //! * **Schema stability**: the serialized form of a fixed synthetic trace
 //!   is pinned byte-for-byte in `tests/fixtures/trace_schema.golden.json`
@@ -16,7 +15,7 @@
 
 mod common;
 
-use common::{index_of, par, seq, small_dataset};
+use common::{index_of, seq, small_dataset};
 use knnta::core::{
     BatchOrder, Executor, Grouping, PagedNodes, PlanBackend, QueryHit, TarIndex,
 };
@@ -32,11 +31,6 @@ fn observed_index() -> TarIndex {
     let mut index = index_of(&dataset, Grouping::TarIntegral);
     index.set_obs(Obs::enabled());
     index
-}
-
-/// One query on the arena's parallel frontier.
-fn parallel(index: &TarIndex, q: &KnntaQuery, threads: usize) -> Vec<QueryHit> {
-    Executor::new(index).execute(q, &par(PlanBackend::InMemory, threads))
 }
 
 /// One sequential query through the paged store.
@@ -65,7 +59,7 @@ fn sample_batch() -> Vec<KnntaQuery> {
 }
 
 /// Every execution mode emits a well-formed trace, with the expected span
-/// vocabulary, at every thread count.
+/// vocabulary.
 #[test]
 fn span_nesting_well_formed_across_modes() {
     // Sequential, in-memory.
@@ -76,25 +70,6 @@ fn span_nesting_well_formed_across_modes() {
     assert_eq!(trace.spans_named("query").count(), 1);
     assert_eq!(trace.spans_named("search.seq").count(), 1);
     assert!(trace.spans_named("phase.filter").count() >= 1);
-
-    // Parallel, every thread count.
-    for threads in [1, 2, 4, 8] {
-        let index = observed_index();
-        let _ = parallel(&index, &sample_query(10), threads);
-        let trace = index.obs().trace_snapshot();
-        trace
-            .validate()
-            .unwrap_or_else(|e| panic!("parallel trace (threads={threads}): {e}"));
-        assert_eq!(trace.spans_named("worker").count(), threads);
-        let query = trace.spans_named("query").next().expect("query span");
-        for w in trace.spans_named("worker") {
-            assert_eq!(w.parent, query.id, "threads={threads}");
-        }
-        assert!(
-            trace.events.iter().filter(|e| e.name == "pop").count() >= 1,
-            "threads={threads}: pop events missing"
-        );
-    }
 
     // Sequential over the paged backend.
     let index = observed_index();
@@ -138,7 +113,6 @@ fn artifacts_round_trip_through_parser() {
     let index = observed_index();
     let paged = index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(10));
     let _ = index.query(&sample_query(5));
-    let _ = parallel(&index, &sample_query(10), 4);
     let _ = on_paged(&index, &paged, &sample_query(3));
     let _ = collective(&index, &sample_batch());
 
@@ -154,7 +128,7 @@ fn artifacts_round_trip_through_parser() {
 }
 
 /// The published node-access counters are exactly the oracle accounting —
-/// on every backend and thread count.
+/// on every backend.
 #[test]
 fn metrics_counters_match_access_stats() {
     let index = observed_index();
@@ -162,11 +136,6 @@ fn metrics_counters_match_access_stats() {
     index.stats().reset();
     let _ = index.query(&sample_query(5));
     let seq = index.stats().node_accesses();
-    for threads in [2, 4] {
-        index.stats().reset();
-        let _ = parallel(&index, &sample_query(5), threads);
-        assert_eq!(index.stats().node_accesses(), seq, "threads={threads}");
-    }
     index.stats().reset();
     let _ = on_paged(&index, &paged, &sample_query(5));
     assert_eq!(index.stats().node_accesses(), seq, "paged");
@@ -180,8 +149,8 @@ fn metrics_counters_match_access_stats() {
             .map(|(_, v)| *v)
             .unwrap_or(0)
     };
-    // 4 executions of the same query, each publishing the sequential count.
-    assert_eq!(counter("knnta.core.search.node_accesses"), 4 * seq);
+    // 2 executions of the same query, each publishing the sequential count.
+    assert_eq!(counter("knnta.core.search.node_accesses"), 2 * seq);
     // The paged run's physical I/O went through the buffer counters.
     assert!(
         counter("knnta.pagestore.buffer.lru.hits")

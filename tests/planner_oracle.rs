@@ -1,18 +1,17 @@
 //! Differential oracle for the cost-model planner (`DESIGN.md` §14).
 //!
-//! Whatever configuration [`Executor`] plans — sequential or parallel,
-//! in-memory, paged, or packed, any tile size — the answer must be
-//! **bit-identical** to every forced configuration of the same query. The plan is allowed to change *how fast* an answer arrives, never
+//! Whatever configuration [`Executor`] plans — in-memory, paged, or
+//! packed, any tile size — the answer must be **bit-identical** to every
+//! forced configuration of the same query. The plan is allowed to change *how fast* an answer arrives, never
 //! *which* answer arrives: admissibility of the best-first search (paper
 //! Section 4.3) is a property of the scoring function, not of the execution
 //! configuration.
 
 mod common;
 
-use common::{forced, index_of, par, seq, small_dataset, tiny_dataset};
+use common::{forced, index_of, seq, small_dataset, tiny_dataset};
 use knnta::core::{
-    BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, PlanBackend, PlanMode, QueryHit,
-    TarIndex,
+    BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, PlanBackend, QueryHit, TarIndex,
 };
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::pagestore::{BufferPoolConfig, PolicyKind};
@@ -38,8 +37,7 @@ fn key(hits: &[QueryHit]) -> Vec<(u32, u64, u64)> {
 
 /// The planner-chosen execution of every (query, k) case must be
 /// bit-identical to each forced configuration: the plain in-memory search,
-/// the work-stealing traversal at several thread counts, the packed image,
-/// and the paged store under every replacement policy.
+/// the packed image, and the paged store under every replacement policy.
 #[test]
 fn planned_queries_match_every_forced_config() {
     let dataset = small_dataset();
@@ -69,13 +67,6 @@ fn planned_queries_match_every_forced_config() {
                 let plan = *exec.last_plan().expect("executor records its plan");
                 let ctx = format!("{grouping} query {i} k={k} ({plan:?})");
                 assert_eq!(planned, key(&index.query(&q)), "{ctx}: vs in-memory seq");
-                for threads in [1, 2, 4, 8] {
-                    assert_eq!(
-                        planned,
-                        key(&exec.execute(&q, &par(PlanBackend::InMemory, threads))),
-                        "{ctx}: vs in-memory par({threads})"
-                    );
-                }
                 assert_eq!(
                     planned,
                     key(&exec.execute(&q, &seq(PlanBackend::Packed))),
@@ -88,11 +79,6 @@ fn planned_queries_match_every_forced_config() {
                         "{ctx}: vs paged/{policy}"
                     );
                 }
-                assert_eq!(
-                    planned,
-                    key(&exec.execute(&q, &par(PlanBackend::Packed, 4))),
-                    "{ctx}: vs packed par(4)"
-                );
             }
         }
     }
@@ -142,7 +128,7 @@ fn planned_batches_match_every_forced_config() {
             assert_eq!(individual, want, "{ctx}: vs individual on {backend}");
             for tile in [1, 16, 64] {
                 for order in [BatchOrder::Hilbert, BatchOrder::Input] {
-                    let plan = forced(backend, PlanMode::Sequential, tile);
+                    let plan = forced(backend, tile);
                     let got = exec.execute_batch(&queries, &plan, order);
                     let got: Vec<_> = got.iter().map(|h| key(h)).collect();
                     assert_eq!(got, want, "{ctx}: vs collective on {backend}, tile {tile}, {order}");
@@ -206,13 +192,6 @@ fn in_memory_plan_on_a_frozen_index_panics() {
     let frozen = FrozenIndex::build(IndexConfig::default(), grid, bounds, &pois);
     let plan = seq(PlanBackend::InMemory);
     Executor::frozen(&frozen).execute_batch(&[tiny_query()], &plan, BatchOrder::Hilbert);
-}
-
-#[test]
-#[should_panic(expected = "at least one worker thread")]
-fn parallel_plan_with_zero_threads_panics() {
-    let index = tiny_index();
-    Executor::new(&index).execute(&tiny_query(), &par(PlanBackend::InMemory, 0));
 }
 
 #[test]

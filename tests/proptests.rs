@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{par, seq};
+use common::seq;
 use knnta::core::{
     BatchOrder, Executor, Grouping, IndexConfig, PlanBackend, ScanBaseline, TarIndex,
 };
@@ -158,78 +158,6 @@ fn collective_matches_individual() {
                 assert!((a.score - b.score).abs() < 1e-9);
                 assert_eq!(a.aggregate, b.aggregate);
             }
-        }
-    });
-}
-
-/// Frontier-heap invariant of the parallel traversal: within one worker,
-/// popped lower bounds are non-decreasing between steals. A worker drains
-/// its own heap best-first, so keys only grow; a steal imports the victim's
-/// best entry, which may legitimately sit below the thief's last own key,
-/// starting a fresh monotone segment. The observability trace records each
-/// worker's pop log as `pop` events on its `worker` span, which makes the
-/// invariant checkable per worker, per run.
-#[test]
-fn frontier_pops_are_monotone_per_worker() {
-    check("frontier_pops_are_monotone_per_worker", 24, |g| {
-        let ds = gen_dataset(g, 120);
-        let q = gen_query(g);
-        let (_, mut indexes) = build_all(&ds);
-        let index = &mut indexes[g.usize_in(0..3)];
-        index.set_obs(knnta::core::Obs::enabled());
-        let threads = *g.pick(&[2usize, 3, 4, 8]);
-        let hits = Executor::new(index).execute(&q, &par(PlanBackend::InMemory, threads));
-        let trace = index.obs().trace_snapshot();
-        let mut workers: Vec<_> = trace.spans.iter().filter(|s| s.name == "worker").collect();
-        workers.sort_by_key(|s| s.attr("worker").and_then(|v| v.as_u64()));
-        assert_eq!(workers.len(), threads);
-        for (w, span) in workers.iter().enumerate() {
-            let mut last = f64::NEG_INFINITY;
-            let log = trace
-                .events
-                .iter()
-                .filter(|ev| ev.span == span.id && ev.name == "pop");
-            for (i, ev) in log.enumerate() {
-                let key = ev.attr("key").and_then(|v| v.as_f64()).unwrap();
-                let stolen = ev.attr("stolen").and_then(|v| v.as_bool()).unwrap();
-                if stolen {
-                    last = f64::NEG_INFINITY; // steals reset the baseline
-                }
-                assert!(key >= last, "worker {w} pop {i}: key {key} < previous {last}");
-                last = key;
-            }
-        }
-        // The instrumented path returns the same answer as the plain one.
-        let want = index.query(&q);
-        assert_eq!(hits.len(), want.len());
-        for (a, b) in hits.iter().zip(&want) {
-            assert_eq!((a.poi, a.score.to_bits()), (b.poi, b.score.to_bits()));
-        }
-    });
-}
-
-/// Thread-count invariance of the access statistics: for any dataset and
-/// query, a parallel plan records exactly the sequential node/leaf access
-/// totals at every thread count.
-#[test]
-fn leaf_access_totals_are_thread_count_invariant() {
-    check("leaf_access_totals_are_thread_count_invariant", 24, |g| {
-        let ds = gen_dataset(g, 120);
-        let q = gen_query(g);
-        let (_, indexes) = build_all(&ds);
-        let index = &indexes[g.usize_in(0..3)];
-        index.stats().reset();
-        let _ = index.query(&q);
-        let want = index.stats().snapshot();
-        for threads in [1usize, 2, 4, 8] {
-            index.stats().reset();
-            let _ = Executor::new(index).execute(&q, &par(PlanBackend::InMemory, threads));
-            let got = index.stats().snapshot();
-            assert_eq!(
-                (got.node_accesses, got.leaf_node_accesses),
-                (want.node_accesses, want.leaf_node_accesses),
-                "threads={threads}"
-            );
         }
     });
 }

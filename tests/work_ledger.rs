@@ -23,10 +23,10 @@
 
 mod common;
 
-use common::{index_of, par, seq, small_dataset};
+use common::{index_of, seq, small_dataset};
 use knnta::core::{
     partition_pois, BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, LiveIndex, Obs,
-    PlanBackend, PlanMode, SharedBound, TarIndex,
+    PlanBackend, SharedBound, TarIndex,
 };
 use knnta::lbsn::{IntervalAnchor, LbsnDataset, Workload};
 use knnta::pagestore::BufferPoolConfig;
@@ -271,22 +271,18 @@ fn work_ledger_matches_the_golden_fixture() {
 
     let mut ledger = format!(
         "# {} queries, {} POIs; totals per backend x engine\n\
-         # par2: a packed image also counts speculative fetches (schedule-dependent): not pinned\n\
          backend engine     nodes leaves epochs fetches pushes   pops\n",
         queries.len(),
         index.len(),
     );
     for (name, backend) in backends {
-        for engine in ["seq", "par2", "tile64"] {
+        for engine in ["seq", "tile64"] {
             index.stats().reset();
             let (before, fetches0) = (counters(), packed.fetches());
-            let (seq, par2) = (seq(backend), par(backend, 2));
+            let seq = seq(backend);
             match engine {
                 "seq" => queries.iter().for_each(|q| {
                     forced_exec.execute(q, &seq);
-                }),
-                "par2" => queries.iter().for_each(|q| {
-                    forced_exec.execute(q, &par2);
                 }),
                 _ => {
                     forced_exec.execute_batch(&queries, &seq, BatchOrder::Hilbert);
@@ -294,13 +290,7 @@ fn work_ledger_matches_the_golden_fixture() {
             }
             let after = counters();
             let nodes = index.stats().node_accesses();
-            let fetches = packed.fetches() - fetches0;
-            let fetches = if engine == "par2" && name == "packed" {
-                assert!(fetches >= nodes, "every counted access is a fetch");
-                "-".to_string()
-            } else {
-                fetches.to_string()
-            };
+            let fetches = (packed.fetches() - fetches0).to_string();
             let leaves = index.stats().leaf_node_accesses();
             writeln!(ledger, "{}", row(name, engine, nodes, leaves, &fetches, before, after)).unwrap();
         }
@@ -323,34 +313,26 @@ fn work_ledger_matches_the_golden_fixture() {
     let frozen_obs = Obs::enabled();
     frozen.set_obs(frozen_obs.clone());
     let mut exec = Executor::frozen(&frozen);
-    for (engine, mode) in [
-        ("seq", PlanMode::Sequential),
-        ("par2", PlanMode::Parallel { threads: 2 }),
-    ] {
-        frozen.stats().reset();
-        let counters = || {
-            let m = frozen_obs.metrics_snapshot();
-            COUNTERS.map(|name| m.counter(name).unwrap_or(0))
-        };
-        let (before, fetches0) = (counters(), frozen.packed().fetches());
-        for q in &queries {
-            let mut plan = exec.plan(q);
-            (plan.backend, plan.mode) = (PlanBackend::Packed, mode);
-            exec.execute(q, &plan);
-        }
-        let after = counters();
-        let fetches = match engine {
-            "par2" => "-".to_string(),
-            _ => (frozen.packed().fetches() - fetches0).to_string(),
-        };
-        let stats = frozen.stats();
-        let (nodes, leaves) = (stats.node_accesses(), stats.leaf_node_accesses());
-        let row = row("packed", engine, nodes, leaves, &fetches, before, after);
-        assert!(
-            ledger.lines().any(|line| line == row),
-            "frozen-index row differs from the arena's packed row:\n{row}\n{ledger}"
-        );
+    frozen.stats().reset();
+    let counters = || {
+        let m = frozen_obs.metrics_snapshot();
+        COUNTERS.map(|name| m.counter(name).unwrap_or(0))
+    };
+    let (before, fetches0) = (counters(), frozen.packed().fetches());
+    for q in &queries {
+        let mut plan = exec.plan(q);
+        plan.backend = PlanBackend::Packed;
+        exec.execute(q, &plan);
     }
+    let after = counters();
+    let fetches = (frozen.packed().fetches() - fetches0).to_string();
+    let stats = frozen.stats();
+    let (nodes, leaves) = (stats.node_accesses(), stats.leaf_node_accesses());
+    let row = row("packed", "seq", nodes, leaves, &fetches, before, after);
+    assert!(
+        ledger.lines().any(|line| line == row),
+        "frozen-index row differs from the arena's packed row:\n{row}\n{ledger}"
+    );
 
     ledger.push_str(&live_rows(&dataset, &queries));
     ledger.push_str(&shard_rows(&dataset, &pois, &queries));

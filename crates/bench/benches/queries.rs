@@ -134,10 +134,8 @@ fn planner(h: &mut Harness) {
     let data = load(&lbsn::gw(), &config);
     let index = data.index(Grouping::TarIntegral);
     let packed = index.pack();
-    let paged = index.materialize_paged_nodes(
-        index.config_node_size(),
-        pagestore::BufferPoolConfig::new(10, pagestore::PolicyKind::Lru),
-    );
+    let paged = index
+        .materialize_paged_nodes(index.config_node_size(), pagestore::BufferPoolConfig::lru(10));
     const KS: [usize; 3] = [1, 10, 100];
     let queries_by_k: Vec<_> = KS
         .iter()

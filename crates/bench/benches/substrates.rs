@@ -3,7 +3,7 @@
 
 use knnta_util::bench::Harness;
 use mvbt::{Mvbt, MvbtTia};
-use pagestore::{AccessStats, BufferPool, BufferPoolConfig, Bytes, Disk, PolicyKind};
+use pagestore::{AccessStats, BufferPool, Bytes, Disk};
 use rtree::{NoAug, RStarGrouping, RStarTree, RTreeParams, Rect};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -131,64 +131,10 @@ fn pagestore_ops(h: &mut Harness) {
     group.finish();
 }
 
-/// Replacement-policy sweep: the same mixed hot-set/scan read pattern
-/// through every policy × buffer capacity. The workload is deterministic,
-/// so each configuration's buffer hit rate is a fixed property of the
-/// (policy, capacity) pair; it is measured up front and embedded in the
-/// bench id (`clock/cap8/hit63pct`), making hit rates diffable PR over PR
-/// alongside the latency columns.
-fn pagestore_policy_ops(h: &mut Harness) {
-    let mut group = h.group("pagestore_policy");
-    let stats = AccessStats::new();
-    let disk = Arc::new(Disk::new(1024, stats.clone()));
-    let pages: Vec<_> = (0..64).map(|_| disk.allocate()).collect();
-    for &p in &pages {
-        disk.write(p, Bytes::from(vec![3u8; 512]));
-    }
-    // ~3/4 references to an 8-page hot set, interleaved with full scans —
-    // the mix where LRU, CLOCK and 2Q genuinely diverge (scans flush LRU,
-    // 2Q shields its hot queue, CLOCK sits in between).
-    let mut x = 11u64;
-    let pattern: Vec<usize> = (0..4096)
-        .map(|i| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if x >> 62 != 0 {
-                (x >> 16) as usize % 8
-            } else {
-                i % pages.len()
-            }
-        })
-        .collect();
-    for policy in PolicyKind::ALL {
-        for capacity in [4usize, 8, 16] {
-            let pool = BufferPool::with_config(
-                Arc::clone(&disk),
-                BufferPoolConfig::new(capacity, policy),
-            );
-            // One cold pass pins down the deterministic hit rate.
-            stats.reset();
-            for &i in &pattern {
-                let _ = pool.read(pages[i]);
-            }
-            let s = stats.snapshot();
-            let hit_pct = 100 * s.buffer_hits / (s.buffer_hits + s.buffer_misses);
-            group.bench(format!("{policy}/cap{capacity}/hit{hit_pct}pct"), |b| {
-                b.iter(|| {
-                    for &i in &pattern {
-                        black_box(pool.read(pages[i]));
-                    }
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 fn main() {
     let mut h = Harness::new("substrates");
     mvbt_ops(&mut h);
     rtree_ops(&mut h);
     pagestore_ops(&mut h);
-    pagestore_policy_ops(&mut h);
     h.finish().expect("write BENCH_substrates.json");
 }

@@ -90,6 +90,9 @@ impl ScanBaseline {
     /// need the complete ranking).
     pub fn score_all(&self, query: &KnntaQuery) -> Vec<QueryHit> {
         let gmax = self.aggregate_normalizer(query.interval);
+        // The tree's `QueryCtx::hit` arithmetic, so `distance` agrees to the
+        // bit: `s0 * (1 / inv_scale)`, not `s0 / inv_scale`.
+        let scale = 1.0 / self.inv_scale;
         let q = [
             (query.point[0] - self.bounds.min[0]) * self.inv_scale,
             (query.point[1] - self.bounds.min[1]) * self.inv_scale,
@@ -111,7 +114,7 @@ impl ScanBaseline {
                     score: query.alpha0 * s0 + query.alpha1() * s1,
                     s0,
                     s1,
-                    distance: s0 / self.inv_scale,
+                    distance: s0 * scale,
                     aggregate,
                 }
             })

@@ -21,7 +21,7 @@ use crate::search::bfs_query_nodes;
 use crate::storage::{MemNodes, StorageBackend};
 use knnta_obs::SpanId;
 use mvbt::MvbtTia;
-use pagestore::{AccessStats, BufferPoolConfig, Disk, StatsSnapshot};
+use pagestore::{AccessStats, Disk, StatsSnapshot};
 use rtree::NodeId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -71,23 +71,13 @@ impl TarIndex {
     /// fresh in-memory disk with `page_size`-byte pages and `buffer_slots`
     /// LRU slots per TIA (the paper's values: 1024 and 10).
     pub fn materialize_disk_tias(&self, page_size: usize, buffer_slots: usize) -> DiskTias {
-        self.materialize_disk_tias_with(page_size, BufferPoolConfig::lru(buffer_slots))
-    }
-
-    /// [`TarIndex::materialize_disk_tias`] with an explicit buffer
-    /// capacity + replacement-policy configuration per TIA.
-    pub fn materialize_disk_tias_with(
-        &self,
-        page_size: usize,
-        config: BufferPoolConfig,
-    ) -> DiskTias {
         let stats = AccessStats::new();
         let disk = Arc::new(Disk::new(page_size, stats.clone()));
         let mut tias = HashMap::new();
         with_tree!(self, t => {
             for id in t.node_ids() {
                 for (idx, e) in t.node(id).entries.iter().enumerate() {
-                    let mut tia = MvbtTia::with_config(Arc::clone(&disk), config);
+                    let mut tia = MvbtTia::new(Arc::clone(&disk), buffer_slots);
                     tia.load_series(self.grid(), &e.aug);
                     tias.insert((id, idx), tia);
                 }

@@ -32,14 +32,13 @@
 //!   I/O-realistic aggregate computation (the paper's TIAs are disk-resident
 //!   multi-version B-trees with 10 buffer slots each).
 //! * [`PagedNodes`] — a paged snapshot of the tree nodes themselves behind
-//!   a replacement-policy-driven buffer pool
-//!   ([`pagestore::BufferPoolConfig`]), attached with
+//!   an LRU buffer pool ([`pagestore::BufferPoolConfig`]), attached with
 //!   [`Executor::with_paged`].
 //! * [`PackedTarTree`] — a packed immutable serving image of the index
 //!   ([`TarIndex::pack`]): one contiguous word buffer, Hilbert bulk-packed,
-//!   searched zero-copy ([`Executor::with_packed`]) and serialisable
-//!   page-by-page ([`PackedPages`]); `docs/FORMAT.md` is the normative
-//!   byte-layout spec.
+//!   searched zero-copy ([`Executor::with_packed`]) and serialisable to
+//!   one byte buffer ([`PackedTarTree::to_bytes`]); `docs/FORMAT.md` is the
+//!   normative byte-layout spec.
 //! * [`FrozenIndex`] — the same image packed straight from the POIs, no
 //!   R\*-tree built, plus the metadata [`Executor::frozen`] runs on; what
 //!   the query service's shards and [`LiveIndex`]'s merged bases are.
@@ -101,7 +100,7 @@ pub use knnta_obs::Obs;
 pub use index::{Grouping, IndexConfig, TarIndex};
 pub use live::{LiveIndex, LiveOptions, SnapshotView};
 pub use mwa::{gamma, WeightAdjustment};
-pub use packed::{FrozenIndex, PackedPages, PackedTarTree, PACKED_FANOUT};
+pub use packed::{FrozenIndex, PackedTarTree, PACKED_FANOUT};
 pub use plan::Executor;
 pub use costmodel::{
     Calibration, IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec,

@@ -202,18 +202,14 @@ pub(crate) fn emit_phase_spans(
     }
 }
 
-/// Publishes the paged backend's physical I/O delta as counters, namespaced
-/// by replacement policy: `knnta.pagestore.buffer.<policy>.*` plus
-/// `knnta.pagestore.disk.page_*`.
-pub(crate) fn publish_paged_io(obs: &Obs, policy: &str, d: &StatsSnapshot) {
+/// Publishes the paged backend's physical I/O delta as counters:
+/// `knnta.pagestore.buffer.lru.*` plus `knnta.pagestore.disk.page_*`.
+pub(crate) fn publish_paged_io(obs: &Obs, d: &StatsSnapshot) {
     obs.counter("knnta.pagestore.disk.page_reads").add(d.page_reads);
     obs.counter("knnta.pagestore.disk.page_writes").add(d.page_writes);
-    obs.counter(&format!("knnta.pagestore.buffer.{policy}.hits"))
-        .add(d.buffer_hits);
-    obs.counter(&format!("knnta.pagestore.buffer.{policy}.misses"))
-        .add(d.buffer_misses);
-    obs.counter(&format!("knnta.pagestore.buffer.{policy}.evictions"))
-        .add(d.buffer_evictions);
+    obs.counter("knnta.pagestore.buffer.lru.hits").add(d.buffer_hits);
+    obs.counter("knnta.pagestore.buffer.lru.misses").add(d.buffer_misses);
+    obs.counter("knnta.pagestore.buffer.lru.evictions").add(d.buffer_evictions);
 }
 
 /// One instrumented query (or batch) entry point: opens the root span,
@@ -310,9 +306,7 @@ impl<'a> QueryScope<'a> {
         ];
         if let (StorageBackend::Paged(paged), Some(before)) = (self.backend, self.io_before) {
             let io = paged.io_snapshot().since(before);
-            let policy = paged.config().policy.to_string();
-            publish_paged_io(self.obs, &policy, &io);
-            attrs.push(("policy".to_string(), AttrValue::from(policy)));
+            publish_paged_io(self.obs, &io);
             attrs.push(("buffer_hits".to_string(), AttrValue::from(io.buffer_hits)));
             attrs.push((
                 "buffer_misses".to_string(),

@@ -24,9 +24,9 @@
 //! aggregate upper bound, hence an admissible score lower bound for the
 //! best-first pruning (DESIGN.md §12 gives the argument).
 //!
-//! The image serialises page-by-page onto a [`pagestore::Disk`]
-//! ([`PackedTarTree::save_to_disk`] / [`PackedTarTree::load_from_disk`]),
-//! and like [`crate::PagedNodes`] it is a snapshot: querying it through a
+//! The image serialises to one byte buffer ([`PackedTarTree::to_bytes`] /
+//! the validating [`PackedTarTree::from_bytes`]), and like
+//! [`crate::PagedNodes`] it is a snapshot: querying it through a
 //! [`TarIndex`] that has mutated since panics ("stale") until repacked.
 
 use crate::collective::{BatchOrder, HILBERT_BITS};
@@ -37,7 +37,7 @@ use crate::poi::{KnntaQuery, Poi};
 use crate::storage::{EntryTarget, NodeSource, NodeView};
 use costmodel::IndexStats;
 use knnta_obs::Obs;
-use pagestore::{AccessStats, Bytes, Disk, PageId};
+use pagestore::AccessStats;
 use rtree::{NodeId, PackItem, PackedTree, Rect};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -438,33 +438,6 @@ impl PackedTarTree {
         })
     }
 
-    /// Writes the image onto `disk` page by page (the last page may be
-    /// short) and returns the page handle for [`PackedTarTree::load_from_disk`].
-    pub fn save_to_disk(&self, disk: &Disk) -> PackedPages {
-        let bytes = self.to_bytes();
-        let mut pages = Vec::new();
-        for chunk in bytes.chunks(disk.page_size().max(1)) {
-            let page = disk.allocate();
-            disk.write(page, Bytes::from(chunk.to_vec()));
-            pages.push(page);
-        }
-        PackedPages {
-            pages,
-            bytes: bytes.len(),
-        }
-    }
-
-    /// Reads an image previously written with [`PackedTarTree::save_to_disk`].
-    pub fn load_from_disk(disk: &Disk, pages: &PackedPages) -> Result<PackedTarTree, String> {
-        let mut buf = Vec::with_capacity(pages.bytes);
-        for &p in &pages.pages {
-            let b = disk.read(p);
-            buf.extend_from_slice(b.as_slice());
-        }
-        buf.truncate(pages.bytes);
-        PackedTarTree::from_bytes(&buf)
-    }
-
     /// The content epoch the image was packed at (header `meta1`).
     pub(crate) fn built_at(&self) -> u64 {
         self.built_at
@@ -487,26 +460,6 @@ impl std::fmt::Debug for PackedTarTree {
             .field("levels", &self.level_count())
             .field("bytes", &self.byte_len())
             .finish()
-    }
-}
-
-/// The on-disk location of a saved packed image: its pages in order plus the
-/// exact byte length (the final page may be short).
-#[derive(Debug, Clone)]
-pub struct PackedPages {
-    pages: Vec<PageId>,
-    bytes: usize,
-}
-
-impl PackedPages {
-    /// Number of pages the image occupies.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Exact byte length of the serialised image.
-    pub fn byte_len(&self) -> usize {
-        self.bytes
     }
 }
 
@@ -602,7 +555,6 @@ mod tests {
     use crate::plan::{run_batch, run_query};
     use crate::poi::{KnntaQuery, QueryHit};
     use crate::storage::StorageBackend;
-    use pagestore::AccessStats;
     use tempora::{PoiId, TimeInterval};
 
     fn example_index(grouping: Grouping) -> TarIndex {
@@ -612,10 +564,6 @@ mod tests {
 
     fn query_packed(index: &TarIndex, q: &KnntaQuery, packed: &PackedTarTree) -> Vec<QueryHit> {
         run_query(&index.exec_env(), StorageBackend::Packed(packed), q)
-    }
-
-    fn scratch_disk(page_size: usize) -> Disk {
-        Disk::new(page_size, AccessStats::new())
     }
 
     #[test]
@@ -674,29 +622,20 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_is_byte_identical() {
+    fn bytes_roundtrip_is_byte_identical() {
         let index = example_index(Grouping::TarIntegral);
         let packed = index.pack();
-        for page_size in [64, 256, 1 << 20] {
-            let disk = scratch_disk(page_size);
-            let pages = packed.save_to_disk(&disk);
-            assert_eq!(pages.byte_len(), packed.byte_len());
-            assert_eq!(
-                pages.page_count(),
-                packed.byte_len().div_ceil(page_size.max(1))
-            );
-            let loaded = PackedTarTree::load_from_disk(&disk, &pages).expect("load");
-            assert_eq!(loaded.to_bytes(), packed.to_bytes(), "page_size={page_size}");
-            assert_eq!(loaded.grouping(), packed.grouping());
+        let loaded = PackedTarTree::from_bytes(&packed.to_bytes()).expect("load");
+        assert_eq!(loaded.to_bytes(), packed.to_bytes());
+        assert_eq!(loaded.grouping(), packed.grouping());
 
-            let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(4);
-            let a = query_packed(&index, &q, &packed);
-            let b = query_packed(&index, &q, &loaded);
-            assert_eq!(
-                a.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
-                b.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
-            );
-        }
+        let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3)).with_k(4);
+        let a = query_packed(&index, &q, &packed);
+        let b = query_packed(&index, &q, &loaded);
+        assert_eq!(
+            a.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
+            b.iter().map(|h| (h.poi, h.score.to_bits())).collect::<Vec<_>>(),
+        );
     }
 
     #[test]

@@ -11,11 +11,15 @@
 use crate::index::{Grouping, IndexConfig, TarIndex};
 use crate::poi::Poi;
 use knnta_util::codec::{Bytes, BytesMut};
-use rtree::Rect;
+use rtree::{RTreeParams, Rect};
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use tempora::{AggregateSeries, EpochGrid, Timestamp};
 
 const MAGIC: &[u8; 8] = b"KNNTAv1\0";
+
+/// Fewest bytes one POI record takes: id, position, series length.
+const MIN_POI_RECORD_BYTES: usize = 4 + 16 + 4;
 
 impl TarIndex {
     /// Serialises the index into a byte buffer.
@@ -64,6 +68,10 @@ impl TarIndex {
     /// Restores an index from a snapshot produced by
     /// [`TarIndex::save_to_vec`]. The tree is rebuilt with STR bulk packing;
     /// query answers are identical to the saved index's.
+    ///
+    /// A malformed snapshot (truncated, a node size too small for the
+    /// grouping, a POI count larger than the bytes that follow, a duplicate
+    /// POI id) is an [`io::ErrorKind::InvalidData`] error, never a panic.
     pub fn load_from_slice(data: &[u8]) -> io::Result<TarIndex> {
         let err = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut buf = Bytes::copy_from_slice(data);
@@ -87,6 +95,8 @@ impl TarIndex {
             _ => return Err(err("unknown grouping")),
         };
         let node_size = buf.get_u32() as usize;
+        RTreeParams::try_for_node_size(node_size, grouping.dims())
+            .map_err(|e| err(&e))?;
         let forced_reinsert = buf.get_u8() != 0;
         need(4, &buf)?;
         let boundary_count = buf.get_u32() as usize;
@@ -108,10 +118,21 @@ impl TarIndex {
         );
         need(4, &buf)?;
         let n = buf.get_u32() as usize;
+        if n > buf.len() / MIN_POI_RECORD_BYTES {
+            return Err(err(&format!(
+                "bad poi count: {n} records need at least {} bytes, {} left",
+                n * MIN_POI_RECORD_BYTES,
+                buf.len()
+            )));
+        }
         let mut items = Vec::with_capacity(n);
+        let mut ids = HashSet::with_capacity(n);
         for _ in 0..n {
-            need(4 + 16 + 4, &buf)?;
+            need(MIN_POI_RECORD_BYTES, &buf)?;
             let id = buf.get_u32();
+            if !ids.insert(id) {
+                return Err(err(&format!("bad poi id: duplicate id {id}")));
+            }
             let pos = [buf.get_f64(), buf.get_f64()];
             let pairs = buf.get_u32() as usize;
             need(pairs * 12, &buf)?;
@@ -202,6 +223,36 @@ mod tests {
                 "cut at {cut}"
             );
         }
+        // Forged fields must error too, naming the field: a node size the
+        // tree cannot use, a POI count no file this long can hold (the
+        // file cut right after it), and a POI id given twice.
+        let invalid = |bytes: &[u8], field: &str| {
+            let Err(e) = TarIndex::load_from_slice(bytes) else {
+                panic!("forged {field} loaded");
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{field}");
+            assert!(e.to_string().contains(field), "{field}: {e}");
+        };
+        let mut bytes = full.clone();
+        bytes[9..13].copy_from_slice(&0u32.to_le_bytes());
+        invalid(&bytes, "node size");
+        let count_at = poi_count_offset(&full);
+        let mut bytes = full[..count_at + 4].to_vec();
+        bytes[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        invalid(&bytes, "poi count");
+        let mut bytes = full.clone();
+        let first = count_at + 4;
+        let pairs = u32::from_le_bytes(bytes[first + 20..first + 24].try_into().unwrap());
+        let second = first + 24 + 12 * pairs as usize;
+        bytes.copy_within(first..first + 4, second);
+        invalid(&bytes, "poi id");
+    }
+
+    /// Byte offset of the POI count in a snapshot: magic, grouping, node
+    /// size, reinsert flag, grid boundaries, bounds.
+    fn poi_count_offset(snapshot: &[u8]) -> usize {
+        let boundaries = u32::from_le_bytes(snapshot[14..18].try_into().unwrap()) as usize;
+        18 + 8 * boundaries + 32
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! accesses; this module makes the other end of that spectrum real. A
 //! [`PagedNodes`] snapshot serialises every TAR-tree node onto
 //! [`pagestore::Disk`] pages (via the in-repo codec, bit-exact for floats)
-//! and answers node reads through a policy-driven buffer pool, so the
+//! and answers node reads through an LRU buffer pool, so the
 //! best-first search can run against genuinely paged storage. The search code itself is backend-agnostic: it goes
 //! through the crate-private [`NodeSource`] abstraction, and the answers are
 //! **bit-identical** across backends because the bytes of every rect,
@@ -352,7 +352,6 @@ pub(crate) enum PagedStoreImpl {
 pub struct PagedNodes {
     pub(crate) store: PagedStoreImpl,
     grouping: Grouping,
-    config: BufferPoolConfig,
     built_at: u64,
 }
 
@@ -362,9 +361,12 @@ impl PagedNodes {
         self.grouping
     }
 
-    /// The buffer pool's capacity + replacement-policy configuration.
-    pub fn config(&self) -> BufferPoolConfig {
-        self.config
+    /// The buffer pool's slot count.
+    pub fn buffer_slots(&self) -> usize {
+        match &self.store {
+            PagedStoreImpl::D3(s) => s.pool().capacity(),
+            PagedStoreImpl::D2(s) => s.pool().capacity(),
+        }
     }
 
     /// Number of snapshotted nodes.
@@ -422,7 +424,7 @@ impl std::fmt::Debug for PagedNodes {
             .field("grouping", &self.grouping)
             .field("nodes", &self.node_count())
             .field("pages", &self.page_count())
-            .field("config", &self.config)
+            .field("buffer_slots", &self.buffer_slots())
             .finish()
     }
 }
@@ -466,7 +468,7 @@ impl<'a> StorageBackend<'a> {
 
 impl TarIndex {
     /// Snapshots every tree node onto paged storage with `page_size`-byte
-    /// pages behind a buffer pool configured by `config`.
+    /// pages behind an LRU buffer pool of `config.capacity` slots.
     ///
     /// The snapshot is read-only and tied to the index's current content
     /// epoch (querying it after any index mutation panics, exactly like
@@ -490,7 +492,6 @@ impl TarIndex {
         PagedNodes {
             store,
             grouping: self.grouping(),
-            config,
             built_at: self.content_epoch,
         }
     }
@@ -503,7 +504,6 @@ mod tests {
     use crate::index::IndexConfig;
     use crate::plan::run_query;
     use crate::poi::{KnntaQuery, QueryHit};
-    use pagestore::PolicyKind;
     use tempora::TimeInterval;
 
     fn query_on(index: &TarIndex, q: &KnntaQuery, backend: StorageBackend<'_>) -> Vec<QueryHit> {
@@ -516,28 +516,21 @@ mod tests {
     }
 
     #[test]
-    fn paged_results_are_bit_identical_for_every_policy() {
+    fn paged_results_are_bit_identical() {
         for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
             let index = example_index(grouping);
-            for policy in PolicyKind::ALL {
-                let paged =
-                    index.materialize_paged_nodes(256, BufferPoolConfig::new(4, policy));
-                assert_eq!(paged.node_count(), index.node_count());
-                for alpha0 in [0.2, 0.5, 0.8] {
-                    let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3))
-                        .with_k(5)
-                        .with_alpha0(alpha0);
-                    let mem = index.query(&q);
-                    let got = query_on(&index, &q, StorageBackend::Paged(&paged));
-                    assert_eq!(mem.len(), got.len(), "{grouping} {policy}");
-                    for (a, b) in mem.iter().zip(&got) {
-                        assert_eq!(a.poi, b.poi, "{grouping} {policy}");
-                        assert_eq!(
-                            a.score.to_bits(),
-                            b.score.to_bits(),
-                            "{grouping} {policy}"
-                        );
-                    }
+            let paged = index.materialize_paged_nodes(256, BufferPoolConfig::lru(4));
+            assert_eq!(paged.node_count(), index.node_count());
+            for alpha0 in [0.2, 0.5, 0.8] {
+                let q = KnntaQuery::new([4.0, 4.5], TimeInterval::days(0, 3))
+                    .with_k(5)
+                    .with_alpha0(alpha0);
+                let mem = index.query(&q);
+                let got = query_on(&index, &q, StorageBackend::Paged(&paged));
+                assert_eq!(mem.len(), got.len(), "{grouping}");
+                for (a, b) in mem.iter().zip(&got) {
+                    assert_eq!(a.poi, b.poi, "{grouping}");
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{grouping}");
                 }
             }
         }

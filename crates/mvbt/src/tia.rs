@@ -1,7 +1,7 @@
 //! The TIA (temporal index on the aggregate) backed by the MVBT.
 
 use crate::tree::Mvbt;
-use pagestore::{BufferPool, BufferPoolConfig, Disk};
+use pagestore::{BufferPool, Disk};
 use std::sync::Arc;
 use tempora::{AggregateSeries, EpochGrid, EpochRecord, TimeInterval};
 
@@ -38,13 +38,7 @@ impl MvbtTia {
     /// Creates an empty TIA over `disk` with `buffer_slots` LRU slots
     /// (the paper's setting is 10).
     pub fn new(disk: Arc<Disk>, buffer_slots: usize) -> Self {
-        MvbtTia::with_config(disk, BufferPoolConfig::lru(buffer_slots))
-    }
-
-    /// Creates an empty TIA over `disk` with an explicit buffer
-    /// capacity + replacement-policy configuration.
-    pub fn with_config(disk: Arc<Disk>, config: BufferPoolConfig) -> Self {
-        let pool = Arc::new(BufferPool::with_config(disk, config));
+        let pool = Arc::new(BufferPool::new(disk, buffer_slots));
         MvbtTia {
             tree: Mvbt::new(Arc::clone(&pool)),
             pool,
@@ -56,11 +50,6 @@ impl MvbtTia {
     /// Number of [`MvbtTia::aggregate_over`] probes served so far.
     pub fn probes(&self) -> u64 {
         self.probes.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The TIA buffer pool's configuration.
-    pub fn buffer_config(&self) -> BufferPoolConfig {
-        self.pool.config()
     }
 
     /// Flushes and empties the TIA's buffer pool (for cold-cache

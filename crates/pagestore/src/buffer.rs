@@ -1,16 +1,39 @@
-//! A policy-driven buffer pool over a [`Disk`].
+//! The LRU buffer pool over a [`Disk`].
 
 use crate::disk::{Disk, PageId};
-use crate::policy::{make_policy, BufferPoolConfig, PolicyKind, ReplacementPolicy};
+use crate::lru::LruList;
 use knnta_obs::AccessStats;
 use knnta_util::codec::Bytes;
 use knnta_util::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A fixed-capacity page buffer in front of a shared [`Disk`], with a
-/// pluggable [`ReplacementPolicy`] (LRU by default, CLOCK and 2Q via
-/// [`BufferPool::with_config`]).
+/// The slot count of the paged node tier's buffer pool
+/// (`TarIndex::materialize_paged_nodes`).
+///
+/// It stays only as that tier's argument type and goes with it; every pool
+/// is LRU, so the capacity is all there is to configure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BufferPoolConfig {
+    /// Number of page slots; `0` disables buffering (pass-through).
+    pub capacity: usize,
+}
+
+impl BufferPoolConfig {
+    /// A pool of `capacity` LRU slots.
+    pub fn lru(capacity: usize) -> Self {
+        BufferPoolConfig { capacity }
+    }
+}
+
+impl Default for BufferPoolConfig {
+    /// The paper's setup: 10 buffer slots.
+    fn default() -> Self {
+        BufferPoolConfig::lru(10)
+    }
+}
+
+/// A fixed-capacity LRU page buffer in front of a shared [`Disk`].
 ///
 /// The paper assigns each TIA "a maximum of 10 buffer slots"; the collective
 /// processing experiment (Section 8.4) then disables buffering for the
@@ -19,13 +42,13 @@ use std::sync::Arc;
 ///
 /// Writes go through the buffer and are flushed lazily on eviction
 /// (write-back); [`BufferPool::flush`] forces everything out. Reads on a miss
-/// fetch from disk and may evict the policy's chosen victim.
+/// fetch from disk and may evict the least-recently-used page.
 #[derive(Debug)]
 pub struct BufferPool {
     disk: Arc<Disk>,
     stats: AccessStats,
     state: Mutex<PoolState>,
-    config: BufferPoolConfig,
+    capacity: usize,
 }
 
 #[derive(Debug)]
@@ -35,24 +58,18 @@ struct PoolState {
     /// slot -> (page, payload, dirty)
     slots: Vec<Option<(PageId, Bytes, bool)>>,
     free: Vec<usize>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// Occupied slots, most- to least-recently used.
+    lru: LruList,
 }
 
 impl BufferPool {
-    /// An LRU pool of `capacity` page slots over `disk` (the historical
-    /// constructor; behaviour-identical to the pre-policy pool).
+    /// An LRU pool of `capacity` page slots over `disk`.
     ///
     /// `capacity == 0` disables buffering: every read/write goes straight to
     /// the disk (and still counts as a miss, so hit-rate metrics stay
     /// meaningful).
     pub fn new(disk: Arc<Disk>, capacity: usize) -> Self {
-        BufferPool::with_config(disk, BufferPoolConfig::lru(capacity))
-    }
-
-    /// A pool with an explicit capacity + replacement-policy configuration.
-    pub fn with_config(disk: Arc<Disk>, config: BufferPoolConfig) -> Self {
         let stats = disk.stats().clone();
-        let capacity = config.capacity;
         BufferPool {
             disk,
             stats,
@@ -60,25 +77,15 @@ impl BufferPool {
                 map: HashMap::with_capacity(capacity),
                 slots: (0..capacity).map(|_| None).collect(),
                 free: (0..capacity).rev().collect(),
-                policy: make_policy(config.policy, capacity),
+                lru: LruList::new(capacity),
             }),
-            config,
+            capacity,
         }
     }
 
     /// The pool's slot capacity.
     pub fn capacity(&self) -> usize {
-        self.config.capacity
-    }
-
-    /// The pool's replacement policy.
-    pub fn policy(&self) -> PolicyKind {
-        self.config.policy
-    }
-
-    /// The pool's full configuration.
-    pub fn config(&self) -> BufferPoolConfig {
-        self.config
+        self.capacity
     }
 
     /// The underlying disk.
@@ -88,14 +95,14 @@ impl BufferPool {
 
     /// Reads `page` through the buffer.
     pub fn read(&self, page: PageId) -> Bytes {
-        if self.config.capacity == 0 {
+        if self.capacity == 0 {
             self.stats.record_buffer_miss();
             return self.disk.read(page);
         }
         let mut st = self.state.lock();
         if let Some(&slot) = st.map.get(&page) {
             self.stats.record_buffer_hit();
-            st.policy.on_hit(slot);
+            st.lru.touch(slot);
             let (_, data, _) = st.slots[slot].as_ref().expect("mapped slot occupied");
             return data.clone();
         }
@@ -113,7 +120,7 @@ impl BufferPool {
             data.len(),
             self.disk.page_size()
         );
-        if self.config.capacity == 0 {
+        if self.capacity == 0 {
             self.stats.record_buffer_miss();
             self.disk.write(page, data);
             return;
@@ -121,7 +128,7 @@ impl BufferPool {
         let mut st = self.state.lock();
         if let Some(&slot) = st.map.get(&page) {
             self.stats.record_buffer_hit();
-            st.policy.on_hit(slot);
+            st.lru.touch(slot);
             st.slots[slot] = Some((page, data, true));
             return;
         }
@@ -137,12 +144,10 @@ impl BufferPool {
     /// Flushes all dirty pages to disk (the buffer stays warm).
     pub fn flush(&self) {
         let mut st = self.state.lock();
-        for slot in 0..st.slots.len() {
-            if let Some((page, data, dirty)) = st.slots[slot].clone() {
-                if dirty {
-                    self.disk.write(page, data);
-                    st.slots[slot] = Some((page, st.slots[slot].as_ref().unwrap().1.clone(), false));
-                }
+        for (page, data, dirty) in st.slots.iter_mut().flatten() {
+            if *dirty {
+                self.disk.write(*page, data.clone());
+                *dirty = false;
             }
         }
     }
@@ -159,15 +164,16 @@ impl BufferPool {
             }
         }
         st.map.clear();
-        st.policy.reset();
+        while st.lru.pop_back().is_some() {}
     }
 
-    /// Installs `page` in a slot, evicting the policy's victim if needed.
+    /// Installs `page` in a slot, evicting the least-recently-used page if
+    /// the pool is full.
     fn install(&self, st: &mut PoolState, page: PageId, data: Bytes, dirty: bool) {
         let slot = if let Some(slot) = st.free.pop() {
             slot
         } else {
-            let victim = st.policy.evict().expect("non-empty pool has a victim");
+            let victim = st.lru.pop_back().expect("full pool has a victim");
             let (vp, vdata, vdirty) = st.slots[victim].take().expect("victim slot occupied");
             st.map.remove(&vp);
             if vdirty {
@@ -178,7 +184,7 @@ impl BufferPool {
         };
         st.slots[slot] = Some((page, data, dirty));
         st.map.insert(page, slot);
-        st.policy.on_insert(slot, page);
+        st.lru.push_front(slot);
     }
 }
 
@@ -284,29 +290,24 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_round_trips_a_thrashing_workload() {
-        for kind in PolicyKind::ALL {
-            let stats = AccessStats::new();
-            let disk = Arc::new(Disk::new(64, stats.clone()));
-            let pool = BufferPool::with_config(disk, BufferPoolConfig::new(3, kind));
-            assert_eq!(pool.policy(), kind);
-            let ids: Vec<PageId> = (0..16).map(|_| pool.allocate()).collect();
-            for (i, &id) in ids.iter().enumerate() {
-                pool.write(id, Bytes::from(vec![i as u8; 8]));
-            }
-            for _ in 0..3 {
-                for (i, &id) in ids.iter().enumerate() {
-                    assert_eq!(pool.read(id), Bytes::from(vec![i as u8; 8]), "{kind}");
-                }
-            }
-            let s = stats.snapshot();
-            assert!(s.buffer_evictions > 0, "{kind}: workload must evict");
-            assert_eq!(
-                s.buffer_evictions,
-                s.buffer_misses - pool.capacity() as u64,
-                "{kind}: every miss beyond capacity installs over a victim"
-            );
+    fn thrashing_workload_round_trips_and_accounts_evictions() {
+        let (pool, stats) = pool(3);
+        let ids: Vec<PageId> = (0..16).map(|_| pool.allocate()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            pool.write(id, Bytes::from(vec![i as u8; 8]));
         }
+        for _ in 0..3 {
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(pool.read(id), Bytes::from(vec![i as u8; 8]));
+            }
+        }
+        let s = stats.snapshot();
+        assert!(s.buffer_evictions > 0, "workload must evict");
+        assert_eq!(
+            s.buffer_evictions,
+            s.buffer_misses - pool.capacity() as u64,
+            "every miss beyond capacity installs over a victim"
+        );
     }
 
     #[test]

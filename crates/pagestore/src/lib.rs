@@ -8,8 +8,7 @@
 //!
 //! * [`Disk`] — an in-memory array of fixed-size byte pages standing in for a
 //!   disk volume, with physical read/write counters.
-//! * [`BufferPool`] — an O(1) buffer over a [`Disk`] with a pluggable
-//!   [`ReplacementPolicy`] (LRU, CLOCK or 2Q via [`BufferPoolConfig`]), a
+//! * [`BufferPool`] — an O(1) LRU buffer over a [`Disk`] with a
 //!   configurable number of slots (10 for TIAs in the paper's setup),
 //!   hit/miss/eviction statistics and write-back of dirty pages.
 //! * [`AccessStats`] — cheap shared counters used by every index layer to
@@ -24,14 +23,8 @@
 mod buffer;
 mod disk;
 mod lru;
-mod policy;
 
-pub use buffer::BufferPool;
+pub use buffer::{BufferPool, BufferPoolConfig};
 pub use disk::{Disk, PageId};
 pub use knnta_obs::{AccessStats, StatsSnapshot};
 pub use knnta_util::codec::{Bytes, BytesMut};
-pub use lru::LruList;
-pub use policy::{
-    make_policy, BufferPoolConfig, ClockPolicy, LruPolicy, PolicyKind, ReplacementPolicy,
-    TwoQPolicy,
-};

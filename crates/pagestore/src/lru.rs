@@ -7,53 +7,35 @@
 ///
 /// * [`LruList::touch`] moves a slot to the most-recently-used end,
 /// * [`LruList::push_front`] inserts a new slot as most-recently-used,
-/// * [`LruList::pop_back`] evicts the least-recently-used slot,
-/// * [`LruList::remove`] unlinks an arbitrary slot.
+/// * [`LruList::pop_back`] evicts the least-recently-used slot.
 ///
 /// Slots not currently linked are simply absent from the list; linking a slot
 /// twice is a logic error and panics in debug builds.
 #[derive(Debug)]
-pub struct LruList {
+pub(crate) struct LruList {
     prev: Vec<usize>,
     next: Vec<usize>,
     linked: Vec<bool>,
     head: usize, // most recently used; == NIL when empty
     tail: usize, // least recently used
-    len: usize,
 }
 
 const NIL: usize = usize::MAX;
 
 impl LruList {
     /// A list managing slots `0..capacity`, initially empty.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         LruList {
             prev: vec![NIL; capacity],
             next: vec![NIL; capacity],
             linked: vec![false; capacity],
             head: NIL,
             tail: NIL,
-            len: 0,
         }
     }
 
-    /// Number of linked slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no slot is linked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `slot` is currently linked.
-    pub fn contains(&self, slot: usize) -> bool {
-        self.linked[slot]
-    }
-
     /// Links `slot` as most-recently-used.
-    pub fn push_front(&mut self, slot: usize) {
+    pub(crate) fn push_front(&mut self, slot: usize) {
         debug_assert!(!self.linked[slot], "slot {slot} already linked");
         self.prev[slot] = NIL;
         self.next[slot] = self.head;
@@ -64,11 +46,10 @@ impl LruList {
         }
         self.head = slot;
         self.linked[slot] = true;
-        self.len += 1;
     }
 
     /// Unlinks and returns the least-recently-used slot, if any.
-    pub fn pop_back(&mut self) -> Option<usize> {
+    pub(crate) fn pop_back(&mut self) -> Option<usize> {
         if self.tail == NIL {
             return None;
         }
@@ -78,7 +59,7 @@ impl LruList {
     }
 
     /// Unlinks `slot` from wherever it is.
-    pub fn remove(&mut self, slot: usize) {
+    fn remove(&mut self, slot: usize) {
         debug_assert!(self.linked[slot], "slot {slot} not linked");
         let (p, n) = (self.prev[slot], self.next[slot]);
         if p != NIL {
@@ -94,11 +75,10 @@ impl LruList {
         self.prev[slot] = NIL;
         self.next[slot] = NIL;
         self.linked[slot] = false;
-        self.len -= 1;
     }
 
     /// Moves `slot` to the most-recently-used position.
-    pub fn touch(&mut self, slot: usize) {
+    pub(crate) fn touch(&mut self, slot: usize) {
         if self.head == slot {
             return;
         }
@@ -106,8 +86,9 @@ impl LruList {
         self.push_front(slot);
     }
 
-    /// Slots from most- to least-recently-used (for tests and debugging).
-    pub fn iter_mru(&self) -> impl Iterator<Item = usize> + '_ {
+    /// Slots from most- to least-recently-used.
+    #[cfg(test)]
+    fn iter_mru(&self) -> impl Iterator<Item = usize> + '_ {
         let mut cur = self.head;
         std::iter::from_fn(move || {
             if cur == NIL {
@@ -140,7 +121,7 @@ mod tests {
         assert_eq!(l.pop_back(), Some(1));
         assert_eq!(l.pop_back(), Some(2));
         assert_eq!(l.pop_back(), None);
-        assert!(l.is_empty());
+        assert!(order(&l).is_empty());
     }
 
     #[test]
@@ -173,10 +154,8 @@ mod tests {
         l.push_front(2);
         l.remove(1);
         assert_eq!(order(&l), vec![2, 0]);
-        assert!(!l.contains(1));
         l.push_front(1);
         assert_eq!(order(&l), vec![1, 2, 0]);
-        assert_eq!(l.len(), 3);
     }
 
     #[test]
@@ -186,7 +165,7 @@ mod tests {
         l.touch(0);
         assert_eq!(order(&l), vec![0]);
         assert_eq!(l.pop_back(), Some(0));
-        assert!(l.is_empty());
+        assert!(order(&l).is_empty());
         l.push_front(0);
         assert_eq!(order(&l), vec![0]);
     }

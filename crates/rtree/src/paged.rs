@@ -7,7 +7,7 @@
 //! [`RStarTree`] into fixed-size pages (a node's byte image is chained across
 //! as many pages as it needs — a 1024-byte node with large TIA summaries does
 //! not fit one 1024-byte page), and serves [`PagedNodeStore::read_node`] by
-//! pulling the chain through a replacement-policy-driven buffer pool, so every
+//! pulling the chain through an LRU buffer pool, so every
 //! node access becomes measurable page I/O with hit/miss statistics.
 //!
 //! Serialisation is delegated to a [`NodeCodec`] implemented by the index
@@ -56,8 +56,8 @@ where
     C: NodeCodec<D, T, V>,
 {
     /// Serialises every node of `tree` onto a fresh disk with
-    /// `page_size`-byte pages, read back through a buffer pool configured by
-    /// `config`.
+    /// `page_size`-byte pages, read back through an LRU buffer pool of
+    /// `config.capacity` slots.
     ///
     /// Build-time writes go straight to the disk (they are part of
     /// materialisation, not of any measured query), so the pool starts cold
@@ -102,7 +102,7 @@ where
         // materialisation, not of the measured query workload.
         disk.stats().reset();
         PagedNodeStore {
-            pool: BufferPool::with_config(disk, config),
+            pool: BufferPool::new(disk, config.capacity),
             chains,
             root: tree.root_id(),
             node_count,
@@ -170,7 +170,7 @@ impl<const D: usize, T, V, C> std::fmt::Debug for PagedNodeStore<D, T, V, C> {
             .field("nodes", &self.node_count)
             .field("pages", &self.pool.disk().len())
             .field("root", &self.root)
-            .field("config", &self.pool.config())
+            .field("buffer_slots", &self.pool.capacity())
             .finish()
     }
 }

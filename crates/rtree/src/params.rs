@@ -27,15 +27,21 @@ impl RTreeParams {
     ///
     /// # Panics
     ///
-    /// Panics if the node cannot hold at least 4 entries.
+    /// Panics if the node cannot hold at least 4 entries (the error of
+    /// [`RTreeParams::try_for_node_size`]).
     pub fn for_node_size(node_size: usize, dims: usize) -> Self {
+        Self::try_for_node_size(node_size, dims).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RTreeParams::for_node_size`], or an error naming the node size if
+    /// the node cannot hold at least 4 entries.
+    pub fn try_for_node_size(node_size: usize, dims: usize) -> Result<Self, String> {
         let entry_bytes = 2 * dims * 4 + 4;
         let max_entries = node_size.saturating_sub(NODE_HEADER_BYTES) / entry_bytes;
-        assert!(
-            max_entries >= 4,
-            "node size {node_size} too small for {dims}-D entries"
-        );
-        Self::with_max_entries(max_entries)
+        if max_entries < 4 {
+            return Err(format!("node size {node_size} too small for {dims}-D entries"));
+        }
+        Ok(Self::with_max_entries(max_entries))
     }
 
     /// Parameters from an explicit fanout (R* fill ratios applied).
@@ -97,5 +103,17 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn tiny_node_rejected() {
         let _ = RTreeParams::for_node_size(64, 3);
+    }
+
+    #[test]
+    fn try_for_node_size_agrees_with_the_panicking_form() {
+        assert_eq!(
+            RTreeParams::try_for_node_size(1024, 3),
+            Ok(RTreeParams::for_node_size(1024, 3))
+        );
+        for size in [0, 15, 64] {
+            let e = RTreeParams::try_for_node_size(size, 3).unwrap_err();
+            assert!(e.contains(&format!("node size {size}")), "{e}");
+        }
     }
 }

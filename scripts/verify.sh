@@ -10,7 +10,8 @@
 # counts, the snapshot-equivalence oracle (concurrent live
 # ingestion vs frozen single-threaded replay) with many randomized
 # writer/reader schedules, and the planner differential oracle (planned
-# execution vs every forced configuration, bit-identical). The default
+# execution vs the in-memory, packed and paged backends forced in turn,
+# bit-identical). The default
 # fast path is unchanged and stays within the tier-1 budget.
 # (`./scripts/soak.sh` wraps this lane for nightly cron, archiving failing
 # seeds to soak_failures/.)
@@ -44,7 +45,12 @@
 # per-entry match), intra-query parallel search must not come back
 # (`parallel_bfs` / `ExecMode` / `PlanMode::Parallel` / the
 # `knnta.core.frontier.*` metrics: one query is one single-threaded
-# traversal, the work-stealing one lost at every k), and the stand-alone
+# traversal, the work-stealing one lost at every k), the buffer pool must not
+# regrow a replacement-policy layer nor the packed image its page round trip
+# (`PolicyKind` / `ReplacementPolicy` / `ClockPolicy` / `TwoQPolicy` /
+# `make_policy` / `PackedPages` / `save_to_disk` / `load_from_disk` /
+# `materialize_disk_tias_with`: every pool is the paper's LRU, and an image
+# travels as one `to_bytes` buffer), and the stand-alone
 # benchmark program (perfbench/, what BENCHMARK.json runs) must still build against
 # the workspace crates and pass its own tests — the only guard that a
 # deletion under crates/ did not break it.
@@ -126,6 +132,10 @@ if grep -rnE 'enum (NodeView|EntryIter|AggRef|ScopeBackend)|struct EntryRef|fn k
 fi
 if grep -rnE 'parallel_bfs|ExecMode|PlanMode::Parallel|knnta\.core\.frontier\.' crates src tests examples; then
     echo "intra-query parallel search regrew: one query is one single-threaded traversal (DESIGN.md §8)" >&2
+    exit 1
+fi
+if grep -rnE 'PolicyKind|ReplacementPolicy|ClockPolicy|TwoQPolicy|make_policy|PackedPages|save_to_disk|load_from_disk|materialize_disk_tias_with' crates src tests examples; then
+    echo "a buffer replacement-policy layer or the packed page round trip regrew: every pool is LRU, an image is one to_bytes buffer" >&2
     exit 1
 fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -19,7 +19,7 @@ use knnta::core::{
     PagedNodes, PlanBackend, Poi, QueryPlan, TarIndex,
 };
 use knnta::obs::{render_report, MetricsDoc, Obs, TraceDoc};
-use knnta::pagestore::{BufferPoolConfig, PolicyKind};
+use knnta::pagestore::BufferPoolConfig;
 use knnta::service::client::{powerlaw_queries, run_open_loop, ClientConfig};
 use knnta::service::{Service, ServiceConfig};
 use knnta::util::rng::{Rng, StdRng};
@@ -141,7 +141,7 @@ commands:
                              --shards/--workers/--max-batch setting.)
   stats     --index FILE
   query     --index FILE --x X --y Y --from-day A --to-day B [--k K] [--alpha0 W]
-            [--paged] [--policy lru|clock|2q] [--buffer-slots N]
+            [--paged] [--buffer-slots N]
                             (--paged answers from tree nodes serialised onto
                              disk pages behind a buffer pool; results are
                              byte-identical to the in-memory search)
@@ -159,7 +159,7 @@ commands:
                              chosen plan)
   batch     --index FILE --queries FILE [--batch-order hilbert|input]
             [--individual]
-            [--paged] [--policy lru|clock|2q] [--buffer-slots N] [--packed]
+            [--paged] [--buffer-slots N] [--packed]
             [--trace-out FILE] [--metrics-out FILE]
                             (processes a query batch collectively — Hilbert
                              ordering, node fetches shared per tile — or one
@@ -169,7 +169,7 @@ commands:
             [--plan auto]   (planner-chosen tile size and backend; conflicts
                              with --individual and --batch-order)
   explain   --index FILE --x X --y Y --from-day A --to-day B [--k K] [--alpha0 W]
-            [--paged] [--policy lru|clock|2q] [--buffer-slots N] [--packed]
+            [--paged] [--buffer-slots N] [--packed]
             [--metrics]     (prints the plan the cost-model planner would
                              choose plus its paper-§6 node-access estimates;
                              --metrics also runs the query and reports the
@@ -206,7 +206,7 @@ const FLAGS: &[&str] = &["paged", "packed", "individual", "check"];
 fn known_options(cmd: &str) -> Vec<&'static str> {
     const DATASET: &[&str] = &["dataset", "scale", "epoch-days", "seed"];
     const POINT: &[&str] = &["index", "x", "y", "from-day", "to-day", "k", "alpha0"];
-    const IMAGE: &[&str] = &["paged", "policy", "buffer-slots", "packed"];
+    const IMAGE: &[&str] = &["paged", "buffer-slots", "packed"];
     const OBS_OUT: &[&str] = &["trace-out", "metrics-out"];
     let groups: &[&[&str]] = match cmd {
         "generate" => &[DATASET, &["out"]],
@@ -810,18 +810,14 @@ fn packed_tree_of(opts: &Opts, index: &TarIndex) -> Result<Option<PackedTarTree>
 /// paged-only options otherwise).
 fn paged_nodes_of(opts: &Opts, index: &TarIndex) -> Result<Option<PagedNodes>, String> {
     if opts.flag("paged") {
-        let policy_name = opts.num::<String>("policy", "lru".into())?;
-        let policy = PolicyKind::parse(&policy_name)
-            .ok_or(format!("--policy: `{policy_name}` (want lru|clock|2q)"))?;
         let slots: usize = opts.num("buffer-slots", 10)?;
         Ok(Some(index.materialize_paged_nodes(
             index.config_node_size(),
-            BufferPoolConfig::new(slots, policy),
+            BufferPoolConfig::lru(slots),
         )))
+    } else if opts.0.contains_key("buffer-slots") {
+        Err("--buffer-slots requires --paged".into())
     } else {
-        if opts.0.contains_key("policy") || opts.0.contains_key("buffer-slots") {
-            return Err("--policy / --buffer-slots require --paged".into());
-        }
         Ok(None)
     }
 }
@@ -954,9 +950,8 @@ fn query(opts: &Opts) -> Result<(), String> {
             0.0
         };
         eprintln!(
-            "(paged: {} policy, {} slots, {} pages, {} hits / {} misses, {hit_rate:.1}% hit rate)",
-            p.config().policy,
-            p.config().capacity,
+            "(paged: {} slots, {} pages, {} hits / {} misses, {hit_rate:.1}% hit rate)",
+            p.buffer_slots(),
             p.page_count(),
             io.buffer_hits,
             io.buffer_misses,

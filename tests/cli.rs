@@ -82,28 +82,23 @@ fn full_pipeline() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
 
     // query --paged: answering from paged node storage must print
-    // byte-identical hits for every policy.
-    for policy in ["lru", "clock", "2q"] {
-        let out = knnta()
-            .args(["query", "--index", idx.to_str().unwrap()])
-            .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-            .args(["--k", "25", "--alpha0", "0.3"])
-            .args(["--paged", "--policy", policy, "--buffer-slots", "6"])
-            .output()
-            .expect("run paged query");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&sequential.stdout),
-            "--paged --policy {policy} diverged"
-        );
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(&format!("paged: {policy} policy, 6 slots")),
-            "--policy {policy}: {err}"
-        );
-        assert!(err.contains("hit rate"), "{err}");
-    }
+    // byte-identical hits.
+    let out = knnta()
+        .args(["query", "--index", idx.to_str().unwrap()])
+        .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
+        .args(["--k", "25", "--alpha0", "0.3"])
+        .args(["--paged", "--buffer-slots", "6"])
+        .output()
+        .expect("run paged query");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&sequential.stdout),
+        "--paged diverged"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("paged: 6 slots"), "{err}");
+    assert!(err.contains("hit rate"), "{err}");
 
     // query --packed: the packed serving image must print byte-identical
     // hits.
@@ -133,23 +128,24 @@ fn full_pipeline() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 
-    // --policy / --buffer-slots only make sense with --paged.
+    // --buffer-slots only makes sense with --paged.
     let out = knnta()
         .args(["query", "--index", idx.to_str().unwrap()])
         .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-        .args(["--policy", "clock"])
+        .args(["--buffer-slots", "6"])
         .output()
-        .expect("run policy-without-paged query");
+        .expect("run buffer-slots-without-paged query");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--paged"));
 
-    // Unknown policies are rejected.
+    // --policy is gone (every buffer pool is LRU): it is an unknown option
+    // now, rejected by name.
     let out = knnta()
         .args(["query", "--index", idx.to_str().unwrap()])
         .args(["--x", "50", "--y", "50", "--from-day", "0", "--to-day", "180"])
-        .args(["--paged", "--policy", "mru"])
+        .args(["--paged", "--policy", "clock"])
         .output()
-        .expect("run bad-policy query");
+        .expect("run query with --policy");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--policy"));
 
@@ -381,20 +377,18 @@ fn batch_command_is_mode_invariant() {
             "collective {extra:?} diverged from individual"
         );
     }
-    for policy in ["lru", "clock", "2q"] {
-        let out = knnta()
-            .args(["batch", "--index", idx.to_str().unwrap()])
-            .args(["--queries", queries.to_str().unwrap()])
-            .args(["--paged", "--policy", policy, "--buffer-slots", "6"])
-            .output()
-            .expect("run paged batch");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            want,
-            "--paged --policy {policy} diverged"
-        );
-    }
+    let out = knnta()
+        .args(["batch", "--index", idx.to_str().unwrap()])
+        .args(["--queries", queries.to_str().unwrap()])
+        .args(["--paged", "--buffer-slots", "6"])
+        .output()
+        .expect("run paged batch");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        want,
+        "--paged batch diverged"
+    );
     let out = knnta()
         .args(["batch", "--index", idx.to_str().unwrap()])
         .args(["--queries", queries.to_str().unwrap()])
@@ -546,4 +540,59 @@ fn build_rejects_too_small_epoch_count() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("too small"));
     let _ = std::fs::remove_file(csv);
+}
+
+#[test]
+fn forged_index_files_are_rejected_without_a_panic() {
+    let csv = tmp("forged-venues.csv");
+    let idx = tmp("forged-city.idx");
+    knnta()
+        .args(["generate", "--dataset", "GW", "--scale", "0.002", "--out"])
+        .arg(csv.to_str().unwrap())
+        .output()
+        .unwrap();
+    let out = knnta()
+        .args(["build", "--input", csv.to_str().unwrap(), "--out"])
+        .arg(idx.to_str().unwrap())
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let full = std::fs::read(&idx).unwrap();
+    // KNNTAv1 layout: magic (8), grouping (1), node size (4), reinsert
+    // flag (1), boundary count (4) + boundaries (8 each), bounds (32), POI
+    // count (4), then per POI: id (4), position (16), series length (4),
+    // series pairs (12 each).
+    let boundaries = u32::from_le_bytes(full[14..18].try_into().unwrap()) as usize;
+    let count_at = 18 + 8 * boundaries + 32;
+    let first = count_at + 4;
+    let pairs = u32::from_le_bytes(full[first + 20..first + 24].try_into().unwrap());
+    let second = first + 24 + 12 * pairs as usize;
+
+    let mut node_size_zero = full.clone();
+    node_size_zero[9..13].copy_from_slice(&0u32.to_le_bytes());
+    let mut huge_count = full[..count_at + 4].to_vec();
+    huge_count[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut duplicate_id = full.clone();
+    duplicate_id.copy_within(first..first + 4, second);
+
+    let forged = tmp("forged.idx");
+    for (bytes, field) in [
+        (node_size_zero, "node size"),
+        (huge_count, "poi count"),
+        (duplicate_id, "poi id"),
+    ] {
+        std::fs::write(&forged, bytes).unwrap();
+        let out = knnta()
+            .args(["stats", "--index", forged.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A panic exits 101 and an allocation abort dies by signal (no code).
+        assert_eq!(out.status.code(), Some(1), "{field}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{field}: {stderr}");
+        assert!(stderr.contains(field), "{field}: {stderr}");
+    }
+    let _ = std::fs::remove_file(csv);
+    let _ = std::fs::remove_file(idx);
+    let _ = std::fs::remove_file(forged);
 }

@@ -9,7 +9,7 @@ mod common;
 use common::{assert_same_answer, baseline_of, index_of, seq, small_dataset};
 use knnta::core::{Executor, Grouping, PackedTarTree, PlanBackend};
 use knnta::lbsn::{IntervalAnchor, Workload};
-use knnta::pagestore::{AccessStats, BufferPoolConfig, Disk, PolicyKind};
+use knnta::pagestore::BufferPoolConfig;
 use knnta::util::rng::{Rng, StdRng};
 use knnta::KnntaQuery;
 
@@ -108,38 +108,35 @@ fn randomized_queries_match_the_scan_oracle() {
 #[test]
 fn paged_backend_is_bit_identical_to_in_memory() {
     // The storage-backend oracle: serialising the tree nodes onto disk pages
-    // and querying through a buffer pool — under every replacement policy —
-    // returns hit-for-hit identical results (same POIs, same order, bit-equal
-    // scores) to the in-memory search, for all three groupings.
+    // and querying through the LRU buffer pool returns hit-for-hit identical
+    // results (same POIs, same order, bit-equal scores) to the in-memory
+    // search, for all three groupings.
     let dataset = small_dataset();
     let cases = (differential_cases() / 3).max(4);
     let mut rng = StdRng::seed_from_u64(0xD15C_5EED);
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Random, 13);
-        for policy in PolicyKind::ALL {
-            let paged =
-                index.materialize_paged_nodes(1024, BufferPoolConfig::new(8, policy));
-            assert_eq!(paged.node_count(), index.node_count());
-            let exec = Executor::new(&index).with_paged(&paged);
-            for (i, &(point, interval)) in workload.queries.iter().enumerate() {
-                let k = rng.gen_range(1..=120usize);
-                let alpha0 = rng.gen_range(0.05..0.95);
-                let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
-                let want = index.query(&q);
-                let ctx = format!("{grouping} {policy} query {i} k={k}");
-                let got = exec.execute(&q, &seq(PlanBackend::Paged));
-                assert_same_answer(&got, &want, &ctx);
-                for (a, b) in got.iter().zip(&want) {
-                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}");
-                }
+        let paged = index.materialize_paged_nodes(1024, BufferPoolConfig::lru(8));
+        assert_eq!(paged.node_count(), index.node_count());
+        let exec = Executor::new(&index).with_paged(&paged);
+        for (i, &(point, interval)) in workload.queries.iter().enumerate() {
+            let k = rng.gen_range(1..=120usize);
+            let alpha0 = rng.gen_range(0.05..0.95);
+            let q = KnntaQuery::new(point, interval).with_k(k).with_alpha0(alpha0);
+            let want = index.query(&q);
+            let ctx = format!("{grouping} query {i} k={k}");
+            let got = exec.execute(&q, &seq(PlanBackend::Paged));
+            assert_same_answer(&got, &want, &ctx);
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}");
             }
-            let io = paged.io_snapshot();
-            assert!(
-                io.buffer_hits + io.buffer_misses > 0,
-                "{grouping} {policy}: paged queries must go through the buffer pool"
-            );
         }
+        let io = paged.io_snapshot();
+        assert!(
+            io.buffer_hits + io.buffer_misses > 0,
+            "{grouping}: paged queries must go through the buffer pool"
+        );
     }
 }
 
@@ -148,8 +145,8 @@ fn packed_backend_is_bit_identical_to_in_memory() {
     // The serving-tier oracle: the bulk-packed immutable image
     // (`docs/FORMAT.md`) returns hit-for-hit identical results (same POIs,
     // same order, bit-equal scores and aggregates) to the in-memory search,
-    // for all three groupings — and so does the same image after a serialise → disk → deserialise round
-    // trip.
+    // for all three groupings — and so does the same image after a
+    // `to_bytes` → `from_bytes` round trip through the validating reader.
     let dataset = small_dataset();
     let cases = (differential_cases() / 3).max(4);
     let mut rng = StdRng::seed_from_u64(0xD15C_5EED);
@@ -158,10 +155,7 @@ fn packed_backend_is_bit_identical_to_in_memory() {
         let packed = index.pack();
         assert_eq!(packed.item_count(), index.len());
         assert_eq!(packed.grouping(), grouping);
-        let stats = AccessStats::new();
-        let disk = Disk::new(4096, stats);
-        let pages = packed.save_to_disk(&disk);
-        let loaded = PackedTarTree::load_from_disk(&disk, &pages).expect("valid packed image");
+        let loaded = PackedTarTree::from_bytes(&packed.to_bytes()).expect("valid packed image");
         let exec = Executor::new(&index).with_packed(&packed);
         let exec_loaded = Executor::new(&index).with_packed(&loaded);
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Random, 17);

@@ -14,7 +14,7 @@ use knnta::core::{
     BatchOrder, Executor, FrozenIndex, Grouping, IndexConfig, PlanBackend, QueryHit, TarIndex,
 };
 use knnta::lbsn::{IntervalAnchor, Workload};
-use knnta::pagestore::{BufferPoolConfig, PolicyKind};
+use knnta::pagestore::BufferPoolConfig;
 use knnta::{KnntaQuery, PoiId, TimeInterval};
 
 /// Queries per grouping: a fast handful by default, 10× that under
@@ -37,7 +37,7 @@ fn key(hits: &[QueryHit]) -> Vec<(u32, u64, u64)> {
 
 /// The planner-chosen execution of every (query, k) case must be
 /// bit-identical to each forced configuration: the plain in-memory search,
-/// the packed image, and the paged store under every replacement policy.
+/// the packed image, and the paged store.
 #[test]
 fn planned_queries_match_every_forced_config() {
     let dataset = small_dataset();
@@ -45,20 +45,9 @@ fn planned_queries_match_every_forced_config() {
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
         let packed = index.pack();
-        let paged: Vec<_> = PolicyKind::ALL
-            .iter()
-            .map(|&policy| {
-                index.materialize_paged_nodes(
-                    index.config_node_size(),
-                    BufferPoolConfig::new(8, policy),
-                )
-            })
-            .collect();
-        let mut exec = Executor::new(&index).with_packed(&packed).with_paged(&paged[0]);
-        let on_policy: Vec<_> = paged
-            .iter()
-            .map(|p| Executor::new(&index).with_paged(p))
-            .collect();
+        let paged =
+            index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(8));
+        let mut exec = Executor::new(&index).with_packed(&packed).with_paged(&paged);
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Random, 77);
         for (i, &(point, interval)) in workload.queries.iter().enumerate() {
             for k in [1, 10, 100] {
@@ -72,13 +61,11 @@ fn planned_queries_match_every_forced_config() {
                     key(&exec.execute(&q, &seq(PlanBackend::Packed))),
                     "{ctx}: vs packed seq"
                 );
-                for (on_paged, policy) in on_policy.iter().zip(PolicyKind::ALL) {
-                    assert_eq!(
-                        planned,
-                        key(&on_paged.execute(&q, &seq(PlanBackend::Paged))),
-                        "{ctx}: vs paged/{policy}"
-                    );
-                }
+                assert_eq!(
+                    planned,
+                    key(&exec.execute(&q, &seq(PlanBackend::Paged))),
+                    "{ctx}: vs paged seq"
+                );
             }
         }
     }
@@ -96,10 +83,8 @@ fn planned_batches_match_every_forced_config() {
     for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
         let index = index_of(&dataset, grouping);
         let packed = index.pack();
-        let paged = index.materialize_paged_nodes(
-            index.config_node_size(),
-            BufferPoolConfig::new(8, PolicyKind::Lru),
-        );
+        let paged =
+            index.materialize_paged_nodes(index.config_node_size(), BufferPoolConfig::lru(8));
         let workload = Workload::generate(&dataset, cases, IntervalAnchor::Recent, 78);
         let queries: Vec<_> = workload
             .queries

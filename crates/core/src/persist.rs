@@ -21,7 +21,21 @@ const MAGIC: &[u8; 8] = b"KNNTAv1\0";
 /// Fewest bytes one POI record takes: id, position, series length.
 const MIN_POI_RECORD_BYTES: usize = 4 + 16 + 4;
 
+/// A snapshot's POI ids stay below `POI_ID_SPREAD` × its POI count, or
+/// below `POI_ID_FLOOR` so small files with sparse ids still load: an index
+/// keeps one position slot per id up to the largest, so ids bound memory.
+const POI_ID_SPREAD: usize = 64;
+const POI_ID_FLOOR: usize = 1 << 16;
+
 impl TarIndex {
+    /// The exclusive upper bound on POI ids a snapshot of `poi_count` POIs
+    /// may use: `max(64 × poi_count, 65 536)`. An index sizes its position
+    /// table by the largest id, so this bounds the memory a loaded file can
+    /// claim to a constant multiple of its POI count.
+    pub fn poi_id_limit(poi_count: usize) -> usize {
+        poi_count.saturating_mul(POI_ID_SPREAD).max(POI_ID_FLOOR)
+    }
+
     /// Serialises the index into a byte buffer.
     pub fn save_to_vec(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
@@ -70,8 +84,11 @@ impl TarIndex {
     /// query answers are identical to the saved index's.
     ///
     /// A malformed snapshot (truncated, a node size too small for the
-    /// grouping, a POI count larger than the bytes that follow, a duplicate
-    /// POI id) is an [`io::ErrorKind::InvalidData`] error, never a panic.
+    /// grouping, non-finite or inverted bounds, a POI count larger than the
+    /// bytes that follow, a duplicate POI id or one at or past
+    /// [`TarIndex::poi_id_limit`], a non-finite position, series epochs not
+    /// increasing or outside the grid) is an [`io::ErrorKind::InvalidData`]
+    /// error naming the field, never a panic.
     pub fn load_from_slice(data: &[u8]) -> io::Result<TarIndex> {
         let err = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut buf = Bytes::copy_from_slice(data);
@@ -112,10 +129,15 @@ impl TarIndex {
         }
         let grid = EpochGrid::varied(boundaries);
         need(32, &buf)?;
-        let bounds = Rect::new(
+        let (min, max) = (
             [buf.get_f64(), buf.get_f64()],
             [buf.get_f64(), buf.get_f64()],
         );
+        let finite = min.iter().chain(&max).all(|v| v.is_finite());
+        if !finite || min[0] > max[0] || min[1] > max[1] {
+            return Err(err(&format!("bad bounds: {min:?} .. {max:?}")));
+        }
+        let bounds = Rect::new(min, max);
         need(4, &buf)?;
         let n = buf.get_u32() as usize;
         if n > buf.len() / MIN_POI_RECORD_BYTES {
@@ -125,22 +147,36 @@ impl TarIndex {
                 buf.len()
             )));
         }
+        let id_limit = Self::poi_id_limit(n);
         let mut items = Vec::with_capacity(n);
         let mut ids = HashSet::with_capacity(n);
         for _ in 0..n {
             need(MIN_POI_RECORD_BYTES, &buf)?;
             let id = buf.get_u32();
+            if id as usize >= id_limit {
+                return Err(err(&format!(
+                    "bad poi id: {id} is not below {id_limit}, the limit for {n} POIs"
+                )));
+            }
             if !ids.insert(id) {
                 return Err(err(&format!("bad poi id: duplicate id {id}")));
             }
             let pos = [buf.get_f64(), buf.get_f64()];
+            if !pos.iter().all(|v| v.is_finite()) {
+                return Err(err(&format!("bad poi position: {pos:?} for id {id}")));
+            }
             let pairs = buf.get_u32() as usize;
             need(pairs * 12, &buf)?;
-            let series = AggregateSeries::from_pairs(
-                (0..pairs)
-                    .map(|_| (buf.get_u32(), buf.get_u64()))
-                    .collect::<Vec<_>>(),
-            );
+            let pairs: Vec<(u32, u64)> =
+                (0..pairs).map(|_| (buf.get_u32(), buf.get_u64())).collect();
+            let in_grid = pairs.last().is_none_or(|&(e, _)| (e as usize) < grid.len());
+            if !in_grid || !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(err(&format!(
+                    "bad series epoch: poi {id} needs increasing epochs below {}",
+                    grid.len()
+                )));
+            }
+            let series = AggregateSeries::from_pairs(pairs);
             items.push((Poi { id: tempora::PoiId(id), pos }, series));
         }
         let config = IndexConfig {
@@ -246,6 +282,36 @@ mod tests {
         let second = first + 24 + 12 * pairs as usize;
         bytes.copy_within(first..first + 4, second);
         invalid(&bytes, "poi id");
+        // An id far past the POI count (the index would size its position
+        // table by it), a non-finite position, non-finite bounds, and a
+        // series epoch one past the grid.
+        let mut bytes = full.clone();
+        bytes[first..first + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        invalid(&bytes, "poi id");
+        let mut bytes = full.clone();
+        bytes[first + 4..first + 12].copy_from_slice(&f64::NAN.to_le_bytes());
+        invalid(&bytes, "poi position");
+        let mut bytes = full.clone();
+        bytes[count_at - 32..count_at - 24].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        invalid(&bytes, "bounds");
+        let mut bytes = full.clone();
+        let grid_len = u32::from_le_bytes(full[14..18].try_into().unwrap()) - 1;
+        let at = last_epoch_offset(&full);
+        bytes[at..at + 4].copy_from_slice(&grid_len.to_le_bytes());
+        invalid(&bytes, "series epoch");
+    }
+
+    /// Byte offset of the last series epoch of the first POI that has one.
+    fn last_epoch_offset(snapshot: &[u8]) -> usize {
+        let read = |at: usize| u32::from_le_bytes(snapshot[at..at + 4].try_into().unwrap());
+        let mut at = poi_count_offset(snapshot) + 4;
+        loop {
+            let pairs = read(at + 20) as usize;
+            if pairs > 0 {
+                return at + 24 + 12 * (pairs - 1);
+            }
+            at += 24;
+        }
     }
 
     /// Byte offset of the POI count in a snapshot: magic, grouping, node

@@ -134,14 +134,25 @@ impl<const D: usize, V> GroupingStrategy<D, V> for RStarGrouping {
         if child_is_leaf {
             // Minimum overlap enlargement; ties by area enlargement, then
             // margin enlargement, then area.
+            //
+            // `enlarged` contains `c` on every axis, so every overlap term is
+            // ≥ +0.0: a child whose partial sum already exceeds the best key
+            // can no longer win and stops early, and one that contains `new`
+            // has all terms exactly 0. The terms that are summed keep their
+            // order, so the choice equals the full O(n²) scan's.
             let mut best = 0;
             let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (i, c) in children.iter().enumerate() {
+            'children: for (i, c) in children.iter().enumerate() {
                 let enlarged = c.rect.union(new.rect);
                 let mut overlap_delta = 0.0;
-                for (j, o) in children.iter().enumerate() {
-                    if i != j {
-                        overlap_delta += enlarged.overlap(o.rect) - c.rect.overlap(o.rect);
+                if enlarged != *c.rect {
+                    for (j, o) in children.iter().enumerate() {
+                        if i != j {
+                            overlap_delta += enlarged.overlap(o.rect) - c.rect.overlap(o.rect);
+                            if overlap_delta > best_key.0 {
+                                continue 'children;
+                            }
+                        }
                     }
                 }
                 let key = (
@@ -203,6 +214,7 @@ impl<const D: usize, V> GroupingStrategy<D, V> for RStarGrouping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knnta_util::prop::{check, Gen};
 
     fn views(rects: &[Rect<2>]) -> Vec<EntryView<'_, 2, ()>> {
         const UNIT: () = ();
@@ -210,6 +222,100 @@ mod tests {
             .iter()
             .map(|rect| EntryView { rect, aug: &UNIT })
             .collect()
+    }
+
+    /// The leaf-level choice by the full O(n²) overlap scan, unpruned: the
+    /// reference the pruned [`RStarGrouping::choose_subtree`] must equal.
+    fn full_scan_choice<const D: usize>(children: &[Rect<D>], new: &Rect<D>) -> usize {
+        let mut best = 0;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, c) in children.iter().enumerate() {
+            let enlarged = c.union(new);
+            let mut overlap_delta = 0.0;
+            for (j, o) in children.iter().enumerate() {
+                if i != j {
+                    overlap_delta += enlarged.overlap(o) - c.overlap(o);
+                }
+            }
+            let key = (
+                overlap_delta,
+                c.enlargement(new),
+                enlarged.margin() - c.margin(),
+                c.area(),
+            );
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// A child box: general, flat on one axis, a point, or a copy of an
+    /// earlier child; coordinates on a coarse grid so ties and overlaps
+    /// are common.
+    fn gen_child<const D: usize>(g: &mut Gen, earlier: &[Rect<D>]) -> Rect<D> {
+        let kind = g.usize_in(0..4);
+        if kind == 3 && !earlier.is_empty() {
+            return *g.pick(earlier);
+        }
+        let lo: [f64; D] = std::array::from_fn(|_| g.usize_in(0..8) as f64);
+        let mut hi: [f64; D] = std::array::from_fn(|d| lo[d] + g.usize_in(0..4) as f64);
+        match kind {
+            1 => {
+                let axis = g.usize_in(0..D);
+                hi[axis] = lo[axis];
+            }
+            2 => hi = lo,
+            _ => {}
+        }
+        Rect::new(lo, hi)
+    }
+
+    fn pruned_equals_full_scan<const D: usize>(g: &mut Gen) {
+        let n = g.usize_in(1..40);
+        let mut children: Vec<Rect<D>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let c = gen_child(g, &children);
+            children.push(c);
+        }
+        let new = if g.bool() {
+            // A point inside (or on the boundary of) one child.
+            let c = *g.pick(&children);
+            Rect::point(std::array::from_fn(|d| {
+                c.min[d] + (c.max[d] - c.min[d]) * g.usize_in(0..3) as f64 / 2.0
+            }))
+        } else {
+            gen_child(g, &[])
+        };
+        const UNIT: () = ();
+        let views: Vec<EntryView<'_, D, ()>> = children
+            .iter()
+            .map(|rect| EntryView { rect, aug: &UNIT })
+            .collect();
+        let nv = EntryView {
+            rect: &new,
+            aug: &UNIT,
+        };
+        let got = <RStarGrouping as GroupingStrategy<D, ()>>::choose_subtree(
+            &RStarGrouping,
+            &views,
+            &nv,
+            true,
+        );
+        assert_eq!(
+            got,
+            full_scan_choice(&children, &new),
+            "{children:?} <- {new:?}"
+        );
+    }
+
+    #[test]
+    fn pruned_choose_subtree_equals_full_scan() {
+        check("pruned_choose_subtree_equals_full_scan", 400, |g| {
+            pruned_equals_full_scan::<2>(g);
+            pruned_equals_full_scan::<3>(g);
+        });
     }
 
     #[test]

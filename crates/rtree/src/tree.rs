@@ -6,7 +6,7 @@ use crate::params::RTreeParams;
 use crate::strategy::{EntryView, GroupingStrategy};
 use pagestore::AccessStats;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Per-node augmented values maintained by the tree.
 ///
@@ -25,6 +25,10 @@ pub trait Augmentation<T> {
     fn empty(&self) -> Self::Value;
 
     /// Folds a child value into an accumulator (per-epoch max for TIAs).
+    ///
+    /// Must be associative and commutative: an insert grows each ancestor's
+    /// value by one `merge` of the new entry instead of refolding the
+    /// ancestor's children in order.
     fn merge(&self, acc: &mut Self::Value, child: &Self::Value);
 }
 
@@ -172,8 +176,7 @@ where
             aug,
             payload: EntryPayload::Data(item),
         };
-        let mut reinserted = HashSet::new();
-        self.insert_entry(entry, 0, &mut reinserted);
+        self.insert_entry(entry, 0, &mut 0);
     }
 
     /// Removes one item matching `pred` whose box intersects `search`.
@@ -489,11 +492,20 @@ where
     // Insertion machinery
     // ------------------------------------------------------------------
 
+    /// Inserts `entry` into a node at `target_level`. `reinserted` is a
+    /// bitmask of the levels that already had a forced reinsert during this
+    /// insertion (R* allows one per level).
+    ///
+    /// On the way down every chosen parent entry grows by `entry` — its box
+    /// by union, its summary by one `merge` — because the subtree below it
+    /// gains exactly this entry. A split only redistributes entries below
+    /// such an ancestor, so the grown summaries stay exact; only nodes that
+    /// lose entries (a split pair, a reinsert extraction) are recomputed.
     fn insert_entry(
         &mut self,
         entry: Entry<D, T, A::Value>,
         target_level: u32,
-        reinserted: &mut HashSet<u32>,
+        reinserted: &mut u64,
     ) {
         // Descend to a node at target_level, recording the path.
         let mut path: Vec<(NodeId, usize)> = Vec::new();
@@ -515,7 +527,10 @@ where
             let idx = self
                 .strategy
                 .choose_subtree(&views, &new_view, node.level == 1);
-            let child = node.entries[idx]
+            let chosen = &mut self.arena.get_mut(cur).entries[idx];
+            chosen.rect = chosen.rect.union(&entry.rect);
+            self.aug.merge(&mut chosen.aug, &entry.aug);
+            let child = chosen
                 .child_id()
                 .expect("internal nodes hold child entries");
             path.push((cur, idx));
@@ -525,34 +540,23 @@ where
         self.fixup(path, cur, reinserted);
     }
 
-    /// Resolves overflow from `cur` upward and refreshes summaries along the
-    /// remaining path.
-    fn fixup(
-        &mut self,
-        mut path: Vec<(NodeId, usize)>,
-        mut cur: NodeId,
-        reinserted: &mut HashSet<u32>,
-    ) {
-        loop {
-            if self.arena.get(cur).len() <= self.params.max_entries {
-                self.refresh_path(&path);
-                return;
-            }
+    /// Resolves overflow from `cur` upward. The ancestors on `path` already
+    /// cover the inserted entry; only entries whose nodes lose entries are
+    /// recomputed.
+    fn fixup(&mut self, mut path: Vec<(NodeId, usize)>, mut cur: NodeId, reinserted: &mut u64) {
+        while self.arena.get(cur).len() > self.params.max_entries {
             let level = self.arena.get(cur).level;
-            let can_reinsert = self.params.forced_reinsert
-                && cur != self.root
-                && !reinserted.contains(&level);
-            if can_reinsert {
-                reinserted.insert(level);
+            let bit = 1u64 << level;
+            if self.params.forced_reinsert && cur != self.root && *reinserted & bit == 0 {
+                *reinserted |= bit;
                 let removed = self.extract_reinsert_candidates(cur);
-                // Bring every summary up to date before reinserting: the
-                // reinsertion descends from the root.
-                self.refresh_path(&path);
                 if removed.is_empty() {
                     // Strategy declined; fall through to a split next round.
-                    reinserted.insert(level);
                     continue;
                 }
+                // Entries left `cur`: recompute its ancestors before the
+                // reinsertions descend from the root.
+                self.refresh_path(&path);
                 for e in removed {
                     self.insert_entry(e, level, reinserted);
                 }
@@ -587,7 +591,7 @@ where
     }
 
     /// Recomputes rect/aug summaries along a root-to-node path, deepest
-    /// first.
+    /// first (after entries left the node at its end).
     fn refresh_path(&mut self, path: &[(NodeId, usize)]) {
         for &(node_id, idx) in path.iter().rev() {
             let child = self.arena.get(node_id).entries[idx]
@@ -613,25 +617,17 @@ where
         let order = self
             .strategy
             .reinsert_candidates(&views, self.params.reinsert_count.min(node.len() - 1));
-        debug_assert!(order.iter().collect::<HashSet<_>>().len() == order.len());
-        // Extract preserving the strategy's reinsertion order.
+        // Extract preserving the strategy's reinsertion order; the kept
+        // entries keep their relative order.
         let node = self.arena.get_mut(id);
-        let mut marked: Vec<Option<Entry<D, T, A::Value>>> =
-            node.entries.iter().map(|_| None).collect();
-        let keep_mask: HashSet<usize> = order.iter().copied().collect();
-        let mut kept = Vec::with_capacity(node.entries.len());
-        for (i, e) in node.entries.drain(..).enumerate() {
-            if keep_mask.contains(&i) {
-                marked[i] = Some(e);
-            } else {
-                kept.push(e);
-            }
-        }
-        node.entries = kept;
-        order
+        let mut slots: Vec<Option<Entry<D, T, A::Value>>> =
+            node.entries.drain(..).map(Some).collect();
+        let removed = order
             .into_iter()
-            .map(|i| marked[i].take().expect("candidate extracted once"))
-            .collect()
+            .map(|i| slots[i].take().expect("candidate extracted once"))
+            .collect();
+        node.entries = slots.into_iter().flatten().collect();
+        removed
     }
 
     /// Splits node `id` in place; returns the new sibling's id.
@@ -744,7 +740,7 @@ where
         }
         // Reinsert orphaned entries at their original levels, deepest first.
         orphans.sort_by_key(|&(level, _)| level);
-        let mut reinserted = HashSet::new();
+        let mut reinserted = 0;
         for (level, entry) in orphans {
             // If the tree shrank below the entry's level, demote to re-adding
             // the subtree's items one by one.
@@ -758,7 +754,7 @@ where
 
     /// Fallback for orphans above the current root level: re-add every data
     /// item contained in the orphaned subtree.
-    fn readd_subtree(&mut self, entry: Entry<D, T, A::Value>, reinserted: &mut HashSet<u32>) {
+    fn readd_subtree(&mut self, entry: Entry<D, T, A::Value>, reinserted: &mut u64) {
         match entry.payload {
             EntryPayload::Data(_) => self.insert_entry(entry, 0, reinserted),
             EntryPayload::Child(c) => {
@@ -776,6 +772,8 @@ where
 mod tests {
     use super::*;
     use crate::strategy::RStarGrouping;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     type Tree = RStarTree<2, u32, NoAug, RStarGrouping>;
 
@@ -1029,6 +1027,96 @@ mod tests {
             .collect();
         by_dist.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         assert_eq!(got, by_dist[..7].iter().map(|&(_, id)| id).collect::<Vec<_>>());
+    }
+
+    /// Per-subtree item maxima that count every `merge` call.
+    struct CountingAug(Rc<Cell<u64>>);
+
+    impl Augmentation<u32> for CountingAug {
+        type Value = u64;
+        fn leaf_value(&self, item: &u32) -> u64 {
+            u64::from(*item)
+        }
+        fn empty(&self) -> u64 {
+            0
+        }
+        fn merge(&self, acc: &mut u64, child: &u64) {
+            self.0.set(self.0.get() + 1);
+            *acc = (*acc).max(*child);
+        }
+    }
+
+    /// [`RStarGrouping`] that counts its `split` and `reinsert_candidates`
+    /// calls: an insert during which neither runs is a plain one.
+    struct Watched(Rc<Cell<u64>>);
+
+    impl<const D: usize> GroupingStrategy<D, u64> for Watched {
+        fn choose_subtree(
+            &self,
+            children: &[EntryView<'_, D, u64>],
+            new: &EntryView<'_, D, u64>,
+            child_is_leaf: bool,
+        ) -> usize {
+            RStarGrouping.choose_subtree(children, new, child_is_leaf)
+        }
+        fn split(&self, entries: &[EntryView<'_, D, u64>], min_fill: usize) -> Vec<bool> {
+            self.0.set(self.0.get() + 1);
+            RStarGrouping.split(entries, min_fill)
+        }
+        fn reinsert_candidates(
+            &self,
+            entries: &[EntryView<'_, D, u64>],
+            count: usize,
+        ) -> Vec<usize> {
+            self.0.set(self.0.get() + 1);
+            RStarGrouping.reinsert_candidates(entries, count)
+        }
+    }
+
+    /// An insert that neither splits nor reinserts grows each ancestor
+    /// entry with one `merge`: `height` merges in all.
+    #[test]
+    fn plain_insert_merges_once_per_ancestor() {
+        for reinsert in [true, false] {
+            let (merges, restructures) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+            let params = RTreeParams::with_max_entries(12);
+            let params = if reinsert {
+                params
+            } else {
+                params.without_reinsert()
+            };
+            let mut t: RStarTree<3, u32, CountingAug, Watched> = RStarTree::new(
+                params,
+                CountingAug(Rc::clone(&merges)),
+                Watched(Rc::clone(&restructures)),
+                AccessStats::new(),
+            );
+            let mut plain = 0;
+            for (i, p) in points3(2000).into_iter().enumerate() {
+                let (height, merged, restructured) = (t.height(), merges.get(), restructures.get());
+                t.insert(Rect::point(p), i as u32);
+                if restructures.get() == restructured {
+                    assert_eq!(merges.get() - merged, u64::from(height), "insert {i}");
+                    plain += 1;
+                }
+            }
+            assert!(t.height() >= 2);
+            assert!(plain > 1000, "only {plain} plain inserts");
+            t.validate();
+            t.validate_augs();
+        }
+    }
+
+    fn points3(n: usize) -> Vec<[f64; 3]> {
+        let mut x = 99u64;
+        (0..n)
+            .map(|_| {
+                std::array::from_fn(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((x >> 16) % 1000) as f64 / 1000.0
+                })
+            })
+            .collect()
     }
 
     #[test]

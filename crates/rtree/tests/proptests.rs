@@ -3,7 +3,7 @@
 
 use knnta_util::prop::{check, Gen};
 use pagestore::AccessStats;
-use rtree::{dist, NoAug, RStarGrouping, RStarTree, RTreeParams, Rect};
+use rtree::{dist, Augmentation, NoAug, RStarGrouping, RStarTree, RTreeParams, Rect};
 
 type Tree2 = RStarTree<2, usize, NoAug, RStarGrouping>;
 
@@ -118,5 +118,86 @@ fn degenerate_duplicate_points() {
         let got = t.nearest(&[5.0, 5.0], n);
         assert_eq!(got.len(), n);
         assert!(got.iter().all(|(d, _)| *d == 0.0));
+    });
+}
+
+/// Per-subtree weight sum and max: the sum catches an item counted twice
+/// or missed, the max a summary that was not refreshed after a removal.
+struct SumMax;
+
+impl Augmentation<(usize, u64)> for SumMax {
+    type Value = (u64, u64);
+
+    fn leaf_value(&self, item: &(usize, u64)) -> (u64, u64) {
+        (item.1, item.1)
+    }
+
+    fn empty(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    fn merge(&self, acc: &mut (u64, u64), child: &(u64, u64)) {
+        acc.0 += child.0;
+        acc.1 = acc.1.max(child.1);
+    }
+}
+
+/// A coordinate that is often a duplicate or a signed zero.
+fn gen_coord(g: &mut Gen) -> f64 {
+    match g.usize_in(0..4) {
+        0 => *g.pick(&[-0.0, 0.0, 1.0, 2.5]),
+        1 => g.usize_in(0..4) as f64,
+        _ => g.f64_in(-10.0..10.0),
+    }
+}
+
+/// Interleaved inserts and removes with a real augmentation: after every
+/// operation the structure and every internal summary are exact, and the
+/// root summarises exactly the live items.
+fn summaries_under_churn<const D: usize>(g: &mut Gen) {
+    let max_entries = g.usize_in(4..9);
+    let params = if g.bool() {
+        RTreeParams::with_max_entries(max_entries)
+    } else {
+        RTreeParams::with_max_entries(max_entries).without_reinsert()
+    };
+    let mut t: RStarTree<D, (usize, u64), SumMax, RStarGrouping> =
+        RStarTree::new(params, SumMax, RStarGrouping, AccessStats::new());
+    let mut alive: Vec<(usize, [f64; D], u64)> = Vec::new();
+    let ops = g.usize_in(1..250);
+    for id in 0..ops {
+        if alive.is_empty() || g.usize_in(0..3) > 0 {
+            let p: [f64; D] = if !alive.is_empty() && g.usize_in(0..4) == 0 {
+                g.pick(&alive).1
+            } else {
+                std::array::from_fn(|_| gen_coord(g))
+            };
+            let weight = g.u64_in(1..1000);
+            t.insert(Rect::point(p), (id, weight));
+            alive.push((id, p, weight));
+        } else {
+            let (gone, p, _) = alive.swap_remove(g.usize_in(0..alive.len()));
+            let removed = t.remove(&Rect::point(p), |&(i, _)| i == gone);
+            assert_eq!(removed.map(|(i, _)| i), Some(gone));
+        }
+        t.validate();
+        t.validate_augs();
+        let root = t.node(t.root_id());
+        let mut total = SumMax.empty();
+        for e in &root.entries {
+            SumMax.merge(&mut total, &e.aug);
+        }
+        let want = alive
+            .iter()
+            .fold((0, 0), |(s, m), &(_, _, w)| (s + w, m.max(w)));
+        assert_eq!(total, want, "root summary after op {id}");
+    }
+}
+
+#[test]
+fn summaries_exact_under_churn() {
+    check("summaries_exact_under_churn", 48, |g| {
+        summaries_under_churn::<2>(g);
+        summaries_under_churn::<3>(g);
     });
 }

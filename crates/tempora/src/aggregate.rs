@@ -210,6 +210,10 @@ impl AggregateSeries {
 
     /// Merges `other` into `self`, keeping the per-epoch **max** — how an
     /// internal entry's TIA summarises its child TIAs (Section 4.1).
+    ///
+    /// When every epoch of `other` is already present — the common case when
+    /// a summary grows by one more child — the maxima are raised in place
+    /// and nothing is allocated.
     pub fn merge_max(&mut self, other: &AggregateSeries) {
         if other.entries.is_empty() {
             return;
@@ -218,8 +222,28 @@ impl AggregateSeries {
             self.entries = other.entries.clone();
             return;
         }
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
+        // Raise maxima in place while every epoch of `other` is present.
         let (mut i, mut j) = (0, 0);
+        while let Some(&(e, v)) = other.entries.get(j) {
+            while i < self.entries.len() && self.entries[i].0 < e {
+                i += 1;
+            }
+            match self.entries.get_mut(i) {
+                Some(slot) if slot.0 == e => {
+                    slot.1 = slot.1.max(v);
+                    i += 1;
+                    j += 1;
+                }
+                _ => break,
+            }
+        }
+        if j == other.entries.len() {
+            return;
+        }
+        // Epoch `other[j]` is new: merge the rest into a fresh buffer,
+        // keeping the prefix already done.
+        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len() - j);
+        merged.extend_from_slice(&self.entries[..i]);
         while i < self.entries.len() && j < other.entries.len() {
             let (ea, va) = self.entries[i];
             let (eb, vb) = other.entries[j];
@@ -556,6 +580,32 @@ mod tests {
         let b = series(&[(0, 2), (1, 3), (2, 1)]);
         a.merge_max(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![(0, 2), (1, 3), (2, 2)]);
+    }
+
+    #[test]
+    fn merge_max_in_place_or_merging_is_the_pointwise_max() {
+        type Pairs = &'static [(u32, u64)];
+        let cases: [(Pairs, Pairs); 5] = [
+            // Every epoch present: raised in place.
+            (&[(0, 2), (3, 5), (7, 1)], &[(3, 9), (7, 1)]),
+            // A prefix in place, then a new epoch.
+            (&[(0, 2), (3, 5), (7, 1)], &[(0, 4), (3, 1), (9, 6)]),
+            (&[(2, 1)], &[(0, 3), (2, 5)]),
+            (&[(0, 1), (5, 1)], &[(2, 2), (5, 7), (6, 1)]),
+            (&[(4, 4)], &[(4, 3)]),
+        ];
+        for (a, b) in cases {
+            let (sa, sb) = (series(a), series(b));
+            let mut got = sa.clone();
+            got.merge_max(&sb);
+            let want = AggregateSeries::from_pairs(
+                a.iter()
+                    .chain(b)
+                    .map(|&(e, _)| (e, sa.get(e).max(sb.get(e))))
+                    .collect::<std::collections::BTreeMap<_, _>>(),
+            );
+            assert_eq!(got, want, "{a:?} max {b:?}");
+        }
     }
 
     #[test]

@@ -336,8 +336,11 @@ fn read_venues(path: &str) -> Result<Vec<(Poi, AggregateSeries)>, String> {
         }
         let bad = |f: &str| format!("{path}:{}: bad field `{f}`", lineno + 1);
         let id: u32 = fields[0].trim().parse().map_err(|_| bad(fields[0]))?;
-        let x: f64 = fields[1].trim().parse().map_err(|_| bad(fields[1]))?;
-        let y: f64 = fields[2].trim().parse().map_err(|_| bad(fields[2]))?;
+        let coord = |f: &str| match f.trim().parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(bad(f)),
+        };
+        let (x, y) = (coord(fields[1])?, coord(fields[2])?);
         let epoch: i64 = fields[3].trim().parse().map_err(|_| bad(fields[3]))?;
         let count: u64 = fields[4].trim().parse().map_err(|_| bad(fields[4]))?;
         let entry = pois.entry(id).or_insert(([x, y], Vec::new()));
@@ -373,6 +376,16 @@ fn build(opts: &Opts) -> Result<(), String> {
     let venues = read_venues(input)?;
     if venues.is_empty() {
         return Err("no venues in the input".into());
+    }
+    // The same id bound the index loader applies, so every index written
+    // here loads back.
+    let id_limit = TarIndex::poi_id_limit(venues.len());
+    if let Some((poi, _)) = venues.iter().find(|(p, _)| p.id.index() >= id_limit) {
+        return Err(format!(
+            "venue id {} is not below {id_limit}, the limit for {} venues",
+            poi.id.0,
+            venues.len()
+        ));
     }
     // Grid: from --epochs, or from the largest epoch index seen.
     let max_epoch = venues

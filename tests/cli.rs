@@ -543,6 +543,32 @@ fn build_rejects_too_small_epoch_count() {
 }
 
 #[test]
+fn build_rejects_sparse_ids_and_non_finite_positions() {
+    let csv = tmp("venues-bad.csv");
+    let idx = tmp("city-bad.idx");
+    for (rows, needle) in [
+        (
+            "0,1.0,1.0,0,3\n4294967280,2.0,2.0,0,1\n",
+            "venue id 4294967280",
+        ),
+        ("0,1.0,1.0,0,3\n1,nan,2.0,0,1\n", "bad field `nan`"),
+        ("0,1.0,inf,0,3\n", "bad field `inf`"),
+    ] {
+        std::fs::write(&csv, format!("id,x,y,epoch,count\n{rows}")).unwrap();
+        let out = knnta()
+            .args(["build", "--input", csv.to_str().unwrap()])
+            .args(["--out", idx.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{needle}: {stderr}");
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+    let _ = std::fs::remove_file(csv);
+    let _ = std::fs::remove_file(idx);
+}
+
+#[test]
 fn forged_index_files_are_rejected_without_a_panic() {
     let csv = tmp("forged-venues.csv");
     let idx = tmp("forged-city.idx");
@@ -574,12 +600,35 @@ fn forged_index_files_are_rejected_without_a_panic() {
     huge_count[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut duplicate_id = full.clone();
     duplicate_id.copy_within(first..first + 4, second);
+    // An id the position table would have to grow to ≈96 GB for.
+    let mut sparse_id = full.clone();
+    sparse_id[first..first + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+    let mut nan_position = full.clone();
+    nan_position[first + 12..first + 20].copy_from_slice(&f64::NAN.to_le_bytes());
+    let mut infinite_bounds = full.clone();
+    infinite_bounds[count_at - 8..count_at].copy_from_slice(&f64::INFINITY.to_le_bytes());
+    // The last epoch of the first non-empty series, set one past the grid.
+    let mut late_epoch = full.clone();
+    let mut at = first;
+    let epoch_at = loop {
+        let n = u32::from_le_bytes(full[at + 20..at + 24].try_into().unwrap()) as usize;
+        if n > 0 {
+            break at + 24 + 12 * (n - 1);
+        }
+        at += 24;
+    };
+    let epochs = boundaries as u32 - 1;
+    late_epoch[epoch_at..epoch_at + 4].copy_from_slice(&epochs.to_le_bytes());
 
     let forged = tmp("forged.idx");
     for (bytes, field) in [
         (node_size_zero, "node size"),
         (huge_count, "poi count"),
         (duplicate_id, "poi id"),
+        (sparse_id, "poi id"),
+        (nan_position, "poi position"),
+        (infinite_bounds, "bounds"),
+        (late_epoch, "series epoch"),
     ] {
         std::fs::write(&forged, bytes).unwrap();
         let out = knnta()

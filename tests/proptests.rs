@@ -10,7 +10,7 @@ use knnta::core::{
 };
 use knnta::util::prop::{check, Gen};
 use knnta::{AggregateSeries, EpochGrid, KnntaQuery, Poi, TimeInterval};
-use rtree::Rect;
+use rtree::{Rect, NODE_HEADER_BYTES};
 
 const EPOCHS: usize = 12;
 
@@ -67,6 +67,39 @@ fn build_all(ds: &ArbDataset) -> (ScanBaseline, Vec<TarIndex>) {
         })
         .collect();
     (baseline, indexes)
+}
+
+/// Deep trees — fanout 4 to 8, so inserts split and reinsert all the time —
+/// keep every structural invariant and every TIA summary exact through the
+/// build, removals and re-inserts, for all three groupings.
+#[test]
+fn small_node_trees_stay_valid_under_churn() {
+    check("small_node_trees_stay_valid_under_churn", 16, |g| {
+        let ds = gen_dataset(g, 150);
+        let node_size = NODE_HEADER_BYTES + 28 * g.usize_in(4..9);
+        let forced_reinsert = g.bool();
+        let grid = EpochGrid::fixed_days(7, EPOCHS);
+        let bounds = Rect::new([0.0, 0.0], [100.0, 100.0]);
+        for grouping in [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg] {
+            let config = IndexConfig {
+                grouping,
+                node_size,
+                forced_reinsert,
+            };
+            let mut index = TarIndex::build(config, grid.clone(), bounds, ds.pois.iter().cloned());
+            index.validate();
+            let churn: Vec<&(Poi, AggregateSeries)> = ds.pois.iter().filter(|_| g.bool()).collect();
+            for (poi, _) in &churn {
+                assert!(index.remove_poi(poi.id), "{grouping}: {}", poi.id);
+                index.validate();
+            }
+            for (poi, series) in churn {
+                index.insert_poi(*poi, series.clone());
+                index.validate();
+            }
+            assert_eq!(index.len(), ds.pois.len(), "{grouping}");
+        }
+    });
 }
 
 /// Index answers equal oracle answers for every grouping strategy.

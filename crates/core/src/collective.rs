@@ -1,7 +1,13 @@
 //! Collective (batched) query processing (Section 7.2).
 //!
 //! A batch of kNNTA queries runs one best-first search per query, but the
-//! physical node fetches are shared:
+//! physical node fetches are shared. That pays where a fetch costs work of
+//! its own, the paged store's page decode and buffer pool; on the packed
+//! image a fetch is two index computations and every waiting query still
+//! expands the node itself, so the service's shards answer their tiles one
+//! query at a time ([`crate::Executor::query_tile`]) and this engine serves
+//! [`crate::Executor::execute_batch`] / [`crate::Executor::query_batch`]
+//! (DESIGN.md §10 has the measurement).
 //!
 //! * **Hilbert ordering.** The batch is sorted along a 3-D Hilbert curve
 //!   over `(x, y, Iq midpoint)` (see [`crate::hilbert`]) and processed in
@@ -207,21 +213,19 @@ fn park(
 /// plain batches, or a live snapshot's overlay-adjusted series (which keeps
 /// batch answers bit-identical to a merged index).
 ///
-/// Query `i` prunes against and publishes to `bounds[i]` (see
-/// [`crate::search::bfs_query_nodes`]).
+/// Every query runs under a fresh [`SharedBound`] of its own.
 pub(crate) fn collective_on_nodes<const D: usize, N: NodeSource<D>>(
     nodes: &N,
     meta: &IndexMeta,
     root_max: &tempora::AggregateSeries,
     queries: &[KnntaQuery],
-    bounds: &[SharedBound],
     opts: &BatchOptions,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
     if meta.obs.is_enabled() {
-        run_tiles::<D, N, Counts>(nodes, meta, root_max, queries, bounds, opts, parent)
+        run_tiles::<D, N, Counts>(nodes, meta, root_max, queries, opts, parent)
     } else {
-        run_tiles::<D, N, NoProbe>(nodes, meta, root_max, queries, bounds, opts, parent)
+        run_tiles::<D, N, NoProbe>(nodes, meta, root_max, queries, opts, parent)
     }
 }
 
@@ -232,7 +236,6 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
     meta: &IndexMeta,
     root_max: &tempora::AggregateSeries,
     queries: &[KnntaQuery],
-    bounds: &[SharedBound],
     opts: &BatchOptions,
     parent: SpanId,
 ) -> Vec<Vec<QueryHit>> {
@@ -265,9 +268,11 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
     for (ti, tile) in order.chunks(opts.tile.max(1)).enumerate() {
         let tile_start = obs.now_ns();
         let mut probe = P::default();
+        let bounds: Vec<SharedBound> = tile.iter().map(|_| SharedBound::new()).collect();
         let mut states: HashMap<usize, BatchQuery<'_>> = tile
             .iter()
-            .map(|&qi| {
+            .zip(&bounds)
+            .map(|(&qi, bound)| {
                 let q = &queries[qi];
                 let r = grid.epochs_within(q.interval);
                 let gmax = *gmax_of
@@ -280,7 +285,7 @@ fn run_tiles<const D: usize, N: NodeSource<D>, P: Probe>(
                     BatchQuery {
                         ctx: meta.ctx_with_normalizer(q, gmax),
                         heap,
-                        hits: WorkerHits::new(q.k, &bounds[qi]),
+                        hits: WorkerHits::new(q.k, bound),
                     },
                 )
             })

@@ -164,7 +164,7 @@ mod tests {
         let bound = SharedBound::new();
         bound.tighten(want[q.k - 1].score);
         let env = ExecEnv {
-            bounds: Some(std::slice::from_ref(&bound)),
+            bound: Some(&bound),
             ..index.exec_env()
         };
         index.stats().reset();

@@ -876,7 +876,7 @@ impl SnapshotView {
             arena: None,
             root_max: Some(&self.overlay.root_max),
             fresh_at: None,
-            bounds: None,
+            bound: None,
         };
         let overlaid = OverlayNodes {
             packed: crate::packed::PackedSource(&self.base.frozen.packed),

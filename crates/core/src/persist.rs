@@ -87,7 +87,8 @@ impl TarIndex {
     /// grouping, non-finite or inverted bounds, a POI count larger than the
     /// bytes that follow, a duplicate POI id or one at or past
     /// [`TarIndex::poi_id_limit`], a non-finite position, series epochs not
-    /// increasing or outside the grid) is an [`io::ErrorKind::InvalidData`]
+    /// increasing or outside the grid, per-epoch maxima over all POIs that
+    /// sum past `u64::MAX`) is an [`io::ErrorKind::InvalidData`]
     /// error naming the field, never a panic.
     pub fn load_from_slice(data: &[u8]) -> io::Result<TarIndex> {
         let err = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -178,6 +179,16 @@ impl TarIndex {
             }
             let series = AggregateSeries::from_pairs(pairs);
             items.push((Poi { id: tempora::PoiId(id), pos }, series));
+        }
+        // Every TIA prefix the index sums, leaf or internal, is at most
+        // the total of the per-epoch maxima.
+        if AggregateSeries::max_of(items.iter().map(|(_, s)| s))
+            .checked_total()
+            .is_none()
+        {
+            return Err(err(
+                "bad series total: the per-epoch maxima over all POIs sum past u64::MAX",
+            ));
         }
         let config = IndexConfig {
             grouping,
@@ -299,6 +310,28 @@ mod tests {
         let at = last_epoch_offset(&full);
         bytes[at..at + 4].copy_from_slice(&grid_len.to_le_bytes());
         invalid(&bytes, "series epoch");
+        // A two-epoch series of 2^63 each: the index's prefix sums would
+        // overflow.
+        let mut bytes = full.clone();
+        let at = two_epoch_series_offset(&full);
+        for value_at in [at + 4, at + 16] {
+            bytes[value_at..value_at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        }
+        invalid(&bytes, "bad series total");
+    }
+
+    /// Byte offset of the first series pair of the first POI with at least
+    /// two.
+    fn two_epoch_series_offset(snapshot: &[u8]) -> usize {
+        let read = |at: usize| u32::from_le_bytes(snapshot[at..at + 4].try_into().unwrap());
+        let mut at = poi_count_offset(snapshot) + 4;
+        loop {
+            let pairs = read(at + 20) as usize;
+            if pairs >= 2 {
+                return at + 24;
+            }
+            at += 24 + 12 * pairs;
+        }
     }
 
     /// Byte offset of the last series epoch of the first POI that has one.

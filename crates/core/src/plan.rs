@@ -4,8 +4,8 @@
 //! [`Executor`] the only public place that takes one: [`Executor::execute`]
 //! / [`Executor::execute_batch`] run a forced plan, [`Executor::query`] /
 //! [`Executor::query_batch`] plan first and feed the measurement back, and
-//! [`Executor::query_tile`] does the same for one shard's part of a tile
-//! under bounds shared with the other shards.
+//! [`Executor::query_tile`] runs one shard's part of a tile as
+//! [`Executor::query`]s, each under the bound the other shards share.
 //! [`TarIndex::query`] (Algorithm 1 on the arena, the reference every oracle
 //! compares against) and [`crate::SnapshotView::query`] (packed image under
 //! the live overlay) fix one configuration each. All of them call
@@ -13,11 +13,11 @@
 //! staleness checks, context construction, observability scopes, backend
 //! dispatch (in-memory / paged / packed via [`SourceOp`]) and the
 //! live-snapshot overlay on the packed image. The two engines
-//! ([`bfs_query_nodes`], [`collective_on_nodes`]) are single-threaded
-//! drivers around the one node-expansion kernel in [`crate::search`], so
-//! every configuration scores entries with the same code and answers are
-//! bit-identical across plans — `tests/planner_oracle.rs` is the
-//! differential proof.
+//! ([`bfs_query_nodes`], and [`collective_on_nodes`] for batches only) are
+//! single-threaded drivers around the one node-expansion kernel in
+//! [`crate::search`], so every configuration scores entries with the same
+//! code and answers are bit-identical across plans —
+//! `tests/planner_oracle.rs` is the differential proof.
 //!
 //! On top sits the public [`Executor`]: the cost-model-driven front door
 //! that asks [`costmodel::Planner`] (paper §6, calibrated online against
@@ -58,7 +58,7 @@ impl TarIndex {
             arena: Some(self),
             root_max: None,
             fresh_at: Some(self.content_epoch),
-            bounds: None,
+            bound: None,
         }
     }
 }
@@ -67,7 +67,7 @@ impl TarIndex {
 /// and sinks, the arena tree when there is one, an optional caller-owned
 /// `gmax` source, the content epoch paged/packed backends must match
 /// (snapshots own their images, so they skip the check), and the `f(p_k)`
-/// bounds the queries share with other shards, if any.
+/// bound a single query shares with other shards, if any.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecEnv<'e> {
     /// The stats / obs / grid / bounds that drive the execution.
@@ -82,9 +82,10 @@ pub(crate) struct ExecEnv<'e> {
     /// The content epoch paged/packed backends are validated against;
     /// `None` skips the check.
     pub fresh_at: Option<u64>,
-    /// One [`SharedBound`] per query, held by every shard answering the
-    /// same tile; `None` runs each query under a fresh bound of its own.
-    pub bounds: Option<&'e [SharedBound]>,
+    /// The query's [`SharedBound`], held by every shard answering it;
+    /// `None` runs the query under a fresh bound of its own. Batches always
+    /// run under fresh bounds.
+    pub bound: Option<&'e SharedBound>,
 }
 
 impl<'e> ExecEnv<'e> {
@@ -147,7 +148,7 @@ pub(crate) fn run_query(
             meta,
             ctx: &ctx,
             k: query.k,
-            bound: env.bounds.and_then(<[_]>::first),
+            bound: env.bound,
             parent,
         },
     );
@@ -219,7 +220,6 @@ pub(crate) fn run_batch(
             meta,
             root_max,
             queries,
-            bounds: env.bounds,
             opts,
             parent,
         },
@@ -234,7 +234,6 @@ struct BatchOp<'c> {
     meta: &'c IndexMeta,
     root_max: &'c AggregateSeries,
     queries: &'c [KnntaQuery],
-    bounds: Option<&'c [SharedBound]>,
     opts: &'c BatchOptions,
     parent: SpanId,
 }
@@ -247,19 +246,10 @@ impl SourceOp for BatchOp<'_> {
             meta,
             root_max,
             queries,
-            bounds,
             opts,
             parent,
         } = self;
-        let fresh: Vec<SharedBound>;
-        let bounds = match bounds {
-            Some(bounds) => bounds,
-            None => {
-                fresh = queries.iter().map(|_| SharedBound::new()).collect();
-                &fresh
-            }
-        };
-        collective_on_nodes(nodes, meta, root_max, queries, bounds, opts, parent)
+        collective_on_nodes(nodes, meta, root_max, queries, opts, parent)
     }
 }
 
@@ -472,7 +462,7 @@ impl<'a> Executor<'a> {
             },
             root_max: self.root_max,
             fresh_at: Some(self.base.content_epoch()),
-            bounds: None,
+            bound: None,
         }
     }
 
@@ -614,21 +604,11 @@ impl<'a> Executor<'a> {
         plan: &QueryPlan,
         order: BatchOrder,
     ) -> Vec<Vec<QueryHit>> {
-        self.execute_batch_in(&self.env(), queries, plan, order)
-    }
-
-    fn execute_batch_in(
-        &self,
-        env: &ExecEnv<'_>,
-        queries: &[KnntaQuery],
-        plan: &QueryPlan,
-        order: BatchOrder,
-    ) -> Vec<Vec<QueryHit>> {
         let opts = BatchOptions {
             order,
             tile: plan.tile,
         };
-        run_batch(env, self.backend_of(plan), queries, &opts)
+        run_batch(&self.env(), self.backend_of(plan), queries, &opts)
     }
 
     /// Feeds the node accesses `run` caused back into the calibration.
@@ -657,18 +637,25 @@ impl<'a> Executor<'a> {
     }
 
     /// Plans and answers this executor's part of a tile whose queries other
-    /// searches — the other shards of a partitioned index — answer too:
-    /// [`Executor::query`] for one query, [`Executor::query_batch`] for
-    /// more, feeding measured node accesses back either way.
+    /// searches — the other shards of a partitioned index — answer too.
     ///
-    /// Query `i` prunes against `bounds[i]` and publishes its own k-th
-    /// score there, so each search stops as soon as the hits found anywhere
-    /// rule out the rest of its tree. A returned list then holds every hit
-    /// of this executor's index that can rank in the global top `k` — ties
-    /// with the bound included — and may be shorter than `k`;
+    /// The queries run one at a time in the tile's order (the service
+    /// orders each tile along the Hilbert curve, so consecutive searches
+    /// walk nearby subtrees): each is planned, executed and fed back exactly
+    /// like [`Executor::query`], but prunes against `bounds[i]` and publishes
+    /// its own k-th score there, so each search stops as soon as the hits
+    /// found anywhere rule out the rest of its tree. A returned list then
+    /// holds every hit of this executor's index that can rank in the global
+    /// top `k` — ties with the bound included — and may be shorter than `k`;
     /// [`crate::merge_ranked`] over every holder's lists is the answer of
     /// one search over all the data, bit for bit. With a fresh bound per
-    /// query and no other holder, the lists equal [`Executor::query_batch`]'s.
+    /// query and no other holder, list `i` and its node accesses equal
+    /// [`Executor::query`]'s for query `i`.
+    ///
+    /// The tile does not go through the collective engine: on the packed
+    /// image a node fetch costs two index computations, and every waiting
+    /// query still expands the node itself, so sharing fetches saves no
+    /// work (DESIGN.md §10).
     ///
     /// # Panics
     ///
@@ -679,20 +666,19 @@ impl<'a> Executor<'a> {
         bounds: &[SharedBound],
     ) -> Vec<Vec<QueryHit>> {
         assert_eq!(queries.len(), bounds.len(), "one bound per query");
-        let env = ExecEnv {
-            bounds: Some(bounds),
-            ..self.env()
-        };
-        if let [query] = queries {
-            let plan = self.plan(query);
-            vec![self.measured(&plan, |exec| exec.execute_in(&env, query, &plan))]
-        } else {
-            let plan = self.plan_batch(queries);
-            let order = BatchOrder::Hilbert;
-            self.measured(&plan, |exec| {
-                exec.execute_batch_in(&env, queries, &plan, order)
+        let shared = self.env();
+        queries
+            .iter()
+            .zip(bounds)
+            .map(|(query, bound)| {
+                let env = ExecEnv {
+                    bound: Some(bound),
+                    ..shared
+                };
+                let plan = self.plan(query);
+                self.measured(&plan, |exec| exec.execute_in(&env, query, &plan))
             })
-        }
+            .collect()
     }
 }
 

@@ -1,8 +1,8 @@
 //! # knnta-service — the async sharded query service
 //!
 //! A server loop in front of the kNNTA engine, turning continuously
-//! arriving queries into the locality-tiled collective executions the
-//! batch scheme (Section 7.2) makes fast — with zero dependencies beyond
+//! arriving queries into Hilbert-ordered tiles that a fleet of engine
+//! shards answers under one bound per query — with zero dependencies beyond
 //! the workspace: the executor is [`knnta_util::pool::ThreadPool`] over
 //! [`knnta_util::chan`] channels, no external async runtime.
 //!
@@ -23,9 +23,10 @@
 //!   tile grows until a flush drains (the merger's notice), the tile
 //!   reaches `max_batch`, or its oldest query has waited `max_delay`. Each
 //!   flush is ordered along the 3-D Hilbert curve
-//!   ([`knnta_core::BatchOrder::Hilbert`]) so the collective execution
-//!   inside every shard walks a locality tile — the streaming
-//!   generalisation of the static collective batches.
+//!   ([`knnta_core::BatchOrder::Hilbert`]), so every shard answers nearby
+//!   queries back to back while their subtrees are still in cache. A tile
+//!   amortises channel hops and merge bookkeeping; it shares no search
+//!   work, because on a packed image a shared node fetch saves none.
 //! * **Shards**: the POI set is partitioned across `shards` engine shards
 //!   by [`knnta_core::partition_pois`] (contiguous Hilbert runs). Every
 //!   shard is a [`knnta_core::FrozenIndex`] — a packed image plus metadata,
@@ -36,9 +37,10 @@
 //!   **global root-max** series ([`knnta_core::Executor::with_root_max`])
 //!   so per-shard scores are bit-identical to the unsharded tree's. Each
 //!   flush carries one [`knnta_core::SharedBound`] per query, and every
-//!   shard runs its tile through [`knnta_core::Executor::query_tile`]
-//!   against them: a shard prunes with the k-th score any shard has found,
-//!   so it stops about where one search over all the POIs would.
+//!   shard runs its tile through [`knnta_core::Executor::query_tile`], one
+//!   query at a time against its bound: a shard prunes with the k-th score
+//!   any shard has found, so it stops about where one search over all the
+//!   POIs would.
 //! * **Merge**: per-shard lists (each possibly shorter than k) are merged by
 //!   [`knnta_core::merge_ranked`] under the global `(score, PoiId)` total
 //!   order. `tests/service_oracle.rs` is the differential proof that the

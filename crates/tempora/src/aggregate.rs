@@ -69,12 +69,20 @@ impl AggregateSeries {
     ///
     /// Pairs may arrive unsorted; zero values are dropped; duplicate epoch
     /// indices are summed.
+    ///
+    /// # Panics
+    ///
+    /// If the values of one epoch sum past `u64::MAX` (the message names
+    /// the epoch).
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut entries: Vec<(u32, u64)> = pairs.into_iter().filter(|&(_, v)| v != 0).collect();
         entries.sort_unstable_by_key(|&(e, _)| e);
         entries.dedup_by(|next, prev| {
             if next.0 == prev.0 {
-                prev.1 += next.1;
+                prev.1 = prev
+                    .1
+                    .checked_add(next.1)
+                    .unwrap_or_else(|| panic!("the values of epoch {} sum past u64::MAX", prev.0));
                 true
             } else {
                 false
@@ -196,6 +204,15 @@ impl AggregateSeries {
     /// Total over all epochs (`Σ vi`).
     pub fn total(&self) -> u64 {
         self.entries.iter().map(|&(_, v)| v).sum()
+    }
+
+    /// [`AggregateSeries::total`], or `None` if it exceeds `u64::MAX`.
+    /// On the per-epoch max of a POI set ([`AggregateSeries::max_of`]) this
+    /// bounds every TIA prefix sum an index over those POIs computes.
+    pub fn checked_total(&self) -> Option<u64> {
+        self.entries
+            .iter()
+            .try_fold(0u64, |sum, &(_, v)| sum.checked_add(v))
     }
 
     /// `λ̂p = (1/m) Σ vi` — the mean per-epoch aggregate used as the third
@@ -490,6 +507,18 @@ mod tests {
         let s = AggregateSeries::from_pairs([(3, 2), (1, 5), (3, 1), (4, 0)]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![(1, 5), (3, 3)]);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch 7 sum past u64::MAX")]
+    fn from_pairs_panics_when_an_epoch_overflows() {
+        AggregateSeries::from_pairs([(7, u64::MAX), (7, 2)]);
+    }
+
+    #[test]
+    fn checked_total_reports_overflow() {
+        assert_eq!(series(&[(0, 3), (5, 4)]).checked_total(), Some(7));
+        assert_eq!(series(&[(0, 1 << 63), (1, 1 << 63)]).checked_total(), None);
     }
 
     #[test]

@@ -28,8 +28,10 @@
 # from their POIs) nor regrow the shard rebuild/retry path (a shard is
 # immutable, so a worker panic fails only its own tile) nor run a shard's
 # tile through `Executor::query` / `query_batch` (every shard execution goes
-# through `query_tile` with its flush's bounds, so the shards answering one
-# query prune against one shared f(p_k)), crates/obs must not
+# through `query_tile`, which answers the tile one query at a time, each
+# under its flush's bound for that query, so the shards answering one query
+# prune against one shared f(p_k); the collective engine shares fetches,
+# which saves no work on a packed shard), crates/obs must not
 # regrow a second metrics registry or histogram core (a lifetime counter is a
 # window that never rotates), the query surface must not regrow (at most seven
 # `pub fn query*` in crates/core/src — `query` on TarIndex / SnapshotView /

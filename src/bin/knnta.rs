@@ -317,7 +317,7 @@ fn generate(opts: &Opts) -> Result<(), String> {
 }
 
 /// Position and sparse per-epoch counts, as accumulated from the CSV.
-type VenueRows = BTreeMap<u32, ([f64; 2], Vec<(u32, u64)>)>;
+type VenueRows = BTreeMap<u32, ([f64; 2], BTreeMap<u32, u64>)>;
 
 fn read_venues(path: &str) -> Result<Vec<(Poi, AggregateSeries)>, String> {
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -343,23 +343,36 @@ fn read_venues(path: &str) -> Result<Vec<(Poi, AggregateSeries)>, String> {
         let (x, y) = (coord(fields[1])?, coord(fields[2])?);
         let epoch: i64 = fields[3].trim().parse().map_err(|_| bad(fields[3]))?;
         let count: u64 = fields[4].trim().parse().map_err(|_| bad(fields[4]))?;
-        let entry = pois.entry(id).or_insert(([x, y], Vec::new()));
+        let entry = pois.entry(id).or_insert(([x, y], BTreeMap::new()));
         if epoch >= 0 && count > 0 {
-            entry.1.push((epoch as u32, count));
+            let sum = entry.1.entry(epoch as u32).or_insert(0);
+            *sum = sum.checked_add(count).ok_or_else(|| {
+                format!(
+                    "{path}:{}: venue {id}: the check-ins of epoch {epoch} sum past u64::MAX",
+                    lineno + 1
+                )
+            })?;
         }
     }
-    Ok(pois
+    let venues: Vec<(Poi, AggregateSeries)> = pois
         .into_iter()
-        .map(|(id, (pos, pairs))| {
+        .map(|(id, (pos, counts))| {
             (
-                Poi {
-                    id: PoiId(id),
-                    pos,
-                },
-                AggregateSeries::from_pairs(pairs),
+                Poi { id: PoiId(id), pos },
+                AggregateSeries::from_pairs(counts),
             )
         })
-        .collect())
+        .collect();
+    // Every TIA prefix an index sums, leaf or internal, is at most this.
+    if AggregateSeries::max_of(venues.iter().map(|(_, s)| s))
+        .checked_total()
+        .is_none()
+    {
+        return Err(format!(
+            "{path}: the per-epoch maximum check-ins over all venues sum past u64::MAX"
+        ));
+    }
+    Ok(venues)
 }
 
 fn build(opts: &Opts) -> Result<(), String> {

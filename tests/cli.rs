@@ -553,6 +553,14 @@ fn build_rejects_sparse_ids_and_non_finite_positions() {
         ),
         ("0,1.0,1.0,0,3\n1,nan,2.0,0,1\n", "bad field `nan`"),
         ("0,1.0,inf,0,3\n", "bad field `inf`"),
+        (
+            "0,1.0,1.0,0,18446744073709551615\n0,1.0,1.0,0,2\n",
+            "venue 0: the check-ins of epoch 0 sum past u64::MAX",
+        ),
+        (
+            "0,1.0,1.0,0,9223372036854775808\n1,2.0,2.0,1,9223372036854775808\n",
+            "over all venues sum past u64::MAX",
+        ),
     ] {
         std::fs::write(&csv, format!("id,x,y,epoch,count\n{rows}")).unwrap();
         let out = knnta()

@@ -45,7 +45,7 @@ impl std::fmt::Display for Grouping {
 }
 
 /// Build-time configuration of a [`TarIndex`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexConfig {
     /// The entry grouping strategy.
     pub grouping: Grouping,
@@ -341,8 +341,8 @@ impl TarIndex {
         }
     }
 
-    /// Every indexed POI with its aggregate series (tree order; used by
-    /// persistence and diagnostics).
+    /// Every indexed POI with its aggregate series (tree order; used by the
+    /// live tier and diagnostics).
     pub fn export_pois(&self) -> Vec<(Poi, AggregateSeries)> {
         self.leaf_entries()
             .into_iter()

@@ -41,7 +41,9 @@
 //!   normative byte-layout spec.
 //! * [`FrozenIndex`] — the same image packed straight from the POIs, no
 //!   R\*-tree built, plus the metadata [`Executor::frozen`] runs on; what
-//!   the query service's shards and [`LiveIndex`]'s merged bases are.
+//!   the query service's shards and [`LiveIndex`]'s merged bases are, and
+//!   the one index file (its image's bytes, read back by
+//!   [`FrozenIndex::from_bytes`]).
 //!
 //! ## Quick start
 //!
@@ -81,7 +83,6 @@ mod live;
 mod mwa;
 mod observe;
 mod packed;
-mod persist;
 mod plan;
 mod poi;
 mod search;
@@ -100,7 +101,7 @@ pub use knnta_obs::Obs;
 pub use index::{Grouping, IndexConfig, TarIndex};
 pub use live::{LiveIndex, LiveOptions, SnapshotView};
 pub use mwa::{gamma, WeightAdjustment};
-pub use packed::{FrozenIndex, PackedTarTree, PACKED_FANOUT};
+pub use packed::{FrozenIndex, PackedTarTree, MAX_EPOCHS, PACKED_FANOUT};
 pub use plan::Executor;
 pub use costmodel::{
     Calibration, IndexStats, PlanBackend, PlanMode, Planner, QueryPlan, QuerySpec,

@@ -49,7 +49,7 @@
 //! epochs, so a read is one subtraction and a seal appends one column. See
 //! `DESIGN.md` §13.
 
-use crate::index::{IndexConfig, TarIndex};
+use crate::index::TarIndex;
 use crate::observe;
 use crate::packed::FrozenIndex;
 use crate::poi::{KnntaQuery, Poi, QueryHit};
@@ -398,8 +398,6 @@ struct BaseState {
     /// Indexed by leaf entry of the image (leaf entries come first): the
     /// slot of the POI it holds.
     entry_slot: Vec<u32>,
-    /// What the arena tree is (re)built with.
-    config: IndexConfig,
     /// The arena tree over `table`: the construction-time index for the
     /// first base, built on first use after a merge.
     arena: OnceLock<TarIndex>,
@@ -412,7 +410,6 @@ impl BaseState {
         frozen: FrozenIndex,
         table: Arc<Vec<(Poi, AggregateSeries)>>,
         origin: Arc<Vec<(Poi, AggregateSeries)>>,
-        config: IndexConfig,
         arena: OnceLock<TarIndex>,
     ) -> Self {
         let tree = &frozen.packed.tree;
@@ -442,7 +439,6 @@ impl BaseState {
             leaf,
             parent,
             entry_slot,
-            config,
             arena,
         }
     }
@@ -451,7 +447,7 @@ impl BaseState {
         self.arena.get_or_init(|| {
             // Sharing the image's metadata keeps one set of access counters
             // and one observability handle per base.
-            let mut index = TarIndex::with_meta(self.config, self.frozen.meta.clone());
+            let mut index = TarIndex::with_meta(self.frozen.config, self.frozen.meta.clone());
             index.fill(self.table.to_vec());
             index
         })
@@ -523,7 +519,6 @@ impl LiveIndex {
             FrozenIndex::of(&index),
             Arc::clone(&table),
             table,
-            index.config(),
             OnceLock::from(index),
         );
         let shard_count = opts.shards.max(1);
@@ -756,13 +751,12 @@ impl LiveIndex {
         let mut table = base.table.to_vec();
         overlay.cols.fold_into(&mut table);
         let mut frozen =
-            FrozenIndex::build(base.config, self.grid.clone(), base.frozen.meta.bounds, &table);
+            FrozenIndex::build(base.frozen.config, self.grid.clone(), base.frozen.meta.bounds, &table);
         frozen.set_obs(self.obs.clone());
         let fresh = BaseState::new(
             frozen,
             Arc::new(table),
             Arc::clone(&base.origin),
-            base.config,
             OnceLock::new(),
         );
 

@@ -10,9 +10,10 @@
 //! * [`BytesMut`] — a growable writer (`Vec<u8>`) with the matching `put_*`
 //!   surface; [`BytesMut::freeze`] converts to [`Bytes`] without copying.
 //!
-//! Every page and snapshot format in the workspace (MVBT nodes, the page
-//! store, `core::persist` index snapshots) is written and read through this
-//! module, so the on-disk byte order is defined in exactly one place.
+//! Every page format in the workspace (MVBT nodes, the page store, the
+//! paged tree nodes) is written and read through this module, so their
+//! byte order is defined in one place. The index file is the packed image,
+//! a little-endian word buffer `docs/FORMAT.md` specifies.
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,11 +1,14 @@
 //! A live city dashboard on real-world coordinates: WGS-84 venues projected
 //! to kilometres, a TAR-tree fed by a streaming check-in feed
-//! (`LiveIndex`), weight-free exploration with the skyline, and index
-//! persistence.
+//! (`LiveIndex`), weight-free exploration with the skyline, and the index
+//! file.
 //!
 //! Run with: `cargo run --release --example geo_live_city`
 
-use knnta::core::{GeoPoint, GeoProjector, IndexConfig, KnntaQuery, LiveIndex, Poi, TarIndex};
+use knnta::core::{
+    Executor, FrozenIndex, GeoPoint, GeoProjector, IndexConfig, KnntaQuery, LiveIndex, Poi,
+    TarIndex,
+};
 use knnta::{AggregateSeries, CheckIn, EpochGrid, PoiId, TimeInterval, Timestamp};
 use knnta::util::rng::{Rng, StdRng};
 
@@ -74,7 +77,7 @@ fn main() {
     );
 
     // Fold the sealed weeks into the base tree so the base-level extensions
-    // below (skyline, persistence) see the whole stream, then take an
+    // below (skyline, the index file) see the whole stream, then take an
     // immutable snapshot to query.
     live.merge_sealed();
     let snap = live.snapshot();
@@ -110,12 +113,12 @@ fn main() {
         );
     }
 
-    // Persist the index and load it back.
-    let snapshot = snap.index().save_to_vec();
-    let restored = TarIndex::load_from_slice(&snapshot).expect("valid snapshot");
-    assert_eq!(restored.query(&query).len(), 5);
+    // Write the index file (the packed image) and read it back.
+    let file = snap.packed().to_bytes();
+    let restored = FrozenIndex::from_bytes(&file).expect("valid index file");
+    assert_eq!(Executor::frozen(&restored).query(&query), snap.query(&query));
     println!(
-        "\npersisted the index: {} bytes; reloaded copy answers identically",
-        snapshot.len()
+        "\nwrote the index file: {} bytes; the copy read back answers identically",
+        file.len()
     );
 }

@@ -18,7 +18,7 @@
 #
 # Docs lane (always on): `cargo doc --no-deps` must be warning-clean
 # (RUSTDOCFLAGS="-D warnings"), and the packed-image golden fixture
-# (docs/FORMAT.md, tests/fixtures/packed_v1.golden) must match the writer
+# (docs/FORMAT.md, tests/fixtures/packed_v2.golden) must match the writer
 # byte-for-byte.
 #
 # Benchmark lane (always on): the traversal-work ledger
@@ -52,7 +52,10 @@
 # (`PolicyKind` / `ReplacementPolicy` / `ClockPolicy` / `TwoQPolicy` /
 # `make_policy` / `PackedPages` / `save_to_disk` / `load_from_disk` /
 # `materialize_disk_tias_with`: every pool is the paper's LRU, and an image
-# travels as one `to_bytes` buffer), and the stand-alone
+# travels as one `to_bytes` buffer), the second index-file format must not
+# come back (`KNNTAv1` / `save_to_vec` / `load_from_slice` / `persist::`:
+# the packed image is the one index file, written by `knnta build` and read
+# by every `--index` through `FrozenIndex::from_bytes`), and the stand-alone
 # benchmark program (perfbench/, what BENCHMARK.json runs) must still build against
 # the workspace crates and pass its own tests — the only guard that a
 # deletion under crates/ did not break it.
@@ -138,6 +141,10 @@ if grep -rnE 'parallel_bfs|ExecMode|PlanMode::Parallel|knnta\.core\.frontier\.' 
 fi
 if grep -rnE 'PolicyKind|ReplacementPolicy|ClockPolicy|TwoQPolicy|make_policy|PackedPages|save_to_disk|load_from_disk|materialize_disk_tias_with' crates src tests examples; then
     echo "a buffer replacement-policy layer or the packed page round trip regrew: every pool is LRU, an image is one to_bytes buffer" >&2
+    exit 1
+fi
+if grep -rnE 'KNNTAv1|save_to_vec|load_from_slice|persist::' crates src tests examples; then
+    echo "a second index-file format regrew: the packed image is the one index file (FrozenIndex::to_bytes / from_bytes)" >&2
     exit 1
 fi
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -26,7 +26,7 @@ fn direct_image_matches_the_golden_fixture() {
     };
     let golden = std::fs::read(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/packed_v1.golden"
+        "/tests/fixtures/packed_v2.golden"
     ))
     .expect("golden fixture present");
     let frozen = FrozenIndex::build(config, grid, bounds, &pois);

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{assert_same_answer, baseline_of, index_of, small_dataset};
-use knnta::core::{Grouping, IndexConfig, LiveIndex, TarIndex};
+use knnta::core::{Executor, FrozenIndex, Grouping, IndexConfig, LiveIndex, TarIndex};
 use knnta::lbsn::{IntervalAnchor, Workload};
 use knnta::{CheckIn, KnntaQuery, Poi, PoiId, Timestamp};
 use rtree::Rect;
@@ -112,13 +112,19 @@ fn live_streaming_matches_batch_build() {
 fn persistence_roundtrip_on_dataset() {
     let dataset = small_dataset();
     let index = index_of(&dataset, Grouping::TarIntegral);
-    let bytes = index.save_to_vec();
-    let loaded = TarIndex::load_from_slice(&bytes).expect("valid snapshot");
+    let bytes = index.pack().to_bytes();
+    let file = FrozenIndex::from_bytes(&bytes).expect("valid index file");
+    let loaded = file.to_arena();
     assert_eq!(loaded.len(), index.len());
+    assert_eq!(loaded.config_node_size(), index.config_node_size());
+    assert_eq!((loaded.grid(), loaded.bounds()), (index.grid(), index.bounds()));
+    let mut exec = Executor::frozen(&file);
     let workload = Workload::generate(&dataset, 15, IntervalAnchor::Recent, 34);
     for &(point, interval) in &workload.queries {
         let q = KnntaQuery::new(point, interval).with_k(10).with_alpha0(0.3);
-        assert_same_answer(&loaded.query(&q), &index.query(&q), "persisted");
+        let want = index.query(&q);
+        assert_same_answer(&loaded.query(&q), &want, "persisted");
+        assert_eq!(exec.query(&q), want, "read image");
     }
 }
 

@@ -1,9 +1,10 @@
 //! Golden-fixture pin of the packed image layout (`docs/FORMAT.md`).
 //!
-//! `tests/fixtures/packed_v1.golden` is the byte-exact packed image of a
-//! small, fully deterministic dataset. Any change to the v1 byte layout —
-//! header word order, section order, directory encoding, TIA pair encoding,
-//! or the Hilbert packing itself — shows up here as a byte diff, forcing a
+//! `tests/fixtures/packed_v2.golden` is the byte-exact packed image — the
+//! index file — of a small, fully deterministic dataset. Any change to the
+//! v2 byte layout — header word order, section order, directory encoding,
+//! TIA pair encoding, the config section, or the Hilbert packing itself —
+//! shows up here as a byte diff, forcing a
 //! deliberate format-version bump (and a `docs/FORMAT.md` update) instead
 //! of silent drift.
 //!
@@ -16,12 +17,12 @@
 mod common;
 
 use common::{seq, tiny_dataset};
-use knnta::core::{Executor, Grouping, IndexConfig, PackedTarTree, PlanBackend, TarIndex};
+use knnta::core::{Executor, FrozenIndex, Grouping, IndexConfig, PlanBackend, TarIndex};
 use knnta::{KnntaQuery, TimeInterval};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/packed_v1.golden"
+    "/tests/fixtures/packed_v2.golden"
 );
 
 /// The deterministic index behind the fixture: the hand-rolled 40-POI
@@ -46,11 +47,11 @@ fn blessing() -> bool {
 fn packed_image_matches_the_golden_fixture() {
     let image = golden_index().pack().to_bytes();
 
-    // The documented v1 header invariants, independent of the fixture.
+    // The documented v2 header invariants, independent of the fixture.
     assert_eq!(&image[0..8], b"KNTAPAK1", "magic must open the image");
     assert_eq!(
         u64::from_le_bytes(image[8..16].try_into().unwrap()),
-        1,
+        2,
         "format version word"
     );
     assert_eq!(
@@ -88,19 +89,19 @@ fn packed_image_matches_the_golden_fixture() {
 
 #[test]
 fn golden_fixture_still_answers_queries() {
-    // The fixture is not just bytes: deserialised, it must serve the same
-    // answers as the live index it was packed from — so the pin also guards
-    // against semantic drift in the reader.
+    // The fixture is not just bytes: read as an index file, it must serve
+    // the same answers as the live index it was packed from — so the pin
+    // also guards against semantic drift in the reader.
     if blessing() {
         return; // fixture may be mid-regeneration
     }
     let golden = std::fs::read(GOLDEN_PATH).unwrap_or_else(|e| {
         panic!("missing {GOLDEN_PATH} ({e}); regenerate with KNNTA_BLESS=1")
     });
-    let packed = PackedTarTree::from_bytes(&golden).expect("golden image must parse");
+    let file = FrozenIndex::from_bytes(&golden).expect("golden image must read back");
     let index = golden_index();
-    assert_eq!(packed.item_count(), index.len());
-    let exec = Executor::new(&index).with_packed(&packed);
+    assert_eq!(file.packed().item_count(), index.len());
+    let exec = Executor::frozen(&file);
     let on_packed = seq(PlanBackend::Packed);
     for k in [1, 5, 17] {
         for alpha0 in [0.2, 0.5, 0.8] {

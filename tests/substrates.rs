@@ -1,9 +1,9 @@
 //! Coverage for the in-repo build substrates (`knnta_util`) at the points
 //! where the rest of the workspace actually depends on them: RNG
-//! determinism, codec round-trips on real index/TIA pages, and the bench
-//! runner's JSON artifact.
+//! determinism, codec round-trips on real TIA pages, the index file's
+//! round trip, and the bench runner's JSON artifact.
 
-use knnta::core::{IndexConfig, TarIndex};
+use knnta::core::{Executor, FrozenIndex, IndexConfig, TarIndex};
 use knnta::util::bench::Harness;
 use knnta::util::codec::{Bytes, BytesMut};
 use knnta::util::rng::{Rng, StdRng};
@@ -48,8 +48,10 @@ fn rng_ranges_cover_bounds() {
     assert!(lo_seen && hi_seen);
 }
 
-/// The full-index binary snapshot (core::persist) survives a round-trip
-/// through the in-repo codec and answers queries identically.
+/// The index file (the packed image, `TarIndex::pack().to_bytes()`) of an
+/// arena index survives a round trip byte for byte and answers queries
+/// bit-identically, through the image and through the arena rebuilt from
+/// it.
 #[test]
 fn codec_roundtrip_persist_snapshot() {
     let grid = EpochGrid::fixed_days(7, 8);
@@ -67,15 +69,14 @@ fn codec_roundtrip_persist_snapshot() {
         })
         .collect();
     let index = TarIndex::build(IndexConfig::default(), grid, bounds, pois);
-    let bytes = index.save_to_vec();
-    let loaded = TarIndex::load_from_slice(&bytes).expect("valid snapshot");
+    let bytes = index.pack().to_bytes();
+    let loaded = FrozenIndex::from_bytes(&bytes).expect("valid index file");
+    assert_eq!(loaded.packed().to_bytes(), bytes);
     let q = knnta::KnntaQuery::new([50.0, 50.0], knnta::TimeInterval::days(0, 56)).with_k(10);
-    let (a, b) = (index.query(&q), loaded.query(&q));
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.poi, y.poi);
-        assert!((x.score - y.score).abs() < 1e-12);
-    }
+    let want = index.query(&q);
+    assert_eq!(want.len(), 10);
+    assert_eq!(Executor::frozen(&loaded).query(&q), want);
+    assert_eq!(loaded.to_arena().query(&q), want);
 }
 
 /// MVBT node pages (the disk-TIA storage format) round-trip through the

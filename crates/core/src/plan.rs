@@ -380,7 +380,7 @@ impl<'a> Base<'a> {
     fn index_stats(self) -> IndexStats {
         match self {
             Base::Arena(index) => index.index_stats(),
-            Base::Frozen(frozen) => frozen.plan_stats.clone(),
+            Base::Frozen(frozen) => frozen.plan_stats().clone(),
         }
     }
 }

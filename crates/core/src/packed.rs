@@ -81,24 +81,8 @@ pub struct PackedTarTree {
     fetches: AtomicU64,
 }
 
-/// Meta-word grouping tags (header `meta0`, see `docs/FORMAT.md`).
-fn grouping_tag(g: Grouping) -> u64 {
-    match g {
-        Grouping::TarIntegral => 0,
-        Grouping::IndSpa => 1,
-        Grouping::IndAgg => 2,
-    }
-}
-
-/// Inverse of [`grouping_tag`].
-fn tag_grouping(tag: u64) -> Option<Grouping> {
-    match tag {
-        0 => Some(Grouping::TarIntegral),
-        1 => Some(Grouping::IndSpa),
-        2 => Some(Grouping::IndAgg),
-        _ => None,
-    }
-}
+/// The groupings, indexed by their header `meta0` tag (`docs/FORMAT.md`).
+const GROUPING_TAGS: [Grouping; 3] = [Grouping::TarIntegral, Grouping::IndSpa, Grouping::IndAgg];
 
 /// Hilbert ranks of grouping-space centres, after normalising each axis to
 /// the unit interval over the centres' own bounding box — `hilbert_key`
@@ -133,8 +117,9 @@ fn hilbert_keys<const D: usize>(centers: &[[f64; D]]) -> Vec<u64> {
 /// `[p̂, p̂]`, the Hilbert rank of its grouping-space centre — `(p̂, z)` with
 /// `z = 1 − λ̂p / max λ̂p` over *these* POIs for the TAR grouping, `p̂` alone
 /// for IND-spa / IND-agg — the POI id as the target word, and the series'
-/// inclusive prefix sums as the TIA block. [`PackedTree::pack`] then orders
-/// by `(key, id)`, so `pois` may arrive in any order.
+/// inclusive prefix sums, in one record arena, as the TIA block.
+/// [`PackedTree::pack`] then orders by `(key, id)`, so `pois` may arrive in
+/// any order.
 fn pack_pois(
     config: IndexConfig,
     meta: &IndexMeta,
@@ -157,33 +142,37 @@ fn pack_pois(
         }
         Grouping::IndSpa | Grouping::IndAgg => hilbert_keys(&positions),
     };
+    let mut records = Vec::with_capacity(pois.iter().map(|(_, series)| series.len()).sum());
+    for (_, series) in pois {
+        records.extend(series.iter().scan(0u64, |cum, (epoch, v)| {
+            *cum += v;
+            Some((epoch as u64, *cum))
+        }));
+    }
+    let mut start = 0;
     let items = keys
         .into_iter()
         .zip(&positions)
         .zip(pois)
         .map(|((key, p), (poi, series))| {
-            let mut cum = 0u64;
+            start += series.len();
             PackItem {
                 key,
                 rect: [p[0], p[1], p[0], p[1]],
                 target: poi.id.0 as u64,
-                tia: series
-                    .iter()
-                    .map(|(epoch, v)| {
-                        cum += v;
-                        (epoch as u64, cum)
-                    })
-                    .collect(),
+                tia: &records[start - series.len()..start],
             }
         })
         .collect();
+    let tag = GROUPING_TAGS.iter().position(|&g| g == grouping).expect("every grouping has a tag");
+    let mut max = MaxMerge::default();
     let tree = PackedTree::pack(
         PACKED_FANOUT,
         PACKED_FANOUT,
         items,
-        [grouping_tag(grouping), content_epoch],
+        [tag as u64, content_epoch],
         &config_section(config, meta),
-        max_merge,
+        |blocks, out| max.merge(blocks.map(|block| block.pairs()), out),
     );
     PackedTarTree {
         tree,
@@ -329,57 +318,77 @@ fn denorm(t: f64, lo: f64, inv_scale: f64) -> f64 {
     value(lo_k)
 }
 
-/// The internal-entry TIA merge: per-epoch **max** over the children's
-/// per-epoch values (decoded from their prefix records), re-encoded as a
-/// prefix block. `Σ_epochs max_children v` upper-bounds every child's own
-/// range sum, which keeps the packed traversal keys admissible lower bounds
-/// on the scores beneath them (DESIGN.md §12).
-fn max_merge(children: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
-    let mut merged = Vec::new();
-    max_merge_into(children.iter().map(|block| block.iter().copied()), &mut merged);
-    // Room for every child record is far more than the distinct epochs,
-    // and the packer holds each level's blocks until it writes the image.
-    merged.shrink_to_fit();
-    merged
+/// The internal-entry TIA merge, for the packer, the reader's check and the
+/// root max: per-epoch **max** over the children's per-epoch values,
+/// re-encoded as a prefix block. `Σ_epochs max_children v` upper-bounds
+/// every child's range sum, which keeps the packed traversal keys admissible
+/// (DESIGN.md §12). Its scratch lives across merges — a per-epoch slot
+/// vector grown to the largest epoch seen, and the epochs a merge touched —
+/// so a merge costs its children's records plus a sort of its distinct
+/// epochs. An epoch at or past [`MAX_EPOCHS`] (a series may run past its
+/// grid) takes no slot: its records sort with the touched list, max last.
+#[derive(Default)]
+struct MaxMerge {
+    dense: Vec<u64>,
+    touched: Vec<(u64, u64)>,
 }
 
-/// [`max_merge`] over prefix blocks given as record iterators, into `out`
-/// (cleared first) — the packer and the reader's check share it.
-fn max_merge_into<B: Iterator<Item = (u64, u64)>>(
-    children: impl Iterator<Item = B>,
-    out: &mut Vec<(u64, u64)>,
-) {
-    out.clear();
-    for block in children {
-        let mut prev = 0u64;
-        out.extend(block.map(|(epoch, cum)| {
-            let v = cum - prev;
-            prev = cum;
-            (epoch, v)
-        }));
-    }
-    out.sort_unstable_by_key(|&(epoch, _)| epoch);
-    out.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 = kept.1.max(next.1);
+impl MaxMerge {
+    /// Writes the merge of `children`' prefix blocks into `out` (cleared
+    /// first). An epoch is listed once per record that finds its slot at 0.
+    fn merge<B: Iterator<Item = (u64, u64)>>(
+        &mut self,
+        children: impl Iterator<Item = B>,
+        out: &mut Vec<(u64, u64)>,
+    ) {
+        out.clear();
+        for block in children {
+            let mut prev = 0u64;
+            for (epoch, cum) in block {
+                let (e, v) = (epoch as usize, cum - prev);
+                prev = cum;
+                if epoch >= MAX_EPOCHS as u64 {
+                    self.touched.push((epoch, v));
+                    continue;
+                }
+                if e >= self.dense.len() {
+                    self.dense.resize(e + 1, 0);
+                }
+                if self.dense[e] == 0 {
+                    self.touched.push((epoch, 0));
+                }
+                self.dense[e] = self.dense[e].max(v);
+            }
         }
-        same
-    });
-    let mut cum = 0u64;
-    for record in out.iter_mut() {
-        cum += record.1;
-        record.1 = cum;
+        self.touched.sort_unstable();
+        let mut cum = 0u64;
+        for (i, &(epoch, v)) in self.touched.iter().enumerate() {
+            if self.touched.get(i + 1).is_none_or(|next| next.0 != epoch) {
+                cum += self.dense.get_mut(epoch as usize).map_or(v, std::mem::take);
+                out.push((epoch, cum));
+            }
+        }
+        self.touched.clear();
     }
+}
+
+/// A series from its inclusive prefix records.
+fn series_of(prefix: impl Iterator<Item = (u64, u64)>) -> AggregateSeries {
+    let mut prev = 0u64;
+    AggregateSeries::from_pairs(prefix.map(|(epoch, cum)| {
+        let value = cum - prev;
+        prev = cum;
+        (epoch as u32, value)
+    }))
 }
 
 /// Checks every internal entry against the node it targets: its box is
-/// that node's bounding box and its TIA block the [`max_merge`] of that
+/// that node's bounding box and its TIA block the [`MaxMerge`] of that
 /// node's blocks, bit for bit. Internal entries are checked in order, so a
 /// child's blocks are checked before its parent's merge reads them; the
 /// leaves' were checked by [`check_leaves`].
 fn check_internal(tree: &PackedTree) -> Result<(), String> {
-    let mut merged = Vec::new();
+    let (mut max, mut merged) = (MaxMerge::default(), Vec::new());
     for entry in tree.leaf_entry_count()..tree.entry_count() {
         let child = tree.entry_target(entry) as usize;
         if tree.entry_rect(entry).map(f64::to_bits) != tree.node_rect(child).map(f64::to_bits) {
@@ -388,7 +397,7 @@ fn check_internal(tree: &PackedTree) -> Result<(), String> {
             ));
         }
         let blocks = tree.node(child).entries().map(|c| tree.entry_tia(c).pairs());
-        max_merge_into(blocks, &mut merged);
+        max.merge(blocks, &mut merged);
         if !tree.entry_tia(entry).pairs().eq(merged.iter().copied()) {
             return Err(format!(
                 "bad internal TIA block: entry {entry} is not the per-epoch max of node \
@@ -537,6 +546,10 @@ impl FrozenIndex {
         }
         let meta = IndexMeta::new(grid, bounds, AccessStats::new());
         let packed = pack_pois(config, &meta, by_id.len() as u64, &by_id);
+        // Each root block is already the max over its subtree.
+        let (tree, mut root_max) = (&packed.tree, Vec::new());
+        let root = tree.node(tree.root()).entries().map(|e| tree.entry_tia(e).pairs());
+        MaxMerge::default().merge(root, &mut root_max);
         let plan_stats = index_stats_of(
             config,
             &meta.bounds,
@@ -546,7 +559,7 @@ impl FrozenIndex {
         );
         FrozenIndex {
             config,
-            root_max: AggregateSeries::max_of(by_id.iter().map(|(_, series)| *series)),
+            root_max: series_of(root_max.into_iter()),
             meta,
             packed,
             plan_stats: OnceLock::from(plan_stats),
@@ -608,16 +621,8 @@ impl FrozenIndex {
                 let r = tree.entry_rect(entry);
                 let inv_scale = self.meta.inv_scale;
                 let pos = [denorm(r[0], lo[0], inv_scale), denorm(r[1], lo[1], inv_scale)];
-                let mut prev = 0u64;
-                let series = AggregateSeries::from_pairs(tree.entry_tia(entry).pairs().map(
-                    |(epoch, cum)| {
-                        let value = cum - prev;
-                        prev = cum;
-                        (epoch as u32, value)
-                    },
-                ));
                 let id = PoiId(tree.entry_target(entry) as u32);
-                (Poi { id, pos }, series)
+                (Poi { id, pos }, series_of(tree.entry_tia(entry).pairs()))
             })
             .collect()
     }
@@ -677,6 +682,12 @@ impl FrozenIndex {
     /// The packed serving image.
     pub fn packed(&self) -> &PackedTarTree {
         &self.packed
+    }
+
+    /// The root-max series: the per-epoch max over every POI's series, the
+    /// `gmax` normaliser's input.
+    pub fn root_max(&self) -> &AggregateSeries {
+        &self.root_max
     }
 
     /// The access counters queries over this index record into.
@@ -758,8 +769,10 @@ impl PackedTarTree {
     pub fn from_bytes(bytes: &[u8]) -> Result<PackedTarTree, String> {
         let tree = PackedTree::from_bytes(bytes)?;
         let [tag, built_at] = tree.meta();
-        let grouping =
-            tag_grouping(tag).ok_or_else(|| format!("unknown grouping tag {tag} in meta0"))?;
+        let grouping = *usize::try_from(tag)
+            .ok()
+            .and_then(|tag| GROUPING_TAGS.get(tag))
+            .ok_or_else(|| format!("unknown grouping tag {tag} in meta0"))?;
         Ok(PackedTarTree {
             tree,
             grouping,
@@ -989,10 +1002,20 @@ mod tests {
 
     #[test]
     fn max_merge_upper_bounds_children() {
-        let a = vec![(0u64, 2u64), (2, 5)]; // values: e0=2, e2=3
-        let b = vec![(1u64, 4u64), (2, 5)]; // values: e1=4, e2=1
-        let merged = max_merge(&[a, b]);
+        let (mut max, mut merged) = (MaxMerge::default(), Vec::new());
+        let a = [(0u64, 2u64), (2, 5)]; // values: e0=2, e2=3
+        let b = [(1u64, 4u64), (2, 5)]; // values: e1=4, e2=1
+        max.merge([a, b].iter().map(|block| block.iter().copied()), &mut merged);
         // per-epoch max: e0=2, e1=4, e2=3 → prefix 2, 6, 9
         assert_eq!(merged, vec![(0, 2), (1, 6), (2, 9)]);
+        // Epochs past MAX_EPOCHS take no slot and sort after the others;
+        // the scratch is clean again for the next merge.
+        let far = MAX_EPOCHS as u64;
+        let c = [(3u64, 1u64), (far, 5), (1 << 40, 6)]; // e3=1, far=4, 2^40=1
+        let d = [(far, 2u64), (1 << 40, 9)]; // far=2, 2^40=7
+        max.merge([&c[..], &d].iter().map(|block| block.iter().copied()), &mut merged);
+        assert_eq!(merged, vec![(3, 1), (far, 5), (1 << 40, 12)]);
+        max.merge([a].iter().map(|block| block.iter().copied()), &mut merged);
+        assert_eq!(merged, a);
     }
 }

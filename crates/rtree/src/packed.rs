@@ -13,11 +13,12 @@
 //! file to hold (the TAR-tree stores its configuration, bounds and epoch
 //! grid there).
 //!
-//! The tree is bulk-packed bottom-up from a caller-sorted item sequence
-//! (callers sort by Hilbert key — see `knnta_util::hilbert`): items are cut
-//! into full leaves of `leaf_cap` entries, then each level's nodes are
-//! grouped `internal_cap` at a time into parents, in sequence, until a
-//! single root remains. Node `node_count() - 1` is always the root; nodes
+//! The tree is bulk-packed bottom-up, in one pass straight into its buffer,
+//! from items that borrow their blocks from the caller's record arena:
+//! sorted by sort key (callers use a Hilbert key, `knnta_util::hilbert`),
+//! they are cut into full leaves of `leaf_cap` entries, then each level's
+//! nodes are grouped `internal_cap` at a time into parents until a single
+//! root remains. Node `node_count() - 1` is always the root; nodes
 //! `0..leaf_count()` are always the leaves.
 //!
 //! This module is format-generic: it stores opaque `u64` targets and opaque
@@ -57,9 +58,10 @@ const H_META0: usize = 14;
 const H_META1: usize = 15;
 
 /// One input item for [`PackedTree::pack`]: a sort key, a 2-D box, an opaque
-/// target word, and the item's temporal-aggregate prefix records.
-#[derive(Debug, Clone)]
-pub struct PackItem {
+/// target word, and the item's temporal-aggregate prefix records, borrowed
+/// from the caller's record arena.
+#[derive(Debug, Clone, Copy)]
+pub struct PackItem<'a> {
     /// Bulk-load sort key (callers use a Hilbert rank); items are packed in
     /// ascending `(key, target)` order.
     pub key: u64,
@@ -70,7 +72,7 @@ pub struct PackItem {
     pub target: u64,
     /// Inclusive prefix records `(epoch, cumulative)` in strictly ascending
     /// epoch order — the inline TIA block of this entry.
-    pub tia: Vec<(u64, u64)>,
+    pub tia: &'a [(u64, u64)],
 }
 
 /// A borrowed inline TIA block: interleaved `(epoch, cumulative)` prefix
@@ -162,20 +164,23 @@ impl PackedNode {
 /// ```
 /// use rtree::{PackItem, PackedTree};
 ///
-/// // Three point items with one-record prefix blocks, already in key order.
+/// // Three point items, already in key order, each borrowing a one-record
+/// // prefix block from one record arena.
+/// let records: Vec<(u64, u64)> = (0..3).map(|i| (0, i + 1)).collect();
 /// let items = (0..3u64)
 ///     .map(|i| PackItem {
 ///         key: i,
 ///         rect: [i as f64, 0.0, i as f64, 0.0],
 ///         target: 100 + i,
-///         tia: vec![(0, i + 1)],
+///         tia: &records[i as usize..i as usize + 1],
 ///     })
 ///     .collect();
-/// // cap = 2 ⇒ two leaves under one root; parent blocks via a max-merge;
-/// // one caller-owned word after the TIA records.
-/// let tree = PackedTree::pack(2, 2, items, [7, 0], &[42], |blocks| {
-///     let cum = blocks.iter().map(|b| b.last().unwrap().1).max().unwrap();
-///     vec![(0, cum)]
+/// // cap = 2 ⇒ two leaves under one root; parent blocks via a max-merge
+/// // written into the packer's scratch; one caller-owned word after the
+/// // TIA records.
+/// let tree = PackedTree::pack(2, 2, items, [7, 0], &[42], |blocks, out| {
+///     let cum = blocks.map(|b| b.pairs().last().unwrap().1).max().unwrap();
+///     out.push((0, cum));
 /// });
 /// assert_eq!((tree.node_count(), tree.leaf_count()), (3, 2));
 /// let root = tree.node(tree.root());
@@ -201,11 +206,10 @@ pub struct PackedTree {
     leaf_count: usize,
 }
 
-/// Intermediate node under construction: per-entry boxes, targets, blocks.
-struct BuildNode {
-    rects: Vec<[f64; 4]>,
-    targets: Vec<u64>,
-    tias: Vec<Vec<(u64, u64)>>,
+/// The box whose four words open at `words[at]`.
+fn rect_at(words: &[u64], at: usize) -> [f64; 4] {
+    let b: [u64; 4] = words[at..at + 4].try_into().expect("4 box words");
+    b.map(f64::from_bits)
 }
 
 /// The bounding box of `rects`: what a parent entry stores for its child.
@@ -236,11 +240,13 @@ impl PackedTree {
     /// header words, and `caller` verbatim as the caller-owned section that
     /// closes the image.
     ///
-    /// `merge` combines the inline TIA blocks of one child node's entries
-    /// into the block of the parent entry that points at it (the TAR-tree
-    /// passes a per-epoch MAX merge). Blocks handed to `merge` are decoded
-    /// `(epoch, cumulative)` pairs; the returned block must again be in
-    /// strictly ascending epoch order.
+    /// One pass into one image buffer: the sorted items' boxes, targets and
+    /// borrowed TIA blocks are appended level by level, each upper level
+    /// from its children's entries read back out of what is written.
+    /// `merge` writes a parent entry's TIA block from the blocks of the
+    /// child node's entries (the TAR-tree passes a per-epoch MAX merge), as
+    /// `(epoch, cumulative)` pairs in strictly ascending epoch order, into
+    /// `out`: one scratch buffer, empty at each call.
     ///
     /// An empty `items` packs as a single zero-entry leaf root, so queries
     /// need no special case.
@@ -252,137 +258,107 @@ impl PackedTree {
     pub fn pack(
         leaf_cap: usize,
         internal_cap: usize,
-        mut items: Vec<PackItem>,
+        items: Vec<PackItem<'_>>,
         meta: [u64; 2],
         caller: &[u64],
-        merge: impl Fn(&[Vec<(u64, u64)>]) -> Vec<(u64, u64)>,
+        mut merge: impl FnMut(&mut dyn Iterator<Item = TiaBlock<'_>>, &mut Vec<(u64, u64)>),
     ) -> PackedTree {
         assert!(
             leaf_cap >= 2 && internal_cap >= 2,
             "packed fanout must be at least 2, got leaf {leaf_cap} / internal {internal_cap}"
         );
-        items.sort_by_key(|it| (it.key, it.target));
-        let item_count = items.len();
+        // Stable in `(key, target)`: the index breaks ties.
+        let mut order: Vec<_> =
+            items.iter().enumerate().map(|(i, it)| (it.key, it.target, i)).collect();
+        order.sort_unstable();
 
-        // Leaves: consecutive runs of `leaf_cap` items.
-        let mut level: Vec<BuildNode> = items
-            .chunks(leaf_cap)
-            .map(|run| BuildNode {
-                rects: run.iter().map(|it| it.rect).collect(),
-                targets: run.iter().map(|it| it.target).collect(),
-                tias: run.iter().map(|it| it.tia.clone()).collect(),
-            })
-            .collect();
-        if level.is_empty() {
-            level.push(BuildNode { rects: vec![], targets: vec![], tias: vec![] });
+        // Every section but the TIA records has a length known up front: the
+        // image opens with room for them and takes the records straight
+        // after, so each record is written once; the other sections (each
+        // directory's closing word pushed last) are copied in at the end.
+        let mut width = items.len().div_ceil(leaf_cap).max(1);
+        let (mut nodes, mut levels) = (width, 1);
+        while width > 1 {
+            width = width.div_ceil(internal_cap);
+            (nodes, levels) = (nodes + width, levels + 1);
         }
-        for node in &level {
-            for tia in &node.tias {
-                assert!(
-                    tia.windows(2).all(|w| w[0].0 < w[1].0),
-                    "TIA block epochs must be strictly ascending"
-                );
+        let entries = items.len() + nodes - 1;
+        let at_tia = PACKED_HEADER_WORDS + (levels + 1) + (nodes + 1) + 6 * entries + 1;
+        let (mut level_dir, mut node_dir) = (vec![0u64], vec![0u64]);
+        let mut boxes = Vec::with_capacity(4 * entries);
+        let mut targets = Vec::with_capacity(entries);
+        let mut tia_dir = Vec::with_capacity(entries + 1);
+        let leaf_words: usize = items.iter().map(|it| 2 * it.tia.len()).sum();
+        let mut w = Vec::with_capacity(at_tia + leaf_words);
+        w.resize(at_tia, 0);
+
+        // Leaves: runs of `leaf_cap` items (one empty leaf for no items).
+        for (i, item) in order.iter().map(|&(_, _, at)| &items[at]).enumerate() {
+            if i > 0 && i % leaf_cap == 0 {
+                node_dir.push(i as u64);
             }
+            assert!(
+                item.tia.windows(2).all(|w| w[0].0 < w[1].0),
+                "TIA block epochs must be strictly ascending"
+            );
+            boxes.extend(item.rect.map(f64::to_bits));
+            targets.push(item.target);
+            tia_dir.push(((w.len() - at_tia) / 2) as u64);
+            w.extend(item.tia.iter().flat_map(|&(epoch, cum)| [epoch, cum]));
         }
 
-        // Upper levels: group `internal_cap` consecutive child nodes per
-        // parent. The first node of each level is recorded so the level
-        // directory can be emitted leaves-first.
-        let mut levels: Vec<Vec<BuildNode>> = vec![level];
-        while levels.last().expect("at least the leaf level").len() > 1 {
-            let children = levels.last().expect("non-empty");
-            let mut base = 0u64;
-            for l in &levels[..levels.len() - 1] {
-                base += l.len() as u64;
+        // Upper levels: a parent per run of `internal_cap` child nodes until
+        // a level is the root alone. Each parent entry's directory words are
+        // pushed before its children are read, so their closing words exist.
+        let mut merged = Vec::new();
+        let mut first = 0;
+        loop {
+            let end = node_dir.len();
+            level_dir.push(end as u64);
+            if end - first == 1 {
+                break;
             }
-            let parents: Vec<BuildNode> = children
-                .chunks(internal_cap)
-                .enumerate()
-                .map(|(chunk, run)| BuildNode {
-                    rects: run.iter().map(|c| bounding_rect(c.rects.iter().copied())).collect(),
-                    targets: (0..run.len())
-                        .map(|i| base + (chunk * internal_cap + i) as u64)
-                        .collect(),
-                    tias: run.iter().map(|c| merge(&c.tias)).collect(),
-                })
-                .collect();
-            levels.push(parents);
-        }
-
-        // Emit: header, level_dir, node_dir, boxes, targets, tia_dir, tia,
-        // caller.
-        let node_count: usize = levels.iter().map(|l| l.len()).sum();
-        let entry_count: usize = levels
-            .iter()
-            .map(|l| l.iter().map(|n| n.targets.len()).sum::<usize>())
-            .sum();
-        let tia_records: usize = levels
-            .iter()
-            .map(|l| l.iter().map(|n| n.tias.iter().map(Vec::len).sum::<usize>()).sum::<usize>())
-            .sum();
-        let level_count = levels.len();
-
-        let off_level_dir = PACKED_HEADER_WORDS;
-        let off_node_dir = off_level_dir + level_count + 1;
-        let off_boxes = off_node_dir + node_count + 1;
-        let off_targets = off_boxes + 4 * entry_count;
-        let off_tia_dir = off_targets + entry_count;
-        let off_tia = off_tia_dir + entry_count + 1;
-        let off_caller = off_tia + 2 * tia_records;
-        let total_words = off_caller + caller.len();
-
-        let mut w = vec![0u64; total_words];
-        w[H_MAGIC] = PACKED_MAGIC;
-        w[H_VERSION] = PACKED_VERSION;
-        w[H_NODE_COUNT] = node_count as u64;
-        w[H_ENTRY_COUNT] = entry_count as u64;
-        w[H_ITEM_COUNT] = item_count as u64;
-        w[H_LEVEL_COUNT] = level_count as u64;
-        w[H_TOTAL_WORDS] = total_words as u64;
-        w[H_TIA_RECORDS] = tia_records as u64;
-        w[H_OFF_LEVEL_DIR] = off_level_dir as u64;
-        w[H_OFF_NODE_DIR] = off_node_dir as u64;
-        w[H_OFF_BOXES] = off_boxes as u64;
-        w[H_OFF_TARGETS] = off_targets as u64;
-        w[H_OFF_TIA_DIR] = off_tia_dir as u64;
-        w[H_OFF_TIA] = off_tia as u64;
-        w[H_META0] = meta[0];
-        w[H_META1] = meta[1];
-
-        let mut node_idx = 0usize;
-        let mut entry_idx = 0usize;
-        let mut record_idx = 0usize;
-        for (l, nodes) in levels.iter().enumerate() {
-            w[off_level_dir + l] = node_idx as u64;
-            for node in nodes {
-                w[off_node_dir + node_idx] = entry_idx as u64;
-                node_idx += 1;
-                for ((rect, target), tia) in
-                    node.rects.iter().zip(&node.targets).zip(&node.tias)
-                {
-                    for (d, &c) in rect.iter().enumerate() {
-                        w[off_boxes + 4 * entry_idx + d] = c.to_bits();
-                    }
-                    w[off_targets + entry_idx] = *target;
-                    w[off_tia_dir + entry_idx] = record_idx as u64;
-                    for &(epoch, cum) in tia {
-                        w[off_tia + 2 * record_idx] = epoch;
-                        w[off_tia + 2 * record_idx + 1] = cum;
-                        record_idx += 1;
-                    }
-                    entry_idx += 1;
+            for child in first..end {
+                if (child - first) % internal_cap == 0 {
+                    node_dir.push(targets.len() as u64);
                 }
+                let entries = node_dir[child] as usize..node_dir[child + 1] as usize;
+                let rect = bounding_rect(entries.clone().map(|e| rect_at(&boxes, 4 * e)));
+                tia_dir.push(((w.len() - at_tia) / 2) as u64);
+                let tia = &w[at_tia..];
+                merged.clear();
+                merge(
+                    &mut entries.map(|e| {
+                        TiaBlock(&tia[2 * tia_dir[e] as usize..2 * tia_dir[e + 1] as usize])
+                    }),
+                    &mut merged,
+                );
+                boxes.extend(rect.map(f64::to_bits));
+                targets.push(child as u64);
+                w.extend(merged.iter().flat_map(|&(epoch, cum)| [epoch, cum]));
             }
+            first = end;
         }
-        w[off_level_dir + level_count] = node_idx as u64;
-        w[off_node_dir + node_count] = entry_idx as u64;
-        w[off_tia_dir + entry_count] = record_idx as u64;
-        w[off_caller..].copy_from_slice(caller);
-        debug_assert_eq!(
-            (node_idx, entry_idx, record_idx),
-            (node_count, entry_count, tia_records)
-        );
+        node_dir.push(targets.len() as u64);
+        let records = (w.len() - at_tia) / 2;
+        tia_dir.push(records as u64);
+        w.extend_from_slice(caller);
 
+        // The header and the sections before the records, each opening
+        // where the one before it closes.
+        let mut offsets = [PACKED_HEADER_WORDS; 6];
+        let sections = [&level_dir[..], &node_dir, &boxes, &targets, &tia_dir];
+        for (i, section) in sections.iter().enumerate() {
+            w[offsets[i]..offsets[i] + section.len()].copy_from_slice(section);
+            offsets[i + 1] = offsets[i] + section.len();
+        }
+        assert_eq!(offsets[5], at_tia, "the sections fill the room before the records");
+        let counts = [nodes, entries, items.len(), levels, w.len(), records];
+        let words = counts.into_iter().chain(offsets).map(|c| c as u64);
+        let header = [PACKED_MAGIC, PACKED_VERSION].into_iter().chain(words).chain(meta);
+        for (slot, word) in w.iter_mut().zip(header) {
+            *slot = word;
+        }
         PackedTree::from_words(w.into_boxed_slice())
     }
 
@@ -483,9 +459,7 @@ impl PackedTree {
 
     /// Entry box (absolute entry index) as `[min_x, min_y, max_x, max_y]`.
     pub fn entry_rect(&self, entry: usize) -> [f64; 4] {
-        let off = self.off_boxes + 4 * entry;
-        let b: [u64; 4] = self.words[off..off + 4].try_into().expect("4 box words");
-        b.map(f64::from_bits)
+        rect_at(&self.words, self.off_boxes + 4 * entry)
     }
 
     /// The bounding box of node `index`'s entries — bit for bit the box
@@ -647,21 +621,23 @@ impl PackedTree {
 mod tests {
     use super::*;
 
-    fn items(n: u64) -> Vec<PackItem> {
-        (0..n)
-            .map(|i| PackItem {
+    /// Two prefix records per item, borrowed from one (leaked) arena.
+    fn items(n: u64) -> Vec<PackItem<'static>> {
+        let records = (0..n).flat_map(|i| [(0, i + 1), (2, 2 * i + 3)]).collect::<Vec<_>>();
+        (Vec::leak(records).chunks(2).zip(0..))
+            .map(|(tia, i)| PackItem {
                 key: i ^ (i >> 1), // scrambled so pack() has to sort
                 rect: [i as f64, 2.0 * i as f64, i as f64 + 1.0, 2.0 * i as f64 + 1.0],
                 target: 1000 + i,
-                tia: vec![(0, i + 1), (2, 2 * i + 3)],
+                tia,
             })
             .collect()
     }
 
     /// A union-of-last-cums merge, good enough for structural tests.
-    fn sum_merge(blocks: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
-        let cum: u64 = blocks.iter().filter_map(|b| b.last().map(|p| p.1)).sum();
-        vec![(0, cum)]
+    fn sum_merge(blocks: &mut dyn Iterator<Item = TiaBlock<'_>>, out: &mut Vec<(u64, u64)>) {
+        let cum: u64 = blocks.filter_map(|b| b.pairs().last().map(|p| p.1)).sum();
+        out.push((0, cum));
     }
 
     #[test]
@@ -799,17 +775,18 @@ mod tests {
     /// test and the doc ever disagree, one of them drifted.
     #[test]
     fn format_md_worked_example() {
+        let records: Vec<(u64, u64)> = (0..3).map(|i| (0, i + 1)).collect();
         let items = (0..3u64)
             .map(|i| PackItem {
                 key: i,
                 rect: [i as f64, 0.0, i as f64, 0.0],
                 target: 100 + i,
-                tia: vec![(0, i + 1)],
+                tia: &records[i as usize..i as usize + 1],
             })
             .collect();
-        let tree = PackedTree::pack(2, 2, items, [7, 0], &[42], |blocks| {
-            let cum = blocks.iter().map(|b| b.last().unwrap().1).max().unwrap();
-            vec![(0, cum)]
+        let tree = PackedTree::pack(2, 2, items, [7, 0], &[42], |blocks, out| {
+            let cum = blocks.map(|b| b.pairs().last().unwrap().1).max().unwrap();
+            out.push((0, cum));
         });
         let f = f64::to_bits;
         #[rustfmt::skip]

@@ -315,7 +315,6 @@ impl Service {
             ..config
         });
 
-        let root_max = Arc::new(AggregateSeries::max_of(pois.iter().map(|(_, s)| s)));
         let positions: Vec<Poi> = pois.iter().map(|(p, _)| *p).collect();
         let parts = partition_pois(&positions, &bounds, shards_n);
 
@@ -334,6 +333,10 @@ impl Service {
                 Arc::new(Shard { id, frozen })
             })
             .collect();
+        // Every shard's root max is the max over its POIs, so the max over
+        // the shards' is the unsharded tree's.
+        let root_max =
+            Arc::new(AggregateSeries::max_of(shards.iter().map(|s| s.frozen.root_max())));
 
         let telemetry = ServiceTelemetry::new(&config.telemetry, shards_n);
 

@@ -315,6 +315,15 @@ fn scale_of(opts: &Opts) -> Result<f64, String> {
     Ok(scale)
 }
 
+/// `--alpha0`, the spatial weight, strictly between 0 and 1.
+fn alpha0_of(opts: &Opts) -> Result<f64, String> {
+    let alpha0: f64 = opts.num("alpha0", 0.3)?;
+    if !(alpha0 > 0.0 && alpha0 < 1.0) {
+        return Err("--alpha0 must lie strictly between 0 and 1".into());
+    }
+    Ok(alpha0)
+}
+
 fn generate(opts: &Opts) -> Result<(), String> {
     let name = opts.str("dataset")?;
     let spec = knnta::lbsn::spec_by_name(name).ok_or(format!("unknown dataset `{name}`"))?;
@@ -502,6 +511,9 @@ fn ingest(opts: &Opts) -> Result<(), String> {
     let events: usize = opts.num("events", 1_000_000)?;
     let writers: usize = opts.num("writers", 4)?;
     let shards: usize = opts.num("shards", 8)?;
+    if events == 0 {
+        return Err("--events must be at least 1".into());
+    }
     if writers == 0 {
         return Err("--writers must be at least 1".into());
     }
@@ -689,7 +701,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let queries: usize = opts.num("queries", 2000)?;
     let rate: f64 = opts.num("rate", 5000.0)?;
     let k: usize = opts.num("k", 10)?;
-    let alpha0: f64 = opts.num("alpha0", 0.3)?;
+    let alpha0 = alpha0_of(opts)?;
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
@@ -862,10 +874,7 @@ fn parse_query(opts: &Opts) -> Result<KnntaQuery, String> {
         return Err("--from-day must not exceed --to-day".into());
     }
     let k: usize = opts.num("k", 10)?;
-    let alpha0: f64 = opts.num("alpha0", 0.3)?;
-    if !(alpha0 > 0.0 && alpha0 < 1.0) {
-        return Err("--alpha0 must lie strictly between 0 and 1".into());
-    }
+    let alpha0 = alpha0_of(opts)?;
     Ok(KnntaQuery::new([x, y], TimeInterval::new(from, to))
         .with_k(k)
         .with_alpha0(alpha0))

@@ -673,3 +673,54 @@ fn forged_index_files_are_rejected_without_a_panic() {
     let _ = std::fs::remove_file(idx);
     let _ = std::fs::remove_file(forged);
 }
+
+/// `knnta ingest` streams check-ins through the live tier, sealing and
+/// merging them into the base image as it goes: every event is accounted
+/// for at the end.
+#[test]
+fn ingest_conserves_every_event() {
+    let out = knnta()
+        .args(["ingest", "--dataset", "GS", "--scale", "0.002", "--events", "20000"])
+        .args(["--writers", "2", "--shards", "2"])
+        .output()
+        .unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let counters = stdout
+        .lines()
+        .find(|line| line.starts_with("counters:"))
+        .unwrap_or_else(|| panic!("no counters line in {stdout}"));
+    assert!(counters.ends_with("(conserved)"), "{counters}");
+    assert!(counters.contains("recorded=20000"), "{counters}");
+}
+
+/// A stream of no events is a bad argument, not a fill loop that never
+/// stops.
+#[test]
+fn ingest_rejects_zero_events() {
+    let out = knnta()
+        .args(["ingest", "--dataset", "GS", "--scale", "0.002", "--events", "0"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--events must be at least 1"), "{stderr}");
+}
+
+/// `serve` checks `--alpha0` as `query`, `explain` and `mwa` do.
+#[test]
+fn serve_rejects_alpha0_outside_the_unit_interval() {
+    for alpha0 in ["1.5", "2", "-0.5", "nan", "0", "1"] {
+        let out = knnta()
+            .args(["serve", "--dataset", "GS", "--scale", "0.002", "--alpha0", alpha0])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{alpha0}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{alpha0}: {stderr}");
+        let needle = "--alpha0 must lie strictly between 0 and 1";
+        assert!(stderr.contains(needle), "{alpha0}: {stderr}");
+    }
+}

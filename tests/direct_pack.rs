@@ -36,7 +36,8 @@ fn direct_image_matches_the_golden_fixture() {
 const EPOCHS: usize = 10;
 
 /// A random POI set with sparse ids: clustered on a handful of sites (so
-/// positions repeat exactly), a share of all-zero series, and — the
+/// positions repeat exactly), a share of all-zero series, epochs that
+/// sometimes run past the grid (both builders accept them), and — the
 /// `len_in(0, ..)` lower bound — sometimes empty or a single POI.
 fn gen_pois(g: &mut Gen) -> Vec<(Poi, AggregateSeries)> {
     let sites = g.vec(1, 6, |g| [g.f64_in(0.0..100.0), g.f64_in(0.0..100.0)]);
@@ -54,7 +55,7 @@ fn gen_pois(g: &mut Gen) -> Vec<(Poi, AggregateSeries)> {
                 AggregateSeries::new()
             } else {
                 AggregateSeries::from_pairs(
-                    g.vec(0, 8, |g| (g.u32_in(0..EPOCHS as u32), g.u64_in(0..40))),
+                    g.vec(0, 8, |g| (g.u32_in(0..EPOCHS as u32 + 3), g.u64_in(0..40))),
                 )
             };
             (Poi::new(id, pos[0], pos[1]), series)
@@ -69,13 +70,15 @@ fn shuffle<T>(g: &mut Gen, items: &mut [T]) {
 }
 
 /// (b) `direct == TarIndex::build(..).pack()` bytes, for every grouping,
-/// whatever order either builder sees the POIs in.
+/// whatever order either builder sees the POIs in, and the direct root max
+/// (read off the image's root) is the per-epoch max over every series.
 #[test]
 fn direct_image_equals_build_then_pack() {
     check("direct_image_equals_build_then_pack", 48, |g| {
         let grid = EpochGrid::fixed_days(7, EPOCHS);
         let bounds = Rect::new([0.0, 0.0], [100.0, 100.0]);
         let pois = gen_pois(g);
+        let root_max = AggregateSeries::max_of(pois.iter().map(|(_, series)| series));
         let mut shuffled = pois.clone();
         shuffle(g, &mut shuffled);
         for grouping in GROUPINGS {
@@ -95,6 +98,7 @@ fn direct_image_equals_build_then_pack() {
                     "{grouping}, {} POIs",
                     pois.len()
                 );
+                assert_eq!(frozen.root_max(), &root_max, "{grouping}, {} POIs", pois.len());
             }
         }
     });

@@ -37,7 +37,7 @@ const GROUPINGS: [Grouping; 3] = [Grouping::TarIntegral, Grouping::IndSpa, Group
 const EPOCHS: u32 = 12;
 
 fn blessing() -> bool {
-    std::env::var("KNNTA_BLESS").map_or(false, |v| v != "0" && !v.is_empty())
+    std::env::var("KNNTA_BLESS").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// FNV-1a over 64 bits.
